@@ -48,20 +48,16 @@ func main() {
 		summary = flag.String("summary", "", "write the -compare delta table as markdown to this file (CI step summaries)")
 		metrics = flag.String("metrics", "", "write the aggregated telemetry snapshot of all timed trials as JSON to this path")
 		pprof   = flag.String("pprof", "", "serve net/http/pprof and /metrics on this address while the grid runs (e.g. :6060)")
-		batch   = flag.Int("batch", 0, fmt.Sprintf("lockstep batch width for the batched timing axis (0 = grid default %d, 1 = disable)", bench.DefaultBatch))
 	)
 	flag.Parse()
-	if err := run(*out, *seed, *quick, *quiet, *compare, *tol, *summary, *metrics, *pprof, *batch); err != nil {
+	if err := run(*out, *seed, *quick, *quiet, *compare, *tol, *summary, *metrics, *pprof); err != nil {
 		fmt.Fprintln(os.Stderr, "bench:", err)
 		os.Exit(1)
 	}
 }
 
 func run(out string, seed uint64, quick, quiet bool, compare string, tol float64,
-	summary, metrics, pprofAddr string, batch int) error {
-	if batch < 0 {
-		return fmt.Errorf("-batch must be >= 0, got %d", batch)
-	}
+	summary, metrics, pprofAddr string) error {
 	// Flag-consistency errors must fire before the grid runs — the full
 	// grid takes minutes, and discovering a bad flag combination after
 	// it would waste the whole measurement.
@@ -109,13 +105,7 @@ func run(out string, seed uint64, quick, quiet bool, compare string, tol float64
 			fmt.Fprintf(os.Stderr, "bench: pprof at http://%s/debug/pprof/, metrics at http://%s/metrics\n", addr, addr)
 		}
 	}
-	grid := bench.DefaultGrid(quick)
-	if batch > 0 {
-		for i := range grid {
-			grid[i].Batch = batch
-		}
-	}
-	rep, err := bench.RunMetered(grid, seed, logf, meter)
+	rep, err := bench.RunMetered(bench.DefaultGrid(quick), seed, logf, meter)
 	if err != nil {
 		return err
 	}
@@ -138,20 +128,15 @@ func run(out string, seed uint64, quick, quiet bool, compare string, tol float64
 	t := table.New(fmt.Sprintf("engine throughput (%s, %s/%s, seed %d)",
 		rep.GoVersion, rep.GOOS, rep.GOARCH, rep.Seed),
 		"graph", "sched", "protocol", "drop", "engine", "n", "m",
-		"spec ns/step", "iface ns/step", "gen ns/step", "speedup", "table", "batch")
+		"spec ns/step", "iface ns/step", "gen ns/step", "speedup", "table")
 	for _, m := range rep.Results {
-		batchCol := "—"
-		if m.BatchSpeedup > 0 {
-			batchCol = fmt.Sprintf("%.2fx@%d", m.BatchSpeedup, m.Batch)
-		}
 		t.AddRow(m.Graph, m.Scheduler, m.Protocol, m.Drop,
 			m.Engine+"/"+m.ProtocolEngine, m.N, m.M,
 			m.Specialized.NsPerStep, m.Interface.NsPerStep, m.Generic.NsPerStep,
-			fmt.Sprintf("%.2fx", m.Speedup), fmt.Sprintf("%.2fx", m.TableSpeedup), batchCol)
+			fmt.Sprintf("%.2fx", m.Speedup), fmt.Sprintf("%.2fx", m.TableSpeedup))
 	}
 	t.WriteText(os.Stdout)
-	fmt.Printf("max speedup: %.2fx  max table speedup: %.2fx  max batch speedup: %.2fx\n",
-		rep.MaxSpeedup, rep.MaxTableSpeedup, rep.MaxBatchSpeedup)
+	fmt.Printf("max speedup: %.2fx  max table speedup: %.2fx\n", rep.MaxSpeedup, rep.MaxTableSpeedup)
 	if len(rep.Startup) > 0 {
 		st := table.New("snapshot startup (build once vs load)",
 			"graph", "n", "m", "bytes", "build ms", "load ms", "mmap ms", "speedup")
@@ -189,18 +174,14 @@ func run(out string, seed uint64, quick, quiet bool, compare string, tol float64
 		dt := table.New(fmt.Sprintf("per-cell delta vs %s (best-trial specialized ns/step, tolerance %.0f%%)",
 			compare, 100*tol),
 			"graph", "sched", "protocol", "drop", "engine",
-			"base ns/step", "cur ns/step", "delta", "batch", "status")
+			"base ns/step", "cur ns/step", "delta", "status")
 		for _, d := range deltas {
 			delta := "—"
 			if d.Status == "ok" || d.Status == "regressed" {
 				delta = fmt.Sprintf("%+.1f%%", 100*d.Delta)
 			}
-			batchCol := "—"
-			if d.BatchSpeedup > 0 {
-				batchCol = fmt.Sprintf("%.2fx", d.BatchSpeedup)
-			}
 			dt.AddRow(d.GraphSpec, d.Scheduler, d.Protocol, d.Drop,
-				d.Engine+"/"+d.ProtocolEngine, d.BaseNs, d.CurNs, delta, batchCol, d.Status)
+				d.Engine+"/"+d.ProtocolEngine, d.BaseNs, d.CurNs, delta, d.Status)
 		}
 		dt.WriteText(os.Stdout)
 		if summary != "" {

@@ -32,12 +32,8 @@
 // and prints the same summary table the solo run would.
 //
 // The -spec file is JSON with fields name, seed, trials, graphs, sizes,
-// schedulers, protocols, drop_rates, max_steps, batch (see
-// internal/sweep); explicit flags override the corresponding spec
-// fields. -batch N runs up to N replicate trials of a grid cell as one
-// lockstep structure-of-arrays unit on eligible cells (uniform and
-// weighted schedulers with table protocols) — a pure throughput knob:
-// seeds, records, checkpoints and merges stay byte-identical. Progress
+// schedulers, protocols, drop_rates, max_steps (see internal/sweep);
+// explicit flags override the corresponding spec fields. Progress
 // streams to stderr; the summary table goes to stdout. Records stream
 // to the JSONL writer in grid order as trials finish, so memory stays
 // O(cells) however many trials the grid has.
@@ -83,7 +79,6 @@ type cliConfig struct {
 	seedSet    bool
 	maxSteps   int64
 	workers    int
-	batch      int
 	out        string
 	markdown   bool
 	quiet      bool
@@ -115,7 +110,6 @@ func main() {
 	flag.Uint64Var(&c.seed, "seed", 1, "base random seed (overrides the spec file's)")
 	flag.Int64Var(&c.maxSteps, "max-steps", -1, "step cap per trial (0 = automatic 72·n⁴·log₂n — set explicitly for large n if trials may not stabilize)")
 	flag.IntVar(&c.workers, "workers", 0, "parallel trials (0 = all cores)")
-	flag.IntVar(&c.batch, "batch", 0, "lockstep batch width: run up to this many replicate trials of a cell as one structure-of-arrays unit (0/1 = solo; records are byte-identical either way)")
 	flag.StringVar(&c.out, "out", "sweep.jsonl", "JSON Lines output path (empty = skip)")
 	flag.BoolVar(&c.markdown, "markdown", false, "render the summary table as Markdown")
 	flag.BoolVar(&c.quiet, "q", false, "suppress progress output")
@@ -195,9 +189,6 @@ func run(c cliConfig, args []string) error {
 	}
 	if c.maxSteps >= 0 {
 		spec.MaxSteps = c.maxSteps
-	}
-	if c.batch > 0 {
-		spec.Batch = c.batch
 	}
 
 	sharded := c.shardSpec != "" || c.checkpoint != ""
@@ -345,7 +336,7 @@ func run(c cliConfig, args []string) error {
 	crashed, written := 0, 0
 	var sinkErr error
 	endWrite := journal.Span("write", map[string]any{"cells": len(cells), "path": c.out})
-	execErr := shard.ExecuteBatched(tasks, cells, pool, spec.Batch, func(cell shard.Cell, rec results.Record) {
+	execErr := shard.Execute(tasks, cells, pool, func(cell shard.Cell, rec results.Record) {
 		if c.noTiming {
 			rec.ElapsedNs, rec.QueueWaitNs = 0, 0
 		}

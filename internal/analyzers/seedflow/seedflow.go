@@ -32,20 +32,10 @@
 // shard 0's seeds or scramble the grid correspondence. Passing a loop
 // variable straight through (runner.SeedFor(base, trial)) or a planned
 // field (cells[i].Trial) stays sanctioned.
-//
-// Lockstep batching adds the one arithmetic shape that IS a trial
-// identity: a batch unit whose first lane is global trial off runs lane
-// l as global trial off+l, so runner.SeedFor(base, off+l) — a single
-// flat addition of the lane loop variable to a loop-independent offset
-// — is the sanctioned batch seam (it is exactly how the batch/solo
-// byte-equivalence contract names solo trial i). Only the flat additive
-// form passes: any nesting or scaling (off+l*2, shardIdx*n+i, off+l+1)
-// re-derives grid positions and stays flagged.
 package seedflow
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 
@@ -152,13 +142,9 @@ func checkCall(pass *analyzers.Pass, call *ast.CallExpr, loopVars map[types.Obje
 	path, name := pass.PkgFuncCall(call)
 	if path == runnerPath && name == "SeedFor" && len(call.Args) == 2 {
 		// The trial argument must be a trial identity — the loop variable
-		// itself, a planned (task, trial) cell field, or the batch-unit
-		// offset off+lane — not shard-local arithmetic like i*m+shard,
-		// which every shard would compute differently from the global
-		// grid position it claims to run.
-		if additiveOffset(pass, call.Args[1], loopVars) {
-			return
-		}
+		// itself or a planned (task, trial) cell field — not shard-local
+		// arithmetic like i*m+shard, which every shard would compute
+		// differently from the global grid position it claims to run.
 		if v := loopVarIn(pass, call.Args[1], loopVars); v != "" {
 			pass.Reportf(call.Pos(),
 				"runner.SeedFor trial argument mixes loop variable %s arithmetically (shard-local indices must map through the global (task, trial) cell, e.g. cells[%s].Trial, before seed derivation)",
@@ -188,41 +174,6 @@ func checkCall(pass *analyzers.Pass, call *ast.CallExpr, loopVars map[types.Obje
 	}
 }
 
-// additiveOffset reports whether e is the sanctioned batch-seam shape:
-// one flat addition of an enclosing-loop variable to a loop-independent
-// non-binary offset (off+l or l+off). The flatness requirements are
-// what keep shard recipes out: a scaled or nested operand (l*2,
-// shardIdx*n, off+l+1) is a re-derived grid position, not a unit base
-// plus a lane number.
-func additiveOffset(pass *analyzers.Pass, e ast.Expr, loopVars map[types.Object]bool) bool {
-	b, ok := e.(*ast.BinaryExpr)
-	if !ok || b.Op != token.ADD {
-		return false
-	}
-	lane, off := b.X, b.Y
-	if !isLoopVar(pass, lane, loopVars) {
-		lane, off = off, lane
-	}
-	if !isLoopVar(pass, lane, loopVars) {
-		return false
-	}
-	if _, nested := off.(*ast.BinaryExpr); nested {
-		return false
-	}
-	return refLoopVar(pass, off, loopVars) == ""
-}
-
-// isLoopVar reports whether e is a bare identifier naming an
-// enclosing-loop variable.
-func isLoopVar(pass *analyzers.Pass, e ast.Expr, loopVars map[types.Object]bool) bool {
-	id, ok := e.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	obj := pass.TypesInfo.Uses[id]
-	return obj != nil && loopVars[obj]
-}
-
 // loopVarIn returns the name of the first enclosing-loop variable
 // referenced by arithmetic inside e, or "" if none.
 func loopVarIn(pass *analyzers.Pass, e ast.Expr, loopVars map[types.Object]bool) string {
@@ -234,12 +185,6 @@ func loopVarIn(pass *analyzers.Pass, e ast.Expr, loopVars map[types.Object]bool)
 		// derivation (if any) happened elsewhere and is judged there.
 		return ""
 	}
-	return refLoopVar(pass, e, loopVars)
-}
-
-// refLoopVar returns the name of the first enclosing-loop variable
-// referenced anywhere inside e, or "" if none.
-func refLoopVar(pass *analyzers.Pass, e ast.Expr, loopVars map[types.Object]bool) string {
 	found := ""
 	ast.Inspect(e, func(n ast.Node) bool {
 		if found != "" {

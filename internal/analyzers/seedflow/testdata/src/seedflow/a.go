@@ -61,18 +61,17 @@ func offByShard(base uint64, shardIdx, m, n int) []uint64 {
 	return out
 }
 
-// batchUnits derives lane seeds for lockstep batch units: a unit whose
-// first lane is global trial off runs lane l as global trial off+l, so
-// the flat addition of the lane loop variable to a loop-independent
-// offset IS the trial identity. Sanctioned on both operand orders; any
-// scaling or nesting falls back to the shard-seam flag.
+// batchUnits derives seeds as a unit base plus a lane number. Even the
+// flat addition off+l re-derives a grid position from shard-local
+// arithmetic, so every operand order and shape is flagged: units must
+// map their lanes through the planned cell, as plannedCells does.
 func batchUnits(base uint64, off, width int) []uint64 {
 	out := make([]uint64, 0, width)
 	for l := 0; l < width; l++ {
-		out = append(out, runner.SeedFor(base, off+l))
+		out = append(out, runner.SeedFor(base, off+l)) // want `seedflow: runner\.SeedFor trial argument mixes loop variable l`
 	}
 	for l := 0; l < width; l++ {
-		out = append(out, runner.SeedFor(base, l+off))
+		out = append(out, runner.SeedFor(base, l+off)) // want `seedflow: runner\.SeedFor trial argument mixes loop variable l`
 	}
 	for l := 0; l < width; l++ {
 		out = append(out, runner.SeedFor(base, off+l*2)) // want `seedflow: runner\.SeedFor trial argument mixes loop variable l`

@@ -4,8 +4,9 @@
 // is tracked PR-over-PR.
 //
 // Each grid cell is timed twice through the batch runner
-// (internal/runner, one worker, so wall-clock is per-trial time): once
-// on the specialized kernel the cell's execution plan compiles to
+// (internal/runner, one worker; all of a cell's trials run in one
+// Pool.Run, the way a sweep runs them, and each trial's time is its
+// Outcome.ElapsedNs): once on the specialized kernel the cell's execution plan compiles to
 // (sim.Compile — dense/clique uniform, weighted alias-table,
 // node-clock, with drop rates folded into the fast loops), and once on
 // the generic Source-driven reference kernel, which Options.Reference
@@ -29,7 +30,6 @@ import (
 	"io"
 	"runtime"
 	"strings"
-	"time"
 
 	"popgraph"
 	"popgraph/internal/runner"
@@ -43,14 +43,14 @@ import (
 // fast-vs-reference comparison; v4 added the protocol-compilation axis:
 // the per-cell protocol engine name ("table" for fused transition-table
 // kernels, "step" for interface dispatch), the interface-dispatch
-// timing and the table-vs-interface speedup; v5 added the batch axis:
-// per-cell lockstep batched timing (replicate trials executed as one
-// structure-of-arrays unit), the batched-vs-solo speedup and the
-// report-level max; v6 added the snapshot axis: the per-cell
-// graph_source ("generator" or "snapshot" for file:/mmap: specs) and
-// the report-level startup section timing snapshot build vs load on
-// large graphs (RunStartup).
-const Schema = "popgraph-bench/v6"
+// timing and the table-vs-interface speedup; v5 added a lockstep batch
+// axis; v6 added the snapshot axis: the per-cell graph_source
+// ("generator" or "snapshot" for file:/mmap: specs) and the
+// report-level startup section timing snapshot build vs load on large
+// graphs (RunStartup); v7 dropped the batch axis with the lockstep
+// engine and times every engine's trials in one pool, taking per-trial
+// times from Outcome.ElapsedNs instead of a pool per trial.
+const Schema = "popgraph-bench/v7"
 
 // Config is one grid cell: a graph, scheduler and protocol spec with
 // the trial shape. Steps caps every trial, so cells are timed over
@@ -66,11 +66,6 @@ type Config struct {
 	Drop   float64 `json:"drop,omitempty"`
 	Steps  int64   `json:"steps"`
 	Trials int     `json:"trials"`
-	// Batch is the lockstep batch width: when > 1 and the cell's plan has
-	// a lockstep kernel, the cell is additionally timed running Batch
-	// replicate trials as one structure-of-arrays unit per repetition.
-	// 0 or 1 skips the batch axis for the cell.
-	Batch int `json:"batch,omitempty"`
 }
 
 // EngineStats is the timing of one engine on one cell.
@@ -131,19 +126,6 @@ type Measurement struct {
 	// protocol-compilation win; exactly 1 on "step" cells.
 	Speedup      float64 `json:"speedup"`
 	TableSpeedup float64 `json:"table_speedup"`
-	// BatchEngine is the batch execution the cell's plan selects for its
-	// protocol: "lockstep" when RunBatch runs on the structure-of-arrays
-	// kernel, "solo" when batches fall back to sequential solo runs
-	// (sim.ExecPlan.BatchEngine). Batch, Batched and BatchSpeedup are
-	// present only on lockstep cells timed with a Config.Batch > 1:
-	// Batched times Trials repetitions of a Batch-lane lockstep unit
-	// (ns/step over the lanes' summed steps; BestNsPerStep the fastest
-	// repetition), and BatchSpeedup is solo specialized ns/step divided
-	// by batched ns/step — the pure replicate-throughput win.
-	BatchEngine  string       `json:"batch_engine"`
-	Batch        int          `json:"batch,omitempty"`
-	Batched      *EngineStats `json:"batched,omitempty"`
-	BatchSpeedup float64      `json:"batch_speedup,omitempty"`
 }
 
 // key identifies a cell for baseline comparison.
@@ -162,11 +144,8 @@ type Report struct {
 	// the single number the perf trajectory tracks; MaxTableSpeedup is
 	// the best table-over-interface ratio, tracking the protocol-
 	// compilation axis the same way.
-	MaxSpeedup      float64 `json:"max_speedup"`
-	MaxTableSpeedup float64 `json:"max_table_speedup"`
-	// MaxBatchSpeedup is the best batched-over-solo ratio among the cells
-	// timed on the batch axis; 0 when the grid timed none.
-	MaxBatchSpeedup float64       `json:"max_batch_speedup,omitempty"`
+	MaxSpeedup      float64       `json:"max_speedup"`
+	MaxTableSpeedup float64       `json:"max_table_speedup"`
 	Results         []Measurement `json:"results"`
 	// Startup is the snapshot preprocessing axis: build-once vs load
 	// timings on large graphs (RunStartup). Compare ignores it — the
@@ -183,25 +162,10 @@ type Report struct {
 // dimension — the uniform and weighted torus cells repeated at drop 0.1,
 // covering the in-kernel drop fast path; and a protocol dimension — the
 // four-state majority cell, the second Tabular protocol, so the
-// table-vs-interface axis is gated on more than one transition table.
-// Every cell carries the default batch width: lockstep-capable cells
-// (uniform and weighted plans with table protocols) get a batched
-// timing and a batched-vs-solo speedup, the rest record batch_engine
-// "solo" and skip the axis. quick shrinks the work for smoke tests.
+// table-vs-interface axis is gated on more than one transition table;
+// and two replicate-heavy cells of short trials. quick shrinks the work
+// for smoke tests.
 func DefaultGrid(quick bool) []Config {
-	cfgs := defaultGridCells(quick)
-	for i := range cfgs {
-		cfgs[i].Batch = DefaultBatch
-	}
-	return cfgs
-}
-
-// DefaultBatch is the grid's lockstep batch width: eight lanes saturate
-// the dependency-chain overlap the batch kernels exist for while the
-// eight SoA state columns of the largest grid graphs stay L1-resident.
-const DefaultBatch = 8
-
-func defaultGridCells(quick bool) []Config {
 	steps, trials := int64(1<<21), 3
 	if quick {
 		// Still smoke-fast (seconds), but big enough that ns/step
@@ -213,11 +177,10 @@ func defaultGridCells(quick bool) []Config {
 		steps, trials = 1<<18, 6
 	}
 	// Replicate-heavy cells: hundreds of short trials on small graphs,
-	// the regime the lockstep batch engine exists for. Per-trial
-	// dispatch and compile overhead rivals the kernel time there, and
-	// one batched unit pays it once per Batch lanes. Distinct graph
-	// sizes keep these cells' keys from colliding with the long-trial
-	// cells of the same family. The quick grid keeps the full grid's
+	// where per-trial protocol construction and compile rival the kernel
+	// time, so ns/step includes them. Distinct graph sizes keep these
+	// cells' keys from colliding with the long-trial cells of the same
+	// family. The quick grid keeps the full grid's
 	// trial length: on short trials ns/step includes the per-trial
 	// overhead, so shrinking the trials would shift the statistic and
 	// break the -compare gate against the committed full-grid baseline
@@ -274,19 +237,12 @@ func RunMetered(cfgs []Config, seed uint64, logf func(format string, args ...int
 		if m.TableSpeedup > rep.MaxTableSpeedup {
 			rep.MaxTableSpeedup = m.TableSpeedup
 		}
-		if m.BatchSpeedup > rep.MaxBatchSpeedup {
-			rep.MaxBatchSpeedup = m.BatchSpeedup
-		}
 		rep.Results = append(rep.Results, m)
 		if logf != nil {
-			batch := "—"
-			if m.Batched != nil {
-				batch = fmt.Sprintf("%.2fx", m.BatchSpeedup)
-			}
-			logf("bench: %-16s × %-12s × %-18s × drop %.2g  [%s/%s]  specialized %6.2f ns/step  interface %6.2f  generic %6.2f  speedup %.2fx  table %.2fx  batch %s",
+			logf("bench: %-16s × %-12s × %-18s × drop %.2g  [%s/%s]  specialized %6.2f ns/step  interface %6.2f  generic %6.2f  speedup %.2fx  table %.2fx",
 				m.Graph, m.Scheduler, m.Protocol, m.Drop, m.Engine, m.ProtocolEngine,
 				m.Specialized.NsPerStep, m.Interface.NsPerStep, m.Generic.NsPerStep,
-				m.Speedup, m.TableSpeedup, batch)
+				m.Speedup, m.TableSpeedup)
 		}
 	}
 	return rep, nil
@@ -371,30 +327,15 @@ func measure(cfg Config, seed uint64, meter *telemetry.Counters) (Measurement, e
 		m.Speedup = gen.NsPerStep / spec.NsPerStep
 		m.TableSpeedup = iface.NsPerStep / spec.NsPerStep
 	}
-	// The batch axis: time Batch replicate trials as one lockstep unit
-	// per repetition, on cells whose plan actually has a lockstep kernel
-	// for the protocol. Fallback cells record batch_engine "solo" and no
-	// batched timing — the fallback IS the solo path already timed above.
-	m.BatchEngine = plan.BatchEngine(factory())
-	if cfg.Batch > 1 && m.BatchEngine == "lockstep" {
-		m.Batch = cfg.Batch
-		batched, err := timeBatched(g, factory, seed, cfg, opts, meter)
-		if err != nil {
-			return Measurement{}, err
-		}
-		m.Batched = &batched
-		if batched.NsPerStep > 0 {
-			m.BatchSpeedup = spec.NsPerStep / batched.NsPerStep
-		}
-	}
 	return m, nil
 }
 
-// timeEngine runs the cell's trials serially through the batch runner,
-// timing each trial on its own so the minimum survives alongside the
-// aggregate, and returns total-steps/wall-clock throughput. A warmup
-// trial runs first, untimed, to populate caches and let the protocol's
-// graph-dependent setup settle.
+// timeEngine runs the cell's trials through one single-worker pool, as
+// a sweep runs them, and returns total-steps/time throughput. Each
+// trial's time is its Outcome.ElapsedNs, so the fastest trial survives
+// alongside the aggregate and no pool start-up lands inside a timing. A
+// warmup trial runs first, untimed, to populate caches and let the
+// protocol's graph-dependent setup settle.
 func timeEngine(g popgraph.Graph, factory func() popgraph.Protocol, seed uint64,
 	cfg Config, opts sim.Options, meter *telemetry.Counters) (EngineStats, error) {
 	warm := opts
@@ -405,28 +346,23 @@ func timeEngine(g popgraph.Graph, factory func() popgraph.Protocol, seed uint64,
 	pool := runner.Pool{Workers: 1, Meter: meter}
 	pool.Run(runner.TrialJobs(g, factory, seed, 1, warm))
 
-	jobs := runner.TrialJobs(g, factory, seed, cfg.Trials, opts)
 	var (
 		steps   int64
 		totalNs float64
 		bestNs  float64
 	)
-	for _, job := range jobs {
-		start := time.Now()
-		outs := pool.Run([]runner.Job{job})
-		elapsed := time.Since(start)
-		o := outs[0]
+	for _, o := range pool.Run(runner.TrialJobs(g, factory, seed, cfg.Trials, opts)) {
 		if o.Failed() {
 			return EngineStats{}, fmt.Errorf("trial crashed: %s", o.Err)
 		}
 		if o.Result.Steps > 0 {
-			trialNs := float64(elapsed.Nanoseconds()) / float64(o.Result.Steps)
+			trialNs := float64(o.ElapsedNs) / float64(o.Result.Steps)
 			if bestNs == 0 || trialNs < bestNs {
 				bestNs = trialNs
 			}
 		}
 		steps += o.Result.Steps
-		totalNs += float64(elapsed.Nanoseconds())
+		totalNs += float64(o.ElapsedNs)
 	}
 	if steps == 0 {
 		return EngineStats{}, fmt.Errorf("no interactions executed")
@@ -437,70 +373,6 @@ func timeEngine(g popgraph.Graph, factory func() popgraph.Protocol, seed uint64,
 		StepsPerSec:   float64(steps) / (totalNs / 1e9),
 		BestNsPerStep: bestNs,
 	}, nil
-}
-
-// timeBatched times cfg.Trials repetitions of one Batch-lane lockstep
-// unit each, through the same single-worker pool as the solo engines so
-// the ratio is a pure execution-mode comparison. Per repetition the
-// statistic is unit wall time over the lanes' summed steps; the minimum
-// repetition survives as BestNsPerStep for the regression gate. A
-// warmup unit runs first, untimed.
-func timeBatched(g popgraph.Graph, factory func() popgraph.Protocol, seed uint64,
-	cfg Config, opts sim.Options, meter *telemetry.Counters) (EngineStats, error) {
-	warm := opts
-	warm.MaxSteps = cfg.Steps / 8
-	if warm.MaxSteps < 1 {
-		warm.MaxSteps = 1
-	}
-	pool := runner.Pool{Workers: 1, Meter: meter}
-	pool.RunBatched(batchJobs(g, factory, seed, 0, cfg.Batch, warm), cfg.Batch, nil)
-
-	var (
-		steps   int64
-		totalNs float64
-		bestNs  float64
-	)
-	for rep := 1; rep <= cfg.Trials; rep++ {
-		jobs := batchJobs(g, factory, seed, rep*cfg.Batch, cfg.Batch, opts)
-		start := time.Now()
-		outs := pool.RunBatched(jobs, cfg.Batch, nil)
-		elapsed := float64(time.Since(start).Nanoseconds())
-		var repSteps int64
-		for _, o := range outs {
-			if o.Failed() {
-				return EngineStats{}, fmt.Errorf("batched trial crashed: %s", o.Err)
-			}
-			repSteps += o.Result.Steps
-		}
-		if repSteps > 0 {
-			if ns := elapsed / float64(repSteps); bestNs == 0 || ns < bestNs {
-				bestNs = ns
-			}
-		}
-		steps += repSteps
-		totalNs += elapsed
-	}
-	if steps == 0 {
-		return EngineStats{}, fmt.Errorf("no interactions executed")
-	}
-	return EngineStats{
-		Steps:         steps,
-		NsPerStep:     totalNs / float64(steps),
-		StepsPerSec:   float64(steps) / (totalNs / 1e9),
-		BestNsPerStep: bestNs,
-	}, nil
-}
-
-// batchJobs builds one lockstep unit: lane l of the unit whose first
-// trial is global index off gets the seed of solo trial off+l, so the
-// batched timing runs the exact trial population a solo sweep would.
-func batchJobs(g popgraph.Graph, factory func() popgraph.Protocol, seed uint64,
-	off, width int, opts sim.Options) []runner.Job {
-	jobs := make([]runner.Job, width)
-	for l := range jobs {
-		jobs[l] = runner.Job{Graph: g, New: factory, Seed: runner.SeedFor(seed, off+l), Opts: opts}
-	}
-	return jobs
 }
 
 // gateNs is the statistic the regression gate and the delta table run
@@ -526,9 +398,6 @@ type CellDelta struct {
 	// Delta is CurNs/BaseNs − 1 (negative = faster); meaningful only
 	// for matched cells.
 	Delta float64
-	// BatchSpeedup is the current report's batched-over-solo ratio for
-	// the cell; 0 when the cell was not timed on the batch axis.
-	BatchSpeedup float64
 	// Status classifies the row: "ok", "regressed" (Delta beyond the
 	// tolerance), "new" (no baseline cell) or "removed" (no current
 	// cell).
@@ -557,7 +426,6 @@ func DeltaTable(cur, base Report, tol float64) []CellDelta {
 			Engine:         m.Engine,
 			ProtocolEngine: m.ProtocolEngine,
 			CurNs:          gateNs(m.Specialized),
-			BatchSpeedup:   m.BatchSpeedup,
 		}
 		row.Status = "new"
 		if b, ok := baseline[m.key()]; ok {
@@ -600,10 +468,10 @@ func WriteDeltaMarkdown(w io.Writer, rows []CellDelta, tol float64) error {
 	if _, err := fmt.Fprintf(w, "### bench -compare deltas (tolerance %.0f%%)\n\n", 100*tol); err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintln(w, "| graph | scheduler | protocol | drop | engine | base ns/step | cur ns/step | delta | batch | status |"); err != nil {
+	if _, err := fmt.Fprintln(w, "| graph | scheduler | protocol | drop | engine | base ns/step | cur ns/step | delta | status |"); err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintln(w, "| --- | --- | --- | --- | --- | --- | --- | --- | --- | --- |"); err != nil {
+	if _, err := fmt.Fprintln(w, "| --- | --- | --- | --- | --- | --- | --- | --- | --- |"); err != nil {
 		return err
 	}
 	fmtNs := func(v float64) string {
@@ -617,17 +485,13 @@ func WriteDeltaMarkdown(w io.Writer, rows []CellDelta, tol float64) error {
 		if r.Status == "ok" || r.Status == "regressed" {
 			delta = fmt.Sprintf("%+.1f%%", 100*r.Delta)
 		}
-		batch := "—"
-		if r.BatchSpeedup > 0 {
-			batch = fmt.Sprintf("%.2fx", r.BatchSpeedup)
-		}
 		status := r.Status
 		if status == "regressed" {
 			status = "**regressed**"
 		}
-		if _, err := fmt.Fprintf(w, "| %s | %s | %s | %g | %s/%s | %s | %s | %s | %s | %s |\n",
+		if _, err := fmt.Fprintf(w, "| %s | %s | %s | %g | %s/%s | %s | %s | %s | %s |\n",
 			r.GraphSpec, r.Scheduler, r.Protocol, r.Drop, r.Engine, r.ProtocolEngine,
-			fmtNs(r.BaseNs), fmtNs(r.CurNs), delta, batch, status); err != nil {
+			fmtNs(r.BaseNs), fmtNs(r.CurNs), delta, status); err != nil {
 			return err
 		}
 	}
@@ -672,11 +536,7 @@ func WriteTelemetryMarkdown(w io.Writer, s telemetry.Snapshot) error {
 // statistic because minima are far more stable than means under
 // machine noise; reports from producers predating the field fall back
 // to the aggregate. Cells are matched on graph spec × scheduler ×
-// protocol; when both sides carry batched lockstep timings at the same
-// width, the batched best-trial ns/step is gated at the same tolerance
-// as a separate check, so a lockstep-only slowdown cannot hide behind
-// healthy solo numbers. Individual cells present on only one side are
-// skipped —
+// protocol; individual cells present on only one side are skipped —
 // new grid cells have no baseline and removed ones no current
 // measurement — but if *no* cell matches at all (a grid or spec rename
 // without a regenerated baseline), that is itself reported, so the
@@ -702,21 +562,6 @@ func Compare(cur, base Report, tol float64) []string {
 				m.GraphSpec, m.Scheduler, m.Protocol, m.Drop,
 				curNs, baseNs, 100*(curNs/baseNs-1), 100*tol))
 		}
-		// The batched lockstep engine is gated independently of the solo
-		// kernels: its throughput comes from lane interleaving and table
-		// sharing, which a solo-only gate would never notice regressing.
-		// Only cells batched on both sides compare — a baseline predating
-		// the batch axis (or a cell whose width changed) has nothing
-		// commensurable to gate against.
-		if m.Batched != nil && b.Batched != nil && b.Batch == m.Batch {
-			curB, baseB := gateNs(*m.Batched), gateNs(*b.Batched)
-			if baseB > 0 && curB > baseB*(1+tol) {
-				msgs = append(msgs, fmt.Sprintf(
-					"%s × %s × %s × drop %g: batched(%d) %.2f ns/step vs baseline %.2f (+%.0f%%, tolerance %.0f%%)",
-					m.GraphSpec, m.Scheduler, m.Protocol, m.Drop, m.Batch,
-					curB, baseB, 100*(curB/baseB-1), 100*tol))
-			}
-		}
 	}
 	if matched == 0 && len(cur.Results) > 0 {
 		msgs = append(msgs, fmt.Sprintf(
@@ -741,6 +586,10 @@ func ReadJSON(r io.Reader) (Report, error) {
 		return Report{}, fmt.Errorf("bench: parsing report: %w", err)
 	}
 	if rep.Schema != Schema {
+		if strings.HasPrefix(rep.Schema, "popgraph-bench/") {
+			return Report{}, fmt.Errorf("bench: report schema %q is outdated (want %q); regenerate it with go run ./cmd/bench",
+				rep.Schema, Schema)
+		}
 		return Report{}, fmt.Errorf("bench: unknown schema %q (want %q)", rep.Schema, Schema)
 	}
 	return rep, nil

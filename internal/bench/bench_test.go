@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 )
@@ -267,7 +268,7 @@ func TestReportJSONRoundTrip(t *testing.T) {
 	}
 	out := buf.String()
 	for _, want := range []string{
-		`"schema": "popgraph-bench/v6"`, `"steps_per_sec"`, `"ns_per_step"`,
+		`"schema": "` + Schema + `"`, `"steps_per_sec"`, `"ns_per_step"`,
 		`"speedup"`, `"max_speedup"`, `"clique-32"`, `"scheduler": "uniform"`,
 		`"engine": "clique-uniform"`, `"protocol_engine": "table"`,
 		`"interface"`, `"table_speedup"`, `"max_table_speedup"`,
@@ -286,6 +287,32 @@ func TestReportJSONRoundTrip(t *testing.T) {
 	}
 	if _, err := ReadJSON(strings.NewReader(`{"schema":"other/v9"}`)); err == nil {
 		t.Fatal("foreign schema accepted")
+	}
+	// A report from before v7 (still carrying the batch axis) must be
+	// refused with a pointer to regenerating it, not silently read with
+	// its pool-per-trial timings.
+	_, err = ReadJSON(strings.NewReader(`{"schema":"popgraph-bench/v6","max_batch_speedup":1.7}`))
+	if err == nil || !strings.Contains(err.Error(), "regenerate") {
+		t.Fatalf("v6 report: err = %v, want a regenerate hint", err)
+	}
+	// The batch axis is gone from the wire format.
+	for _, gone := range []string{`"batch`, `"batched"`, `"max_batch_speedup"`} {
+		if strings.Contains(out, gone) {
+			t.Fatalf("JSON still carries %s:\n%s", gone, out)
+		}
+	}
+}
+
+// TestReadmeSchemaExample keeps README's BENCH_sim.json example on the
+// current schema, so a bump cannot leave the docs describing an old
+// layout.
+func TestReadmeSchemaExample(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `"schema": "` + Schema + `"`; !strings.Contains(string(readme), want) {
+		t.Fatalf("README.md's schema example does not name %s", want)
 	}
 }
 
@@ -328,92 +355,5 @@ func TestDefaultGrid(t *testing.T) {
 	}
 	if shrunk == 0 {
 		t.Fatal("quick grid shrinks no cell; it would be as slow as the full grid")
-	}
-	for i := range full {
-		if full[i].Batch != DefaultBatch || quick[i].Batch != DefaultBatch {
-			t.Fatalf("cell %d batch width %d/%d, want %d", i, full[i].Batch, quick[i].Batch, DefaultBatch)
-		}
-	}
-}
-
-// TestRunBatchAxis — cells whose plan supports lockstep batching carry
-// a batched timing and a batched-over-solo ratio; plans the batch
-// compiler rejects (node-clock, non-tabular protocols) record the
-// "solo" engine with no batched stats, and Batch <= 1 disables the
-// axis entirely.
-func TestRunBatchAxis(t *testing.T) {
-	cfgs := []Config{
-		{GraphSpec: "clique:64", Protocol: "six-state", Steps: 1 << 12, Trials: 2, Batch: 4},
-		{GraphSpec: "torus:8x8", Scheduler: "node-clock", Protocol: "six-state", Steps: 1 << 12, Trials: 2, Batch: 4},
-		{GraphSpec: "clique:64", Protocol: "identifier", Steps: 1 << 12, Trials: 2, Batch: 4},
-		{GraphSpec: "clique:64", Protocol: "six-state", Steps: 1 << 12, Trials: 2, Batch: 1},
-	}
-	rep, err := Run(cfgs, 13, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lockstep := rep.Results[0]
-	if lockstep.BatchEngine != "lockstep" || lockstep.Batch != 4 || lockstep.Batched == nil {
-		t.Fatalf("batchable cell missing batched stats: %+v", lockstep)
-	}
-	if lockstep.Batched.Steps <= 0 || lockstep.Batched.NsPerStep <= 0 || lockstep.Batched.BestNsPerStep <= 0 {
-		t.Fatalf("degenerate batched stats %+v", *lockstep.Batched)
-	}
-	if lockstep.BatchSpeedup <= 0 {
-		t.Fatalf("batch speedup %v", lockstep.BatchSpeedup)
-	}
-	if rep.MaxBatchSpeedup < lockstep.BatchSpeedup {
-		t.Fatalf("max batch speedup %v below cell %v", rep.MaxBatchSpeedup, lockstep.BatchSpeedup)
-	}
-	for i, m := range rep.Results[1:3] {
-		if m.BatchEngine != "solo" || m.Batched != nil || m.BatchSpeedup != 0 || m.Batch != 0 {
-			t.Fatalf("unbatchable cell %d grew batched stats: %+v", i+1, m)
-		}
-	}
-	off := rep.Results[3]
-	if off.Batched != nil || off.BatchSpeedup != 0 || off.Batch != 0 {
-		t.Fatalf("batch<=1 cell still timed the batch axis: %+v", off)
-	}
-}
-
-// TestCompareBatchedGate — the batched best-trial ns/step gates
-// independently of the solo statistic, and only when both sides were
-// batched at the same width.
-func TestCompareBatchedGate(t *testing.T) {
-	cell := func(soloNs, batchNs float64, width int) Measurement {
-		m := Measurement{
-			GraphSpec: "clique:64", Scheduler: "uniform", Protocol: "six-state",
-			Specialized: EngineStats{Steps: 1, NsPerStep: soloNs, BestNsPerStep: soloNs},
-		}
-		if batchNs > 0 {
-			m.Batch = width
-			m.Batched = &EngineStats{Steps: 1, NsPerStep: batchNs, BestNsPerStep: batchNs}
-		}
-		return m
-	}
-	base := Report{Results: []Measurement{cell(10, 5, 8)}}
-
-	// Solo holds the line but batched regresses 2x: one distinct message.
-	msgs := Compare(Report{Results: []Measurement{cell(10, 10, 8)}}, base, 0.30)
-	if len(msgs) != 1 || !strings.Contains(msgs[0], "batched(8)") {
-		t.Fatalf("batched regression not gated: %v", msgs)
-	}
-	// Both inside tolerance: clean.
-	if msgs := Compare(Report{Results: []Measurement{cell(11, 6, 8)}}, base, 0.30); len(msgs) != 0 {
-		t.Fatalf("healthy batched cell regressed: %v", msgs)
-	}
-	// Width changed: the batched numbers are not commensurable, skip.
-	if msgs := Compare(Report{Results: []Measurement{cell(10, 50, 16)}}, base, 0.30); len(msgs) != 0 {
-		t.Fatalf("cross-width batched gate fired: %v", msgs)
-	}
-	// Baseline predates the batch axis: solo-only gating.
-	old := Report{Results: []Measurement{cell(10, 0, 0)}}
-	if msgs := Compare(Report{Results: []Measurement{cell(10, 99, 8)}}, old, 0.30); len(msgs) != 0 {
-		t.Fatalf("gate fired against a batchless baseline: %v", msgs)
-	}
-	// Both regress: two messages, solo and batched named separately.
-	msgs = Compare(Report{Results: []Measurement{cell(20, 10, 8)}}, base, 0.30)
-	if len(msgs) != 2 {
-		t.Fatalf("got %d messages, want 2 (solo + batched): %v", len(msgs), msgs)
 	}
 }

@@ -125,6 +125,12 @@ func (p Pool) Run(jobs []Job) []Outcome {
 // completing ahead of a straggler buffer in a reorder window (bounded by
 // the batch in the worst case, by the in-flight spread in practice).
 // Stream blocks until every job has finished and been delivered.
+//
+// Workers take jobs in contiguous units of unitSize jobs and hand each
+// unit to the drainer as one completion, so short trials do not
+// serialize on the drainer. Inside a unit every trial still runs on its
+// own — crash recovery, ElapsedNs, QueueWaitNs and meter accounting are
+// per trial — so outcomes do not depend on the unit size.
 func (p Pool) Stream(jobs []Job, emit func(i int, o Outcome)) {
 	workers := p.Workers
 	if workers <= 0 {
@@ -136,7 +142,9 @@ func (p Pool) Stream(jobs []Job, emit func(i int, o Outcome)) {
 	if len(jobs) == 0 {
 		return
 	}
-	endBatch := p.Journal.Span("run", map[string]any{"trials": len(jobs), "workers": workers})
+	unit := unitSize(len(jobs), workers)
+	units := (len(jobs) + unit - 1) / unit
+	endBatch := p.Journal.Span("run", map[string]any{"trials": len(jobs), "workers": workers, "unit": unit})
 	defer endBatch()
 	var (
 		start        = time.Now()
@@ -147,29 +155,32 @@ func (p Pool) Stream(jobs []Job, emit func(i int, o Outcome)) {
 		repWG  sync.WaitGroup
 		emitWG sync.WaitGroup
 	)
-	// The drainer goroutine owns all emit calls: it reorders completions
-	// into job order and flushes every ready prefix, so emit sees a
+	// The drainer goroutine owns all emit calls: it reorders unit
+	// completions into unit order and flushes every ready prefix. Units
+	// tile the job list in ascending contiguous ranges, so emit sees a
 	// strictly sequential 0,1,2,... stream whatever order workers finish
 	// in.
 	type completion struct {
-		i int
-		o Outcome
+		u    int
+		outs []Outcome
 	}
 	completions := make(chan completion, workers)
 	emitWG.Add(1)
 	go func() {
 		defer emitWG.Done()
-		pending := make(map[int]Outcome)
+		pending := make(map[int][]Outcome)
 		flush := 0
 		for c := range completions {
-			pending[c.i] = c.o
+			pending[c.u] = c.outs
 			for {
-				o, ok := pending[flush]
+				outs, ok := pending[flush]
 				if !ok {
 					break
 				}
 				delete(pending, flush)
-				emit(flush, o)
+				for k, o := range outs {
+					emit(flush*unit+k, o)
+				}
 				flush++
 			}
 		}
@@ -210,24 +221,29 @@ func (p Pool) Stream(jobs []Job, emit func(i int, o Outcome)) {
 		go func() {
 			defer wg.Done()
 			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= len(jobs) {
+				u := int(atomic.AddInt64(&next, 1))
+				if u >= units {
 					return
 				}
-				j := jobs[i]
-				if shard != nil && j.Opts.Meter == nil {
-					j.Opts.Meter = shard
+				lo := u * unit
+				outs := make([]Outcome, min(lo+unit, len(jobs))-lo)
+				for k := range outs {
+					j := jobs[lo+k]
+					if shard != nil && j.Opts.Meter == nil {
+						j.Opts.Meter = shard
+					}
+					queueWait := time.Since(start)
+					t0 := time.Now()
+					o := runOne(j)
+					o.ElapsedNs = time.Since(t0).Nanoseconds()
+					o.QueueWaitNs = queueWait.Nanoseconds()
+					if shard != nil {
+						shard.AddTrial(o.ElapsedNs, o.QueueWaitNs, o.Result.Stabilized, o.Failed())
+					}
+					outs[k] = o
 				}
-				queueWait := time.Since(start)
-				t0 := time.Now()
-				o := runOne(j)
-				o.ElapsedNs = time.Since(t0).Nanoseconds()
-				o.QueueWaitNs = queueWait.Nanoseconds()
-				if shard != nil {
-					shard.AddTrial(o.ElapsedNs, o.QueueWaitNs, o.Result.Stabilized, o.Failed())
-				}
-				completions <- completion{i, o}
-				done.Add(1)
+				completions <- completion{u, outs}
+				done.Add(int64(len(outs)))
 				if notify != nil {
 					select {
 					case notify <- struct{}{}:
@@ -251,6 +267,15 @@ func (p Pool) Stream(jobs []Job, emit func(i int, o Outcome)) {
 			}
 		}
 	}
+}
+
+// unitSize is the number of consecutive jobs a worker takes at once:
+// jobs/(64·workers) clamped to [1, 8]. Up to 8 trials per unit amortize
+// the hand-off to the drainer, which otherwise caps throughput on
+// streams of microsecond trials; at least 64 units per worker keep the
+// straggler at the end of the stream small.
+func unitSize(jobs, workers int) int {
+	return min(max(jobs/(64*workers), 1), 8)
 }
 
 // Run executes jobs with the default pool (one worker per CPU).

@@ -231,7 +231,7 @@ func TestPoolJournalRecordsRunSpan(t *testing.T) {
 	if len(recs) != 1 || recs[0].Span != "run" {
 		t.Fatalf("journal records: %+v", recs)
 	}
-	if recs[0].Attrs["trials"] != 3.0 || recs[0].Attrs["workers"] != 2.0 {
+	if recs[0].Attrs["trials"] != 3.0 || recs[0].Attrs["workers"] != 2.0 || recs[0].Attrs["unit"] != 1.0 {
 		t.Fatalf("run span attrs: %+v", recs[0].Attrs)
 	}
 }

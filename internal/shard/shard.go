@@ -93,11 +93,6 @@ func PlanOne(spec sweep.Spec, i, m int) (Shard, error) {
 // build the same grid with the same seeds, so manifests carry it to
 // refuse resuming or merging across different sweeps.
 func SpecHash(spec sweep.Spec) string {
-	// The lockstep batch width is an execution knob, not grid identity:
-	// batching never changes a cell's record bytes, so shards run (or
-	// resumed) at different widths must still merge. Zero it out of the
-	// hashed encoding.
-	spec.Batch = 0
 	// encoding/json writes struct fields in declaration order with no
 	// host-dependent content, so the encoding is canonical.
 	data, err := json.Marshal(spec)
@@ -117,17 +112,6 @@ func SpecHash(spec sweep.Spec) string {
 // same cell's record in a solo run. Cells must be a subset of the
 // shard's plan in ascending order — resume passes a suffix.
 func Execute(tasks []sweep.Task, cells []Cell, pool runner.Pool, emit func(Cell, results.Record)) error {
-	return ExecuteBatched(tasks, cells, pool, 0, emit)
-}
-
-// ExecuteBatched is Execute with lockstep batching: consecutive cells
-// of the same task — adjacent in every shard's ascending cell list,
-// since the grid is task-major — run as structure-of-arrays units of up
-// to batch trials (runner.Pool.StreamBatched; batch <= 1 runs every
-// cell solo). Cells keep their grid seeds and record bytes, so a
-// batched shard's records file, checkpoint sequence and merge result
-// are byte-identical to the solo shard's.
-func ExecuteBatched(tasks []sweep.Task, cells []Cell, pool runner.Pool, batch int, emit func(Cell, results.Record)) error {
 	jobs := make([]runner.Job, len(cells))
 	for i, c := range cells {
 		if c.Task < 0 || c.Task >= len(tasks) {
@@ -138,7 +122,7 @@ func ExecuteBatched(tasks []sweep.Task, cells []Cell, pool runner.Pool, batch in
 		}
 		jobs[i] = tasks[c.Task].Jobs[c.Trial]
 	}
-	pool.StreamBatched(jobs, batch, func(i int) int { return cells[i].Task }, func(i int, o runner.Outcome) {
+	pool.Stream(jobs, func(i int, o runner.Outcome) {
 		emit(cells[i], sweep.TrialRecord(tasks[cells[i].Task], cells[i].Trial, o))
 	})
 	return nil

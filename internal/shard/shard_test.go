@@ -84,6 +84,17 @@ func TestPlanRoundRobin(t *testing.T) {
 	}
 }
 
+// TestSpecHashPinned pins the hash of a fixed spec to the value computed
+// before the spec's "batch" field was removed. That field was omitempty
+// and zeroed before hashing, so its removal must leave every hash — and
+// with it every manifest written earlier — resumable and mergeable.
+func TestSpecHashPinned(t *testing.T) {
+	const want = "432172f0039fb86015d0c8ed323bbfde7d75a9783510e9195e2d3183a0ea3814"
+	if got := SpecHash(testSpec()); got != want {
+		t.Fatalf("SpecHash(testSpec()) = %s, want %s", got, want)
+	}
+}
+
 func TestSpecHashDistinguishesSpecs(t *testing.T) {
 	a := testSpec()
 	b := testSpec()
@@ -126,11 +137,6 @@ func soloBytes(t *testing.T, spec sweep.Spec, meter *telemetry.Counters) []byte 
 // stopAfter additional cells (<= 0 means all). It returns the manifest
 // path.
 func runShard(t *testing.T, dir string, spec sweep.Spec, sh Shard, stopAfter int, meter *telemetry.Counters) string {
-	return runShardBatched(t, dir, spec, sh, stopAfter, meter, 0)
-}
-
-// runShardBatched is runShard with a lockstep batch width (0 = solo).
-func runShardBatched(t *testing.T, dir string, spec sweep.Spec, sh Shard, stopAfter int, meter *telemetry.Counters, batch int) string {
 	t.Helper()
 	tasks, err := spec.Build()
 	if err != nil {
@@ -157,7 +163,7 @@ func runShardBatched(t *testing.T, dir string, spec sweep.Spec, sh Shard, stopAf
 		cells = cells[:stopAfter]
 	}
 	var appendErr error
-	err = ExecuteBatched(tasks, cells, runner.Pool{Workers: 2, Meter: meter}, batch, func(c Cell, rec results.Record) {
+	err = Execute(tasks, cells, runner.Pool{Workers: 2, Meter: meter}, func(c Cell, rec results.Record) {
 		if appendErr == nil {
 			appendErr = w.Append(c.Global, rec)
 		}
@@ -309,15 +315,14 @@ func TestResumeFromCheckpoint(t *testing.T) {
 	}
 }
 
-// TestResumeBatchedMatchesSolo — satellite of the lockstep batch work:
-// a sharded sweep running its cells as batched units, killed twice and
-// resumed from its checkpoints, must still merge to the byte-identical
-// solo (unbatched, uninterrupted) reference. The kill points land
-// mid-unit on purpose — stopAfter truncates the cell list, so the
-// resumed leg re-forms different unit boundaries than the killed run
-// used, proving record bytes are independent of unit shape.
-func TestResumeBatchedMatchesSolo(t *testing.T) {
+// TestResumeAcrossUnitShapesMatchesSolo — the runner sizes its dispatch
+// units from the job count, so each leg of a killed and resumed shard
+// runs its cells in differently shaped units (4, 2, then 1 trial per
+// unit here) than the uninterrupted solo reference (5). The merge must
+// still be byte-identical: record bytes cannot depend on unit shape.
+func TestResumeAcrossUnitShapesMatchesSolo(t *testing.T) {
 	spec := testSpec()
+	spec.Trials = 64 // 1024 cells, 512 per shard: units of 4 at two workers
 	want := soloBytes(t, spec, nil)
 
 	shards, err := Plan(spec, 2)
@@ -326,32 +331,17 @@ func TestResumeBatchedMatchesSolo(t *testing.T) {
 	}
 	dir := t.TempDir()
 	var manifests []string
-	merged := telemetry.Snapshot{}
 	for _, sh := range shards {
-		meter := new(telemetry.Counters)
-		runShardBatched(t, dir, spec, sh, 3, meter, 3)
-		runShardBatched(t, dir, spec, sh, 2, meter, 3)
-		manifests = append(manifests, runShardBatched(t, dir, spec, sh, 0, meter, 3))
-		merged = merged.Merge(meter.Snapshot())
+		runShard(t, dir, spec, sh, 301, nil)
+		runShard(t, dir, spec, sh, 150, nil)
+		manifests = append(manifests, runShard(t, dir, spec, sh, 0, nil))
 	}
 	var buf bytes.Buffer
 	if _, err := Merge(&buf, manifests); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatal("batched kill/resume merge differs from the solo reference")
-	}
-	// The equivalence must not hold vacuously: at least one unit has to
-	// have run on the lockstep kernel (the clique/uniform/six-state cells
-	// are adjacent in both shards).
-	lockstep := int64(0)
-	for label, n := range merged.KernelDispatch {
-		if strings.HasSuffix(label, "/table/batch") {
-			lockstep += n
-		}
-	}
-	if lockstep == 0 {
-		t.Fatalf("no lockstep units ran; dispatch %v", merged.KernelDispatch)
+		t.Fatal("kill/resume merge differs from the solo reference")
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"popgraph/internal/protocols/idelect"
 	"popgraph/internal/protocols/majority"
 	"popgraph/internal/protocols/star"
-	"popgraph/internal/runner"
 	. "popgraph/internal/sim"
 	"popgraph/internal/snapshot"
 	"popgraph/internal/telemetry"
@@ -453,104 +452,6 @@ func TestPlanEquivalenceMatrix(t *testing.T) {
 										if a := r.Uint64(); a != b {
 											t.Fatalf("%s: snapshot-loaded post-run RNG stream diverged at draw %d", name, i)
 										}
-									}
-								}
-								// Batch axis: RunBatch lane i must be byte-identical
-								// to the solo plan run seeded SeedFor(seed, i) --
-								// Result, observer sequence, post-run stream position
-								// and aggregate telemetry. T = 3 covers mid-batch
-								// stabilization (lanes stop at different steps), 8
-								// does not divide the 512-step chunk, and 1 pins the
-								// degenerate batch to the solo path.
-								for _, T := range []int{1, 3, 8} {
-									soloMeter := new(telemetry.Counters)
-									soloRes := make([]Result, T)
-									soloObs := make([]*recordingObserver, T)
-									soloDraws := make([][16]uint64, T)
-									for i := 0; i < T; i++ {
-										r := xrand.New(runner.SeedFor(seed, i))
-										p := factory()
-										opts := Options{
-											MaxSteps:  maxSteps,
-											Scheduler: sched,
-											DropRate:  drop,
-											Meter:     soloMeter,
-										}
-										if every > 0 {
-											soloObs[i] = &recordingObserver{p: p}
-											opts.Observer = soloObs[i]
-											opts.ObserveEvery = every
-										}
-										soloRes[i] = Run(g, p, r, opts)
-										for d := range soloDraws[i] {
-											soloDraws[i][d] = r.Uint64()
-										}
-									}
-									batchMeter := new(telemetry.Counters)
-									opts := Options{
-										MaxSteps:  maxSteps,
-										Scheduler: sched,
-										DropRate:  drop,
-										Meter:     batchMeter,
-									}
-									if every > 0 {
-										opts.ObserveEvery = every
-									}
-									pl, err := Compile(g, opts)
-									if err != nil {
-										t.Fatalf("%s/batch%d: %v", name, T, err)
-									}
-									ps := make([]Protocol, T)
-									rs := make([]*xrand.Rand, T)
-									var obs []Observer
-									if every > 0 {
-										obs = make([]Observer, T)
-									}
-									batchObs := make([]*recordingObserver, T)
-									for i := 0; i < T; i++ {
-										ps[i] = factory()
-										rs[i] = xrand.New(runner.SeedFor(seed, i))
-										if every > 0 {
-											batchObs[i] = &recordingObserver{p: ps[i]}
-											obs[i] = batchObs[i]
-										}
-									}
-									for i, br := range pl.RunBatch(ps, rs, obs) {
-										if br.Crashed != "" {
-											t.Fatalf("%s/batch%d: lane %d crashed: %s", name, T, i, br.Crashed)
-										}
-										if br.Result != soloRes[i] {
-											t.Fatalf("%s/batch%d: lane %d diverged: batch %+v, solo %+v",
-												name, T, i, br.Result, soloRes[i])
-										}
-										if every > 0 && !batchObs[i].equal(soloObs[i]) {
-											t.Fatalf("%s/batch%d: lane %d observer sequences diverged:\nbatch %v %v\nsolo  %v %v",
-												name, T, i, batchObs[i].ts, batchObs[i].leaders, soloObs[i].ts, soloObs[i].leaders)
-										}
-										for d, want := range soloDraws[i] {
-											if got := rs[i].Uint64(); got != want {
-												t.Fatalf("%s/batch%d: lane %d post-run RNG stream diverged at draw %d", name, T, i, d)
-											}
-										}
-									}
-									// Aggregate telemetry must match the solo runs field
-									// for field; only the dispatch labels may differ
-									// (lockstep lanes tally under ".../table/batch").
-									ss, bs := soloMeter.Snapshot(), batchMeter.Snapshot()
-									if ss.StepsExecuted != bs.StepsExecuted || ss.ChunksRun != bs.ChunksRun ||
-										ss.RNGRefills != bs.RNGRefills || ss.DropsApplied != bs.DropsApplied ||
-										ss.ObserverCalls != bs.ObserverCalls {
-										t.Fatalf("%s/batch%d: telemetry diverged:\nsolo  %+v\nbatch %+v", name, T, ss, bs)
-									}
-									var soloRuns, batchRuns int64
-									for _, c := range ss.KernelDispatch {
-										soloRuns += c
-									}
-									for _, c := range bs.KernelDispatch {
-										batchRuns += c
-									}
-									if soloRuns != int64(T) || batchRuns != int64(T) {
-										t.Fatalf("%s/batch%d: dispatch run counts off: solo %d, batch %d", name, T, soloRuns, batchRuns)
 									}
 								}
 							}

@@ -250,15 +250,6 @@ func (pl *ExecPlan) Run(p Protocol, r *xrand.Rand) Result {
 	if b, ok := pl.observer.(ProtocolBinder); ok {
 		b.Bind(p)
 	}
-	return pl.runPrepared(p, r, pl.observer)
-}
-
-// runPrepared is the chunk loop on an already-Reset protocol, with the
-// observer passed explicitly: Run hands it the plan's shared Observer,
-// while RunBatch's fallback path hands each lane its own. Keeping Reset
-// out means batch lanes can demote to this loop after their one Reset
-// without perturbing the random stream.
-func (pl *ExecPlan) runPrepared(p Protocol, r *xrand.Rand, observer Observer) Result {
 	kern, label := pl.newKernel(p, r)
 	var t, chunks, observes int64
 	for t < pl.maxSteps {
@@ -266,7 +257,7 @@ func (pl *ExecPlan) runPrepared(p Protocol, r *xrand.Rand, observer Observer) Re
 		if k > rngBlockSize {
 			k = rngBlockSize
 		}
-		if observer != nil {
+		if pl.observer != nil {
 			if toBoundary := pl.every - t%pl.every; toBoundary < k {
 				k = toBoundary
 			}
@@ -274,23 +265,23 @@ func (pl *ExecPlan) runPrepared(p Protocol, r *xrand.Rand, observer Observer) Re
 		done, stabilized := kern.run(p, r, t, k)
 		t += done
 		chunks++
-		if observer != nil && t%pl.every == 0 {
+		if pl.observer != nil && t%pl.every == 0 {
 			// Fused kernels mutate protocol state behind Step's back;
 			// reconcile counters so the observer sees live Leaders/Stable.
 			kern.sync()
-			observer.Observe(t)
+			pl.observer.Observe(t)
 			observes++
 		}
 		if stabilized {
 			kern.finish(r)
 			kern.sync()
-			pl.flush(kern, observer, label, t, chunks, observes)
+			pl.flush(kern, label, t, chunks, observes)
 			return Result{Steps: t, Stabilized: true, Leader: FindLeader(pl.g, p)}
 		}
 	}
 	kern.finish(r)
 	kern.sync()
-	pl.flush(kern, observer, label, t, chunks, observes)
+	pl.flush(kern, label, t, chunks, observes)
 	return Result{Steps: pl.maxSteps, Stabilized: false, Leader: -1}
 }
 
@@ -299,8 +290,8 @@ func (pl *ExecPlan) runPrepared(p Protocol, r *xrand.Rand, observer Observer) Re
 // generator and reconciled protocol counters, so finishers read exact
 // terminal state; the Result the caller returns is already fixed, and
 // nothing here touches r.
-func (pl *ExecPlan) flush(kern kernel, observer Observer, label string, steps, chunks, observes int64) {
-	if f, ok := observer.(RunFinisher); ok {
+func (pl *ExecPlan) flush(kern kernel, label string, steps, chunks, observes int64) {
+	if f, ok := pl.observer.(RunFinisher); ok {
 		f.Finish(steps)
 	}
 	if pl.meter != nil {

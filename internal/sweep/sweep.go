@@ -66,19 +66,13 @@ type Spec struct {
 	DropRates []float64 `json:"drop_rates,omitempty"`
 	// MaxSteps caps each trial; 0 means the engine default.
 	MaxSteps int64 `json:"max_steps,omitempty"`
-	// Batch is the lockstep batch width: up to Batch replicate trials of
-	// one cell execute as a single structure-of-arrays unit
-	// (runner.Pool.StreamBatched). 0 or 1 runs every trial solo. Batching
-	// never changes a record's bytes — trials keep their grid-derived
-	// seeds — so the knob trades nothing but scheduling granularity for
-	// throughput.
-	Batch int `json:"batch,omitempty"`
 }
 
 // ParseJSON decodes and validates a spec from JSON. Unknown top-level
 // keys are rejected with an error naming the key (catching typos like
 // "grahps" in hand-written spec files), as is trailing content after
-// the spec object.
+// the spec object. The removed "batch" key gets an error naming the
+// removal, since the runner sizes its dispatch units itself.
 func ParseJSON(data []byte) (Spec, error) {
 	dec := json.NewDecoder(strings.NewReader(string(data)))
 	dec.DisallowUnknownFields()
@@ -87,8 +81,11 @@ func ParseJSON(data []byte) (Spec, error) {
 		// The stdlib reports unknown fields as `json: unknown field "x"`;
 		// rewrap with the valid key set so the typo is obvious.
 		if key, ok := strings.CutPrefix(err.Error(), `json: unknown field `); ok {
+			if key == `"batch"` {
+				return Spec{}, fmt.Errorf(`sweep: spec key "batch" was removed: trials are dispatched in units automatically`)
+			}
 			return Spec{}, fmt.Errorf(
-				"sweep: spec has unknown key %s (valid keys: name, seed, trials, graphs, sizes, schedulers, protocols, drop_rates, max_steps, batch)",
+				"sweep: spec has unknown key %s (valid keys: name, seed, trials, graphs, sizes, schedulers, protocols, drop_rates, max_steps)",
 				key)
 		}
 		return Spec{}, fmt.Errorf("sweep: parsing spec: %w", err)
@@ -140,9 +137,6 @@ func (s Spec) Validate() error {
 	}
 	if s.MaxSteps < 0 {
 		return fmt.Errorf("sweep: negative max_steps")
-	}
-	if s.Batch < 0 {
-		return fmt.Errorf("sweep: negative batch")
 	}
 	return nil
 }
@@ -372,16 +366,6 @@ func Execute(tasks []Task, pool runner.Pool) []results.Record {
 // checkpoints) see the exact record sequence Execute would return
 // without anyone holding the whole batch in memory.
 func ExecuteStream(tasks []Task, pool runner.Pool, emit func(results.Record)) {
-	ExecuteStreamBatched(tasks, pool, 0, emit)
-}
-
-// ExecuteStreamBatched is ExecuteStream with lockstep batching: up to
-// batch replicate trials of one task run as a single
-// structure-of-arrays unit (runner.Pool.StreamBatched; batch <= 1 runs
-// every trial solo). Units never span tasks — a task's jobs are the
-// replicate family — and every record keeps the bytes its solo run
-// would produce, so batching is invisible downstream of the pool.
-func ExecuteStreamBatched(tasks []Task, pool runner.Pool, batch int, emit func(results.Record)) {
 	var jobs []runner.Job
 	// taskOf/trialOf map the flat job index back to its grid cell.
 	var taskOf, trialOf []int
@@ -392,7 +376,7 @@ func ExecuteStreamBatched(tasks []Task, pool runner.Pool, batch int, emit func(r
 			trialOf = append(trialOf, trial)
 		}
 	}
-	pool.StreamBatched(jobs, batch, func(i int) int { return taskOf[i] }, func(i int, o runner.Outcome) {
+	pool.Stream(jobs, func(i int, o runner.Outcome) {
 		emit(TrialRecord(tasks[taskOf[i]], trialOf[i], o))
 	})
 }

@@ -28,14 +28,14 @@ func TestParseJSON(t *testing.T) {
 		"name": "demo", "seed": 7, "trials": 2,
 		"graphs": ["clique:N", "torus:NxN"], "sizes": [8],
 		"protocols": ["six-state", "fast"], "drop_rates": [0, 0.5],
-		"max_steps": 100000, "batch": 8
+		"max_steps": 100000
 	}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if spec.Name != "demo" || spec.Seed != 7 || spec.Trials != 2 ||
 		len(spec.Graphs) != 2 || len(spec.Protocols) != 2 ||
-		len(spec.DropRates) != 2 || spec.MaxSteps != 100000 || spec.Batch != 8 {
+		len(spec.DropRates) != 2 || spec.MaxSteps != 100000 {
 		t.Fatalf("parsed spec %+v", spec)
 	}
 }
@@ -51,6 +51,19 @@ func TestParseJSONRejectsUnknownFields(t *testing.T) {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not mention %s", err, want)
 		}
+	}
+}
+
+// TestParseJSONRejectsRemovedBatch — specs written for the removed
+// lockstep engine carry "batch"; they get an error naming the removal
+// rather than the generic unknown-key message.
+func TestParseJSONRejectsRemovedBatch(t *testing.T) {
+	_, err := ParseJSON([]byte(`{"seed": 1, "trials": 1, "graphs": ["clique:8"], "protocols": ["six-state"], "batch": 8}`))
+	if err == nil {
+		t.Fatal(`spec with "batch" accepted`)
+	}
+	if !strings.Contains(err.Error(), `"batch" was removed`) {
+		t.Fatalf("error %q does not name the removal", err)
 	}
 }
 
@@ -84,7 +97,6 @@ func TestValidate(t *testing.T) {
 		{"tiny size", func(s *Spec) { s.Sizes = []int{1} }},
 		{"bad drop", func(s *Spec) { s.DropRates = []float64{1} }},
 		{"negative cap", func(s *Spec) { s.MaxSteps = -1 }},
-		{"negative batch", func(s *Spec) { s.Batch = -1 }},
 		{"blank scheduler", func(s *Spec) { s.Schedulers = []string{"uniform", " "} }},
 	}
 	for _, c := range cases {
@@ -289,15 +301,15 @@ func TestExecuteByteIdenticalAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestExecuteStreamBatchedByteIdentical — the batch knob must be
-// invisible in the records: for any batch width (dividing Trials or
-// not, wider than a task or not) the streamed records equal the solo
-// grid's byte for byte, across the full scheduler axis (lockstep cells
-// and fallback cells alike, crashed star trials included).
-func TestExecuteStreamBatchedByteIdentical(t *testing.T) {
+// TestExecuteStreamUnitsByteIdentical — the runner sizes its dispatch
+// units from the job count and worker count (here 8, 5 and 1 trials per
+// unit at 1, 3 and 16 workers), and the streamed records must not
+// notice: every worker count gives the same bytes, across the scheduler
+// axis and with crashed star trials included.
+func TestExecuteStreamUnitsByteIdentical(t *testing.T) {
 	s := Spec{
 		Seed:   7,
-		Trials: 5,
+		Trials: 40,
 		Graphs: []string{"clique:N", "star:N"},
 		Sizes:  []int{8},
 		Schedulers: []string{
@@ -306,13 +318,13 @@ func TestExecuteStreamBatchedByteIdentical(t *testing.T) {
 		Protocols: []string{"six-state", "star"},
 		DropRates: []float64{0, 0.25},
 	}
-	encode := func(batch int) []byte {
+	encode := func(workers int) []byte {
 		tasks, err := s.Build()
 		if err != nil {
 			t.Fatal(err)
 		}
 		var recs []results.Record
-		ExecuteStreamBatched(tasks, runner.Pool{Workers: 3}, batch, func(rec results.Record) {
+		ExecuteStream(tasks, runner.Pool{Workers: workers}, func(rec results.Record) {
 			recs = append(recs, rec)
 		})
 		for i := range recs {
@@ -324,13 +336,13 @@ func TestExecuteStreamBatchedByteIdentical(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	want := encode(0)
+	want := encode(1)
 	if len(want) == 0 {
 		t.Fatal("no output produced")
 	}
-	for _, batch := range []int{2, 3, 5, 16} {
-		if got := encode(batch); !bytes.Equal(got, want) {
-			t.Fatalf("batch=%d records differ from the solo grid", batch)
+	for _, workers := range []int{3, 16} {
+		if got := encode(workers); !bytes.Equal(got, want) {
+			t.Fatalf("workers=%d records differ from the one-worker grid", workers)
 		}
 	}
 }
