@@ -25,11 +25,14 @@
 //	      -out s0.jsonl -no-timing          # one per shard, 0/4 .. 3/4
 //	sweep -merge -out merged.jsonl s0.manifest.json ... s3.manifest.json
 //
-// A shard killed mid-sweep resumes from its checkpoint manifest: rerun
-// the same command and it continues after the last completed cell
-// instead of restarting. -merge verifies the manifests describe one
-// complete sweep (same spec hash, every shard present and finished)
-// and prints the same summary table the solo run would.
+// A shard killed mid-sweep resumes from its checkpoint: rerun the same
+// command and it keeps every complete line of its records file and
+// continues after the last one instead of restarting. The manifest is a
+// header that counts the records file's lines, finalized when the shard
+// exits. -merge verifies the manifests describe one complete sweep (same
+// spec hash, every shard present and finalized with its full plan),
+// replaces -out only when the merge succeeds, and prints the same
+// summary table the solo run would.
 //
 // The -spec file is JSON with fields name, seed, trials, graphs, sizes,
 // schedulers, protocols, drop_rates, max_steps (see internal/sweep);
@@ -119,7 +122,7 @@ func main() {
 	flag.StringVar(&c.trajectory, "trajectory", "", "write per-trial (step, leaders, gap) trajectories as JSONL to this path")
 	flag.StringVar(&c.pprofAddr, "pprof", "", "serve net/http/pprof and /metrics on this address (e.g. :6060)")
 	flag.StringVar(&c.shardSpec, "shard", "", "run only shard i of m of the trial grid, as i/m (e.g. 0/4)")
-	flag.StringVar(&c.checkpoint, "checkpoint", "", "checkpoint manifest path: write it per completed cell, resume from it if present")
+	flag.StringVar(&c.checkpoint, "checkpoint", "", "checkpoint manifest path: write it at start and exit, resume from it and the -out file's complete lines if present")
 	flag.BoolVar(&c.merge, "merge", false, "merge mode: combine shard runs (args = manifest files) into -out and print the summary table")
 	flag.BoolVar(&c.noTiming, "no-timing", false, "strip the host-dependent wall-time fields from records (byte-stable logs)")
 	flag.IntVar(&c.stopAfter, "stop-after", 0, "stop after this many newly completed cells with exit code 3 (kill/resume testing)")
@@ -429,16 +432,24 @@ func runMerge(c cliConfig, manifests []string) error {
 	if c.shardSpec != "" || c.checkpoint != "" || c.stopAfter != 0 {
 		return fmt.Errorf("-merge cannot be combined with -shard/-checkpoint/-stop-after")
 	}
-	f, err := os.Create(c.out)
+	// Merge into a temp file beside -out and rename it over -out on
+	// success, so a refused merge leaves an existing log untouched.
+	f, err := os.CreateTemp(filepath.Dir(c.out), filepath.Base(c.out)+".tmp-*")
 	if err != nil {
 		return err
 	}
 	info, err := shard.Merge(f, manifests)
-	if err != nil {
-		f.Close()
-		return err
+	if err == nil {
+		err = f.Chmod(0o644)
 	}
-	if err := f.Close(); err != nil {
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), c.out)
+	}
+	if err != nil {
+		os.Remove(f.Name())
 		return err
 	}
 	if !c.quiet {

@@ -9,14 +9,14 @@ import (
 
 // ManifestSchema identifies the checkpoint manifest layout; bump on
 // breaking changes. Readers reject unknown schemas instead of guessing.
-const ManifestSchema = "popgraph-shard/v1"
+const ManifestSchema = "popgraph-shard/v2"
 
-// Manifest is a shard's checkpoint and merge credential: which sweep
-// (by spec hash) it belongs to, which shard of how many it is, which
-// records file it indexes, and which global cells that file holds, in
-// line order. The writer rewrites it atomically after every flushed
-// cell, so at any kill point the manifest describes a complete prefix
-// of the records file.
+// Manifest is a shard's checkpoint header and merge credential: which
+// sweep (by spec hash) it belongs to, which shard of how many it is,
+// which records file holds its lines, and how many of them are durable.
+// Line i of the records file always holds the shard's i-th planned cell,
+// so a count says everything a cell list would. The writer finalizes the
+// count when it closes, after syncing the records file.
 type Manifest struct {
 	Schema   string `json:"schema"`
 	SpecHash string `json:"spec_hash"`
@@ -36,11 +36,21 @@ type Manifest struct {
 	// stripped; resuming or merging with a mismatched setting would
 	// silently break byte-identity, so it is validated instead.
 	NoTiming bool `json:"no_timing,omitempty"`
-	// Completed lists the global cell indices with a flushed record, in
-	// file line order — line i of Records holds cell Completed[i]. The
-	// writer flushes in ascending cell order, so the list is ascending
-	// and forms a prefix of the shard's plan.
-	Completed []int `json:"completed_cells"`
+	// Completed is the number of leading lines of Records that were
+	// synced to disk when the writer last closed: the shard's first
+	// Completed planned cells. The file may hold more complete lines
+	// than this (a killed writer never closed); resume keeps them.
+	Completed int `json:"completed"`
+}
+
+// PlanLen is the number of cells in the shard's plan: the cells g of the
+// grid with g mod Of == Shard.
+func (m Manifest) PlanLen() int {
+	n := m.TotalCells / m.Of
+	if m.Shard < m.TotalCells%m.Of {
+		n++
+	}
+	return n
 }
 
 // Validate checks the manifest's internal consistency.
@@ -51,24 +61,12 @@ func (m Manifest) Validate() error {
 	if m.Of < 1 || m.Shard < 0 || m.Shard >= m.Of {
 		return fmt.Errorf("shard: manifest names shard %d of %d", m.Shard, m.Of)
 	}
-	if m.TotalCells < 0 || len(m.Completed) > m.TotalCells {
-		return fmt.Errorf("shard: manifest lists %d completed cells of a %d-cell grid",
-			len(m.Completed), m.TotalCells)
+	if m.TotalCells < 0 || m.Completed < 0 || m.Completed > m.PlanLen() {
+		return fmt.Errorf("shard: manifest claims %d completed cells of shard %d/%d over a %d-cell grid",
+			m.Completed, m.Shard, m.Of, m.TotalCells)
 	}
 	if m.Records == "" {
 		return fmt.Errorf("shard: manifest lacks a records path")
-	}
-	for i, g := range m.Completed {
-		if g < 0 || g >= m.TotalCells {
-			return fmt.Errorf("shard: completed cell %d outside the %d-cell grid", g, m.TotalCells)
-		}
-		if g%m.Of != m.Shard {
-			return fmt.Errorf("shard: completed cell %d does not belong to shard %d of %d", g, m.Shard, m.Of)
-		}
-		if i > 0 && g <= m.Completed[i-1] {
-			return fmt.Errorf("shard: completed cells not ascending at index %d (%d after %d)",
-				i, g, m.Completed[i-1])
-		}
 	}
 	return nil
 }

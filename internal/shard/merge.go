@@ -29,14 +29,14 @@ type MergeInfo struct {
 // byte-identical to a solo run over the same grid). The inputs are
 // manifest paths — each manifest names its records file — and the set
 // must be exactly one complete sweep: same spec hash, same shard count,
-// every shard present once, and the completed cells covering the grid
-// exactly. Any gap, overlap, or cross-sweep mixture is an error naming
-// the offender, because a silently partial merge would masquerade as a
-// smaller run.
+// every shard present once and finalized with its full plan. Any gap,
+// overlap, or cross-sweep mixture is an error naming the offender, and
+// is reported before anything is written, because a silently partial
+// merge would masquerade as a smaller run.
 //
-// Memory is O(shards): one buffered reader and one cursor per shard —
-// shard files are ascending in cell order, so the interleave is a
-// sequential walk of every input.
+// Memory is O(shards): one buffered reader per shard. Line i of shard
+// s's file is cell s + i·Of, so cell g is the next line of shard g mod
+// Of and the interleave is a sequential walk of every input.
 func Merge(w io.Writer, manifestPaths []string) (MergeInfo, error) {
 	if len(manifestPaths) == 0 {
 		return MergeInfo{}, fmt.Errorf("shard: merge of zero manifests")
@@ -54,14 +54,12 @@ func Merge(w io.Writer, manifestPaths []string) (MergeInfo, error) {
 		return MergeInfo{}, fmt.Errorf("shard: %d manifests given for a %d-shard sweep",
 			len(manifestPaths), ref.Of)
 	}
-	// byShard[i] is the input holding shard i; owner[g] the shard of
-	// cell g. Filling both verifies exact cover: no duplicate shards, no
-	// duplicate cells, and (by counting) no gaps.
+	// byShard[i] is the input holding shard i. Every shard present once,
+	// each with its full plan, is exact cover of the grid.
 	byShard := make([]int, ref.Of)
 	for i := range byShard {
 		byShard[i] = -1
 	}
-	covered := 0
 	for i, m := range manifests {
 		if m.SpecHash != ref.SpecHash {
 			return MergeInfo{}, fmt.Errorf("shard: %s belongs to a different sweep than %s (spec hash mismatch)",
@@ -80,16 +78,14 @@ func Merge(w io.Writer, manifestPaths []string) (MergeInfo, error) {
 			return MergeInfo{}, fmt.Errorf("shard: shard %d appears twice (%s and %s)",
 				m.Shard, manifestPaths[byShard[m.Shard]], manifestPaths[i])
 		}
+		if m.Completed != m.PlanLen() {
+			return MergeInfo{}, fmt.Errorf("shard: %s is incomplete — %d of its %d cells (resume it from its checkpoint before merging)",
+				manifestPaths[i], m.Completed, m.PlanLen())
+		}
 		byShard[m.Shard] = i
-		covered += len(m.Completed)
-	}
-	if covered != ref.TotalCells {
-		return MergeInfo{}, fmt.Errorf("shard: manifests cover %d of %d cells — a shard is incomplete (resume it from its checkpoint before merging)",
-			covered, ref.TotalCells)
 	}
 
 	readers := make([]*bufio.Reader, len(manifests))
-	cursors := make([]int, len(manifests)) // next index into Completed
 	for i, m := range manifests {
 		f, err := os.Open(m.RecordsPath(manifestPaths[i]))
 		if err != nil {
@@ -101,17 +97,11 @@ func Merge(w io.Writer, manifestPaths []string) (MergeInfo, error) {
 	bw := bufio.NewWriter(w)
 	for g := 0; g < ref.TotalCells; g++ {
 		src := byShard[g%ref.Of]
-		m := manifests[src]
-		if cursors[src] >= len(m.Completed) || m.Completed[cursors[src]] != g {
-			return MergeInfo{}, fmt.Errorf("shard: cell %d missing from shard %d (%s)",
-				g, g%ref.Of, manifestPaths[src])
-		}
 		line, err := readers[src].ReadBytes('\n')
 		if err != nil {
-			return MergeInfo{}, fmt.Errorf("shard: %s line %d (cell %d): %w",
-				manifests[src].Records, cursors[src]+1, g, err)
+			return MergeInfo{}, fmt.Errorf("shard: cell %d missing from %s (line %d): %w",
+				g, manifests[src].Records, g/ref.Of+1, err)
 		}
-		cursors[src]++
 		if _, err := bw.Write(line); err != nil {
 			return MergeInfo{}, err
 		}
@@ -121,7 +111,7 @@ func Merge(w io.Writer, manifestPaths []string) (MergeInfo, error) {
 	for i, r := range readers {
 		if _, err := r.ReadByte(); err != io.EOF {
 			return MergeInfo{}, fmt.Errorf("shard: %s has lines beyond its manifest's %d cells",
-				manifests[i].Records, len(manifests[i].Completed))
+				manifests[i].Records, manifests[i].Completed)
 		}
 	}
 	if err := bw.Flush(); err != nil {

@@ -8,17 +8,18 @@
 // position via sweep.Build/runner.SeedFor, and sim kernels are
 // deterministic for a seed — so WHERE a cell runs cannot change its
 // record. Plan assigns cells to shards round-robin (cell g → shard
-// g mod m), each shard streams its records in ascending cell order with
-// a checkpoint manifest naming the completed cells, and Merge interleaves
-// the shard files back into global cell order by verbatim line copy: for
-// every m, the concatenation is byte-identical to the m = 1 run (modulo
-// the wall-time record fields, which cmd/sweep's -no-timing strips when
-// byte comparisons are the point).
+// g mod m), each shard streams its records in ascending cell order — so
+// line i of its file is its i-th planned cell — under a manifest header
+// that counts the lines, and Merge interleaves the shard files back into
+// global cell order by verbatim line copy: for every m, the
+// concatenation is byte-identical to the m = 1 run (modulo the wall-time
+// record fields, which cmd/sweep's -no-timing strips when byte
+// comparisons are the point).
 //
-// A killed shard resumes from its manifest: the writer truncates the
-// records file back to the checkpointed line count (discarding a
-// possibly torn trailing line) and re-runs only the cells after the
-// completed prefix.
+// The records file is the checkpoint. A killed shard resumes by counting
+// the file's complete lines, truncating a torn trailing line, and
+// running only the cells after them; the manifest's count, finalized at
+// Close after the file is synced, is a lower bound the file must meet.
 package shard
 
 import (

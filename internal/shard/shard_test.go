@@ -132,18 +132,17 @@ func soloBytes(t *testing.T, spec sweep.Spec, meter *telemetry.Counters) []byte 
 	return buf.Bytes()
 }
 
-// runShard executes one shard into dir with checkpointing, starting
-// from whatever its manifest says is already done, over at most
-// stopAfter additional cells (<= 0 means all). It returns the manifest
-// path.
-func runShard(t *testing.T, dir string, spec sweep.Spec, sh Shard, stopAfter int, meter *telemetry.Counters) string {
+// shardPaths returns shard i's records and manifest paths in dir.
+func shardPaths(dir string, i int) (out, manifest string) {
+	return filepath.Join(dir, fmt.Sprintf("shard-%d.jsonl", i)),
+		filepath.Join(dir, fmt.Sprintf("shard-%d.manifest.json", i))
+}
+
+// openShard opens shard sh's checkpointing writer in dir, resuming its
+// manifest if one exists, and returns it with the count of cells to skip.
+func openShard(t *testing.T, dir string, spec sweep.Spec, sh Shard) (*Writer, int) {
 	t.Helper()
-	tasks, err := spec.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	outPath := filepath.Join(dir, fmt.Sprintf("shard-%d.jsonl", sh.Index))
-	manifestPath := filepath.Join(dir, fmt.Sprintf("shard-%d.manifest.json", sh.Index))
+	outPath, manifestPath := shardPaths(dir, sh.Index)
 	w, done, err := Open(outPath, manifestPath, Manifest{
 		Schema:     ManifestSchema,
 		SpecHash:   SpecHash(spec),
@@ -158,12 +157,21 @@ func runShard(t *testing.T, dir string, spec sweep.Spec, sh Shard, stopAfter int
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells := sh.Cells[done:]
-	if stopAfter > 0 && stopAfter < len(cells) {
-		cells = cells[:stopAfter]
+	return w, done
+}
+
+// appendCells runs cells through a pool into w and returns how many
+// trials ran.
+func appendCells(t *testing.T, w *Writer, spec sweep.Spec, cells []Cell, meter *telemetry.Counters) int {
+	t.Helper()
+	tasks, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
 	}
+	ran := 0
 	var appendErr error
 	err = Execute(tasks, cells, runner.Pool{Workers: 2, Meter: meter}, func(c Cell, rec results.Record) {
+		ran++
 		if appendErr == nil {
 			appendErr = w.Append(c.Global, rec)
 		}
@@ -174,10 +182,71 @@ func runShard(t *testing.T, dir string, spec sweep.Spec, sh Shard, stopAfter int
 	if appendErr != nil {
 		t.Fatal(appendErr)
 	}
+	return ran
+}
+
+// abandon leaves w as a killed process would: every appended line is in
+// the file, the file is closed by the exit, and Close never ran.
+func abandon(t *testing.T, w *Writer) {
+	t.Helper()
+	if err := w.out.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// runShard executes one shard into dir with checkpointing, starting
+// from whatever its records file says is already done, over at most
+// stopAfter additional cells (<= 0 means all), and closes the writer. It
+// returns the manifest path.
+func runShard(t *testing.T, dir string, spec sweep.Spec, sh Shard, stopAfter int, meter *telemetry.Counters) string {
+	t.Helper()
+	w, done := openShard(t, dir, spec, sh)
+	cells := sh.Cells[done:]
+	if stopAfter > 0 && stopAfter < len(cells) {
+		cells = cells[:stopAfter]
+	}
+	appendCells(t, w, spec, cells, meter)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
+	_, manifestPath := shardPaths(dir, sh.Index)
 	return manifestPath
+}
+
+// readCompleted returns the completed count of the manifest at path.
+func readCompleted(t *testing.T, path string) int {
+	t.Helper()
+	m, err := ReadManifest(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m.Completed
+}
+
+// tear appends the fragment a kill in the middle of a line leaves.
+func tear(t *testing.T, path string) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.WriteString(`{"graph":"torn`); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// fullShardBytes runs sh uninterrupted and returns its records file.
+func fullShardBytes(t *testing.T, spec sweep.Spec, sh Shard) []byte {
+	t.Helper()
+	dir := t.TempDir()
+	runShard(t, dir, spec, sh, 0, nil)
+	out, _ := shardPaths(dir, sh.Index)
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 // TestMergeByteIdenticalAcrossShardCounts is the subsystem's core
@@ -241,9 +310,9 @@ func TestMergeByteIdenticalAcrossShardCounts(t *testing.T) {
 	}
 }
 
-// TestResumeFromCheckpoint — a shard killed mid-sweep (including with a
-// torn trailing line) resumes from its manifest, recomputes nothing
-// that was checkpointed, and finishes with a file byte-identical to an
+// TestResumeFromCheckpoint — a shard stopped mid-sweep (including with a
+// torn trailing line) resumes from its checkpoint, recomputes nothing
+// that was written, and finishes with a file byte-identical to an
 // uninterrupted run.
 func TestResumeFromCheckpoint(t *testing.T) {
 	spec := testSpec()
@@ -253,48 +322,28 @@ func TestResumeFromCheckpoint(t *testing.T) {
 	}
 	sh := shards[1]
 
-	fullDir := t.TempDir()
-	runShard(t, fullDir, spec, sh, 0, nil)
-	want, err := os.ReadFile(filepath.Join(fullDir, "shard-1.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := fullShardBytes(t, spec, sh)
 
-	// Kill after 3 cells, then once more after 2, then run to completion:
+	// Stop after 3 cells, then once more after 2, then run to completion:
 	// two resumes, three manifest generations.
 	dir := t.TempDir()
+	outPath, _ := shardPaths(dir, sh.Index)
 	runShard(t, dir, spec, sh, 3, nil)
-	m1, err := ReadManifest(filepath.Join(dir, "shard-1.manifest.json"))
-	if err != nil {
-		t.Fatal(err)
+	if got := readCompleted(t, filepath.Join(dir, "shard-1.manifest.json")); got != 3 {
+		t.Fatalf("first leg checkpointed %d cells, want 3", got)
 	}
-	if len(m1.Completed) != 3 {
-		t.Fatalf("first leg checkpointed %d cells, want 3", len(m1.Completed))
-	}
-	// Simulate the torn line a mid-write kill leaves behind.
-	f, err := os.OpenFile(filepath.Join(dir, "shard-1.jsonl"), os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"graph":"torn`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	tear(t, outPath)
 	runShard(t, dir, spec, sh, 2, nil)
 	manifestPath := runShard(t, dir, spec, sh, 0, nil)
-	got, err := os.ReadFile(filepath.Join(dir, "shard-1.jsonl"))
+	got, err := os.ReadFile(outPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatal("resumed shard file differs from the uninterrupted run")
 	}
-	final, err := ReadManifest(manifestPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(final.Completed) != len(sh.Cells) {
-		t.Fatalf("final manifest has %d cells, want %d", len(final.Completed), len(sh.Cells))
+	if n := readCompleted(t, manifestPath); n != len(sh.Cells) {
+		t.Fatalf("final manifest has %d cells, want %d", n, len(sh.Cells))
 	}
 
 	// A checkpoint from a different sweep must be refused, not resumed.
@@ -362,7 +411,7 @@ func TestMergeRejectsIncompleteOrMixedShards(t *testing.T) {
 	if _, err := Merge(&buf, []string{m0}); err == nil || !strings.Contains(err.Error(), "manifests") {
 		t.Fatalf("missing shard: %v", err)
 	}
-	if _, err := Merge(&buf, []string{m0, m1}); err == nil || !strings.Contains(err.Error(), "cover") {
+	if _, err := Merge(&buf, []string{m0, m1}); err == nil || !strings.Contains(err.Error(), "incomplete") {
 		t.Fatalf("incomplete shard: %v", err)
 	}
 	if _, err := Merge(&buf, []string{m0, m0}); err == nil || !strings.Contains(err.Error(), "twice") {
@@ -380,5 +429,147 @@ func TestMergeRejectsIncompleteOrMixedShards(t *testing.T) {
 	om1 := runShard(t, otherDir, other, otherShards[1], 0, nil)
 	if _, err := Merge(&buf, []string{m0, om1}); err == nil || !strings.Contains(err.Error(), "different sweep") {
 		t.Fatalf("mixed sweeps: %v", err)
+	}
+}
+
+// TestResumeAbandonedWriter — a writer killed before Close leaves its
+// lines on disk and its manifest at count 0. The resume keeps every
+// complete line, truncates the torn one, runs no cell twice and ends
+// byte-identical to an uninterrupted run.
+func TestResumeAbandonedWriter(t *testing.T) {
+	spec := testSpec()
+	shards, err := Plan(spec, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := shards[1]
+	want := fullShardBytes(t, spec, sh)
+
+	dir := t.TempDir()
+	outPath, manifestPath := shardPaths(dir, sh.Index)
+	w, _ := openShard(t, dir, spec, sh)
+	appendCells(t, w, spec, sh.Cells[:5], nil)
+	abandon(t, w)
+	tear(t, outPath)
+	if n := readCompleted(t, manifestPath); n != 0 {
+		t.Fatalf("abandoned writer's manifest claims %d cells, want 0", n)
+	}
+
+	w, done := openShard(t, dir, spec, sh)
+	if done != 5 {
+		t.Fatalf("resume skips %d cells, want the 5 written", done)
+	}
+	if ran := appendCells(t, w, spec, sh.Cells[done:], nil); done+ran != len(sh.Cells) {
+		t.Fatalf("resume ran %d trials after %d kept, shard has %d", ran, done, len(sh.Cells))
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(outPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("resumed shard file differs from the uninterrupted run")
+	}
+	if n := readCompleted(t, manifestPath); n != len(sh.Cells) {
+		t.Fatalf("final manifest has %d cells, want %d", n, len(sh.Cells))
+	}
+}
+
+// TestResumeUnfinalizedCompleteShard — a shard killed after its last
+// line but before Close: Merge refuses it without writing a byte, and a
+// resume runs zero trials, finalizes the manifest, and then merges.
+func TestResumeUnfinalizedCompleteShard(t *testing.T) {
+	spec := testSpec()
+	shards, err := Plan(spec, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	m0 := runShard(t, dir, spec, shards[0], 0, nil)
+	w, _ := openShard(t, dir, spec, shards[1])
+	appendCells(t, w, spec, shards[1].Cells, nil)
+	abandon(t, w)
+	_, m1 := shardPaths(dir, 1)
+
+	var buf bytes.Buffer
+	if _, err := Merge(&buf, []string{m0, m1}); err == nil || !strings.Contains(err.Error(), "incomplete") {
+		t.Fatalf("unfinalized shard: %v", err)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("refused merge wrote %d bytes", buf.Len())
+	}
+
+	w, done := openShard(t, dir, spec, shards[1])
+	if ran := appendCells(t, w, spec, shards[1].Cells[done:], nil); ran != 0 {
+		t.Fatalf("resume of a fully written shard ran %d trials", ran)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Merge(&buf, []string{m0, m1}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), soloBytes(t, spec, nil)) {
+		t.Fatal("merge after the zero-trial resume differs from the solo run")
+	}
+}
+
+// TestResumeRefusesMismatchedRecords — a records file with fewer
+// complete lines than its manifest claims, or more than the shard's
+// plan, is refused rather than resumed.
+func TestResumeRefusesMismatchedRecords(t *testing.T) {
+	spec := testSpec()
+	shards, err := Plan(spec, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := shards[1]
+	base := Manifest{
+		Schema:     ManifestSchema,
+		SpecHash:   SpecHash(spec),
+		Shard:      sh.Index,
+		Of:         sh.Of,
+		TotalCells: sh.Total,
+		Records:    "shard-1.jsonl",
+		NoTiming:   true,
+	}
+	dir := t.TempDir()
+	outPath, manifestPath := shardPaths(dir, sh.Index)
+	runShard(t, dir, spec, sh, 4, nil)
+	data, err := os.ReadFile(outPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lastLine := bytes.LastIndexByte(data[:len(data)-1], '\n') + 1
+	if err := os.WriteFile(outPath, data[:lastLine], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Open(outPath, manifestPath, base); err == nil || !strings.Contains(err.Error(), "claims 4") {
+		t.Fatalf("records file shorter than the manifest: %v", err)
+	}
+
+	full := fullShardBytes(t, spec, sh)
+	first := full[:bytes.IndexByte(full, '\n')+1]
+	if err := os.WriteFile(outPath, append(full, first...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Open(outPath, manifestPath, base); err == nil || !strings.Contains(err.Error(), "plan") {
+		t.Fatalf("records file longer than the plan: %v", err)
+	}
+}
+
+// TestReadManifestRefusesV1 — a manifest of the old layout, with its
+// per-cell list, is refused by name rather than read as a count.
+func TestReadManifestRefusesV1(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "v1.manifest.json")
+	v1 := `{"schema": "popgraph-shard/v1", "spec_hash": "ab", "seed": 1, "shard": 0, "of": 1,
+		"total_cells": 2, "records": "r.jsonl", "completed_cells": [0, 1]}`
+	if err := os.WriteFile(path, []byte(v1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadManifest(path); err == nil || !strings.Contains(err.Error(), "popgraph-shard/v1") {
+		t.Fatalf("v1 manifest: %v", err)
 	}
 }

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -11,32 +10,33 @@ import (
 	"popgraph/internal/results"
 )
 
-// Writer streams one shard's records to a JSONL file in ascending cell
-// order, checkpointing a manifest after every flushed record. Opening a
-// writer whose manifest already exists resumes it: the records file is
-// truncated back to the checkpointed line count (repairing a torn final
-// line from a kill) and Append continues after the completed prefix.
+// Writer streams one shard's records to a JSONL file in plan order. The
+// records file is the checkpoint: line i holds the shard's i-th planned
+// cell, and every Append hands its whole line to the OS, so a killed
+// process loses at most the line it was writing. The manifest is a
+// header, finalized by Close after the records file is synced.
 //
-// The write order per record is line-then-manifest, so the manifest
-// never claims a cell whose line is missing; a kill between the two
-// leaves one orphan line that the next resume truncates away and
-// recomputes, which is idempotent because cells are deterministic.
+// Opening a writer whose manifest already exists resumes it: the
+// records file's complete lines are counted and kept — a writer that was
+// killed before Close leaves more of them than its manifest claims — a
+// torn final line is truncated away, and Append continues after them.
+// Cells are deterministic, so a kept line is exactly the line a rerun
+// would write.
 type Writer struct {
 	out          *os.File
-	buf          *bufio.Writer
 	manifest     Manifest
 	manifestPath string // "" disables checkpointing
 }
 
 // Open creates or resumes a shard writer. base describes the shard
 // (spec hash, shard/of, grid total, records path, timing mode) and must
-// carry an empty Completed list; outPath is the records file the base's
+// carry a zero Completed count; outPath is the records file the base's
 // Records field names. When manifestPath is empty, checkpointing is off
 // and the records file is always started fresh. The returned count is
 // the number of already-completed cells to skip — 0 for a fresh run.
 func Open(outPath, manifestPath string, base Manifest) (*Writer, int, error) {
-	if len(base.Completed) != 0 {
-		return nil, 0, fmt.Errorf("shard: Open with non-empty completed list")
+	if base.Completed != 0 {
+		return nil, 0, fmt.Errorf("shard: Open with a non-zero completed count")
 	}
 	if err := base.Validate(); err != nil {
 		return nil, 0, err
@@ -54,10 +54,9 @@ func Open(outPath, manifestPath string, base Manifest) (*Writer, int, error) {
 		return nil, 0, err
 	}
 	w.out = out
-	w.buf = bufio.NewWriter(out)
 	if manifestPath != "" {
-		// Checkpoint the empty state up front so a kill before the first
-		// cell still leaves a resumable manifest.
+		// Write the header up front so a kill before Close still leaves a
+		// resumable checkpoint.
 		if err := WriteManifest(manifestPath, w.manifest); err != nil {
 			out.Close()
 			return nil, 0, err
@@ -67,7 +66,7 @@ func Open(outPath, manifestPath string, base Manifest) (*Writer, int, error) {
 }
 
 // resume validates the previous checkpoint against the requested run and
-// reopens the records file truncated to the checkpointed prefix.
+// reopens the records file after its last complete line.
 func (w *Writer) resume(outPath string, prev Manifest) (*Writer, int, error) {
 	base := w.manifest
 	switch {
@@ -87,68 +86,59 @@ func (w *Writer) resume(outPath string, prev Manifest) (*Writer, int, error) {
 		return nil, 0, fmt.Errorf("shard: checkpoint records file %q, this run writes %q",
 			prev.Records, base.Records)
 	}
-	end, err := prefixEnd(outPath, len(prev.Completed))
+	out, err := os.OpenFile(outPath, os.O_RDWR, 0)
 	if err != nil {
+		return nil, 0, err
+	}
+	lines, end, err := completeLines(out)
+	switch {
+	case err != nil:
+	case lines < prev.Completed:
+		err = fmt.Errorf("records file has %d complete lines, checkpoint claims %d", lines, prev.Completed)
+	case lines > prev.PlanLen():
+		err = fmt.Errorf("records file has %d complete lines, the shard plan only %d cells", lines, prev.PlanLen())
+	default:
+		if err = out.Truncate(end); err == nil {
+			_, err = out.Seek(end, io.SeekStart)
+		}
+	}
+	if err != nil {
+		out.Close()
 		return nil, 0, fmt.Errorf("shard: resuming %s: %w", outPath, err)
 	}
-	out, err := os.OpenFile(outPath, os.O_WRONLY, 0)
-	if err != nil {
-		return nil, 0, err
-	}
-	if err := out.Truncate(end); err != nil {
-		out.Close()
-		return nil, 0, err
-	}
-	if _, err := out.Seek(end, io.SeekStart); err != nil {
-		out.Close()
-		return nil, 0, err
-	}
 	w.out = out
-	w.buf = bufio.NewWriter(out)
 	w.manifest = prev
-	return w, len(prev.Completed), nil
+	w.manifest.Completed = lines
+	return w, lines, nil
 }
 
-// prefixEnd returns the byte offset just past the n-th newline of path —
-// the end of its first n complete lines.
-func prefixEnd(path string, n int) (int64, error) {
-	if n == 0 {
-		return 0, nil
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	var off int64
-	lines := 0
+// completeLines reads f to its end and returns the number of
+// newline-terminated lines and the byte offset just past the last one.
+func completeLines(f *os.File) (int, int64, error) {
 	buf := make([]byte, 64*1024)
-	for lines < n {
+	lines, off, end := 0, int64(0), int64(0)
+	for {
 		k, err := f.Read(buf)
-		for _, b := range buf[:k] {
-			off++
-			if b == '\n' {
-				lines++
-				if lines == n {
-					return off, nil
-				}
-			}
+		lines += bytes.Count(buf[:k], []byte{'\n'})
+		if i := bytes.LastIndexByte(buf[:k], '\n'); i >= 0 {
+			end = off + int64(i) + 1
 		}
+		off += int64(k)
 		if err == io.EOF {
-			return 0, fmt.Errorf("records file has %d complete lines, checkpoint claims %d", lines, n)
+			return lines, end, nil
 		}
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 	}
-	return off, nil
 }
 
-// Append writes one cell's record line and checkpoints it. Cells must
-// arrive in ascending global order, continuing the completed prefix.
+// Append writes one cell's record line in a single write and counts it.
+// Cells must arrive in plan order: the shard's next cell is
+// Shard + Completed·Of.
 func (w *Writer) Append(global int, rec results.Record) error {
-	if n := len(w.manifest.Completed); n > 0 && global <= w.manifest.Completed[n-1] {
-		return fmt.Errorf("shard: cell %d appended after cell %d", global, w.manifest.Completed[n-1])
+	if next := w.manifest.Shard + w.manifest.Completed*w.manifest.Of; global != next {
+		return fmt.Errorf("shard: cell %d appended where the shard's next cell is %d", global, next)
 	}
 	if w.manifest.NoTiming {
 		rec.ElapsedNs, rec.QueueWaitNs = 0, 0
@@ -157,33 +147,32 @@ func (w *Writer) Append(global int, rec results.Record) error {
 	if err != nil {
 		return err
 	}
-	if _, err := w.buf.Write(line); err != nil {
+	if _, err := w.out.Write(line); err != nil {
 		return err
 	}
-	// The line must be durable in the file before the manifest claims
-	// it; buffering exists only to batch the syscalls within one line.
-	if err := w.buf.Flush(); err != nil {
-		return err
-	}
-	w.manifest.Completed = append(w.manifest.Completed, global)
-	if w.manifestPath != "" {
-		return WriteManifest(w.manifestPath, w.manifest)
-	}
+	w.manifest.Completed++
 	return nil
 }
 
-// Done returns the number of cells flushed so far (including any
+// Done returns the number of cells written so far (including any
 // resumed prefix).
-func (w *Writer) Done() int { return len(w.manifest.Completed) }
+func (w *Writer) Done() int { return w.manifest.Completed }
 
-// Close flushes and closes the records file. The manifest was already
-// checkpointed per cell, so Close adds nothing to it.
+// Close syncs and closes the records file, and only then writes the
+// manifest with the final count: a manifest that claims N cells means N
+// lines that are durable on disk.
 func (w *Writer) Close() error {
-	if err := w.buf.Flush(); err != nil {
-		w.out.Close()
+	if w.manifestPath == "" {
+		return w.out.Close()
+	}
+	err := w.out.Sync()
+	if cerr := w.out.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return err
 	}
-	return w.out.Close()
+	return WriteManifest(w.manifestPath, w.manifest)
 }
 
 // encodeRecord renders one record exactly as results.Write does — same
