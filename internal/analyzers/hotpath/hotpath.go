@@ -1,11 +1,14 @@
 // Package hotpath enforces kernel purity: a function whose doc comment
-// carries the //popcheck:kernel directive is one of the engine's
-// compiled chunk-runner loops (internal/sim/engine.go,
-// engine_table.go), which PR 5 made allocation- and dispatch-free. The
+// carries the //popcheck:kernel directive is part of the engine's hot
+// loop in internal/sim/engine.go — one of the four sampler loops, or a
+// helper they inline (the block-prefetch draw, the protocol machine's
+// table update). Those are allocation- and dispatch-free by design. The
 // per-step cost budget there is a couple of loads, a multiply and
 // predictable branches; anything that allocates, defers, schedules or
 // dynamically dispatches silently destroys the measured speedups the
-// committed BENCH_sim.json baselines gate on.
+// committed BENCH_sim.json baselines gate on. Whether the helpers
+// actually inline is the compiler's call, which this analyzer cannot
+// see; CI checks it from go build -gcflags=-m.
 //
 // Inside a marked function the analyzer flags:
 //   - defer and go statements;
@@ -14,12 +17,12 @@
 //   - any call into package fmt (formatting allocates; kernels report
 //     through preallocated counters instead);
 //   - interface method calls on anything other than the kernel's own
-//     parameters. A Step-dispatch kernel receives the protocol as a
-//     parameter — that seam is the documented dispatch point — but
-//     dispatch on fields or locals means the sampling path regressed to
-//     interface calls.
+//     parameters. A sampler loop receives the protocol as a parameter —
+//     that seam is the documented Step dispatch point — but dispatch on
+//     fields or locals means the sampling path regressed to interface
+//     calls.
 //
-// Known-slow fallback paths (e.g. the node-clock kernels' non-CSR
+// Known-slow fallback paths (e.g. the node-clock loop's non-CSR
 // neighbor lookup) document themselves with
 // "//popcheck:ignore hotpath <reason>".
 package hotpath

@@ -1,23 +1,30 @@
 // Type-specialized chunk kernels. A compiled execution plan (plan.go)
 // drives a run as a sequence of bounded chunks; the kernels here are the
-// chunk runners. Each is monomorphized for one scheduler × graph shape —
-// no interface dispatch on the sampling path — draws its randomness in
-// fixed-size blocks through xrand.Fill, and keeps the sampling state
-// (block buffer, cursor, hoisted Lemire rejection thresholds) alive
-// across chunk calls, so chunking is free: the per-step cost is a buffer
-// load, a 128-bit multiply and predictable branches regardless of where
-// the plan places chunk boundaries.
+// chunk runners. There is one sampler loop per scheduler × graph shape
+// (dense-uniform, clique-uniform, weighted, node-clock), monomorphized —
+// no interface dispatch on the sampling path — and all four share one
+// protocol machine. The machine owns the block-prefetched randomness,
+// the drop coin and, when the plan fused a Tabular protocol, the
+// transition table with its live state bytes and counters. Per step a
+// loop samples its pair, flips the drop coin, and either applies the
+// table update (an inlined lookup and two byte stores) or calls
+// Protocol.Step; the choice is fixed for the run, so the branch predicts
+// perfectly. Randomness comes in fixed-size blocks through xrand.Fill,
+// and the sampling state (block buffer, cursor, hoisted Lemire rejection
+// thresholds) stays alive across chunk calls, so chunking is free: the
+// per-step cost is a buffer load, a 128-bit multiply and predictable
+// branches regardless of where the plan places chunk boundaries.
 //
 // Determinism contract: a kernel consumes exactly the same uint64
 // stream, in the same order, as the generic Source-driven reference
 // kernel would for the same configuration and seed, and on finish
 // rewinds the generator past only the draws it consumed (undoing block
-// prefetch). Every seed therefore reproduces byte-identical Results,
-// observer callbacks and post-run generator state regardless of which
-// kernel ran — for every protocol × scheduler × drop × observer
-// combination, not just uninstrumented uniform runs (the fused
-// transition-table variants in engine_table.go consume no extra
-// randomness); engine_test.go asserts all three against an independent
+// prefetch). The table update consumes no randomness — it replays
+// exactly the state updates Step would make — so every seed reproduces
+// byte-identical Results, observer callbacks and post-run generator
+// state regardless of which kernel ran or whether the protocol was
+// fused, for every protocol × scheduler × drop × observer combination;
+// engine_test.go asserts all three against an independent
 // step-at-a-time reference loop.
 
 package sim
@@ -25,6 +32,7 @@ package sim
 import (
 	"math/bits"
 
+	"popgraph/internal/core"
 	"popgraph/internal/graph"
 	"popgraph/internal/xrand"
 )
@@ -37,8 +45,7 @@ import (
 const rngBlockSize = 512
 
 // kernel is a chunk runner: the compiled hot loop for one scheduler ×
-// graph shape (optionally fused with a protocol's transition table),
-// owning all mutable sampling state of one run.
+// graph shape, owning all mutable sampling state of one run.
 type kernel interface {
 	// run executes steps t0+1 .. t0+k, stopping early when the protocol
 	// stabilizes; it returns the number of steps executed and whether the
@@ -50,8 +57,7 @@ type kernel interface {
 	// sync reconciles the protocol's internal counters with any state
 	// the kernel mutated behind Protocol.Step's back; the plan calls it
 	// before every observer callback and at the end of the run. A no-op
-	// for Step-dispatch kernels, whose protocols maintain their own
-	// counters.
+	// under Step dispatch, where protocols maintain their own counters.
 	sync()
 	// stats returns the run's telemetry tallies: RNG block refills and
 	// interactions suppressed by drop injection. The counters are plain
@@ -72,8 +78,6 @@ type rngBlock struct {
 	filled  bool
 	refills int64
 }
-
-func newRngBlock() rngBlock { return rngBlock{k: rngBlockSize} }
 
 // next returns the next stream value, refilling the block when
 // exhausted. The hot path is a bounds-elided load and an increment; the
@@ -114,264 +118,6 @@ func (b *rngBlock) finish(r *xrand.Rand) {
 	}
 }
 
-// The Lemire reductions below mirror xrand.Uintn draw for draw. Uintn
-// guards the threshold computation behind the rare lo < n test; since
-// thresh = 2⁶⁴ mod n < n, looping directly on lo < thresh rejects
-// exactly the same draws, and precomputing thresh hoists the 64-bit
-// division out of the hot loop entirely. Bounds that vary per step
-// (node-clock's per-degree draw) keep Uintn's guarded form instead.
-
-// denseKernel is the uniform-scheduler loop for CSR graphs: one
-// block-buffered Lemire reduction over the 2m ordered pairs per step,
-// pair unpacking straight from the raw packed edge array, and the
-// direction swap branch-free (a taken/not-taken branch on the draw's
-// parity would mispredict half the time). Drop decisions, when enabled,
-// convert the next block value in place — one extra stream position per
-// step, exactly like the reference loop's live Float64 call.
-type denseKernel struct {
-	blk    rngBlock
-	edges  []int64
-	twoM   uint64
-	thresh uint64
-	drop   float64
-	drops  int64
-}
-
-func newDenseKernel(g *graph.Dense, drop float64) *denseKernel {
-	twoM := uint64(2 * g.M())
-	return &denseKernel{
-		blk:    newRngBlock(),
-		edges:  g.PackedEdges(),
-		twoM:   twoM,
-		thresh: -twoM % twoM,
-		drop:   drop,
-	}
-}
-
-//popcheck:kernel
-func (kn *denseKernel) run(p Protocol, r *xrand.Rand, _, k int64) (int64, bool) {
-	blk := &kn.blk
-	for i := int64(1); i <= k; i++ {
-		hi, lo := bits.Mul64(blk.next(r), kn.twoM)
-		for lo < kn.thresh {
-			hi, lo = bits.Mul64(blk.next(r), kn.twoM)
-		}
-		if kn.drop == 0 || xrand.Float64From(blk.next(r)) >= kn.drop {
-			// Unpack edge hi>>1 as (initiator, responder), reversing the
-			// pair when hi is odd via an XOR mask instead of a branch.
-			e := uint64(kn.edges[hi>>1])
-			eu, ew := e>>32, e&0xffffffff
-			swap := (eu ^ ew) & -(hi & 1)
-			p.Step(int(eu^swap), int(ew^swap))
-		} else {
-			kn.drops++
-		}
-		if p.Stable() {
-			return i, true
-		}
-	}
-	return k, false
-}
-
-func (kn *denseKernel) finish(r *xrand.Rand)  { kn.blk.finish(r) }
-func (kn *denseKernel) sync()                 {}
-func (kn *denseKernel) stats() (int64, int64) { return kn.blk.refills, kn.drops }
-
-// cliqueKernel is the uniform-scheduler loop for the implicit complete
-// graph, mirroring graph.Clique.SampleEdge's two-draw construction of a
-// uniform ordered pair of distinct nodes.
-type cliqueKernel struct {
-	blk      rngBlock
-	n, n1    uint64
-	threshN  uint64
-	threshN1 uint64
-	drop     float64
-	drops    int64
-}
-
-func newCliqueKernel(g graph.Clique, drop float64) *cliqueKernel {
-	n := uint64(g.N())
-	n1 := n - 1
-	return &cliqueKernel{
-		blk:      newRngBlock(),
-		n:        n,
-		n1:       n1,
-		threshN:  -n % n,
-		threshN1: -n1 % n1,
-		drop:     drop,
-	}
-}
-
-//popcheck:kernel
-func (kn *cliqueKernel) run(p Protocol, r *xrand.Rand, _, k int64) (int64, bool) {
-	blk := &kn.blk
-	for i := int64(1); i <= k; i++ {
-		hi, lo := bits.Mul64(blk.next(r), kn.n)
-		for lo < kn.threshN {
-			hi, lo = bits.Mul64(blk.next(r), kn.n)
-		}
-		u := int(hi)
-		hi, lo = bits.Mul64(blk.next(r), kn.n1)
-		for lo < kn.threshN1 {
-			hi, lo = bits.Mul64(blk.next(r), kn.n1)
-		}
-		v := int(hi)
-		if v >= u {
-			v++
-		}
-		if kn.drop == 0 || xrand.Float64From(blk.next(r)) >= kn.drop {
-			p.Step(u, v)
-		} else {
-			kn.drops++
-		}
-		if p.Stable() {
-			return i, true
-		}
-	}
-	return k, false
-}
-
-func (kn *cliqueKernel) finish(r *xrand.Rand)  { kn.blk.finish(r) }
-func (kn *cliqueKernel) sync()                 {}
-func (kn *cliqueKernel) stats() (int64, int64) { return kn.blk.refills, kn.drops }
-
-// weightedKernel is the monomorphized alias-table loop for the Weighted
-// scheduler: per step one Lemire reduction over the m columns (with the
-// hoisted threshold), one prefetched float against the column's
-// acceptance probability, one prefetched parity bit for the
-// orientation coin — the exact draw sequence of xrand.Alias.Sample
-// followed by Rand.Bool, replayed from the block buffer with no method
-// calls on the sampling path.
-type weightedKernel struct {
-	blk    rngBlock
-	pairs  []int64
-	prob   []float64
-	alias  []int32
-	m      uint64
-	thresh uint64
-	drop   float64
-	drops  int64
-}
-
-func newWeightedKernel(s *Weighted, drop float64) *weightedKernel {
-	prob, alias := s.alias.Table()
-	m := uint64(len(prob))
-	return &weightedKernel{
-		blk:    newRngBlock(),
-		pairs:  s.pairs,
-		prob:   prob,
-		alias:  alias,
-		m:      m,
-		thresh: -m % m,
-		drop:   drop,
-	}
-}
-
-//popcheck:kernel
-func (kn *weightedKernel) run(p Protocol, r *xrand.Rand, _, k int64) (int64, bool) {
-	blk := &kn.blk
-	for i := int64(1); i <= k; i++ {
-		hi, lo := bits.Mul64(blk.next(r), kn.m)
-		for lo < kn.thresh {
-			hi, lo = bits.Mul64(blk.next(r), kn.m)
-		}
-		col := int(hi)
-		if xrand.Float64From(blk.next(r)) >= kn.prob[col] {
-			col = int(kn.alias[col])
-		}
-		e := kn.pairs[col]
-		u, w := int(e>>32), int(e&0xffffffff)
-		if blk.next(r)&1 == 1 {
-			u, w = w, u
-		}
-		if kn.drop == 0 || xrand.Float64From(blk.next(r)) >= kn.drop {
-			p.Step(u, w)
-		} else {
-			kn.drops++
-		}
-		if p.Stable() {
-			return i, true
-		}
-	}
-	return k, false
-}
-
-func (kn *weightedKernel) finish(r *xrand.Rand)  { kn.blk.finish(r) }
-func (kn *weightedKernel) sync()                 {}
-func (kn *weightedKernel) stats() (int64, int64) { return kn.blk.refills, kn.drops }
-
-// nodeClockKernel is the specialized loop for the NodeClock scheduler:
-// the degree-proportional initiator comes from the alias table exactly
-// as in weightedKernel, then the responder is a uniform neighbor. The
-// neighbor draw's bound varies per step (the initiator's degree), so it
-// keeps Uintn's guarded rejection form; on CSR graphs the adjacency
-// slice is read directly instead of through two interface calls.
-type nodeClockKernel struct {
-	blk   rngBlock
-	g     graph.Graph
-	dense *graph.Dense // non-nil when g is CSR: neighbor reads skip the interface
-	prob  []float64
-	alias []int32
-	n     uint64
-	tn    uint64
-	drop  float64
-	drops int64
-}
-
-func newNodeClockKernel(s *NodeClock, drop float64) *nodeClockKernel {
-	prob, alias := s.alias.Table()
-	n := uint64(len(prob))
-	kn := &nodeClockKernel{
-		blk:   newRngBlock(),
-		g:     s.g,
-		prob:  prob,
-		alias: alias,
-		n:     n,
-		tn:    -n % n,
-		drop:  drop,
-	}
-	if dg, ok := s.g.(*graph.Dense); ok {
-		kn.dense = dg
-	}
-	return kn
-}
-
-//popcheck:kernel
-func (kn *nodeClockKernel) run(p Protocol, r *xrand.Rand, _, k int64) (int64, bool) {
-	blk := &kn.blk
-	for i := int64(1); i <= k; i++ {
-		hi, lo := bits.Mul64(blk.next(r), kn.n)
-		for lo < kn.tn {
-			hi, lo = bits.Mul64(blk.next(r), kn.n)
-		}
-		col := int(hi)
-		if xrand.Float64From(blk.next(r)) >= kn.prob[col] {
-			col = int(kn.alias[col])
-		}
-		u := col
-		var v int
-		if kn.dense != nil {
-			nb := kn.dense.Neighbors(u)
-			v = int(nb[blk.uintn(r, uint64(len(nb)))])
-		} else {
-			v = kn.g.NeighborAt(u, int(blk.uintn(r, uint64(kn.g.Degree(u))))) //popcheck:ignore hotpath non-CSR fallback; dense path above covers built-in graphs
-		}
-		if kn.drop == 0 || xrand.Float64From(blk.next(r)) >= kn.drop {
-			p.Step(u, v)
-		} else {
-			kn.drops++
-		}
-		if p.Stable() {
-			return i, true
-		}
-	}
-	return k, false
-}
-
-func (kn *nodeClockKernel) finish(r *xrand.Rand)  { kn.blk.finish(r) }
-func (kn *nodeClockKernel) sync()                 {}
-func (kn *nodeClockKernel) stats() (int64, int64) { return kn.blk.refills, kn.drops }
-
 // uintn is xrand.Uintn fed from the block buffer: same guarded Lemire
 // rejection, same accepted draws, for bounds that vary per step.
 //
@@ -385,6 +131,305 @@ func (b *rngBlock) uintn(r *xrand.Rand, n uint64) uint64 {
 		}
 	}
 	return hi
+}
+
+// machine is the protocol half every sampler loop embeds: the block
+// prefetch, the drop coin and its tally, and — when table is set — the
+// fused transition table. A fused run mutates the protocol's state
+// array in place (Tabular.TableStates aliases it), so per-node
+// accessors stay live mid-run; the protocol's own counters are
+// reconciled by sync, which the plan invokes before every observer
+// callback and at the end of the run.
+type machine struct {
+	blk   rngBlock
+	drop  float64
+	drops int64
+
+	table   bool // fixed per run: apply the table instead of Protocol.Step
+	tp      Tabular
+	cells   []uint32
+	states  []uint8
+	k       uint32
+	leaders int
+	gap     int // Σ gapWeight(state) − target; stable iff 0
+}
+
+// bind readies a zero machine, in place inside its freshly allocated
+// kernel, for one run. A non-nil tp (already Reset) is fused: its
+// compiled table and live state array are captured and the counters
+// computed by full scan.
+func (m *machine) bind(drop float64, tp Tabular) {
+	m.blk.k = rngBlockSize
+	m.drop = drop
+	if tp != nil {
+		tab := tp.Table()
+		m.table, m.tp = true, tp
+		m.cells, m.states, m.k = tab.Cells(), tp.TableStates(), uint32(tab.K())
+		m.leaders, m.gap = tab.Counters(m.states)
+	}
+}
+
+// apply is the fused interaction of initiator u and responder v,
+// mirroring core.TransitionTable.Apply byte for byte: two state loads,
+// one cell lookup, two state stores and the two counter deltas.
+//
+//popcheck:kernel
+func (m *machine) apply(u, v int) {
+	s := m.states
+	c := m.cells[uint32(s[u])*m.k+uint32(s[v])]
+	s[u], s[v] = uint8(c>>8), uint8(c)
+	m.leaders += int(c>>16&0xff) - core.TableDeltaBias
+	m.gap += int(c>>24) - core.TableDeltaBias
+}
+
+func (m *machine) finish(r *xrand.Rand)  { m.blk.finish(r) }
+func (m *machine) stats() (int64, int64) { return m.blk.refills, m.drops }
+
+// sync hands the maintained counters back to a fused protocol so
+// Leaders/Stable/etc. are accurate at observer callbacks and after the
+// run.
+func (m *machine) sync() {
+	if m.table {
+		m.tp.ReloadCounters(m.leaders, m.gap)
+	}
+}
+
+// The sampler loops below share one glue per step, after the pair
+// (u, v) is drawn: the drop coin, when enabled, converts the next block
+// value in place — one extra stream position per step, exactly like the
+// reference loop's live Float64 call — then the machine applies the
+// table or dispatches Step, then tests gap == 0 or Stable.
+//
+// The Lemire reductions mirror xrand.Uintn draw for draw. Uintn guards
+// the threshold computation behind the rare lo < n test; since
+// thresh = 2⁶⁴ mod n < n, looping directly on lo < thresh rejects
+// exactly the same draws, and precomputing thresh hoists the 64-bit
+// division out of the hot loop entirely. Bounds that vary per step
+// (node-clock's per-degree draw) keep Uintn's guarded form instead.
+
+// denseKernel is the uniform-scheduler loop for CSR graphs: one
+// block-buffered Lemire reduction over the 2m ordered pairs per step,
+// pair unpacking straight from the raw packed edge array, and the
+// direction swap branch-free (a taken/not-taken branch on the draw's
+// parity would mispredict half the time).
+type denseKernel struct {
+	machine
+	edges  []int64
+	twoM   uint64
+	thresh uint64
+}
+
+func newDenseKernel(g *graph.Dense, drop float64, tp Tabular) *denseKernel {
+	twoM := uint64(2 * g.M())
+	kn := &denseKernel{edges: g.PackedEdges(), twoM: twoM, thresh: -twoM % twoM}
+	kn.bind(drop, tp)
+	return kn
+}
+
+//popcheck:kernel
+func (kn *denseKernel) run(p Protocol, r *xrand.Rand, _, k int64) (int64, bool) {
+	m := &kn.machine
+	for i := int64(1); i <= k; i++ {
+		hi, lo := bits.Mul64(m.blk.next(r), kn.twoM)
+		for lo < kn.thresh {
+			hi, lo = bits.Mul64(m.blk.next(r), kn.twoM)
+		}
+		// Unpack edge hi>>1 as (initiator, responder), reversing the
+		// pair when hi is odd via an XOR mask instead of a branch.
+		e := uint64(kn.edges[hi>>1])
+		eu, ew := e>>32, e&0xffffffff
+		swap := (eu ^ ew) & -(hi & 1)
+		u, v := int(eu^swap), int(ew^swap)
+		if m.drop != 0 && xrand.Float64From(m.blk.next(r)) < m.drop {
+			m.drops++
+		} else if m.table {
+			m.apply(u, v)
+		} else {
+			p.Step(u, v)
+		}
+		if m.table {
+			if m.gap == 0 {
+				return i, true
+			}
+		} else if p.Stable() {
+			return i, true
+		}
+	}
+	return k, false
+}
+
+// cliqueKernel is the uniform-scheduler loop for the implicit complete
+// graph, mirroring graph.Clique.SampleEdge's two-draw construction of a
+// uniform ordered pair of distinct nodes.
+type cliqueKernel struct {
+	machine
+	n, n1    uint64
+	threshN  uint64
+	threshN1 uint64
+}
+
+func newCliqueKernel(g graph.Clique, drop float64, tp Tabular) *cliqueKernel {
+	n := uint64(g.N())
+	n1 := n - 1
+	kn := &cliqueKernel{n: n, n1: n1, threshN: -n % n, threshN1: -n1 % n1}
+	kn.bind(drop, tp)
+	return kn
+}
+
+//popcheck:kernel
+func (kn *cliqueKernel) run(p Protocol, r *xrand.Rand, _, k int64) (int64, bool) {
+	m := &kn.machine
+	for i := int64(1); i <= k; i++ {
+		hi, lo := bits.Mul64(m.blk.next(r), kn.n)
+		for lo < kn.threshN {
+			hi, lo = bits.Mul64(m.blk.next(r), kn.n)
+		}
+		u := int(hi)
+		hi, lo = bits.Mul64(m.blk.next(r), kn.n1)
+		for lo < kn.threshN1 {
+			hi, lo = bits.Mul64(m.blk.next(r), kn.n1)
+		}
+		// Skip over u without a branch: the sign bit of u−v−1 is set
+		// exactly when v >= u, and that comparison is a coin flip.
+		v := int(hi)
+		v += int(uint64(u-v-1) >> 63)
+		if m.drop != 0 && xrand.Float64From(m.blk.next(r)) < m.drop {
+			m.drops++
+		} else if m.table {
+			m.apply(u, v)
+		} else {
+			p.Step(u, v)
+		}
+		if m.table {
+			if m.gap == 0 {
+				return i, true
+			}
+		} else if p.Stable() {
+			return i, true
+		}
+	}
+	return k, false
+}
+
+// weightedKernel is the monomorphized alias-table loop for the Weighted
+// scheduler: per step one Lemire reduction over the m columns (with the
+// hoisted threshold), one prefetched float against the column's
+// acceptance probability, one prefetched parity bit for the
+// orientation coin — the exact draw sequence of xrand.Alias.Sample
+// followed by Rand.Bool, replayed from the block buffer with no method
+// calls on the sampling path.
+type weightedKernel struct {
+	machine
+	pairs  []int64
+	prob   []float64
+	alias  []int32
+	m      uint64
+	thresh uint64
+}
+
+func newWeightedKernel(s *Weighted, drop float64, tp Tabular) *weightedKernel {
+	prob, alias := s.alias.Table()
+	cols := uint64(len(prob))
+	kn := &weightedKernel{pairs: s.pairs, prob: prob, alias: alias, m: cols, thresh: -cols % cols}
+	kn.bind(drop, tp)
+	return kn
+}
+
+//popcheck:kernel
+func (kn *weightedKernel) run(p Protocol, r *xrand.Rand, _, k int64) (int64, bool) {
+	m := &kn.machine
+	for i := int64(1); i <= k; i++ {
+		hi, lo := bits.Mul64(m.blk.next(r), kn.m)
+		for lo < kn.thresh {
+			hi, lo = bits.Mul64(m.blk.next(r), kn.m)
+		}
+		col := int(hi)
+		if xrand.Float64From(m.blk.next(r)) >= kn.prob[col] {
+			col = int(kn.alias[col])
+		}
+		e := kn.pairs[col]
+		u, v := int(e>>32), int(e&0xffffffff)
+		if m.blk.next(r)&1 == 1 {
+			u, v = v, u
+		}
+		if m.drop != 0 && xrand.Float64From(m.blk.next(r)) < m.drop {
+			m.drops++
+		} else if m.table {
+			m.apply(u, v)
+		} else {
+			p.Step(u, v)
+		}
+		if m.table {
+			if m.gap == 0 {
+				return i, true
+			}
+		} else if p.Stable() {
+			return i, true
+		}
+	}
+	return k, false
+}
+
+// nodeClockKernel is the specialized loop for the NodeClock scheduler:
+// the degree-proportional initiator comes from the alias table exactly
+// as in weightedKernel, then the responder is a uniform neighbor. The
+// neighbor draw's bound varies per step (the initiator's degree), so it
+// keeps Uintn's guarded rejection form; on CSR graphs the adjacency
+// slice is read directly instead of through two interface calls.
+type nodeClockKernel struct {
+	machine
+	g     graph.Graph
+	dense *graph.Dense // non-nil when g is CSR: neighbor reads skip the interface
+	prob  []float64
+	alias []int32
+	n     uint64
+	tn    uint64
+}
+
+func newNodeClockKernel(s *NodeClock, drop float64, tp Tabular) *nodeClockKernel {
+	prob, alias := s.alias.Table()
+	n := uint64(len(prob))
+	dense, _ := s.g.(*graph.Dense)
+	kn := &nodeClockKernel{g: s.g, dense: dense, prob: prob, alias: alias, n: n, tn: -n % n}
+	kn.bind(drop, tp)
+	return kn
+}
+
+//popcheck:kernel
+func (kn *nodeClockKernel) run(p Protocol, r *xrand.Rand, _, k int64) (int64, bool) {
+	m := &kn.machine
+	for i := int64(1); i <= k; i++ {
+		hi, lo := bits.Mul64(m.blk.next(r), kn.n)
+		for lo < kn.tn {
+			hi, lo = bits.Mul64(m.blk.next(r), kn.n)
+		}
+		u := int(hi)
+		if xrand.Float64From(m.blk.next(r)) >= kn.prob[u] {
+			u = int(kn.alias[u])
+		}
+		var v int
+		if kn.dense != nil {
+			nb := kn.dense.Neighbors(u)
+			v = int(nb[m.blk.uintn(r, uint64(len(nb)))])
+		} else {
+			v = kn.g.NeighborAt(u, int(m.blk.uintn(r, uint64(kn.g.Degree(u))))) //popcheck:ignore hotpath non-CSR fallback; dense path above covers built-in graphs
+		}
+		if m.drop != 0 && xrand.Float64From(m.blk.next(r)) < m.drop {
+			m.drops++
+		} else if m.table {
+			m.apply(u, v)
+		} else {
+			p.Step(u, v)
+		}
+		if m.table {
+			if m.gap == 0 {
+				return i, true
+			}
+		} else if p.Stable() {
+			return i, true
+		}
+	}
+	return k, false
 }
 
 // sourceKernel is the generic reference loop: any Source (a scheduler's

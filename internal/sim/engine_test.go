@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"popgraph/internal/graph"
@@ -332,6 +333,7 @@ func TestPlanEquivalenceMatrix(t *testing.T) {
 								type variant struct {
 									res   Result
 									r     *xrand.Rand
+									post  xrand.State // generator state right after the run
 									obs   *recordingObserver
 									meter *telemetry.Counters
 								}
@@ -362,7 +364,7 @@ func TestPlanEquivalenceMatrix(t *testing.T) {
 									} else {
 										res = Run(g, p, r, opts)
 									}
-									return variant{res: res, r: r, obs: obs, meter: meter}
+									return variant{res: res, r: r, post: r.Save(), obs: obs, meter: meter}
 								}
 								want := runVariant(true, false, false, false)
 								var wantDraws [16]uint64
@@ -417,11 +419,26 @@ func TestPlanEquivalenceMatrix(t *testing.T) {
 										t.Fatalf("%s: meter counted no drops over %d steps at drop rate %v", name, v.res.Steps, drop)
 									}
 									var runs int64
-									for _, c := range s.KernelDispatch {
+									generic := false
+									for label, c := range s.KernelDispatch {
 										runs += c
+										generic = strings.HasPrefix(label, "generic/")
 									}
 									if runs != 1 || s.ChunksRun == 0 {
 										t.Fatalf("%s: dispatch/chunk accounting off: %+v", name, s)
+									}
+									if generic {
+										continue
+									}
+									// The specialized kernels keep both counters in
+									// the shared machine: drops must match the
+									// reference loop's, and refills must be exactly
+									// the blocks the consumed draws span.
+									if ref := variants[len(variants)-1].meter.Snapshot(); s.DropsApplied != ref.DropsApplied {
+										t.Fatalf("%s: meter counted %d drops, reference plan %d", name, s.DropsApplied, ref.DropsApplied)
+									}
+									if want := (drawsConsumed(t, seed, v.post) + prefetchBlock - 1) / prefetchBlock; s.RNGRefills != want {
+										t.Fatalf("%s: meter counted %d RNG refills, consumed draws span %d blocks", name, s.RNGRefills, want)
 									}
 								}
 								// Snapshot axis: the revived twin replays the
@@ -461,6 +478,25 @@ func TestPlanEquivalenceMatrix(t *testing.T) {
 			}
 		}
 	}
+}
+
+// prefetchBlock is the specialized kernels' RNG refill size (the
+// unexported rngBlockSize).
+const prefetchBlock = 512
+
+// drawsConsumed returns how many Uint64 draws take a fresh generator
+// seeded with seed to state post.
+func drawsConsumed(t *testing.T, seed uint64, post xrand.State) int64 {
+	t.Helper()
+	r := xrand.New(seed)
+	for d := int64(0); d < 1<<26; d++ {
+		if r.Save() == post {
+			return d
+		}
+		r.Uint64()
+	}
+	t.Fatalf("seed %d: post-run generator state not reached within 2^26 draws", seed)
+	return 0
 }
 
 func TestOrderedPairMatchesSampleEdge(t *testing.T) {

@@ -1,11 +1,14 @@
 // Execution plans. Compile validates a run configuration once — graph
 // size, drop rate, scheduler/graph binding — and selects the single
-// fastest kernel (engine.go) for the scheduler × graph shape; ExecPlan
-// then drives that kernel in bounded chunks, placing chunk boundaries
-// exactly on observer ticks. One engine architecture serves every
-// scenario: a weighted-scheduler run with failure injection and an
-// attached observer executes the same monomorphized block-sampling loop
-// as an uninstrumented one, just with shorter chunks.
+// fastest kernel (engine.go) for the scheduler × graph shape: one of the
+// four sampler loops, or the generic Source loop. Each run binds that
+// loop to the protocol machine it shares with the other three (table
+// update for a fusable Tabular protocol, Protocol.Step otherwise);
+// ExecPlan then drives the kernel in bounded chunks, placing chunk
+// boundaries exactly on observer ticks. One engine architecture serves
+// every scenario: a weighted-scheduler run with failure injection and
+// an attached observer executes the same monomorphized block-sampling
+// loop as an uninstrumented one, just with shorter chunks.
 //
 // The chunk length is min(rngBlockSize, steps to the next observer
 // boundary, steps to the cap). Kernels keep their block-prefetch state
@@ -71,15 +74,15 @@ type ExecPlan struct {
 // Engine names the scheduler kernel the plan compiled to —
 // "dense-uniform", "clique-uniform", "weighted", "node-clock" or
 // "generic" — for benchmark reports and logs. The protocol axis is
-// orthogonal: ProtocolEngine reports whether a given protocol fuses
-// into the kernel's table variant.
+// orthogonal: ProtocolEngine reports whether a given protocol's
+// transition table is fused into the kernel's protocol machine.
 func (pl *ExecPlan) Engine() string { return planModeNames[pl.mode] }
 
 // ProtocolEngine reports the protocol dispatch a run of p on this plan
 // selects: "table" when p is Tabular, provides a table, and the plan
-// compiled to a specialized kernel (fused transition-table variant);
-// "step" otherwise (Protocol.Step interface dispatch). Benchmark
-// reports record it per cell.
+// compiled to a specialized kernel (whose machine then applies the
+// table inline); "step" otherwise (Protocol.Step interface dispatch).
+// Benchmark reports record it per cell.
 func (pl *ExecPlan) ProtocolEngine(p Protocol) string {
 	if pl.fusable(p) != nil {
 		return "table"
@@ -87,11 +90,11 @@ func (pl *ExecPlan) ProtocolEngine(p Protocol) string {
 	return "step"
 }
 
-// fusable returns the Tabular view of p when this plan would fuse it
-// into a table kernel, nil otherwise. Fusion needs a specialized
-// scheduler kernel (the generic Source loop keeps interface dispatch),
-// no NoTable override, and a protocol that actually produces a table
-// for its current configuration.
+// fusable returns the Tabular view of p when this plan would fuse its
+// table into the kernel's machine, nil otherwise. Fusion needs a
+// specialized scheduler kernel (the generic Source loop keeps interface
+// dispatch), no NoTable override, and a protocol that actually produces
+// a table for its current configuration.
 func (pl *ExecPlan) fusable(p Protocol) Tabular {
 	if pl.noTable || pl.mode == modeGeneric {
 		return nil
@@ -192,35 +195,29 @@ func Compile(g graph.Graph, opts Options) (*ExecPlan, error) {
 // newKernel instantiates the per-run chunk runner; r is available for
 // scheduler Begin draws, mirroring the pre-plan Source construction
 // point (after Protocol.Reset). p has been Reset, so a Tabular
-// protocol's table and live state array are available; fused kernels
-// are selected here (per run, not per plan) because the protocol axis
-// is a Run argument, not a Compile one. The second return is the
+// protocol's table and live state array are available; fusion is
+// decided here (per run, not per plan) because the protocol axis is a
+// Run argument, not a Compile one. The second return is the
 // dispatch label the flight recorder tallies runs under:
 // "<scheduler-engine>/<protocol-engine>", e.g. "dense-uniform/table".
 func (pl *ExecPlan) newKernel(p Protocol, r *xrand.Rand) (kernel, string) {
-	if tp := pl.fusable(p); tp != nil && len(tp.TableStates()) == pl.g.N() {
-		label := planModeNames[pl.mode] + "/table"
-		switch pl.mode {
-		case modeDenseUniform:
-			return newDenseTableKernel(pl.g.(*graph.Dense), pl.drop, tp), label
-		case modeCliqueUniform:
-			return newCliqueTableKernel(pl.g.(graph.Clique), pl.drop, tp), label
-		case modeWeighted:
-			return newWeightedTableKernel(pl.weighted, pl.drop, tp), label
-		case modeNodeClock:
-			return newNodeClockTableKernel(pl.nodeClock, pl.drop, tp), label
-		}
+	tp := pl.fusable(p)
+	if tp != nil && len(tp.TableStates()) != pl.g.N() {
+		tp = nil
 	}
 	label := planModeNames[pl.mode] + "/step"
+	if tp != nil {
+		label = planModeNames[pl.mode] + "/table"
+	}
 	switch pl.mode {
 	case modeDenseUniform:
-		return newDenseKernel(pl.g.(*graph.Dense), pl.drop), label
+		return newDenseKernel(pl.g.(*graph.Dense), pl.drop, tp), label
 	case modeCliqueUniform:
-		return newCliqueKernel(pl.g.(graph.Clique), pl.drop), label
+		return newCliqueKernel(pl.g.(graph.Clique), pl.drop, tp), label
 	case modeWeighted:
-		return newWeightedKernel(pl.weighted, pl.drop), label
+		return newWeightedKernel(pl.weighted, pl.drop, tp), label
 	case modeNodeClock:
-		return newNodeClockKernel(pl.nodeClock, pl.drop), label
+		return newNodeClockKernel(pl.nodeClock, pl.drop, tp), label
 	}
 	var src Source
 	switch {
@@ -266,7 +263,7 @@ func (pl *ExecPlan) Run(p Protocol, r *xrand.Rand) Result {
 		t += done
 		chunks++
 		if pl.observer != nil && t%pl.every == 0 {
-			// Fused kernels mutate protocol state behind Step's back;
+			// A fused machine mutates protocol state behind Step's back;
 			// reconcile counters so the observer sees live Leaders/Stable.
 			kern.sync()
 			pl.observer.Observe(t)

@@ -11,13 +11,15 @@
 // churn (see scheduler.go) — for scenario diversity experiments.
 //
 // Every run executes through a compiled execution plan (see plan.go):
-// Compile validates the configuration and selects a type-specialized
-// block-sampling kernel (engine.go) for the scheduler × graph shape —
-// uniform on the concrete graph types, weighted alias-table, node-clock
-// — with drop-rate injection folded into the fast loops and observers
-// handled by chunk boundaries. Specialized kernels consume the identical
-// random stream as the generic Source-driven reference loop, so results
-// are byte-identical whichever kernel a plan picks.
+// Compile validates the configuration and selects one of four
+// block-sampling sampler loops (engine.go) for the scheduler × graph
+// shape — uniform on the concrete graph types, weighted alias-table,
+// node-clock — with drop-rate injection folded into the loops and
+// observers handled by chunk boundaries. The four loops share one
+// protocol machine, which applies a Tabular protocol's transition table
+// inline or dispatches Protocol.Step. Specialized kernels consume the
+// identical random stream as the generic Source-driven reference loop,
+// so results are byte-identical whichever kernel a plan picks.
 package sim
 
 import (
@@ -43,6 +45,10 @@ type Protocol interface {
 	// the given graph. Protocols may precompute graph-derived parameters.
 	Reset(g graph.Graph, r *xrand.Rand)
 	// Step applies one interaction with initiator u and responder v.
+	// Step must not draw from the generator passed to Reset: the
+	// specialized kernels prefetch that generator's stream in blocks,
+	// so a draw inside Step would desynchronize every kernel from the
+	// reference loop.
 	Step(u, v int)
 	// Output returns node v's current output.
 	Output(v int) core.Role
@@ -58,11 +64,11 @@ type Protocol interface {
 // compiled core.TransitionTable — the constant-state regime of the
 // space-efficiency line of work (the six-state baseline of Theorem 16,
 // the star protocol, four-state majority). Execution plans fuse Tabular
-// protocols into the specialized scheduler kernels: the interaction hot
-// loop becomes two byte loads, one table lookup, two byte stores and a
-// counter-delta add, with no Protocol interface calls (see engine.go).
-// Protocols whose state space grows with n (identifier, fast) simply
-// don't implement it and keep the Step-dispatch kernels.
+// protocols into the protocol machine the specialized sampler loops
+// share: the interaction becomes two byte loads, one table lookup, two
+// byte stores and a counter-delta add, with no Protocol interface calls
+// (see engine.go). Protocols whose state space grows with n
+// (identifier, fast) simply don't implement it and keep Step dispatch.
 //
 // Implementations generate the table from their own hand-written Step
 // logic (typically by probing Step over all state pairs), so the
