@@ -108,8 +108,8 @@ func BenchmarkEngineThroughput(b *testing.B) {
 
 // BenchmarkEngine compares the full engine per interaction — scheduler
 // sampling + protocol step + stability check — between the
-// type-specialized block-sampling loops and the generic EdgeSampler loop
-// (forced via Options.Sampler) on each concrete graph representation.
+// type-specialized block-sampling loops and the generic reference loop
+// (forced via Options.Reference) on each concrete graph representation.
 // ns/op is ns per interaction. Runs that stabilize before b.N steps are
 // restarted, so every op is a real interaction.
 func BenchmarkEngine(b *testing.B) {
@@ -124,10 +124,7 @@ func BenchmarkEngine(b *testing.B) {
 	for _, c := range cases {
 		for _, engine := range []string{"specialized", "generic"} {
 			b.Run(c.name+"/"+engine, func(b *testing.B) {
-				opts := popgraph.Options{}
-				if engine == "generic" {
-					opts.Sampler = c.g
-				}
+				opts := popgraph.Options{Reference: engine == "generic"}
 				r := popgraph.NewRand(1)
 				for done := int64(0); done < int64(b.N); {
 					opts.MaxSteps = int64(b.N) - done

@@ -6,7 +6,7 @@
 //
 // For a snapshot-loaded graph (-graph file:PATH.popg) it first prints
 // the container itself — header, section table with checksums, stored
-// artifact names — before the usual graph statistics; -verify also
+// weight-set names — before the usual graph statistics; -verify also
 // runs the deep O(m) content check the encoder performed at write time
 // (loaders skip it by design, trusting the checksums). -out PATH.popg
 // snapshots any graph spec instead of analyzing it, a lightweight
@@ -145,8 +145,8 @@ func printSnapshot(path string) error {
 }
 
 // writeSnapshot builds the graph spec and writes it as a snapshot —
-// the minimal preprocess path (no weights or tables; use cmd/preprocess
-// to embed those).
+// the minimal preprocess path (no weight sets; use cmd/preprocess to
+// embed those).
 func writeSnapshot(spec string, seed uint64, out string) error {
 	r := popgraph.NewRand(seed)
 	g, err := popgraph.ParseGraph(spec, r)

@@ -7,13 +7,13 @@
 // Usage:
 //
 //	preprocess -graph ws:1000000:10:0.1 -seed 1 -out ws1m.popg
-//	preprocess -graph ba:100000:4 -out ba.popg -weights exp,degprod -tables six-state,star
+//	preprocess -graph ba:100000:4 -out ba.popg -weights exp,degprod
 //	preprocess -graph ws:4096:8:0.2 -sweep-seed 42 -sweep-index 0 -out cell0.popg
 //
 // -weights embeds named per-edge rate vectors with prebuilt alias
-// tables, consumed by the weighted:snap[:NAME] scheduler spec. -tables
-// embeds compiled transition tables for the named constant-state
-// protocols, consumed transparently by ProtocolFactory.
+// tables, consumed by the weighted:snap[:NAME] scheduler spec.
+// Transition tables are not stored: each constant-state protocol builds
+// its table once per process.
 //
 // -sweep-seed/-sweep-index derive the graph construction seed exactly
 // as cmd/sweep does for the i-th expanded graph spec of a grid seeded
@@ -31,8 +31,6 @@ import (
 	"time"
 
 	"popgraph"
-	"popgraph/internal/protocols/beauquier"
-	"popgraph/internal/protocols/star"
 	"popgraph/internal/snapshot"
 	"popgraph/internal/sweep"
 )
@@ -43,13 +41,12 @@ func main() {
 		seed       = flag.Uint64("seed", 1, "graph construction seed")
 		out        = flag.String("out", "", "output snapshot path, conventionally .popg (required)")
 		weights    = flag.String("weights", "", "comma-separated weight sets to embed: exp, degprod")
-		tables     = flag.String("tables", "", "comma-separated protocol tables to embed: six-state, star")
 		sweepSeed  = flag.Uint64("sweep-seed", 0, "derive the construction seed as a sweep with this -seed would")
 		sweepIndex = flag.Int("sweep-index", 0, "expanded graph-spec index within that sweep (with -sweep-seed)")
 		quiet      = flag.Bool("q", false, "suppress progress output")
 	)
 	flag.Parse()
-	if err := run(*graphSpec, *seed, *out, *weights, *tables, *sweepSeed, *sweepIndex, *quiet,
+	if err := run(*graphSpec, *seed, *out, *weights, *sweepSeed, *sweepIndex, *quiet,
 		flagWasSet("sweep-seed")); err != nil {
 		fmt.Fprintln(os.Stderr, "preprocess:", err)
 		os.Exit(1)
@@ -68,7 +65,7 @@ func flagWasSet(name string) bool {
 	return set
 }
 
-func run(graphSpec string, seed uint64, out, weightList, tableList string,
+func run(graphSpec string, seed uint64, out, weightList string,
 	sweepSeed uint64, sweepIndex int, quiet, useSweepSeed bool) error {
 	if graphSpec == "" {
 		return fmt.Errorf("-graph is required")
@@ -103,11 +100,6 @@ func run(graphSpec string, seed uint64, out, weightList, tableList string,
 			return err
 		}
 	}
-	for _, name := range splitList(tableList) {
-		if err := addTable(snap, name); err != nil {
-			return err
-		}
-	}
 
 	encodeStart := time.Now()
 	if err := snapshot.WriteFile(out, snap); err != nil {
@@ -127,9 +119,6 @@ func run(graphSpec string, seed uint64, out, weightList, tableList string,
 	fmt.Printf("encode   %v -> %s (%d bytes)\n", encodeNs, out, st.Size())
 	for _, w := range snap.Weights {
 		fmt.Printf("weights  %s (%d rates + alias)\n", w.Name, len(w.Rates))
-	}
-	for _, t := range snap.Tables {
-		fmt.Printf("table    %s (%d states)\n", t.Name, t.Table.K())
 	}
 	fmt.Printf("run with -graphs file:%s (or mmap:%s)\n", out, out)
 	return nil
@@ -167,20 +156,4 @@ func addWeights(snap *snapshot.Snapshot, model string, r *popgraph.Rand) error {
 		return fmt.Errorf("unknown weight model %q (want exp | degprod)", model)
 	}
 	return snap.AddWeights(model, rates)
-}
-
-// addTable embeds one compiled transition table, stored under the
-// protocol instance name ProtocolFactory looks up ("six-state",
-// "star-trivial"). Only input-independent tables are eligible;
-// majority's table depends on the input margin's sign.
-func addTable(snap *snapshot.Snapshot, name string) error {
-	switch name {
-	case "six-state", "sixstate", "six":
-		p := beauquier.New()
-		return snap.AddTable(p.Name(), p.Table())
-	case "star", "star-trivial":
-		p := star.New()
-		return snap.AddTable(p.Name(), p.Table())
-	}
-	return fmt.Errorf("unknown table %q (want six-state | star)", name)
 }

@@ -123,54 +123,6 @@ func tableErrorf(format string, args ...interface{}) error {
 	return fmt.Errorf("core: transition table: "+format, args...)
 }
 
-// TableFromParts reconstructs a compiled table from its serialized
-// parts — the inverse of the accessors K/Cells/Role/GapWeight/
-// GapTarget, used to revive a table stored in a binary snapshot. The
-// slices are adopted, not copied.
-//
-// Validation is total: beyond shape and range checks, every cell's
-// packed counter-delta lanes are recomputed from the successor states
-// and the role/gap weights and must match the stored bytes exactly
-// (k² ≤ 4096 cells, so the cross-check is trivially cheap). A table
-// that passes is indistinguishable from one NewTransitionTable built
-// over the same transition function.
-func TableFromParts(k int, cells []uint32, roles []Role, gapW []int, gapTarget int) (*TransitionTable, error) {
-	if k < 1 || k > MaxTableStates {
-		return nil, tableErrorf("state count %d outside [1, %d]", k, MaxTableStates)
-	}
-	if len(cells) != k*k {
-		return nil, tableErrorf("%d cells for %d states, want %d", len(cells), k, k*k)
-	}
-	if len(roles) != k || len(gapW) != k {
-		return nil, tableErrorf("%d roles and %d gap weights for %d states", len(roles), len(gapW), k)
-	}
-	leadW := make([]int, k)
-	for s, r := range roles {
-		if r != Leader && r != Follower {
-			return nil, tableErrorf("state %d has invalid role %v", s, r)
-		}
-		if r == Leader {
-			leadW[s] = 1
-		}
-	}
-	for a := 0; a < k; a++ {
-		for b := 0; b < k; b++ {
-			c := cells[a*k+b]
-			na, nb := int(c>>8&0xff), int(c&0xff)
-			if na >= k || nb >= k {
-				return nil, tableErrorf("cell (%d,%d) -> (%d,%d) leaves the %d-state space", a, b, na, nb, k)
-			}
-			dLead := leadW[na] + leadW[nb] - leadW[a] - leadW[b]
-			dGap := gapW[na] + gapW[nb] - gapW[a] - gapW[b]
-			if c>>16&0xff != uint32(dLead+TableDeltaBias) || c>>24 != uint32(dGap+TableDeltaBias) {
-				return nil, tableErrorf("cell (%d,%d) carries counter deltas (%d,%d), weights imply (%d,%d)",
-					a, b, int(c>>16&0xff)-TableDeltaBias, int(c>>24)-TableDeltaBias, dLead, dGap)
-			}
-		}
-	}
-	return &TransitionTable{k: k, cells: cells, roles: roles, gapW: gapW, gapTarget: gapTarget}, nil
-}
-
 // K returns the number of states.
 func (t *TransitionTable) K() int { return t.k }
 
@@ -180,12 +132,6 @@ func (t *TransitionTable) Cells() []uint32 { return t.cells }
 
 // Role returns state s's output role.
 func (t *TransitionTable) Role(s uint8) Role { return t.roles[s] }
-
-// GapWeight returns state s's stability weight.
-func (t *TransitionTable) GapWeight(s uint8) int { return t.gapW[s] }
-
-// GapTarget returns the stability functional's target value.
-func (t *TransitionTable) GapTarget() int { return t.gapTarget }
 
 // Next decodes the successor pair of (initiator a, responder b).
 func (t *TransitionTable) Next(a, b uint8) (uint8, uint8) {

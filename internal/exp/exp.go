@@ -3,8 +3,12 @@
 // paper-vs-measured experiment (E1–E20, indexed in DESIGN.md). Each
 // experiment prints one or more tables; cmd/experiments is the CLI driver
 // and bench_test.go wraps each experiment in a testing.B benchmark.
-// All trial execution flows through internal/runner, so experiments are
-// parallel across CPUs yet deterministic for a fixed Config.Seed.
+// Repeated trials run through internal/runner, so experiments are
+// parallel across CPUs yet deterministic for a fixed Config.Seed. Two
+// experiments drive a protocol without the runner because they are not
+// repeated simulation runs: E10 steps a protocol by hand until its
+// identifiers settle, and E13 makes one observed run to sample state
+// densities.
 package exp
 
 import (

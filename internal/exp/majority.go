@@ -13,11 +13,8 @@ import (
 
 	"popgraph/internal/graph"
 	"popgraph/internal/protocols/majority"
-	"popgraph/internal/runner"
 	"popgraph/internal/sim"
-	"popgraph/internal/stats"
 	"popgraph/internal/table"
-	"popgraph/internal/xrand"
 )
 
 func init() {
@@ -37,23 +34,17 @@ func init() {
 						if 2*ones == n || ones >= n {
 							continue
 						}
-						xs := make([]float64, 0, nTrials)
-						for i := 0; i < nTrials; i++ {
-							in := make([]bool, n)
-							for j := 0; j < ones; j++ {
-								in[j] = true
-							}
-							p := majority.New(in)
-							r := xrand.New(runner.SeedFor(cfg.Seed+uint64(n), i))
-							res := sim.Run(g, p, r, sim.Options{})
-							if !res.Stabilized {
-								return fmt.Errorf("majority did not stabilize on %s", g.Name())
-							}
-							xs = append(xs, float64(res.Steps))
+						in := make([]bool, n)
+						for j := 0; j < ones; j++ {
+							in[j] = true
 						}
-						s := stats.Summarize(xs)
+						m := MeasureSteps(g, func() sim.Protocol { return majority.New(in) },
+							cfg.Seed+uint64(n), nTrials, 0)
+						if m.Stabilized != m.Trials {
+							return fmt.Errorf("majority did not stabilize on %s", g.Name())
+						}
 						shape := gs.h * float64(n) * math.Log2(float64(n))
-						t.AddRow(g.Name(), n, margin, s.Mean, s.CI95(), s.Mean/shape)
+						t.AddRow(g.Name(), n, margin, m.Steps.Mean, m.Steps.CI95(), m.Steps.Mean/shape)
 					}
 				}
 			}

@@ -341,7 +341,7 @@ func (g *Dense) SampleEdge(r *xrand.Rand) (int, int) {
 // OrderedPair maps t, uniform in [0, 2·M()), to the ordered adjacent pair
 // SampleEdge would return for that draw: undirected edge t>>1, reversed
 // when t is odd. The simulator's specialized hot loop reduces its own
-// randomness and calls this directly, bypassing the EdgeSampler interface.
+// randomness and calls this directly, bypassing the Graph interface.
 func (g *Dense) OrderedPair(t uint64) (int, int) {
 	e := g.edges[t>>1]
 	u, w := int(e>>32), int(e&0xffffffff)

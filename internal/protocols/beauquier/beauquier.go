@@ -15,9 +15,10 @@
 // via Sudo et al. 2021).
 //
 // The protocol is sim.Tabular: its six states fit a compiled
-// core.TransitionTable, generated from Step itself (a two-node probe per
-// state pair), so execution plans fuse it into the table kernels while
-// the hand-written transition stays the single source of truth.
+// core.TransitionTable, generated once per process from Step itself (a
+// two-node probe per state pair), so execution plans fuse it into the
+// table kernels while the hand-written transition stays the single
+// source of truth.
 package beauquier
 
 import (
@@ -36,7 +37,6 @@ type Protocol struct {
 	candidates []int // nil means "all nodes are candidates"
 	states     []uint8
 	counts     core.TokenCounts
-	table      *core.TransitionTable
 }
 
 var _ sim.Tabular = (*Protocol)(nil)
@@ -115,49 +115,37 @@ func (p *Protocol) Counts() core.TokenCounts { return p.counts }
 // State exposes node v's raw state for tests and instrumentation.
 func (p *Protocol) State(v int) core.TokenState { return core.TokenState(p.states[v]) }
 
-// Table implements sim.Tabular. The six persistent states are the
-// core.TokenState byte values 0..5; the stability functional is
-// #black + #white − 1, which is zero exactly on stable configurations
-// by the invariant #black >= 1. The table is generated by probing Step
-// itself over every state pair, so the hand-written transition remains
-// the single source of truth.
-func (p *Protocol) Table() *core.TransitionTable {
-	if p.table == nil {
-		tab, err := core.NewTransitionTable(6,
-			func(a, b uint8) (uint8, uint8) {
-				probe := &Protocol{states: []uint8{a, b}}
-				probe.Step(0, 1)
-				return probe.states[0], probe.states[1]
-			},
-			func(s uint8) core.Role { return core.TokenState(s).Role() },
-			func(s uint8) int {
-				if tok := core.TokenState(s).Token(); tok == core.TokenBlack || tok == core.TokenWhite {
-					return 1
-				}
-				return 0
-			},
-			1)
-		if err != nil {
-			panic("beauquier: " + err.Error())
-		}
-		p.table = tab
+// table is the compiled six-state machine. A table belongs to the
+// protocol, not to an instance or a graph, so it is built once per
+// process. The six persistent states are the core.TokenState byte
+// values 0..5; the stability functional is #black + #white − 1, which
+// is zero exactly on stable configurations by the invariant
+// #black >= 1. The table is generated by probing Step itself over
+// every state pair, so the hand-written transition remains the single
+// source of truth.
+var table = func() *core.TransitionTable {
+	tab, err := core.NewTransitionTable(6,
+		func(a, b uint8) (uint8, uint8) {
+			probe := &Protocol{states: []uint8{a, b}}
+			probe.Step(0, 1)
+			return probe.states[0], probe.states[1]
+		},
+		func(s uint8) core.Role { return core.TokenState(s).Role() },
+		func(s uint8) int {
+			if tok := core.TokenState(s).Token(); tok == core.TokenBlack || tok == core.TokenWhite {
+				return 1
+			}
+			return 0
+		},
+		1)
+	if err != nil {
+		panic("beauquier: " + err.Error())
 	}
-	return p.table
-}
+	return tab
+}()
 
-// UseTable installs a previously compiled transition table (revived
-// from a binary snapshot) so Table returns it without re-probing Step.
-// Only the state count is checked here: a table that cleared
-// core.TableFromParts is internally consistent, and the probe-built
-// table is deterministic, so a table an encoder obtained from Table()
-// is the one Table() would rebuild.
-func (p *Protocol) UseTable(t *core.TransitionTable) error {
-	if t == nil || t.K() != 6 {
-		return fmt.Errorf("beauquier: preloaded table must have 6 states")
-	}
-	p.table = t
-	return nil
-}
+// Table implements sim.Tabular: the process-wide six-state table.
+func (p *Protocol) Table() *core.TransitionTable { return table }
 
 // TableStates implements sim.Tabular: the live state bytes, aliased.
 func (p *Protocol) TableStates() []uint8 { return p.states }

@@ -199,3 +199,15 @@ func TestStabilityIsPermanent(t *testing.T) {
 		t.Fatal("leader count changed after stability")
 	}
 }
+
+// TestTableIsProcessWide pins that the table belongs to the protocol:
+// every instance, whatever its candidate input, returns the one table
+// built at init, and asking for it allocates nothing.
+func TestTableIsProcessWide(t *testing.T) {
+	if a, b := New().Table(), NewWithCandidates([]int{0}).Table(); a == nil || a != b {
+		t.Fatalf("instances return tables %p and %p, want one shared table", a, b)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = New().Table() }); allocs != 0 {
+		t.Fatalf("New().Table() allocates %v times, want 0", allocs)
+	}
+}

@@ -29,7 +29,8 @@
 // usually −1, majority being a many-winners problem). Its four states
 // also make it sim.Tabular: the transition table, generated from Step
 // itself, depends on the input's majority sign (the stability functional
-// counts the losing side's nodes), so it is compiled per input set.
+// counts the losing side's nodes), so there are two tables, each built
+// once per process, and New picks one by the sign of the input margin.
 package majority
 
 import (
@@ -54,10 +55,10 @@ const (
 // Protocol is the 4-state exact majority protocol.
 type Protocol struct {
 	inputs []bool // initial opinions, fixed at New
+	margin int    // #ones − #zeros of inputs
 	states []uint8
 
 	counts [4]int
-	table  *core.TransitionTable
 }
 
 var _ sim.Tabular = (*Protocol)(nil)
@@ -65,7 +66,15 @@ var _ sim.Tabular = (*Protocol)(nil)
 // New returns the protocol with the given initial opinions (length must
 // equal the graph size at Reset; must not be a tie).
 func New(inputs []bool) *Protocol {
-	return &Protocol{inputs: append([]bool(nil), inputs...)}
+	margin := 0
+	for _, b := range inputs {
+		if b {
+			margin++
+		} else {
+			margin--
+		}
+	}
+	return &Protocol{inputs: append([]bool(nil), inputs...), margin: margin}
 }
 
 // Name identifies the protocol.
@@ -74,24 +83,13 @@ func (p *Protocol) Name() string { return "four-state-majority" }
 // StateCount returns 4.
 func (p *Protocol) StateCount(int) float64 { return 4 }
 
-// margin returns #ones − #zeros of the input opinions.
-func (p *Protocol) margin() int {
-	ones := 0
-	for _, b := range p.inputs {
-		if b {
-			ones++
-		}
-	}
-	return 2*ones - len(p.inputs)
-}
-
 // Reset initializes every node to a strong copy of its input opinion.
 func (p *Protocol) Reset(g graph.Graph, _ *xrand.Rand) {
 	n := g.N()
 	if len(p.inputs) != n {
 		panic(fmt.Sprintf("majority: %d inputs for %d nodes", len(p.inputs), n))
 	}
-	if p.margin() == 0 {
+	if p.margin == 0 {
 		panic("majority: tie inputs never stabilize; supply a strict majority")
 	}
 	p.states = make([]uint8, n)
@@ -180,50 +178,55 @@ func (p *Protocol) Stable() bool {
 	return (zeros == 0 && p.counts[strong1] > 0) || (ones == 0 && p.counts[strong0] > 0)
 }
 
-// Table implements sim.Tabular. The stability functional counts the
-// losing side's nodes (weak and strong) with target 0: the conserved
-// strong difference keeps the winning side's strong count positive, so
-// "no loser left" is exactly Stable() on every reachable configuration.
-// The sign, and hence the table, is fixed by the inputs; tie inputs
-// return nil (Reset rejects them anyway). Generated by probing Step
-// over every state pair.
-func (p *Protocol) Table() *core.TransitionTable {
-	d := p.margin()
-	if d == 0 {
-		return nil
-	}
-	if p.table == nil {
-		losing := func(s uint8) bool {
-			if d > 0 {
-				return s == weak0 || s == strong0
+// onesWin and zerosWin are the compiled machines for a positive and a
+// negative input margin, each built once per process.
+var (
+	onesWin  = buildTable(func(s uint8) bool { return s == weak0 || s == strong0 })
+	zerosWin = buildTable(func(s uint8) bool { return s == weak1 || s == strong1 })
+)
+
+// buildTable compiles the four-state machine by probing Step over every
+// state pair. The stability functional counts the losing side's nodes
+// (weak and strong) with target 0: the conserved strong difference
+// keeps the winning side's strong count positive, so "no loser left"
+// is exactly Stable() on every reachable configuration.
+func buildTable(losing func(s uint8) bool) *core.TransitionTable {
+	tab, err := core.NewTransitionTable(4,
+		func(a, b uint8) (uint8, uint8) {
+			probe := &Protocol{states: []uint8{a, b}}
+			probe.Step(0, 1)
+			return probe.states[0], probe.states[1]
+		},
+		func(s uint8) core.Role {
+			if s == weak1 || s == strong1 {
+				return core.Leader
 			}
-			return s == weak1 || s == strong1
-		}
-		tab, err := core.NewTransitionTable(4,
-			func(a, b uint8) (uint8, uint8) {
-				probe := &Protocol{states: []uint8{a, b}}
-				probe.Step(0, 1)
-				return probe.states[0], probe.states[1]
-			},
-			func(s uint8) core.Role {
-				if s == weak1 || s == strong1 {
-					return core.Leader
-				}
-				return core.Follower
-			},
-			func(s uint8) int {
-				if losing(s) {
-					return 1
-				}
-				return 0
-			},
-			0)
-		if err != nil {
-			panic("majority: " + err.Error())
-		}
-		p.table = tab
+			return core.Follower
+		},
+		func(s uint8) int {
+			if losing(s) {
+				return 1
+			}
+			return 0
+		},
+		0)
+	if err != nil {
+		panic("majority: " + err.Error())
 	}
-	return p.table
+	return tab
+}
+
+// Table implements sim.Tabular: the process-wide table for the input
+// margin's sign, fixed at New. Tie inputs return nil (Reset rejects
+// them anyway).
+func (p *Protocol) Table() *core.TransitionTable {
+	switch {
+	case p.margin > 0:
+		return onesWin
+	case p.margin < 0:
+		return zerosWin
+	}
+	return nil
 }
 
 // TableStates implements sim.Tabular: the live state bytes, aliased.

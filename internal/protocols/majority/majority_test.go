@@ -225,3 +225,26 @@ func TestTableMatchesStep(t *testing.T) {
 		t.Fatal("tie inputs must not compile a table")
 	}
 }
+
+// TestTableIsPerSign pins that the tables belong to the protocol: one
+// per input-margin sign, shared by every instance of that sign, and
+// picking one costs nothing beyond New's copy of the inputs.
+func TestTableIsPerSign(t *testing.T) {
+	onesA, onesB := New(inputsWithOnes(5, 3)).Table(), New(inputsWithOnes(9, 8)).Table()
+	zeros := New(inputsWithOnes(5, 1)).Table()
+	if onesA == nil || onesA != onesB {
+		t.Fatalf("majority-1 instances return tables %p and %p, want one shared table", onesA, onesB)
+	}
+	if zeros == nil || zeros == onesA {
+		t.Fatalf("majority-0 table %p, want a second table distinct from %p", zeros, onesA)
+	}
+	if New(inputsWithOnes(6, 3)).Table() != nil {
+		t.Fatal("tie inputs must not have a table")
+	}
+	inputs := inputsWithOnes(5, 3)
+	base := testing.AllocsPerRun(100, func() { _ = New(inputs) })
+	withTable := testing.AllocsPerRun(100, func() { _ = New(inputs).Table() })
+	if withTable != base {
+		t.Fatalf("New(inputs).Table() allocates %v times, New(inputs) alone %v: Table must add none", withTable, base)
+	}
+}

@@ -11,7 +11,8 @@
 //
 // The protocol is only correct on stars; Reset rejects other graphs. Its
 // three states make it sim.Tabular: the compiled transition table is
-// generated from Step itself, so plans fuse it into the table kernels.
+// generated once per process from Step itself, so plans fuse it into
+// the table kernels.
 package star
 
 import (
@@ -36,7 +37,6 @@ const (
 type Protocol struct {
 	states  []uint8
 	leaders int
-	table   *core.TransitionTable
 }
 
 var _ sim.Tabular = (*Protocol)(nil)
@@ -110,47 +110,38 @@ func (p *Protocol) Leaders() int { return p.leaders }
 // the center was decided, after which no interaction changes any output.
 func (p *Protocol) Stable() bool { return p.leaders == 1 }
 
-// Table implements sim.Tabular. The stability functional is the leader
-// count itself with target 1 — on stars leaders only ever reaches one.
-// Generated by probing Step over every state pair.
-func (p *Protocol) Table() *core.TransitionTable {
-	if p.table == nil {
-		tab, err := core.NewTransitionTable(3,
-			func(a, b uint8) (uint8, uint8) {
-				probe := &Protocol{states: []uint8{a, b}}
-				probe.Step(0, 1)
-				return probe.states[0], probe.states[1]
-			},
-			func(s uint8) core.Role {
-				if s == leader {
-					return core.Leader
-				}
-				return core.Follower
-			},
-			func(s uint8) int {
-				if s == leader {
-					return 1
-				}
-				return 0
-			},
-			1)
-		if err != nil {
-			panic("star: " + err.Error())
-		}
-		p.table = tab
+// table is the compiled star machine, built once per process by
+// probing Step over every state pair. The stability functional is the
+// leader count itself with target 1 — on stars leaders only ever
+// reaches one.
+var table = func() *core.TransitionTable {
+	tab, err := core.NewTransitionTable(3,
+		func(a, b uint8) (uint8, uint8) {
+			probe := &Protocol{states: []uint8{a, b}}
+			probe.Step(0, 1)
+			return probe.states[0], probe.states[1]
+		},
+		func(s uint8) core.Role {
+			if s == leader {
+				return core.Leader
+			}
+			return core.Follower
+		},
+		func(s uint8) int {
+			if s == leader {
+				return 1
+			}
+			return 0
+		},
+		1)
+	if err != nil {
+		panic("star: " + err.Error())
 	}
-	return p.table
-}
+	return tab
+}()
 
-// UseTable installs a previously compiled transition table (revived
-// from a binary snapshot) so Table returns it without re-probing Step.
-func (p *Protocol) UseTable(t *core.TransitionTable) error {
-	if t == nil || t.K() != 3 {
-		return fmt.Errorf("star: preloaded table must have 3 states")
-	}
-	p.table = t
-	return nil
-}
+// Table implements sim.Tabular: the process-wide star table.
+func (p *Protocol) Table() *core.TransitionTable { return table }
 
 // TableStates implements sim.Tabular: the live state bytes, aliased.
 func (p *Protocol) TableStates() []uint8 { return p.states }

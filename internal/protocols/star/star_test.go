@@ -29,7 +29,7 @@ func TestLeaderIsEndpointOfFirstInteraction(t *testing.T) {
 	g := graph.Star(8)
 	p := New()
 	res := sim.Run(g, p, xrand.New(4), sim.Options{
-		Sampler: &sim.ScriptedSampler{Pairs: [][2]int{{3, 0}}},
+		Scheduler: &sim.ScriptedSampler{Pairs: [][2]int{{3, 0}}},
 	})
 	if !res.Stabilized || res.Leader != 3 {
 		t.Fatalf("result %+v, want initiator 3 as leader", res)
@@ -143,5 +143,16 @@ func TestTableMatchesStep(t *testing.T) {
 		if _, gap := tab.Counters(c.states); (gap == 0) != c.stable {
 			t.Fatalf("%v: gap %d, want stable=%v", c.states, gap, c.stable)
 		}
+	}
+}
+
+// TestTableIsProcessWide pins that every instance returns the one table
+// built at init, and that asking for it allocates nothing.
+func TestTableIsProcessWide(t *testing.T) {
+	if a, b := New().Table(), New().Table(); a == nil || a != b {
+		t.Fatalf("instances return tables %p and %p, want one shared table", a, b)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = New().Table() }); allocs != 0 {
+		t.Fatalf("New().Table() allocates %v times, want 0", allocs)
 	}
 }

@@ -70,8 +70,8 @@ func TestScriptedSamplerThroughRunner(t *testing.T) {
 		New:   func() sim.Protocol { return star.New() },
 		Seed:  1,
 		Opts: sim.Options{
-			Sampler:  &sim.ScriptedSampler{Pairs: [][2]int{{0, 3}}},
-			MaxSteps: 1,
+			Scheduler: &sim.ScriptedSampler{Pairs: [][2]int{{0, 3}}},
+			MaxSteps:  1,
 		},
 	}}
 	out := Run(jobs)

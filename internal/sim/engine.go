@@ -315,7 +315,7 @@ func (kn *cliqueKernel) run(p Protocol, r *xrand.Rand, _, k int64) (int64, bool)
 // scheduler: per step one Lemire reduction over the m columns (with the
 // hoisted threshold), one prefetched float against the column's
 // acceptance probability, one prefetched parity bit for the
-// orientation coin — the exact draw sequence of xrand.Alias.Sample
+// orientation coin (applied as a branch-free XOR swap) — the exact draw sequence of xrand.Alias.Sample
 // followed by Rand.Bool, replayed from the block buffer with no method
 // calls on the sampling path.
 type weightedKernel struct {
@@ -347,11 +347,13 @@ func (kn *weightedKernel) run(p Protocol, r *xrand.Rand, _, k int64) (int64, boo
 		if xrand.Float64From(m.blk.next(r)) >= kn.prob[col] {
 			col = int(kn.alias[col])
 		}
-		e := kn.pairs[col]
-		u, v := int(e>>32), int(e&0xffffffff)
-		if m.blk.next(r)&1 == 1 {
-			u, v = v, u
-		}
+		// Orient the pair by the next draw's parity, branch-free as in
+		// denseKernel: the coin is a fair flip, so a branch on it would
+		// mispredict half the time.
+		e := uint64(kn.pairs[col])
+		eu, ew := e>>32, e&0xffffffff
+		swap := (eu ^ ew) & -(m.blk.next(r) & 1)
+		u, v := int(eu^swap), int(ew^swap)
 		if m.drop != 0 && xrand.Float64From(m.blk.next(r)) < m.drop {
 			m.drops++
 		} else if m.table {
@@ -433,8 +435,8 @@ func (kn *nodeClockKernel) run(p Protocol, r *xrand.Rand, _, k int64) (int64, bo
 }
 
 // sourceKernel is the generic reference loop: any Source (a scheduler's
-// per-run stream, a graph's SampleEdge via samplerSource, or a test's
-// scripted sampler) driven one interface call per step with live
+// per-run stream, a test's scripted sampler included, or a graph's
+// SampleEdge via samplerSource) driven one interface call per step with live
 // generator draws. Every specialized kernel above is defined to be
 // byte-identical to this one; it is also the only kernel for schedulers
 // with per-run mutable state (churn) and for custom graph types.

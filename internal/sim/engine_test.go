@@ -59,7 +59,7 @@ func equivalenceCases() []equivalenceCase {
 // TestEngineEquivalence is the determinism guarantee of the specialized
 // loops: for the same seed they must produce a byte-identical Result AND
 // leave the generator at the byte-identical stream position as the
-// generic EdgeSampler loop (which an explicit Options.Sampler forces).
+// generic reference loop (which Options.Reference forces).
 func TestEngineEquivalence(t *testing.T) {
 	// Step caps around the prefetch block size (512) exercise rewinds of
 	// a partial block, an exact block boundary, and multiple refills; 0
@@ -72,7 +72,7 @@ func TestEngineEquivalence(t *testing.T) {
 				rFast := xrand.New(seed)
 				rGen := xrand.New(seed)
 				fast := Run(c.g, c.p(), rFast, Options{MaxSteps: maxSteps})
-				gen := Run(c.g, c.p(), rGen, Options{MaxSteps: maxSteps, Sampler: c.g})
+				gen := Run(c.g, c.p(), rGen, Options{MaxSteps: maxSteps, Reference: true})
 				if fast != gen {
 					t.Fatalf("%s: results diverged: specialized %+v, generic %+v", name, fast, gen)
 				}
@@ -96,7 +96,7 @@ func TestEngineSequentialRuns(t *testing.T) {
 	rGen := xrand.New(77)
 	for round := 0; round < 4; round++ {
 		fast := Run(g, beauquier.New(), rFast, Options{MaxSteps: 300})
-		gen := Run(g, beauquier.New(), rGen, Options{MaxSteps: 300, Sampler: g})
+		gen := Run(g, beauquier.New(), rGen, Options{MaxSteps: 300, Reference: true})
 		if fast != gen {
 			t.Fatalf("round %d: %+v != %+v", round, fast, gen)
 		}

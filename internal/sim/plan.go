@@ -31,9 +31,9 @@ import (
 type planMode uint8
 
 const (
-	// modeGeneric is the Source-driven reference loop: explicit samplers,
-	// schedulers with per-run mutable state (churn), custom graph or
-	// scheduler types, and anything forced by Options.Reference.
+	// modeGeneric is the Source-driven reference loop: schedulers with
+	// per-run mutable state (churn), custom graph or scheduler types, and
+	// anything forced by Options.Reference.
 	modeGeneric planMode = iota
 	modeDenseUniform
 	modeCliqueUniform
@@ -63,9 +63,8 @@ type ExecPlan struct {
 	observer  Observer
 	every     int64
 	mode      planMode
-	noTable   bool        // Options.NoTable: force Step dispatch for Tabular protocols
-	sched     Scheduler   // non-nil when a non-uniform scheduler drives the run
-	sampler   EdgeSampler // non-nil when Options.Sampler overrode the pair stream
+	noTable   bool      // Options.NoTable: force Step dispatch for Tabular protocols
+	sched     Scheduler // non-nil when a non-uniform scheduler drives the run
 	weighted  *Weighted
 	nodeClock *NodeClock
 	meter     *telemetry.Counters // Options.Meter: nil disables run accounting
@@ -150,8 +149,8 @@ func Compile(g graph.Graph, opts Options) (*ExecPlan, error) {
 	}
 	pl.sched = sched
 	// Scheduler/graph binding is validated regardless of which kernel
-	// ends up selected: a Reference-forced or Sampler-overridden run must
-	// reject the same configurations the specialized kernels would.
+	// ends up selected: a Reference-forced run must reject the same
+	// configurations the specialized kernels would.
 	switch s := sched.(type) {
 	case *Weighted:
 		if s.alias.N() != g.M() {
@@ -164,29 +163,23 @@ func Compile(g graph.Graph, opts Options) (*ExecPlan, error) {
 				s.alias.N(), g.Name(), g.N())
 		}
 	}
-	switch {
-	case opts.Sampler != nil:
-		// An explicit pair stream always takes the reference kernel; it
-		// overrides the scheduler, as it always has.
-		pl.sampler = opts.Sampler
-		pl.sched = nil
-	case opts.Reference:
+	if opts.Reference {
 		// Forced reference loop: same stream, no specialization.
-	default:
-		switch s := sched.(type) {
-		case *Weighted:
-			pl.mode = modeWeighted
-			pl.weighted = s
-		case *NodeClock:
-			pl.mode = modeNodeClock
-			pl.nodeClock = s
-		case nil:
-			switch g.(type) {
-			case *graph.Dense:
-				pl.mode = modeDenseUniform
-			case graph.Clique:
-				pl.mode = modeCliqueUniform
-			}
+		return pl, nil
+	}
+	switch s := sched.(type) {
+	case *Weighted:
+		pl.mode = modeWeighted
+		pl.weighted = s
+	case *NodeClock:
+		pl.mode = modeNodeClock
+		pl.nodeClock = s
+	case nil:
+		switch g.(type) {
+		case *graph.Dense:
+			pl.mode = modeDenseUniform
+		case graph.Clique:
+			pl.mode = modeCliqueUniform
 		}
 	}
 	return pl, nil
@@ -219,14 +212,9 @@ func (pl *ExecPlan) newKernel(p Protocol, r *xrand.Rand) (kernel, string) {
 	case modeNodeClock:
 		return newNodeClockKernel(pl.nodeClock, pl.drop, tp), label
 	}
-	var src Source
-	switch {
-	case pl.sampler != nil:
-		src = samplerSource{pl.sampler}
-	case pl.sched != nil:
+	var src Source = samplerSource{pl.g}
+	if pl.sched != nil {
 		src = pl.sched.Begin(r)
-	default:
-		src = samplerSource{pl.g}
 	}
 	return &sourceKernel{src: src, drop: pl.drop}, label
 }

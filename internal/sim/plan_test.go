@@ -123,7 +123,6 @@ func TestCompileEngineSelection(t *testing.T) {
 		{"weighted-drop-observer", torus, Options{Scheduler: weighted, DropRate: 0.2, Observer: obs}, "weighted"},
 		{"node-clock", torus, Options{Scheduler: nodeClock}, "node-clock"},
 		{"churn-is-generic", torus, Options{Scheduler: churn}, "generic"},
-		{"sampler-forces-generic", torus, Options{Sampler: torus}, "generic"},
 		{"reference-forces-generic", torus, Options{Reference: true}, "generic"},
 		{"reference-weighted", torus, Options{Scheduler: weighted, Reference: true}, "generic"},
 	}
@@ -143,7 +142,7 @@ func TestCompileEngineSelection(t *testing.T) {
 // TestProtocolEngineSelection — the protocol axis of kernel selection.
 // A Tabular protocol fuses into the table variant of every specialized
 // scheduler kernel; Options.NoTable, the generic kernel (churn,
-// samplers, Reference) and non-Tabular protocols keep Step dispatch.
+// Reference) and non-Tabular protocols keep Step dispatch.
 func TestProtocolEngineSelection(t *testing.T) {
 	torus := graph.Torus2D(3, 4)
 	churn, err := NewChurn(torus, 8, 4)
@@ -167,7 +166,6 @@ func TestProtocolEngineSelection(t *testing.T) {
 		{"six-state-node-clock", torus, Options{Scheduler: nodeClock}, six, "table"},
 		{"no-table-forces-step", torus, Options{NoTable: true}, six, "step"},
 		{"reference-forces-step", torus, Options{Reference: true}, six, "step"},
-		{"sampler-forces-step", torus, Options{Sampler: torus}, six, "step"},
 		{"churn-forces-step", torus, Options{Scheduler: churn}, six, "step"},
 		{"non-tabular-protocol", torus, Options{}, idelect.New(), "step"},
 		{"tie-majority-has-no-table", torus, Options{},

@@ -55,12 +55,12 @@ type Source interface {
 	Next(t int64, r *xrand.Rand) (u, v int, ok bool)
 }
 
-// samplerSource adapts an EdgeSampler (a graph, or a test's scripted
-// sampler) to the Source interface; every contact is delivered.
-type samplerSource struct{ s EdgeSampler }
+// samplerSource adapts a graph's own SampleEdge stream to the Source
+// interface; every contact is delivered.
+type samplerSource struct{ g graph.Graph }
 
 func (s samplerSource) Next(_ int64, r *xrand.Rand) (int, int, bool) {
-	u, v := s.s.SampleEdge(r)
+	u, v := s.g.SampleEdge(r)
 	return u, v, true
 }
 

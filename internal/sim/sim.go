@@ -72,13 +72,16 @@ type Protocol interface {
 //
 // Implementations generate the table from their own hand-written Step
 // logic (typically by probing Step over all state pairs), so the
-// transition rules keep a single source of truth.
+// transition rules keep a single source of truth. A table belongs to
+// the protocol, not to an instance: the in-tree protocols build each
+// one once per process, so Table is an O(1) lookup.
 type Tabular interface {
 	Protocol
 	// Table returns the compiled machine for the protocol's current
 	// configuration, or nil when it cannot be table-compiled (the run
 	// then uses interface dispatch). It must be callable both before
-	// Reset (plans report the engine choice up front) and after.
+	// Reset (plans report the engine choice up front) and after, and
+	// cheap: plans call it on every run.
 	Table() *core.TransitionTable
 	// TableStates returns the live per-node state-index slice, aliasing
 	// the protocol's own storage; fused kernels mutate it in place, so
@@ -99,28 +102,29 @@ type Tabular interface {
 	ReloadCounters(leaders, gap int)
 }
 
-// EdgeSampler abstracts the scheduler's pair sampling; graph.Graph
-// satisfies it. Tests use ScriptedSampler for deterministic interaction
-// sequences.
-type EdgeSampler interface {
-	SampleEdge(r *xrand.Rand) (u, v int)
-}
-
-// ScriptedSampler replays a fixed sequence of ordered pairs, then panics
-// if exhausted. For deterministic unit tests only.
+// ScriptedSampler is a Scheduler that replays a fixed sequence of
+// ordered pairs, then panics if exhausted. For deterministic unit tests
+// only: Begin returns the sampler itself as the run's Source, so the
+// script position is shared state and one value drives one run.
 type ScriptedSampler struct {
 	Pairs [][2]int
 	next  int
 }
 
-// SampleEdge returns the next scripted pair.
-func (s *ScriptedSampler) SampleEdge(*xrand.Rand) (int, int) {
+// Name returns "scripted".
+func (s *ScriptedSampler) Name() string { return "scripted" }
+
+// Begin returns s itself.
+func (s *ScriptedSampler) Begin(*xrand.Rand) Source { return s }
+
+// Next returns the next scripted pair; every contact is delivered.
+func (s *ScriptedSampler) Next(int64, *xrand.Rand) (int, int, bool) {
 	if s.next >= len(s.Pairs) {
 		panic("sim: scripted sampler exhausted")
 	}
 	p := s.Pairs[s.next]
 	s.next++
-	return p[0], p[1]
+	return p[0], p[1], true
 }
 
 // Observer receives periodic callbacks during a run, for instrumentation
@@ -160,9 +164,6 @@ type Options struct {
 	// built for the same graph passed to Run (Compile rejects obvious
 	// mismatches).
 	Scheduler Scheduler
-	// Sampler overrides the pair stream directly (tests and the
-	// benchmark's reference loop); it takes precedence over Scheduler.
-	Sampler EdgeSampler
 	// Observer, if non-nil, is called every ObserveEvery steps.
 	Observer     Observer
 	ObserveEvery int64

@@ -13,20 +13,19 @@ import (
 
 func TestScriptedSampler(t *testing.T) {
 	s := &ScriptedSampler{Pairs: [][2]int{{0, 1}, {2, 1}}}
-	u, v := s.SampleEdge(nil)
-	if u != 0 || v != 1 {
-		t.Fatalf("first pair (%d,%d)", u, v)
+	src := s.Begin(nil)
+	if u, v, ok := src.Next(1, nil); u != 0 || v != 1 || !ok {
+		t.Fatalf("first pair (%d,%d) ok=%v", u, v, ok)
 	}
-	u, v = s.SampleEdge(nil)
-	if u != 2 || v != 1 {
-		t.Fatalf("second pair (%d,%d)", u, v)
+	if u, v, ok := src.Next(2, nil); u != 2 || v != 1 || !ok {
+		t.Fatalf("second pair (%d,%d) ok=%v", u, v, ok)
 	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic when exhausted")
 		}
 	}()
-	s.SampleEdge(nil)
+	src.Next(3, nil)
 }
 
 func TestRunScriptedBeauquier(t *testing.T) {
@@ -40,8 +39,8 @@ func TestRunScriptedBeauquier(t *testing.T) {
 	p := beauquier.New()
 	r := xrand.New(1)
 	res := Run(g, p, r, Options{
-		Sampler:  &ScriptedSampler{Pairs: [][2]int{{0, 1}, {1, 2}, {1, 0}}},
-		MaxSteps: 3,
+		Scheduler: &ScriptedSampler{Pairs: [][2]int{{0, 1}, {1, 2}, {1, 0}}},
+		MaxSteps:  3,
 	})
 	if !res.Stabilized || res.Steps != 3 {
 		t.Fatalf("result %+v", res)

@@ -10,17 +10,17 @@
 // (magic, size, section bounds and alignment, CRC-32C of every
 // payload) and the O(n) structural invariants (meta consistency,
 // section lengths, offsets monotone with correct endpoints,
-// connectivity flag, finite nonnegative rates, alias column sanity,
-// table re-derivation). The O(m) content checks — adjacency entries in
-// range and exactly consistent with the packed edge list — live in
-// Verify, which the encoder runs once after writing (WriteFile
-// callers) rather than every loader on every start: on a
-// memory-bandwidth-bound machine each O(m) scan costs as much as the
-// checksum pass itself, and the checksum already pins the bytes to
-// what the encoder verified. A crafted file with recomputed checksums
-// but inconsistent content is therefore accepted by Decode and caught
-// by Verify; in between, Go bounds checks turn any out-of-range
-// adjacency into an index panic, never memory corruption.
+// connectivity flag, finite nonnegative rates, alias column sanity).
+// The O(m) content checks — adjacency entries in range and exactly
+// consistent with the packed edge list — live in Verify, which the
+// encoder runs once after writing (WriteFile callers) rather than
+// every loader on every start: on a memory-bandwidth-bound machine
+// each O(m) scan costs as much as the checksum pass itself, and the
+// checksum already pins the bytes to what the encoder verified. A
+// crafted file with recomputed checksums but inconsistent content is
+// therefore accepted by Decode and caught by Verify; in between, Go
+// bounds checks turn any out-of-range adjacency into an index panic,
+// never memory corruption.
 
 package snapshot
 
@@ -33,7 +33,6 @@ import (
 	"os"
 	"unsafe"
 
-	"popgraph/internal/core"
 	"popgraph/internal/graph"
 	"popgraph/internal/xrand"
 )
@@ -45,7 +44,8 @@ var (
 	// ErrNotSnapshot marks data that does not start with the snapshot
 	// magic at all.
 	ErrNotSnapshot = errors.New("not a popgraph snapshot")
-	// ErrVersion marks a container of a different snapshot version.
+	// ErrVersion marks a container of a different snapshot version,
+	// or one carrying a retired section kind.
 	ErrVersion = errors.New("unsupported snapshot version")
 	// ErrCorrupt marks a structurally damaged container: truncated,
 	// failing a checksum, out-of-bounds sections, invalid CSR.
@@ -142,7 +142,7 @@ func decode(data []byte, zeroCopy bool) (*Snapshot, error) {
 		return nil, corruptf("connectivity flag not set (v1 stores connected graphs only)")
 	}
 	var meta, offs, adjs, edgs *section
-	var weights, tables []section
+	var weights []section
 	for i := range sections {
 		sec := &sections[i]
 		grab := func(slot **section) error {
@@ -164,7 +164,8 @@ func decode(data []byte, zeroCopy bool) (*Snapshot, error) {
 		case kindWeights:
 			weights = append(weights, *sec)
 		case kindTable:
-			tables = append(tables, *sec)
+			err = fmt.Errorf("snapshot: retired %s section (kind %d); rebuild the file with cmd/preprocess: %w",
+				kindName(sec.kind), sec.kind, ErrVersion)
 		default:
 			err = corruptf("unknown section kind %d", sec.kind)
 		}
@@ -210,16 +211,6 @@ func decode(data []byte, zeroCopy bool) (*Snapshot, error) {
 			return nil, corruptf("duplicate weight set %q", w.Name)
 		}
 		s.Weights = append(s.Weights, w)
-	}
-	for i := range tables {
-		t, err := decodeTable(payload(data, &tables[i]))
-		if err != nil {
-			return nil, err
-		}
-		if s.Table(t.Name) != nil {
-			return nil, corruptf("duplicate table %q", t.Name)
-		}
-		s.Tables = append(s.Tables, t)
 	}
 	g.SetAux(s)
 	return s, nil
@@ -347,50 +338,6 @@ func decodeWeights(p []byte, m int, zeroCopy bool) (WeightSet, error) {
 	return WeightSet{Name: name, Rates: rates, Alias: a}, nil
 }
 
-func decodeTable(p []byte) (Table, error) {
-	if len(p) < 16 {
-		return Table{}, corruptf("table section truncated (%d bytes)", len(p))
-	}
-	k := int(binary.LittleEndian.Uint32(p[0:]))
-	nameLen := int(binary.LittleEndian.Uint32(p[4:]))
-	gapTarget := int64(binary.LittleEndian.Uint64(p[8:]))
-	if k < 1 || k > core.MaxTableStates {
-		return Table{}, corruptf("table has %d states, cap is %d", k, core.MaxTableStates)
-	}
-	if nameLen == 0 || nameLen > math.MaxUint16 || len(p) != tablePayloadSize(nameLen, k) {
-		return Table{}, corruptf("table section is %d bytes, k=%d and name length %d imply %d",
-			len(p), k, nameLen, tablePayloadSize(nameLen, k))
-	}
-	if gapTarget < math.MinInt32 || gapTarget > math.MaxInt32 {
-		return Table{}, corruptf("table gap target %d out of range", gapTarget)
-	}
-	name := string(p[16 : 16+nameLen])
-	off := (16 + nameLen + 3) &^ 3
-	cells := make([]uint32, k*k)
-	for i := range cells {
-		cells[i] = binary.LittleEndian.Uint32(p[off+4*i:])
-	}
-	off += 4 * k * k
-	roles := make([]core.Role, k)
-	for s := 0; s < k; s++ {
-		roles[s] = core.Role(p[off+s])
-	}
-	off = align8(off + k)
-	gapW := make([]int, k)
-	for s := 0; s < k; s++ {
-		w := int64(binary.LittleEndian.Uint64(p[off+8*s:]))
-		if w < math.MinInt32 || w > math.MaxInt32 {
-			return Table{}, corruptf("table %q gap weight %d is %d, out of range", name, s, w)
-		}
-		gapW[s] = int(w)
-	}
-	t, err := core.TableFromParts(k, cells, roles, gapW, int(gapTarget))
-	if err != nil {
-		return Table{}, corruptf("table %q: %v", name, err)
-	}
-	return Table{Name: name, Table: t}, nil
-}
-
 // Verify runs the deep O(m) content checks Decode defers (see the
 // package comment on tiered validation): the CSR triple must be
 // internally consistent — adjacency in range, packed edges strictly
@@ -427,8 +374,8 @@ type SectionInfo struct {
 	Offset   uint64
 	Length   uint64
 	Checksum uint32
-	// Name is the artifact name for weights and table sections, the
-	// graph name for meta, empty otherwise.
+	// Name is the artifact name for weights sections, the graph name
+	// for meta, empty otherwise.
 	Name string
 }
 
@@ -484,12 +431,6 @@ func Inspect(path string) (Info, error) {
 		case kindWeights:
 			if len(p) >= 16 {
 				if l := int(binary.LittleEndian.Uint32(p[8:])); 16+l <= len(p) {
-					si.Name = string(p[16 : 16+l])
-				}
-			}
-		case kindTable:
-			if len(p) >= 16 {
-				if l := int(binary.LittleEndian.Uint32(p[4:])); 16+l <= len(p) {
 					si.Name = string(p[16 : 16+l])
 				}
 			}

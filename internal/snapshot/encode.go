@@ -48,8 +48,8 @@ type section struct {
 	length uint64
 }
 
-// Encode serializes the snapshot. The graph must be set; weights and
-// tables are optional.
+// Encode serializes the snapshot. The graph must be set; weights are
+// optional.
 func (s *Snapshot) Encode() ([]byte, error) {
 	if s.Graph == nil {
 		return nil, fmt.Errorf("snapshot: encode without a graph")
@@ -76,10 +76,6 @@ func (s *Snapshot) Encode() ([]byte, error) {
 	for _, w := range s.Weights {
 		lengths = append(lengths, weightsPayloadSize(len(w.Name), m))
 		kinds = append(kinds, kindWeights)
-	}
-	for _, t := range s.Tables {
-		lengths = append(lengths, tablePayloadSize(len(t.Name), t.Table.K()))
-		kinds = append(kinds, kindTable)
 	}
 	if len(kinds) > maxSections {
 		return nil, fmt.Errorf("snapshot: %d sections exceed the %d-section cap", len(kinds), maxSections)
@@ -117,9 +113,6 @@ func (s *Snapshot) Encode() ([]byte, error) {
 			return nil, err
 		}
 	}
-	for _, t := range s.Tables {
-		encodeTable(next(), t)
-	}
 	for i := range sections {
 		sections[i].crc = crc32.Checksum(buf[sections[i].offset:sections[i].offset+sections[i].length], castagnoli)
 	}
@@ -146,14 +139,6 @@ func weightsPayloadSize(nameLen, m int) int {
 	return align8(16+nameLen) + 8*m + 8*m + 4*m
 }
 
-// tablePayloadSize: u32 k, u32 name length, i64 gap target, name
-// padded to 4, cells k²×u32, roles k×u8 padded to 8, gap weights
-// k×i64. Tables are tiny (k ≤ 64), and the decoder copies them rather
-// than aliasing, so only decodability matters here.
-func tablePayloadSize(nameLen, k int) int {
-	return align8(((16+nameLen+3)&^3)+4*k*k+k) + 8*k
-}
-
 func encodeWeights(p []byte, w WeightSet, m int) error {
 	if len(w.Rates) != m || w.Alias.N() != m {
 		return fmt.Errorf("snapshot: weight set %q has %d rates / %d alias columns for %d edges",
@@ -168,27 +153,6 @@ func encodeWeights(p []byte, w WeightSet, m int) error {
 	putFloat64s(p[off+8*m:off+16*m], prob)
 	putInt32s(p[off+16*m:off+16*m+4*m], alias)
 	return nil
-}
-
-func encodeTable(p []byte, t Table) {
-	k := t.Table.K()
-	binary.LittleEndian.PutUint32(p[0:], uint32(k))
-	binary.LittleEndian.PutUint32(p[4:], uint32(len(t.Name)))
-	binary.LittleEndian.PutUint64(p[8:], uint64(int64(t.Table.GapTarget())))
-	copy(p[16:], t.Name)
-	off := (16 + len(t.Name) + 3) &^ 3
-	cells := t.Table.Cells()
-	for i, c := range cells {
-		binary.LittleEndian.PutUint32(p[off+4*i:], c)
-	}
-	off += 4 * k * k
-	for s := 0; s < k; s++ {
-		p[off+s] = byte(t.Table.Role(uint8(s)))
-	}
-	off = align8(off + k)
-	for s := 0; s < k; s++ {
-		binary.LittleEndian.PutUint64(p[off+8*s:], uint64(int64(t.Table.GapWeight(uint8(s)))))
-	}
 }
 
 func putInt32s(p []byte, v []int32) {

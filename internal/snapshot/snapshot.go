@@ -1,9 +1,9 @@
 // Package snapshot defines the popgraph-snap/v1 binary container: a
 // graph in CSR form plus its prebuilt companion artifacts — per-edge
-// weight sets with their Walker–Vose alias tables and compiled
-// transition tables — serialized as 8-byte-aligned little-endian slabs
-// so a preprocessed graph loads with one read and a handful of
-// slice-header casts instead of being regenerated per process.
+// weight sets with their Walker–Vose alias tables — serialized as
+// 8-byte-aligned little-endian slabs so a preprocessed graph loads with
+// one read and a handful of slice-header casts instead of being
+// regenerated per process.
 //
 // # Container layout
 //
@@ -30,10 +30,9 @@
 // # Determinism
 //
 // The encoder serializes the exact arrays the simulator executes on
-// (graph.Dense's CSR slices, xrand.Alias columns, core.TransitionTable
-// cells), and the decoder revives them through fully validating
-// constructors (graph.NewDenseFromCSR, xrand.AliasFromColumns,
-// core.TableFromParts). A loaded graph is therefore a *graph.Dense
+// (graph.Dense's CSR slices, xrand.Alias columns), and the decoder
+// revives them through fully validating constructors
+// (graph.NewDenseFromCSR, xrand.AliasFromColumns). A loaded graph is therefore a *graph.Dense
 // indistinguishable from the generator-built original — same packed
 // edge order, same alias draw sequence, same kernel selection — so a
 // run on it is byte-identical to a run on the original (the
@@ -48,7 +47,6 @@ import (
 	"fmt"
 	"math"
 
-	"popgraph/internal/core"
 	"popgraph/internal/graph"
 	"popgraph/internal/xrand"
 )
@@ -73,7 +71,10 @@ const (
 	kindAdj     = 3
 	kindEdges   = 4
 	kindWeights = 5
-	kindTable   = 6
+	// kindTable is retired: it held compiled transition tables, which
+	// every process now builds once at init. The kind stays reserved,
+	// and Decode refuses a file that carries one (see decode).
+	kindTable = 6
 
 	// maxSections bounds the section table so a corrupt count cannot
 	// drive a huge allocation before checksums are consulted.
@@ -101,8 +102,8 @@ func kindName(kind uint32) string {
 
 // Snapshot is a decoded (or to-be-encoded) container: the graph and
 // its optional prebuilt artifacts. Decoded snapshots attach themselves
-// to their graph (see Of), which is how ParseScheduler and protocol
-// factories find the preloaded artifacts for a file:-loaded graph.
+// to their graph (see Of), which is how ParseScheduler finds the
+// preloaded weight sets for a file:-loaded graph.
 type Snapshot struct {
 	// Graph is the CSR graph. After Decode it is a fully validated
 	// *graph.Dense carrying this snapshot as its Aux.
@@ -113,8 +114,6 @@ type Snapshot struct {
 	// Weights are named per-edge rate vectors with their prebuilt alias
 	// tables, in ForEachEdge (= PackedEdges) order.
 	Weights []WeightSet
-	// Tables are named compiled transition tables.
-	Tables []Table
 }
 
 // WeightSet is one named per-edge weight vector plus the alias table
@@ -123,12 +122,6 @@ type WeightSet struct {
 	Name  string
 	Rates []float64
 	Alias *xrand.Alias
-}
-
-// Table is one named compiled transition table.
-type Table struct {
-	Name  string
-	Table *core.TransitionTable
 }
 
 // Build starts a snapshot of g. A *graph.Dense is snapshotted as-is;
@@ -172,19 +165,6 @@ func (s *Snapshot) AddWeights(name string, rates []float64) error {
 	return nil
 }
 
-// AddTable adds a named compiled transition table. Names must be
-// nonempty and unique within the snapshot.
-func (s *Snapshot) AddTable(name string, t *core.TransitionTable) error {
-	if err := s.checkName(name); err != nil {
-		return err
-	}
-	if t == nil {
-		return fmt.Errorf("snapshot: table %q is nil", name)
-	}
-	s.Tables = append(s.Tables, Table{Name: name, Table: t})
-	return nil
-}
-
 // checkName rejects empty, oversized and duplicate artifact names.
 func (s *Snapshot) checkName(name string) error {
 	if name == "" {
@@ -195,11 +175,6 @@ func (s *Snapshot) checkName(name string) error {
 	}
 	for _, w := range s.Weights {
 		if w.Name == name {
-			return fmt.Errorf("snapshot: duplicate artifact name %q", name)
-		}
-	}
-	for _, t := range s.Tables {
-		if t.Name == name {
 			return fmt.Errorf("snapshot: duplicate artifact name %q", name)
 		}
 	}
@@ -216,20 +191,10 @@ func (s *Snapshot) WeightSet(name string) *WeightSet {
 	return nil
 }
 
-// Table returns the named transition table, or nil.
-func (s *Snapshot) Table(name string) *core.TransitionTable {
-	for i := range s.Tables {
-		if t := &s.Tables[i]; t.Name == name {
-			return t.Table
-		}
-	}
-	return nil
-}
-
 // Of returns the snapshot a loader attached to g (Decode attaches one
 // to every graph it revives), or nil for graphs built in-process. This
-// is the seam ParseScheduler and the protocol factories use to consume
-// preloaded artifacts instead of rebuilding them.
+// is the seam ParseScheduler uses to consume preloaded weight sets
+// instead of rebuilding them.
 func Of(g graph.Graph) *Snapshot {
 	d, ok := g.(*graph.Dense)
 	if !ok {

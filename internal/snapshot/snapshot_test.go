@@ -7,9 +7,9 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
-	"popgraph/internal/core"
 	"popgraph/internal/graph"
 	"popgraph/internal/xrand"
 )
@@ -167,62 +167,8 @@ func TestRoundTripAliasDraws(t *testing.T) {
 	}
 }
 
-// sixStateTable builds the six-state protocol's compiled table via the
-// same probe generation the protocol itself uses, without importing the
-// protocol package (snapshot must stay below protocols in the import
-// graph).
-func sixStateTable(t *testing.T) *core.TransitionTable {
-	t.Helper()
-	tab, err := core.NewTransitionTable(6,
-		func(a, b uint8) (uint8, uint8) {
-			na, nb := core.TokenTransition(core.TokenState(a), core.TokenState(b))
-			return uint8(na), uint8(nb)
-		},
-		func(s uint8) core.Role { return core.TokenState(s).Role() },
-		func(s uint8) int {
-			if tok := core.TokenState(s).Token(); tok == core.TokenBlack || tok == core.TokenWhite {
-				return 1
-			}
-			return 0
-		},
-		1)
-	if err != nil {
-		t.Fatalf("NewTransitionTable: %v", err)
-	}
-	return tab
-}
-
-func TestRoundTripTables(t *testing.T) {
-	s, err := Build(graph.Cycle(8), "cycle:8")
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	want := sixStateTable(t)
-	if err := s.AddTable("six-state", want); err != nil {
-		t.Fatalf("AddTable: %v", err)
-	}
-	got := mustRoundTrip(t, s).Table("six-state")
-	if got == nil {
-		t.Fatalf("table lost in round trip")
-	}
-	if got.K() != want.K() || got.GapTarget() != want.GapTarget() {
-		t.Fatalf("k=%d target=%d, want k=%d target=%d", got.K(), got.GapTarget(), want.K(), want.GapTarget())
-	}
-	wc, gc := want.Cells(), got.Cells()
-	for i := range wc {
-		if gc[i] != wc[i] {
-			t.Fatalf("cell %d = %#x, want %#x", i, gc[i], wc[i])
-		}
-	}
-	for st := 0; st < want.K(); st++ {
-		if got.Role(uint8(st)) != want.Role(uint8(st)) || got.GapWeight(uint8(st)) != want.GapWeight(uint8(st)) {
-			t.Fatalf("state %d role/weight mismatch", st)
-		}
-	}
-}
-
-// encodeFixture returns a valid snapshot buffer with one weight set and
-// one table, plus its source snapshot, for the corruption tests.
+// encodeFixture returns a valid snapshot buffer with one weight set,
+// for the corruption tests.
 func encodeFixture(t *testing.T) []byte {
 	t.Helper()
 	r := xrand.New(3)
@@ -240,9 +186,6 @@ func encodeFixture(t *testing.T) []byte {
 	}
 	if err := s.AddWeights("exp", rates); err != nil {
 		t.Fatalf("AddWeights: %v", err)
-	}
-	if err := s.AddTable("six-state", sixStateTable(t)); err != nil {
-		t.Fatalf("AddTable: %v", err)
 	}
 	data, err := s.Encode()
 	if err != nil {
@@ -353,16 +296,6 @@ func TestDecodeRejects(t *testing.T) {
 			fixCRC(data, idx)
 			return data
 		}, ErrCorrupt},
-		{"table-cell-mismatch", func(t *testing.T, data []byte) []byte {
-			idx, off, _ := findSection(t, data, kindTable)
-			p := data[off:]
-			nameLen := int(binary.LittleEndian.Uint32(p[4:]))
-			cellOff := (16 + nameLen + 3) &^ 3
-			c := binary.LittleEndian.Uint32(p[cellOff:])
-			binary.LittleEndian.PutUint32(p[cellOff:], c^0x10000)
-			fixCRC(data, idx)
-			return data
-		}, ErrCorrupt},
 		{"unknown-section-kind", func(t *testing.T, data []byte) []byte {
 			idx, _, _ := findSection(t, data, kindWeights)
 			e := data[headerSize+sectionEntrySize*idx:]
@@ -381,6 +314,26 @@ func TestDecodeRejects(t *testing.T) {
 				t.Fatalf("Decode error %v, want %v", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestDecodeRefusesRetiredTableSection pins what a snapshot written
+// with a transition-table section gets: a version error that names the
+// section and says how to get a readable file. Relabelling the
+// fixture's weights section as kind 6 makes one, since the section
+// kind is outside the checksum.
+func TestDecodeRefusesRetiredTableSection(t *testing.T) {
+	data := encodeFixture(t)
+	idx, _, _ := findSection(t, data, kindWeights)
+	binary.LittleEndian.PutUint32(data[headerSize+sectionEntrySize*idx:], kindTable)
+	_, err := Decode(data)
+	if !errors.Is(err, ErrVersion) {
+		t.Fatalf("Decode error %v, want ErrVersion", err)
+	}
+	for _, want := range []string{"transition-table", "cmd/preprocess"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("Decode error %q does not mention %q", err, want)
+		}
 	}
 }
 
@@ -520,17 +473,17 @@ func TestInspect(t *testing.T) {
 	if info.Source != "ws:64:4:0.2" {
 		t.Fatalf("Inspect source %q", info.Source)
 	}
-	if len(info.Sections) != 6 {
-		t.Fatalf("Inspect found %d sections, want 6", len(info.Sections))
+	if len(info.Sections) != 5 {
+		t.Fatalf("Inspect found %d sections, want 5", len(info.Sections))
 	}
-	wantKinds := []string{"meta", "csr-offsets", "csr-adjacency", "packed-edges", "weights", "transition-table"}
+	wantKinds := []string{"meta", "csr-offsets", "csr-adjacency", "packed-edges", "weights"}
 	for i, k := range wantKinds {
 		if info.Sections[i].Kind != k {
 			t.Fatalf("section %d kind %q, want %q", i, info.Sections[i].Kind, k)
 		}
 	}
-	if info.Sections[4].Name != "exp" || info.Sections[5].Name != "six-state" {
-		t.Fatalf("artifact names %q/%q, want exp/six-state", info.Sections[4].Name, info.Sections[5].Name)
+	if info.Sections[4].Name != "exp" {
+		t.Fatalf("artifact name %q, want exp", info.Sections[4].Name)
 	}
 }
 
@@ -558,11 +511,5 @@ func TestBuildRejects(t *testing.T) {
 	}
 	if err := s.AddWeights("exp", ones); err == nil {
 		t.Fatalf("AddWeights accepted a duplicate name")
-	}
-	if err := s.AddTable("exp", sixStateTable(t)); err == nil {
-		t.Fatalf("AddTable accepted a name already used by a weight set")
-	}
-	if err := s.AddTable("six-state", nil); err == nil {
-		t.Fatalf("AddTable accepted a nil table")
 	}
 }

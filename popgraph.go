@@ -173,9 +173,8 @@ func MinDegree(g Graph) int { return graph.MinDegree(g) }
 // connectivity conditioning takes seconds. mmap:PATH is the same with
 // an opt-in memory mapping on linux (lazy page-in, pages shared across
 // processes; the mapping lives as long as the process). Loaded graphs
-// carry their snapshot's prebuilt artifacts: see the weighted:snap
-// scheduler spec and the preloaded transition tables in
-// ProtocolFactory.
+// carry their snapshot's prebuilt weight sets: see the weighted:snap
+// scheduler spec.
 //
 // Specs whose parameters are out of range for the family (e.g.
 // "cycle:2", "hypercube:0", "torus:2x5", negative sizes) return an

@@ -13,7 +13,6 @@ import (
 	"popgraph/internal/protocols/majority"
 	"popgraph/internal/protocols/star"
 	"popgraph/internal/sim"
-	"popgraph/internal/snapshot"
 )
 
 // Role is a node's output: Leader or Follower.
@@ -169,21 +168,6 @@ func ProtocolFactory(spec string, g Graph, r *Rand) (factory func() Protocol, er
 	}()
 	switch spec {
 	case "six-state", "sixstate", "six":
-		// A snapshot-loaded graph may carry the protocol's compiled
-		// transition table; install it so instances skip the Step-probing
-		// rebuild. The table axis is input-independent for six-state (and
-		// star below) — majority's table depends on the input margin's
-		// sign, so it is never preloaded and always rebuilds.
-		if t := preloadedTable(g, "six-state"); t != nil {
-			if err := beauquier.New().UseTable(t); err != nil {
-				return nil, fmt.Errorf("popgraph: protocol %q on graph %q: %w", spec, g.Name(), err)
-			}
-			return func() Protocol {
-				p := beauquier.New()
-				_ = p.UseTable(t)
-				return p
-			}, nil
-		}
 		return func() Protocol { return NewSixState() }, nil
 	case "identifier", "id":
 		return func() Protocol { return NewIdentifier() }, nil
@@ -193,16 +177,6 @@ func ProtocolFactory(spec string, g Graph, r *Rand) (factory func() Protocol, er
 		params := FastTunedParams(g, EstimateBroadcastTime(g, r))
 		return func() Protocol { return NewFast(params) }, nil
 	case "star":
-		if t := preloadedTable(g, "star-trivial"); t != nil {
-			if err := star.New().UseTable(t); err != nil {
-				return nil, fmt.Errorf("popgraph: protocol %q on graph %q: %w", spec, g.Name(), err)
-			}
-			return func() Protocol {
-				p := star.New()
-				_ = p.UseTable(t)
-				return p
-			}, nil
-		}
 		return func() Protocol { return NewStarProtocol() }, nil
 	default:
 		if frac, ok := strings.CutPrefix(spec, "majority:"); ok {
@@ -210,17 +184,6 @@ func ProtocolFactory(spec string, g Graph, r *Rand) (factory func() Protocol, er
 		}
 		return nil, errBadProtocol(spec)
 	}
-}
-
-// preloadedTable returns the named compiled transition table from the
-// graph's snapshot, or nil for in-process graphs and snapshots without
-// the table. Tables are named by the protocol instance name they were
-// generated from (cmd/preprocess -tables).
-func preloadedTable(g Graph, name string) *TransitionTable {
-	if snap := snapshot.Of(g); snap != nil {
-		return snap.Table(name)
-	}
-	return nil
 }
 
 // majorityFactory resolves a "majority:FRAC" spec: the first
