@@ -125,8 +125,12 @@ func run(out string, seed uint64, quick, quiet bool, compare string, tol float64
 		}
 	}
 
-	t := table.New(fmt.Sprintf("engine throughput (%s, %s/%s, seed %d)",
-		rep.GoVersion, rep.GOOS, rep.GOARCH, rep.Seed),
+	cpu := rep.CPUModel
+	if cpu == "" {
+		cpu = "unknown CPU"
+	}
+	t := table.New(fmt.Sprintf("engine throughput (%s, %s/%s, %s, nproc %d, GOMAXPROCS %d, seed %d)",
+		rep.GoVersion, rep.GOOS, rep.GOARCH, cpu, rep.NProc, rep.GOMAXPROCS, rep.Seed),
 		"graph", "sched", "protocol", "drop", "engine", "n", "m",
 		"spec ns/step", "iface ns/step", "gen ns/step", "speedup", "table")
 	for _, m := range rep.Results {

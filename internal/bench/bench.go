@@ -28,6 +28,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"runtime"
 	"strings"
 
@@ -139,7 +140,13 @@ type Report struct {
 	GoVersion string `json:"go_version"`
 	GOOS      string `json:"goos"`
 	GOARCH    string `json:"goarch"`
-	Seed      uint64 `json:"seed"`
+	// The host: CPUModel is /proc/cpuinfo's first "model name" (empty
+	// where there is none), NProc the logical CPU count and GOMAXPROCS
+	// the scheduler's setting during the run. Compare ignores them.
+	CPUModel   string `json:"cpu_model"`
+	NProc      int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	Seed       uint64 `json:"seed"`
 	// MaxSpeedup is the best specialized-over-generic ratio in the grid,
 	// the single number the perf trajectory tracks; MaxTableSpeedup is
 	// the best table-over-interface ratio, tracking the protocol-
@@ -219,11 +226,14 @@ func Run(cfgs []Config, seed uint64, logf func(format string, args ...interface{
 func RunMetered(cfgs []Config, seed uint64, logf func(format string, args ...interface{}),
 	meter *telemetry.Counters) (Report, error) {
 	rep := Report{
-		Schema:    Schema,
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		Seed:      seed,
+		Schema:     Schema,
+		GoVersion:  runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		CPUModel:   cpuModel(),
+		NProc:      runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Seed:       seed,
 	}
 	for i, cfg := range cfgs {
 		m, err := measure(cfg, seed, meter)
@@ -593,4 +603,19 @@ func ReadJSON(r io.Reader) (Report, error) {
 		return Report{}, fmt.Errorf("bench: unknown schema %q (want %q)", rep.Schema, Schema)
 	}
 	return rep, nil
+}
+
+// cpuModel returns the first "model name" in /proc/cpuinfo, or "" where
+// the file or the field is missing (non-Linux hosts, some ARM kernels).
+func cpuModel() string {
+	b, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return ""
+	}
+	for _, line := range strings.Split(string(b), "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return ""
 }

@@ -19,7 +19,7 @@ func TestRunQuickGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Schema != Schema || rep.GoVersion == "" || rep.Seed != 42 {
+	if rep.Schema != Schema || rep.GoVersion == "" || rep.Seed != 42 || rep.NProc < 1 || rep.GOMAXPROCS < 1 {
 		t.Fatalf("report header %+v", rep)
 	}
 	if len(rep.Results) != 2 || len(lines) != 2 {

@@ -3,15 +3,42 @@ package graph
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 
 	"popgraph/internal/xrand"
 )
+
+// maxIDs caps both the node count and 2m of a Dense: node ids and CSR
+// offsets are int32.
+const maxIDs = math.MaxInt32
+
+// checkSize returns an ErrTooLarge error unless n nodes and twoM = 2m
+// adjacency entries fit within maxIDs. Generators call it before they
+// allocate. Callers compute n and twoM in float64 from validated,
+// nonnegative parameters: that cannot overflow, and float64 rounding is
+// monotone and exact below 2^53, so the comparison is exact.
+func checkSize(family string, n, twoM float64) error {
+	if n > maxIDs || twoM > maxIDs {
+		return fmt.Errorf("graph: %s needs n = %.0f and 2m = %.0f: %w", family, n, twoM, ErrTooLarge)
+	}
+	return nil
+}
+
+// mustFit panics with checkSize's error, for the generators that panic
+// on bad parameters.
+func mustFit(family string, n, twoM float64) {
+	if err := checkSize(family, n, twoM); err != nil {
+		panic(err)
+	}
+}
 
 // Cycle returns the n-cycle C_n (n >= 3).
 func Cycle(n int) *Dense {
 	if n < 3 {
 		panic(fmt.Sprintf("graph: cycle needs n >= 3, got %d", n))
 	}
+	mustFit("cycle", float64(n), 2*float64(n))
 	packed := make([]int64, 0, n)
 	for v := 0; v < n-1; v++ {
 		packed = append(packed, pack(v, v+1))
@@ -25,6 +52,7 @@ func Path(n int) *Dense {
 	if n < 2 {
 		panic(fmt.Sprintf("graph: path needs n >= 2, got %d", n))
 	}
+	mustFit("path", float64(n), 2*float64(n-1))
 	packed := make([]int64, 0, n-1)
 	for v := 0; v < n-1; v++ {
 		packed = append(packed, pack(v, v+1))
@@ -37,15 +65,12 @@ func Star(n int) *Dense {
 	if n < 2 {
 		panic(fmt.Sprintf("graph: star needs n >= 2, got %d", n))
 	}
+	mustFit("star", float64(n), 2*float64(n-1))
 	packed := make([]int64, 0, n-1)
 	for v := 1; v < n; v++ {
 		packed = append(packed, pack(0, v))
 	}
-	d := 2
-	if n == 2 {
-		d = 1
-	}
-	return newDenseUnchecked(n, packed, fmt.Sprintf("star-%d", n)).setDiam(d)
+	return newDenseUnchecked(n, packed, fmt.Sprintf("star-%d", n)).setDiam(min(2, n-1))
 }
 
 // CompleteBipartite returns K_{a,b}: parts {0..a-1} and {a..a+b-1}.
@@ -53,17 +78,14 @@ func CompleteBipartite(a, b int) *Dense {
 	if a < 1 || b < 1 || a+b < 2 {
 		panic(fmt.Sprintf("graph: K_{%d,%d} invalid", a, b))
 	}
+	mustFit("bipartite", float64(a)+float64(b), 2*float64(a)*float64(b))
 	packed := make([]int64, 0, a*b)
 	for u := 0; u < a; u++ {
 		for w := a; w < a+b; w++ {
 			packed = append(packed, pack(u, w))
 		}
 	}
-	d := 2
-	if a == 1 && b == 1 {
-		d = 1
-	}
-	return newDenseUnchecked(a+b, packed, fmt.Sprintf("bipartite-%d-%d", a, b)).setDiam(d)
+	return newDenseUnchecked(a+b, packed, fmt.Sprintf("bipartite-%d-%d", a, b)).setDiam(min(2, a+b-1))
 }
 
 // Torus2D returns the rows×cols 2-dimensional torus (wraparound grid).
@@ -72,6 +94,7 @@ func Torus2D(rows, cols int) *Dense {
 	if rows < 3 || cols < 3 {
 		panic(fmt.Sprintf("graph: torus needs dims >= 3, got %dx%d", rows, cols))
 	}
+	mustFit("torus", float64(rows)*float64(cols), 4*float64(rows)*float64(cols))
 	n := rows * cols
 	packed := make([]int64, 0, 2*n)
 	id := func(r, c int) int { return r*cols + c }
@@ -139,9 +162,11 @@ func TorusK(dims ...int) *Dense {
 
 // Grid2D returns the rows×cols grid without wraparound (dims >= 2).
 func Grid2D(rows, cols int) *Dense {
-	if rows < 1 || cols < 1 || rows*cols < 2 {
+	if rows < 1 || cols < 1 || rows == 1 && cols == 1 {
 		panic(fmt.Sprintf("graph: grid %dx%d invalid", rows, cols))
 	}
+	r, c := float64(rows), float64(cols)
+	mustFit("grid", r*c, 2*(r*(c-1)+c*(r-1)))
 	n := rows * cols
 	packed := make([]int64, 0, 2*n)
 	id := func(r, c int) int { return r*cols + c }
@@ -177,8 +202,8 @@ func Hypercube(dim int) *Dense {
 	return newDenseUnchecked(n, sortPacked(packed), fmt.Sprintf("hypercube-%d", dim)).setDiam(dim)
 }
 
-// BinaryTree returns the complete binary tree of the given depth
-// (depth 0 is a single edge... no: depth d has 2^(d+1)-1 nodes; depth >= 1).
+// BinaryTree returns the complete binary tree of the given depth: 2^(d+1)-1
+// nodes for depth d >= 1.
 func BinaryTree(depth int) *Dense {
 	if depth < 1 || depth > 24 {
 		panic(fmt.Sprintf("graph: binary tree depth %d out of range [1,24]", depth))
@@ -198,6 +223,7 @@ func Lollipop(k, pathLen int) *Dense {
 	if k < 2 || pathLen < 1 {
 		panic(fmt.Sprintf("graph: lollipop(%d,%d) invalid", k, pathLen))
 	}
+	mustFit("lollipop", float64(k)+float64(pathLen), float64(k)*float64(k-1)+2*float64(pathLen))
 	n := k + pathLen
 	packed := make([]int64, 0, k*(k-1)/2+pathLen)
 	for u := 0; u < k; u++ {
@@ -209,12 +235,8 @@ func Lollipop(k, pathLen int) *Dense {
 	for v := k; v < n-1; v++ {
 		packed = append(packed, pack(v, v+1))
 	}
-	d := pathLen + 1
-	if k == 2 {
-		d = pathLen + 1 // path end to the far clique node
-	}
 	return newDenseUnchecked(n, sortPacked(packed),
-		fmt.Sprintf("lollipop-%d-%d", k, pathLen)).setDiam(d)
+		fmt.Sprintf("lollipop-%d-%d", k, pathLen)).setDiam(pathLen + 1)
 }
 
 // Barbell returns two k-cliques joined by a path of pathLen intermediate
@@ -224,6 +246,7 @@ func Barbell(k, pathLen int) *Dense {
 	if k < 2 || pathLen < 0 {
 		panic(fmt.Sprintf("graph: barbell(%d,%d) invalid", k, pathLen))
 	}
+	mustFit("barbell", 2*float64(k)+float64(pathLen), 2*float64(k)*float64(k-1)+2*(float64(pathLen)+1))
 	n := 2*k + pathLen
 	packed := make([]int64, 0, k*(k-1)+pathLen+1)
 	for u := 0; u < k; u++ {
@@ -247,13 +270,20 @@ func Barbell(k, pathLen int) *Dense {
 // connected (the conditioning used throughout Sections 4 and 7). It retries
 // up to 1000 draws and returns ErrDisconnected if none is connected.
 func Gnp(n int, p float64, r *xrand.Rand) (*Dense, error) {
-	if n < 2 || p <= 0 || p > 1 {
+	if n < 2 || !(p > 0 && p <= 1) {
 		return nil, fmt.Errorf("graph: Gnp(%d, %v): %w", n, p, ErrInvalidEdge)
 	}
+	// The expected 2m must fit; gnpEdges checks the sampled count.
+	if err := checkSize("gnp", float64(n), float64(n)*float64(n-1)*p); err != nil {
+		return nil, err
+	}
 	for try := 0; try < 1000; try++ {
-		packed := gnpEdges(n, p, r)
+		packed, err := gnpEdges(n, p, r)
+		if err != nil {
+			return nil, err
+		}
 		g := newDenseUnchecked(n, packed, fmt.Sprintf("gnp-%d-p%.2f", n, p))
-		if connected(g) {
+		if Connected(g) {
 			return g, nil
 		}
 	}
@@ -262,17 +292,19 @@ func Gnp(n int, p float64, r *xrand.Rand) (*Dense, error) {
 }
 
 // gnpEdges samples the edge set of G(n,p) with geometric skipping, so the
-// cost is O(n + pn²) rather than O(n²) for sparse p.
-func gnpEdges(n int, p float64, r *xrand.Rand) []int64 {
+// cost is O(n + pn²) rather than O(n²) for sparse p. The capacity is
+// clamped to the size limit, and a sample that would pass it is an
+// ErrTooLarge error.
+func gnpEdges(n int, p float64, r *xrand.Rand) ([]int64, error) {
 	total := int64(n) * int64(n-1) / 2
-	packed := make([]int64, 0, int(float64(total)*p*1.1)+8)
+	packed := make([]int64, 0, min(int(float64(total)*p*1.1)+8, maxIDs/2))
 	if p == 1 {
 		for u := 0; u < n; u++ {
 			for w := u + 1; w < n; w++ {
 				packed = append(packed, pack(u, w))
 			}
 		}
-		return packed
+		return packed, nil
 	}
 	// Enumerate pair indices 0..total-1 lexicographically and skip ahead
 	// by Geom(p) each time.
@@ -280,7 +312,10 @@ func gnpEdges(n int, p float64, r *xrand.Rand) []int64 {
 	for {
 		idx += r.Geometric(p)
 		if idx >= total {
-			return packed
+			return packed, nil
+		}
+		if len(packed) == maxIDs/2 {
+			return nil, fmt.Errorf("graph: Gnp(%d, %v) sampled over %d edges: %w", n, p, maxIDs/2, ErrTooLarge)
 		}
 		u, w := unrankPair(idx, n)
 		packed = append(packed, pack(u, w))
@@ -314,10 +349,13 @@ func WattsStrogatz(n, k int, beta float64, r *xrand.Rand) (*Dense, error) {
 		return nil, fmt.Errorf("graph: WattsStrogatz(%d, %d, %v): need n >= 3, even 2 <= k < n, beta in [0,1]: %w",
 			n, k, beta, ErrInvalidEdge)
 	}
+	if err := checkSize("ws", float64(n), float64(n)*float64(k)); err != nil {
+		return nil, err
+	}
 	name := fmt.Sprintf("ws-%d-k%d-b%g", n, k, beta)
 	for try := 0; try < 1000; try++ {
 		g := newDenseUnchecked(n, sortPacked(wsEdges(n, k, beta, r)), name)
-		if connected(g) {
+		if Connected(g) {
 			return g, nil
 		}
 	}
@@ -325,43 +363,111 @@ func WattsStrogatz(n, k int, beta float64, r *xrand.Rand) (*Dense, error) {
 		n, k, beta, ErrDisconnected)
 }
 
-// wsEdges builds one rewired ring lattice. The edge set is tracked in a
-// map so rewiring never creates duplicates or self-loops; an edge whose
-// rewiring target collides keeps its lattice endpoint.
+// wsEdges builds one rewired ring lattice: slot u·half+j−1 starts as
+// {u, (u+j) mod n}, j = 1..half. Rewiring never creates self-loops or
+// duplicates. Membership of a candidate {u < w}, d = w−u, is arithmetic
+// on the lattice (see latticeSlot): such a pair is present unless its
+// slot's "rewired away" bit is set, and re-adding it clears the bit.
+// Other pairs are present once a rewiring has added them to a flat set.
+// A rewired slot keeps its pair's smaller node, key>>32, which on the
+// wrap-around slots is not the lattice source u; a slot whose targets
+// keep colliding stays on the lattice.
 func wsEdges(n, k int, beta float64, r *xrand.Rand) []int64 {
-	seen := make(map[int64]struct{}, n*k/2)
-	order := make([]int64, 0, n*k/2)
+	half := k / 2
+	packed := make([]int64, 0, n*half)
 	for u := 0; u < n; u++ {
-		for j := 1; j <= k/2; j++ {
-			key := pack(u, (u+j)%n)
-			seen[key] = struct{}{}
-			order = append(order, key)
+		for j := 1; j <= half; j++ {
+			packed = append(packed, pack(u, (u+j)%n))
 		}
 	}
-	packed := make([]int64, 0, len(order))
-	for _, key := range order {
-		u := int(key >> 32)
-		if beta > 0 && r.Float64() < beta {
-			// Rewire the far endpoint; keep the lattice edge when the node
-			// is saturated or a bounded number of draws keeps colliding.
-			for attempt := 0; attempt < 32; attempt++ {
-				w := r.Intn(n)
-				cand := pack(u, w)
-				if w == u {
-					continue
-				}
-				if _, dup := seen[cand]; dup {
-					continue
-				}
-				delete(seen, key)
-				seen[cand] = struct{}{}
-				key = cand
-				break
-			}
+	if beta == 0 {
+		return packed
+	}
+	away := make([]uint64, (len(packed)+63)/64)
+	added := pairSet{slots: make([]int64, 1<<bits.Len(uint(beta*float64(2*len(packed)))|63))}
+	for s, key := range packed {
+		if r.Float64() >= beta {
+			continue
 		}
-		packed = append(packed, key)
+		// Rewire the far endpoint; keep the lattice edge when the node
+		// is saturated or a bounded number of draws keeps colliding.
+		u := int(key >> 32)
+		for attempt := 0; attempt < 32; attempt++ {
+			w := r.Intn(n)
+			if w == u {
+				continue
+			}
+			cand := pack(u, w)
+			if ls := latticeSlot(cand, n, half); ls >= 0 {
+				if away[ls>>6]&(1<<(ls&63)) == 0 {
+					continue
+				}
+				away[ls>>6] &^= 1 << (ls & 63)
+			} else if !added.insert(cand) {
+				continue
+			}
+			away[s>>6] |= 1 << (s & 63)
+			packed[s] = cand
+			break
+		}
 	}
 	return packed
+}
+
+// latticeSlot returns the lattice slot of key = u<<32|w, u < w, or -1
+// if the pair is not on the lattice: with d = w−u it is slot u·half+d−1
+// if d <= half, or w·half+(n−d)−1 if n−d <= half (k < n excludes both).
+func latticeSlot(key int64, n, half int) int {
+	u, w := int(key>>32), int(key&0xffffffff)
+	switch d := w - u; {
+	case d <= half:
+		return u*half + d - 1
+	case n-d <= half:
+		return w*half + n - d - 1
+	}
+	return -1
+}
+
+// pairSet is a flat open-addressing (linear probing) set of packed
+// pairs, at most half full. Key 0 would be the self-loop {0, 0}, which
+// never occurs, so it marks an empty slot.
+type pairSet struct {
+	slots []int64
+	count int
+}
+
+// insert adds key and reports whether it was absent.
+func (s *pairSet) insert(key int64) bool {
+	if 2*(s.count+1) > len(s.slots) {
+		old := s.slots
+		s.slots = make([]int64, 2*len(old))
+		for _, k := range old {
+			if k != 0 {
+				s.slots[pairSlot(s.slots, k)] = k
+			}
+		}
+	}
+	i := pairSlot(s.slots, key)
+	if s.slots[i] == key {
+		return false
+	}
+	s.slots[i] = key
+	s.count++
+	return true
+}
+
+// pairSlot returns the index of key in slots, or of the empty slot where
+// key belongs. len(slots) is a power of two and some slot is empty.
+//
+//popcheck:kernel
+func pairSlot(slots []int64, key int64) int {
+	mask := uint64(len(slots) - 1)
+	h := uint64(key) * 0x9e3779b97f4a7c15
+	for i := (h ^ h>>32) & mask; ; i = (i + 1) & mask {
+		if k := slots[i]; k == key || k == 0 {
+			return int(i)
+		}
+	}
 }
 
 // BarabasiAlbert samples a Barabási–Albert preferential-attachment
@@ -375,6 +481,9 @@ func BarabasiAlbert(n, m int, r *xrand.Rand) (*Dense, error) {
 	if m < 1 || m >= n {
 		return nil, fmt.Errorf("graph: BarabasiAlbert(%d, %d): need 1 <= m < n: %w",
 			n, m, ErrInvalidEdge)
+	}
+	if err := checkSize("ba", float64(n), float64(m)*(2*float64(n)-float64(m)-1)); err != nil {
+		return nil, err
 	}
 	mEdges := m * (m + 1) / 2 // seed clique
 	packed := make([]int64, 0, mEdges+(n-m-1)*m)
@@ -393,15 +502,7 @@ func BarabasiAlbert(n, m int, r *xrand.Rand) (*Dense, error) {
 	for v := m + 1; v < n; v++ {
 		picked = picked[:0]
 		for len(picked) < m {
-			w := targets[r.Intn(len(targets))]
-			dup := false
-			for _, c := range picked {
-				if c == w {
-					dup = true
-					break
-				}
-			}
-			if !dup {
+			if w := targets[r.Intn(len(targets))]; !slices.Contains(picked, w) {
 				picked = append(picked, w)
 			}
 		}
@@ -417,9 +518,12 @@ func BarabasiAlbert(n, m int, r *xrand.Rand) (*Dense, error) {
 // the Steger–Wormald pairing procedure, restarting on dead ends, and
 // conditions on connectivity. Requires 3 <= d < n and n·d even.
 func RandomRegular(n, d int, r *xrand.Rand) (*Dense, error) {
-	if d < 3 || d >= n || n*d%2 != 0 {
+	if d < 3 || d >= n || n%2 != 0 && d%2 != 0 {
 		return nil, fmt.Errorf("graph: RandomRegular(%d, %d): need 3 <= d < n, n·d even: %w",
 			n, d, ErrInvalidEdge)
+	}
+	if err := checkSize("regular", float64(n), float64(n)*float64(d)); err != nil {
+		return nil, err
 	}
 	for try := 0; try < 1000; try++ {
 		packed, ok := pairingAttempt(n, d, r)
@@ -427,7 +531,7 @@ func RandomRegular(n, d int, r *xrand.Rand) (*Dense, error) {
 			continue
 		}
 		g := newDenseUnchecked(n, sortPacked(packed), fmt.Sprintf("regular-%d-d%d", n, d))
-		if connected(g) {
+		if Connected(g) {
 			return g, nil
 		}
 	}
@@ -445,12 +549,14 @@ func pairingAttempt(n, d int, r *xrand.Rand) ([]int64, bool) {
 			stubs = append(stubs, int32(v))
 		}
 	}
-	seen := make(map[int64]struct{}, n*d/2)
+	// nbr[v·d : v·d+deg[v]] lists v's partners so far.
+	nbr := make([]int32, n*d)
+	deg := make([]int32, n)
 	packed := make([]int64, 0, n*d/2)
+	// A bounded number of rejection-sampling attempts per pair; when they
+	// all fail, the round is a dead end.
+pairing:
 	for len(stubs) > 0 {
-		placed := false
-		// A bounded number of rejection-sampling attempts; if the remaining
-		// stubs are few, fall back to exhaustively scanning for any valid pair.
 		for attempt := 0; attempt < 64; attempt++ {
 			i := r.Intn(len(stubs))
 			j := r.Intn(len(stubs) - 1)
@@ -461,12 +567,14 @@ func pairingAttempt(n, d int, r *xrand.Rand) ([]int64, bool) {
 			if u == w {
 				continue
 			}
-			key := pack(int(min32(u, w)), int(max32(u, w)))
-			if _, dup := seen[key]; dup {
+			if slices.Contains(nbr[int(u)*d:int(u)*d+int(deg[u])], w) {
 				continue
 			}
-			seen[key] = struct{}{}
-			packed = append(packed, key)
+			nbr[int(u)*d+int(deg[u])] = w
+			nbr[int(w)*d+int(deg[w])] = u
+			deg[u]++
+			deg[w]++
+			packed = append(packed, pack(int(u), int(w)))
 			// Remove the two stubs (order: larger index first).
 			if i < j {
 				i, j = j, i
@@ -475,28 +583,11 @@ func pairingAttempt(n, d int, r *xrand.Rand) ([]int64, bool) {
 			stubs = stubs[:len(stubs)-1]
 			stubs[j] = stubs[len(stubs)-1]
 			stubs = stubs[:len(stubs)-1]
-			placed = true
-			break
+			continue pairing
 		}
-		if !placed {
-			return nil, false
-		}
+		return nil, false
 	}
 	return packed, true
-}
-
-func min32(a, b int32) int32 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max32(a, b int32) int32 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func pack(u, w int) int64 {
@@ -506,63 +597,9 @@ func pack(u, w int) int64 {
 	return int64(u)<<32 | int64(w)
 }
 
+// sortPacked sorts a generator's edge list into the ascending order
+// newDenseUnchecked and the edge sampler expect.
 func sortPacked(packed []int64) []int64 {
-	// Insertion of generator output is nearly sorted; stdlib sort is fine.
-	sortInt64s(packed)
+	slices.Sort(packed)
 	return packed
-}
-
-func sortInt64s(a []int64) {
-	// Simple pdq via sort.Slice to avoid reflect-heavy sort.Sort plumbing.
-	if len(a) < 2 {
-		return
-	}
-	quicksortInt64(a)
-}
-
-func quicksortInt64(a []int64) {
-	for len(a) > 12 {
-		p := medianOfThree(a)
-		lo, hi := 0, len(a)-1
-		for lo <= hi {
-			for a[lo] < p {
-				lo++
-			}
-			for a[hi] > p {
-				hi--
-			}
-			if lo <= hi {
-				a[lo], a[hi] = a[hi], a[lo]
-				lo++
-				hi--
-			}
-		}
-		if hi < len(a)-lo {
-			quicksortInt64(a[:hi+1])
-			a = a[lo:]
-		} else {
-			quicksortInt64(a[lo:])
-			a = a[:hi+1]
-		}
-	}
-	// Insertion sort for small slices.
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
-}
-
-func medianOfThree(a []int64) int64 {
-	lo, mid, hi := a[0], a[len(a)/2], a[len(a)-1]
-	if lo > mid {
-		lo, mid = mid, lo
-	}
-	if mid > hi {
-		mid = hi
-	}
-	if lo > mid {
-		mid = lo
-	}
-	return mid
 }

@@ -13,7 +13,7 @@ package graph
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"popgraph/internal/xrand"
 )
@@ -70,6 +70,7 @@ type Edge struct {
 var (
 	ErrDisconnected = errors.New("graph: not connected")
 	ErrInvalidEdge  = errors.New("graph: invalid edge")
+	ErrTooLarge     = errors.New("graph: n or 2m over 2^31-1 (int32 node ids and CSR offsets)")
 )
 
 // NewDense builds a Dense graph on n nodes from the given undirected edge
@@ -78,6 +79,9 @@ var (
 func NewDense(n int, edges []Edge, name string) (*Dense, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("graph %q: n must be positive, got %d: %w", name, n, ErrInvalidEdge)
+	}
+	if err := checkSize(name, float64(n), 2*float64(len(edges))); err != nil {
+		return nil, err
 	}
 	norm := make([]int64, 0, len(edges))
 	for _, e := range edges {
@@ -93,7 +97,7 @@ func NewDense(n int, edges []Edge, name string) (*Dense, error) {
 		}
 		norm = append(norm, int64(u)<<32|int64(w))
 	}
-	sort.Slice(norm, func(i, j int) bool { return norm[i] < norm[j] })
+	slices.Sort(norm)
 	for i := 1; i < len(norm); i++ {
 		if norm[i] == norm[i-1] {
 			return nil, fmt.Errorf("graph %q: duplicate edge (%d,%d): %w",
@@ -101,7 +105,7 @@ func NewDense(n int, edges []Edge, name string) (*Dense, error) {
 		}
 	}
 	g := newDenseUnchecked(n, norm, name)
-	if !connected(g) {
+	if !Connected(g) {
 		return nil, fmt.Errorf("graph %q (n=%d, m=%d): %w", name, n, len(norm), ErrDisconnected)
 	}
 	return g, nil
@@ -380,6 +384,7 @@ func NewClique(n int) Clique {
 	if n < 2 {
 		panic(fmt.Sprintf("graph: clique needs n >= 2, got %d", n))
 	}
+	mustFit("clique", float64(n), 0) // implicit: no adjacency arrays
 	return Clique{n: n}
 }
 

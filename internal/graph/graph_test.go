@@ -508,23 +508,6 @@ func TestDiameterKnownMatchesExact(t *testing.T) {
 	}
 }
 
-func TestSortPacked(t *testing.T) {
-	r := xrand.New(11)
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + r.Intn(500)
-		a := make([]int64, n)
-		for i := range a {
-			a[i] = int64(r.Uint64() >> 1)
-		}
-		sortInt64s(a)
-		for i := 1; i < len(a); i++ {
-			if a[i-1] > a[i] {
-				t.Fatalf("not sorted at %d", i)
-			}
-		}
-	}
-}
-
 func BenchmarkSampleEdgeDense(b *testing.B) {
 	g := Cycle(1 << 12)
 	r := xrand.New(1)

@@ -4,49 +4,79 @@ package graph
 // degree statistics, connectivity, and cut/boundary quantities used by the
 // expansion estimates and the renitent-cover machinery.
 
+import (
+	"math"
+	"slices"
+)
+
 // BFSDistances returns the hop distance from src to every node (-1 for
 // unreachable nodes, which cannot occur on the connected graphs produced
 // by this package's constructors).
 func BFSDistances(g Graph, src int) []int32 {
-	n := g.N()
-	dist := make([]int32, n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	queue := make([]int32, 0, n)
+	dist, queue := newBFS(g.N())
 	dist[src] = 0
-	queue = append(queue, int32(src))
-	for head := 0; head < len(queue); head++ {
-		v := int(queue[head])
-		dv := dist[v]
-		deg := g.Degree(v)
-		for i := 0; i < deg; i++ {
-			w := g.NeighborAt(v, i)
-			if dist[w] < 0 {
-				dist[w] = dv + 1
-				queue = append(queue, int32(w))
-			}
-		}
-	}
+	queue[0] = int32(src)
+	bfs(g, dist, queue, 1, math.MaxInt32)
 	return dist
 }
 
-// connected reports whether g is connected (internal; constructors enforce it).
-func connected(g Graph) bool {
-	if g.N() == 0 {
-		return false
+// newBFS returns a distance array of -1s and an empty queue for n nodes.
+func newBFS(n int) (dist, queue []int32) {
+	dist = make([]int32, n)
+	for i := range dist {
+		dist[i] = -1
 	}
-	dist := BFSDistances(g, 0)
-	for _, d := range dist {
-		if d < 0 {
-			return false
+	return dist, make([]int32, n)
+}
+
+// bfs extends the distances in dist by a breadth-first search from the
+// tail nodes already queued, expanding no node at distance radius or
+// more. A *Dense walks its CSR arrays; other graphs go through Degree
+// and NeighborAt.
+func bfs(g Graph, dist, queue []int32, tail int, radius int32) {
+	if d, ok := g.(*Dense); ok {
+		bfsCSR(d.offsets, d.adj, dist, queue, tail, radius)
+		return
+	}
+	for head := 0; head < tail; head++ {
+		v := int(queue[head])
+		if dist[v] >= radius {
+			continue
+		}
+		for i, deg := 0, g.Degree(v); i < deg; i++ {
+			if w := g.NeighborAt(v, i); dist[w] < 0 {
+				dist[w] = dist[v] + 1
+				queue[tail] = int32(w)
+				tail++
+			}
 		}
 	}
-	return true
+}
+
+// bfsCSR is bfs on CSR arrays.
+//
+//popcheck:kernel
+func bfsCSR(offsets, adj, dist, queue []int32, tail int, radius int32) {
+	for head := 0; head < tail; head++ {
+		v := queue[head]
+		dv := dist[v]
+		if dv >= radius {
+			continue
+		}
+		for _, w := range adj[offsets[v]:offsets[v+1]] {
+			if dist[w] < 0 {
+				dist[w] = dv + 1
+				queue[tail] = w
+				tail++
+			}
+		}
+	}
 }
 
 // Connected reports whether g is connected.
-func Connected(g Graph) bool { return connected(g) }
+func Connected(g Graph) bool {
+	return g.N() > 0 && !slices.Contains(BFSDistances(g, 0), -1)
+}
 
 // Eccentricity returns max_v dist(src, v).
 func Eccentricity(g Graph, src int) int {
@@ -201,34 +231,19 @@ func CutConductance(g Graph, inS []bool) float64 {
 
 // Ball returns the radius-r ball B_r(U) around the node set U as a mask.
 func Ball(g Graph, nodes []int, radius int) []bool {
-	n := g.N()
-	in := make([]bool, n)
-	dist := make([]int32, n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	queue := make([]int32, 0, n)
+	dist, queue := newBFS(g.N())
+	tail := 0
 	for _, v := range nodes {
 		if dist[v] < 0 {
 			dist[v] = 0
-			in[v] = true
-			queue = append(queue, int32(v))
+			queue[tail] = int32(v)
+			tail++
 		}
 	}
-	for head := 0; head < len(queue); head++ {
-		v := int(queue[head])
-		if int(dist[v]) >= radius {
-			continue
-		}
-		deg := g.Degree(v)
-		for i := 0; i < deg; i++ {
-			w := g.NeighborAt(v, i)
-			if dist[w] < 0 {
-				dist[w] = dist[v] + 1
-				in[w] = true
-				queue = append(queue, int32(w))
-			}
-		}
+	bfs(g, dist, queue, tail, int32(min(max(radius, 0), math.MaxInt32)))
+	in := make([]bool, len(dist))
+	for v, d := range dist {
+		in[v] = d >= 0
 	}
 	return in
 }

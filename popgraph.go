@@ -169,8 +169,10 @@ func MinDegree(g Graph) int { return graph.MinDegree(g) }
 // written by cmd/preprocess or graphinfo -out) instead of generating a
 // graph: one validated read revives the exact CSR arrays the generator
 // built, so runs on the loaded graph are byte-identical to runs on the
-// original and startup is milliseconds where generation plus
-// connectivity conditioning takes seconds. mmap:PATH is the same with
+// original and startup is milliseconds. Generating ws:1000000:10:0.1
+// takes 0.6–0.7 s on a 2-core Xeon VM: rewiring 0.12–0.14 s, sorting
+// 0.28–0.36 s, the CSR fill 0.08–0.13 s and the BFS connectivity check
+// 0.10–0.13 s. mmap:PATH is the same with
 // an opt-in memory mapping on linux (lazy page-in, pages shared across
 // processes; the mapping lives as long as the process). Loaded graphs
 // carry their snapshot's prebuilt weight sets: see the weighted:snap
@@ -179,7 +181,9 @@ func MinDegree(g Graph) int { return graph.MinDegree(g) }
 // Specs whose parameters are out of range for the family (e.g.
 // "cycle:2", "hypercube:0", "torus:2x5", negative sizes) return an
 // error; ParseGraph never panics on bad input, so CLI tools can report
-// the spec instead of crashing.
+// the spec instead of crashing. So do specs with more than 2³¹−1 nodes
+// or adjacency entries (2m), which int32 node ids and CSR offsets cannot
+// hold; the generators refuse them before allocating.
 func ParseGraph(spec string, r *Rand) (Graph, error) {
 	if path, ok := strings.CutPrefix(spec, "file:"); ok {
 		s, err := snapshot.Load(path)

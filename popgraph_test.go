@@ -1,6 +1,7 @@
 package popgraph_test
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -117,7 +118,7 @@ func TestParseGraphRangeErrors(t *testing.T) {
 		"grid:0x4", "grid:1x1", "grid:-2x3",
 		"lollipop:1:3", "lollipop:4:0", "lollipop:-2:-2",
 		"barbell:1:2", "barbell:2:-1",
-		"gnp:1:0.5", "gnp:10:0", "gnp:10:1.5", "gnp:-4:0.5",
+		"gnp:1:0.5", "gnp:10:0", "gnp:10:1.5", "gnp:-4:0.5", "gnp:10:NaN",
 		"regular:10:2", "regular:10:11", "regular:5:3", "regular:-6:3",
 		"ws:10:3:0.1", "ws:10:0:0.1", "ws:8:8:0.1", "ws:2:2:0.1",
 		"ws:10:4:-0.5", "ws:10:4:1.5",
@@ -130,6 +131,38 @@ func TestParseGraphRangeErrors(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), spec) {
 			t.Errorf("spec %q: error %q does not name the spec", spec, err)
+		}
+	}
+}
+
+// TestParseGraphOversized checks that specs whose node count or 2m
+// overflows int32 node ids and CSR offsets come back as errors before the
+// generator allocates: each used to die with a fatal out-of-memory error.
+// hypercube:28 (n fits, 2m does not) is refused by the dimension cap.
+func TestParseGraphOversized(t *testing.T) {
+	r := popgraph.NewRand(13)
+	for _, c := range []struct{ spec, why string }{
+		{"cycle:3000000000", "int32"},
+		{"torus:100000x100000", "int32"},
+		{"clique:3000000000", "int32"},
+		{"hypercube:28", "out of range"},
+		{"ws:300000000:16:0.1", "int32"},
+		{"regular:300000000:16", "int32"},
+		{"ba:300000000:16", "int32"},
+		{"gnp:70000:1", "int32"},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := popgraph.ParseGraph(c.spec, r)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("spec %q accepted", c.spec)
+		}
+		if !strings.Contains(err.Error(), c.spec) || !strings.Contains(err.Error(), c.why) {
+			t.Errorf("spec %q: error %q should name the spec and say %q", c.spec, err, c.why)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+			t.Errorf("spec %q: allocated %d bytes before refusing", c.spec, alloc)
 		}
 	}
 }
