@@ -143,12 +143,11 @@ func run(out string, seed uint64, quick, quiet bool, compare string, tol float64
 	fmt.Printf("max speedup: %.2fx  max table speedup: %.2fx\n", rep.MaxSpeedup, rep.MaxTableSpeedup)
 	if len(rep.Startup) > 0 {
 		st := table.New("snapshot startup (build once vs load)",
-			"graph", "n", "m", "bytes", "build ms", "load ms", "mmap ms", "speedup")
+			"graph", "n", "m", "bytes", "build ms", "load ms", "speedup")
 		for _, s := range rep.Startup {
 			st.AddRow(s.GraphSpec, s.N, s.M, s.SnapshotBytes,
 				fmt.Sprintf("%.1f", float64(s.BuildNs)/1e6),
 				fmt.Sprintf("%.2f", float64(s.LoadNs)/1e6),
-				fmt.Sprintf("%.2f", float64(s.MmapLoadNs)/1e6),
 				fmt.Sprintf("%.0fx", s.LoadSpeedup))
 		}
 		st.WriteText(os.Stdout)

@@ -4,18 +4,15 @@
 // classic-walk hitting time H(G), next to the Theorem 6 / Lemma 12
 // broadcast bounds.
 //
-// For a snapshot-loaded graph (-graph file:PATH.popg) it first prints
-// the container itself — header, section table with checksums, stored
-// weight-set names — before the usual graph statistics; -verify also
-// runs the deep O(m) content check the encoder performed at write time
-// (loaders skip it by design, trusting the checksums). -out PATH.popg
-// snapshots any graph spec instead of analyzing it, a lightweight
-// alternative to cmd/preprocess.
+// For a snapshot-loaded graph (-graph file:PATH.popg, written by
+// cmd/preprocess) it first prints the container itself — header and
+// section table with checksums — before the usual graph statistics;
+// -verify also runs the deep O(m) content check the encoder performed
+// at write time (loaders skip it by design, trusting the checksums).
 //
 // Usage:
 //
 //	graphinfo -graph cycle:256 -seed 1
-//	graphinfo -graph ws:100000:10:0.1 -out ws.popg
 //	graphinfo -graph file:ws.popg -fast
 //	graphinfo -graph file:ws.popg -verify -fast
 package main
@@ -37,39 +34,29 @@ func main() {
 		graphSpec = flag.String("graph", "cycle:128", "graph spec, e.g. gnp:256:0.5 or file:PATH.popg")
 		seed      = flag.Uint64("seed", 1, "random seed")
 		skipSlow  = flag.Bool("fast", false, "skip the slower B(G)/H(G) estimates")
-		out       = flag.String("out", "", "write the graph as a binary snapshot to this path and exit")
-		verify    = flag.Bool("verify", false, "deep-verify a file:/mmap: snapshot's content (the O(m) check loaders skip)")
+		verify    = flag.Bool("verify", false, "deep-verify a file: snapshot's content (the O(m) check loaders skip)")
 	)
 	flag.Parse()
-	if err := run(*graphSpec, *seed, *skipSlow, *out, *verify); err != nil {
+	if err := run(*graphSpec, *seed, *skipSlow, *verify); err != nil {
 		fmt.Fprintln(os.Stderr, "graphinfo:", err)
 		os.Exit(1)
 	}
 }
 
-func run(spec string, seed uint64, skipSlow bool, out string, verify bool) error {
-	if out != "" {
-		return writeSnapshot(spec, seed, out)
-	}
-	_, isSnap := snapshotPath(spec)
+func run(spec string, seed uint64, skipSlow, verify bool) error {
+	path, isSnap := strings.CutPrefix(spec, "file:")
 	if verify && !isSnap {
-		return fmt.Errorf("-verify needs a file:/mmap: snapshot spec, got %q", spec)
+		return fmt.Errorf("-verify needs a file: snapshot spec, got %q", spec)
 	}
-	if path, ok := snapshotPath(spec); ok {
+	if isSnap {
 		if err := printSnapshot(path); err != nil {
 			return err
 		}
 	}
 	r := popgraph.NewRand(seed)
-	g, err := popgraph.ParseGraph(spec, r)
+	g, err := loadGraph(spec, path, verify, r)
 	if err != nil {
 		return err
-	}
-	if verify {
-		if err := snapshot.Verify(snapshot.Of(g)); err != nil {
-			return err
-		}
-		fmt.Printf("verified   deep content check passed (CSR consistency, alias tables)\n")
 	}
 	n, m := g.N(), g.M()
 	maxDeg, minDeg := popgraph.MaxDegree(g), popgraph.MinDegree(g)
@@ -110,18 +97,27 @@ func run(spec string, seed uint64, skipSlow bool, out string, verify bool) error
 	return nil
 }
 
-// snapshotPath extracts the snapshot file path from a file:/mmap: spec.
-func snapshotPath(spec string) (string, bool) {
-	if path, ok := strings.CutPrefix(spec, "file:"); ok {
-		return path, true
+// loadGraph builds the graph spec. With verify it loads the snapshot at
+// path directly, so the deep content check runs on the graph it returns.
+func loadGraph(spec, path string, verify bool, r *popgraph.Rand) (popgraph.Graph, error) {
+	if !verify {
+		return popgraph.ParseGraph(spec, r)
 	}
-	return strings.CutPrefix(spec, "mmap:")
+	s, err := snapshot.Load(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := snapshot.Verify(s); err != nil {
+		return nil, err
+	}
+	fmt.Printf("verified   deep content check passed (CSR consistency)\n")
+	return s.Graph, nil
 }
 
 // printSnapshot prints the container-level view of a .popg file:
-// header fields, the section table with offsets/lengths/checksums, and
-// the stored artifact names. Inspect verifies every checksum, so a
-// clean listing doubles as an integrity check.
+// header fields and the section table with offsets/lengths/checksums.
+// Inspect verifies every checksum, so a clean listing doubles as an
+// integrity check.
 func printSnapshot(path string) error {
 	info, err := snapshot.Inspect(path)
 	if err != nil {
@@ -141,29 +137,5 @@ func printSnapshot(path string) error {
 			name, s.Offset, s.Length, s.Checksum)
 	}
 	fmt.Println()
-	return nil
-}
-
-// writeSnapshot builds the graph spec and writes it as a snapshot —
-// the minimal preprocess path (no weight sets; use cmd/preprocess to
-// embed those).
-func writeSnapshot(spec string, seed uint64, out string) error {
-	r := popgraph.NewRand(seed)
-	g, err := popgraph.ParseGraph(spec, r)
-	if err != nil {
-		return err
-	}
-	snap, err := snapshot.Build(g, spec)
-	if err != nil {
-		return err
-	}
-	if err := snapshot.WriteFile(out, snap); err != nil {
-		return err
-	}
-	st, err := os.Stat(out)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s: %s (n=%d, m=%d, %d bytes)\n", out, g.Name(), g.N(), g.M(), st.Size())
 	return nil
 }

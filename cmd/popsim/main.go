@@ -21,10 +21,10 @@
 //
 // Graphs: clique:N cycle:N path:N star:N hypercube:D torus:RxC grid:RxC
 // lollipop:K:P barbell:K:P gnp:N:P regular:N:D ws:N:K:BETA ba:N:M, or a
-// preprocessed binary snapshot: file:PATH.popg (read) / mmap:PATH.popg
-// (memory-mapped; build one with cmd/preprocess or graphinfo -out).
+// preprocessed binary snapshot: file:PATH.popg (build one with
+// cmd/preprocess).
 // Protocols: six-state | identifier | identifier-regular | fast | star | majority:FRAC.
-// Schedulers: uniform | weighted[:exp|:degprod|:snap[:NAME]] |
+// Schedulers: uniform | weighted[:exp|:degprod] |
 // node-clock | churn:UP:DOWN.
 package main
 

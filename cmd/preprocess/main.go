@@ -1,19 +1,16 @@
 // Command preprocess builds a graph once and writes it as a binary
 // popgraph-snap/v1 snapshot (see internal/snapshot), so later runs load
-// it with file:PATH.popg (or mmap:PATH.popg) in milliseconds instead of
-// regenerating it — the point at 10⁶–10⁷ nodes, where generation plus
+// it with file:PATH.popg in milliseconds instead of regenerating it — the point at 10⁶–10⁷ nodes, where generation plus
 // connectivity conditioning dominates startup.
 //
 // Usage:
 //
 //	preprocess -graph ws:1000000:10:0.1 -seed 1 -out ws1m.popg
-//	preprocess -graph ba:100000:4 -out ba.popg -weights exp,degprod
 //	preprocess -graph ws:4096:8:0.2 -sweep-seed 42 -sweep-index 0 -out cell0.popg
 //
-// -weights embeds named per-edge rate vectors with prebuilt alias
-// tables, consumed by the weighted:snap[:NAME] scheduler spec.
-// Transition tables are not stored: each constant-state protocol builds
-// its table once per process.
+// The snapshot holds the graph only. Schedulers (weighted rates
+// included) are built from their specs on the loaded graph, and each
+// constant-state protocol builds its transition table once per process.
 //
 // -sweep-seed/-sweep-index derive the graph construction seed exactly
 // as cmd/sweep does for the i-th expanded graph spec of a grid seeded
@@ -25,7 +22,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"strings"
 	"time"
@@ -40,13 +36,12 @@ func main() {
 		graphSpec  = flag.String("graph", "", "generator graph spec to build, e.g. ws:1000000:10:0.1 (required)")
 		seed       = flag.Uint64("seed", 1, "graph construction seed")
 		out        = flag.String("out", "", "output snapshot path, conventionally .popg (required)")
-		weights    = flag.String("weights", "", "comma-separated weight sets to embed: exp, degprod")
 		sweepSeed  = flag.Uint64("sweep-seed", 0, "derive the construction seed as a sweep with this -seed would")
 		sweepIndex = flag.Int("sweep-index", 0, "expanded graph-spec index within that sweep (with -sweep-seed)")
 		quiet      = flag.Bool("q", false, "suppress progress output")
 	)
 	flag.Parse()
-	if err := run(*graphSpec, *seed, *out, *weights, *sweepSeed, *sweepIndex, *quiet,
+	if err := run(*graphSpec, *seed, *out, *sweepSeed, *sweepIndex, *quiet,
 		flagWasSet("sweep-seed")); err != nil {
 		fmt.Fprintln(os.Stderr, "preprocess:", err)
 		os.Exit(1)
@@ -65,7 +60,7 @@ func flagWasSet(name string) bool {
 	return set
 }
 
-func run(graphSpec string, seed uint64, out, weightList string,
+func run(graphSpec string, seed uint64, out string,
 	sweepSeed uint64, sweepIndex int, quiet, useSweepSeed bool) error {
 	if graphSpec == "" {
 		return fmt.Errorf("-graph is required")
@@ -73,7 +68,7 @@ func run(graphSpec string, seed uint64, out, weightList string,
 	if out == "" {
 		return fmt.Errorf("-out is required")
 	}
-	if strings.HasPrefix(graphSpec, "file:") || strings.HasPrefix(graphSpec, "mmap:") {
+	if strings.HasPrefix(graphSpec, "file:") {
 		return fmt.Errorf("-graph %q is already a snapshot spec; pass a generator spec", graphSpec)
 	}
 	if useSweepSeed {
@@ -83,9 +78,8 @@ func run(graphSpec string, seed uint64, out, weightList string,
 		seed = sweep.GraphBuildSeed(sweepSeed, sweepIndex)
 	}
 
-	r := popgraph.NewRand(seed)
 	buildStart := time.Now()
-	g, err := popgraph.ParseGraph(graphSpec, r)
+	g, err := popgraph.ParseGraph(graphSpec, popgraph.NewRand(seed))
 	if err != nil {
 		return err
 	}
@@ -94,11 +88,6 @@ func run(graphSpec string, seed uint64, out, weightList string,
 	snap, err := snapshot.Build(g, graphSpec)
 	if err != nil {
 		return err
-	}
-	for _, model := range splitList(weightList) {
-		if err := addWeights(snap, model, r); err != nil {
-			return err
-		}
 	}
 
 	encodeStart := time.Now()
@@ -117,43 +106,6 @@ func run(graphSpec string, seed uint64, out, weightList string,
 	fmt.Printf("graph    %s  (n=%d, m=%d, seed=%d)\n", g.Name(), g.N(), g.M(), seed)
 	fmt.Printf("build    %v\n", buildNs)
 	fmt.Printf("encode   %v -> %s (%d bytes)\n", encodeNs, out, st.Size())
-	for _, w := range snap.Weights {
-		fmt.Printf("weights  %s (%d rates + alias)\n", w.Name, len(w.Rates))
-	}
-	fmt.Printf("run with -graphs file:%s (or mmap:%s)\n", out, out)
+	fmt.Printf("run with -graphs file:%s\n", out)
 	return nil
-}
-
-// splitList splits a comma-separated flag value, dropping empty items.
-func splitList(s string) []string {
-	var out []string
-	for _, item := range strings.Split(s, ",") {
-		if item = strings.TrimSpace(item); item != "" {
-			out = append(out, item)
-		}
-	}
-	return out
-}
-
-// addWeights embeds one named per-edge weight set. The exp model draws
-// i.i.d. Exp(1) rates from r by inversion, continuing the construction
-// RNG stream after the graph build — these are the snapshot's own fixed
-// rates, distinct from weighted:exp's per-run draws. degprod is the
-// deterministic deg(u)·deg(w) model.
-func addWeights(snap *snapshot.Snapshot, model string, r *popgraph.Rand) error {
-	g := snap.Graph
-	rates := make([]float64, 0, g.M())
-	switch model {
-	case "exp":
-		for i := 0; i < g.M(); i++ {
-			rates = append(rates, -math.Log(1-r.Float64()))
-		}
-	case "degprod":
-		g.ForEachEdge(func(u, w int) {
-			rates = append(rates, float64(g.Degree(u))*float64(g.Degree(w)))
-		})
-	default:
-		return fmt.Errorf("unknown weight model %q (want exp | degprod)", model)
-	}
-	return snap.AddWeights(model, rates)
 }

@@ -7,8 +7,8 @@
 // access). Only non-test files matching the host's build constraints
 // are loaded: the determinism contract lives in shipping code, tests
 // legitimately use wall clocks and hard-coded seeds, and
-// platform-split files (snapshot's mmap_linux.go / mmap_other.go)
-// would otherwise collide as duplicate declarations.
+// platform-split files (x_linux.go next to x_other.go) would otherwise
+// collide as duplicate declarations.
 
 package analyzers
 

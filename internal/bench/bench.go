@@ -46,11 +46,13 @@ import (
 // kernels, "step" for interface dispatch), the interface-dispatch
 // timing and the table-vs-interface speedup; v5 added a lockstep batch
 // axis; v6 added the snapshot axis: the per-cell graph_source
-// ("generator" or "snapshot" for file:/mmap: specs) and the
+// ("generator" or "snapshot" for file: specs) and the
 // report-level startup section timing snapshot build vs load on large
 // graphs (RunStartup); v7 dropped the batch axis with the lockstep
 // engine and times every engine's trials in one pool, taking per-trial
-// times from Outcome.ElapsedNs instead of a pool per trial.
+// times from Outcome.ElapsedNs instead of a pool per trial. The
+// startup section's mmap_load_ns went away within v7: ReadJSON ignores
+// it in older reports, and Compare reads only Results.
 const Schema = "popgraph-bench/v7"
 
 // Config is one grid cell: a graph, scheduler and protocol spec with
@@ -94,7 +96,7 @@ type Measurement struct {
 	// Drop is the cell's injected drop rate (omitted when 0).
 	Drop float64 `json:"drop,omitempty"`
 	// GraphSource records where the cell's graph came from: "generator"
-	// for in-process construction, "snapshot" for file:/mmap: specs. The
+	// for in-process construction, "snapshot" for file: specs. The
 	// two are byte-identical to run (the determinism contract), so the
 	// field only labels provenance; it is deliberately not part of key(),
 	// keeping a snapshot-sourced grid comparable against a generator
@@ -287,7 +289,7 @@ func measure(cfg Config, seed uint64, meter *telemetry.Counters) (Measurement, e
 		return Measurement{}, err
 	}
 	source := "generator"
-	if strings.HasPrefix(cfg.GraphSpec, "file:") || strings.HasPrefix(cfg.GraphSpec, "mmap:") {
+	if strings.HasPrefix(cfg.GraphSpec, "file:") {
 		source = "snapshot"
 	}
 	m := Measurement{

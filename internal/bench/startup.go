@@ -1,11 +1,11 @@
 // Startup benchmarking: the build-once/load-many economics of binary
 // graph snapshots. For each spec the graph is generated once (timed),
-// written as a popgraph-snap/v1 container, and then loaded back — both
-// via plain read (snapshot.Load) and the linux mmap path — so the
-// report records how many times over a preprocessed graph amortizes
-// its generation. These numbers are informational, not gated: load
-// time is dominated by I/O and checksum bandwidth, which varies across
-// machines far more than kernel throughput does.
+// written as a popgraph-snap/v1 container, and then loaded back with
+// snapshot.Load, so the report records how many times over a
+// preprocessed graph amortizes its generation. These numbers are
+// informational, not gated: load time is dominated by I/O and checksum
+// bandwidth, which varies across machines far more than kernel
+// throughput does.
 
 package bench
 
@@ -31,17 +31,13 @@ type StartupMeasurement struct {
 	// BuildNs is the in-process generation time (ParseGraph, including
 	// connectivity conditioning for random families); LoadNs the full
 	// validated snapshot.Load (read + checksums + structural checks),
-	// best of loadReps; MmapLoadNs the same through snapshot.LoadMmap.
-	// LoadSpeedup is BuildNs over the faster of the two load paths —
-	// on linux that is the mmap path, which skips the page-cache copy
-	// a plain read pays before the first checksum byte.
+	// best of loadReps. LoadSpeedup is BuildNs over LoadNs.
 	BuildNs     int64   `json:"build_ns"`
 	LoadNs      int64   `json:"load_ns"`
-	MmapLoadNs  int64   `json:"mmap_load_ns"`
 	LoadSpeedup float64 `json:"load_speedup"`
 }
 
-// loadReps is how many times each load path runs; the minimum survives,
+// loadReps is how many times the load runs; the minimum survives,
 // filtering page-cache warmup and scheduler noise exactly like the
 // best-of-trials statistic of the throughput cells.
 const loadReps = 3
@@ -73,8 +69,8 @@ func RunStartup(specs []string, seed uint64, logf func(format string, args ...in
 		}
 		out = append(out, m)
 		if logf != nil {
-			logf("bench: startup %-18s  n=%-8d build %8.1f ms  load %6.2f ms  mmap %6.2f ms  speedup %.0fx",
-				spec, m.N, float64(m.BuildNs)/1e6, float64(m.LoadNs)/1e6, float64(m.MmapLoadNs)/1e6, m.LoadSpeedup)
+			logf("bench: startup %-18s  n=%-8d build %8.1f ms  load %6.2f ms  speedup %.0fx",
+				spec, m.N, float64(m.BuildNs)/1e6, float64(m.LoadNs)/1e6, m.LoadSpeedup)
 		}
 	}
 	return out, nil
@@ -101,31 +97,20 @@ func measureStartup(spec string, seed uint64, path string) (StartupMeasurement, 
 		return StartupMeasurement{}, err
 	}
 
-	timeLoad := func(load func(string) (*snapshot.Snapshot, error)) (int64, error) {
-		best := int64(0)
-		for rep := 0; rep < loadReps; rep++ {
-			start := time.Now()
-			s, err := load(path)
-			elapsed := time.Since(start).Nanoseconds()
-			if err != nil {
-				return 0, err
-			}
-			if s.Graph.N() != g.N() || s.Graph.M() != g.M() {
-				return 0, fmt.Errorf("loaded graph n=%d m=%d, want %d/%d", s.Graph.N(), s.Graph.M(), g.N(), g.M())
-			}
-			if best == 0 || elapsed < best {
-				best = elapsed
-			}
+	loadNs := int64(0)
+	for rep := 0; rep < loadReps; rep++ {
+		start := time.Now()
+		s, err := snapshot.Load(path)
+		elapsed := time.Since(start).Nanoseconds()
+		if err != nil {
+			return StartupMeasurement{}, err
 		}
-		return best, nil
-	}
-	loadNs, err := timeLoad(snapshot.Load)
-	if err != nil {
-		return StartupMeasurement{}, err
-	}
-	mmapNs, err := timeLoad(snapshot.LoadMmap)
-	if err != nil {
-		return StartupMeasurement{}, err
+		if s.Graph.N() != g.N() || s.Graph.M() != g.M() {
+			return StartupMeasurement{}, fmt.Errorf("loaded graph n=%d m=%d, want %d/%d", s.Graph.N(), s.Graph.M(), g.N(), g.M())
+		}
+		if loadNs == 0 || elapsed < loadNs {
+			loadNs = elapsed
+		}
 	}
 
 	m := StartupMeasurement{
@@ -135,10 +120,9 @@ func measureStartup(spec string, seed uint64, path string) (StartupMeasurement, 
 		SnapshotBytes: st.Size(),
 		BuildNs:       buildNs,
 		LoadNs:        loadNs,
-		MmapLoadNs:    mmapNs,
 	}
-	if best := min(loadNs, mmapNs); best > 0 {
-		m.LoadSpeedup = float64(buildNs) / float64(best)
+	if loadNs > 0 {
+		m.LoadSpeedup = float64(buildNs) / float64(loadNs)
 	}
 	return m, nil
 }

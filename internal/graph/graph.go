@@ -55,7 +55,6 @@ type Dense struct {
 	edges   []int64 // len m, packed u<<32|w with u < w, for edge sampling
 	name    string
 	diam    int // known diameter, -1 if unknown
-	aux     any // loader-attached artifacts; see SetAux
 }
 
 var _ Graph = (*Dense)(nil)
@@ -111,47 +110,27 @@ func NewDense(n int, edges []Edge, name string) (*Dense, error) {
 	return g, nil
 }
 
-// NewDenseFromCSR rebuilds a Dense graph directly from its three CSR
-// arrays — the exact slices CSR and PackedEdges expose — so a decoded
-// binary snapshot becomes a first-class *Dense (and keeps the
+// NewDenseFromCSRTrusted rebuilds a Dense graph directly from its three
+// CSR arrays — the exact slices CSR and PackedEdges expose — so a
+// decoded binary snapshot becomes a first-class *Dense (and keeps the
 // type-specialized kernels engaged) without re-deriving anything. The
 // slices are adopted, not copied; callers transfer ownership and must
 // not mutate them afterwards.
 //
-// Validation runs in two tiers. The shape tier is O(n): offsets must
-// start at 0, be nondecreasing and end at 2m, lengths must agree with
-// n and m, and diam must lie in [-1, n). The content tier, VerifyCSR,
-// is O(m): every adjacency entry must be a valid node, the packed edge
-// list must be strictly ascending (which implies u < w, no duplicates)
-// with in-range endpoints, and adj must be exactly the adjacency
-// newDenseUnchecked would derive from that edge list (checked by
-// replaying the cursor fill), so the triple is internally consistent,
-// not merely plausible. NewDenseFromCSR runs both tiers. Connectivity
-// is NOT re-verified — callers vouch for it (a snapshot records the
-// encoder's BFS result under its checksum); diam is the known diameter
-// or -1.
-func NewDenseFromCSR(n int, offsets, adj []int32, packed []int64, name string, diam int) (*Dense, error) {
-	g, err := NewDenseFromCSRTrusted(n, offsets, adj, packed, name, diam)
-	if err != nil {
-		return nil, err
-	}
-	if err := g.VerifyCSR(); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-// NewDenseFromCSRTrusted is NewDenseFromCSR minus the O(m) content
-// tier: it runs only the O(n) shape checks and adopts the arrays as
-// given. It exists for callers whose data integrity is already
-// established — a checksummed snapshot carries the same bytes its
+// It runs only the O(n) shape checks: offsets must start at 0, be
+// nondecreasing and end at 2m, lengths must agree with n and m, and
+// diam must lie in [-1, n). The O(m) content checks live in VerifyCSR,
+// which callers run when the arrays' integrity is not already
+// established. A checksummed snapshot carries the same bytes its
 // encoder verified with VerifyCSR, so revalidating every element on
 // load would spend more time than the load itself (on a
 // memory-bandwidth-bound machine each O(m) scan costs as much as the
 // checksum pass). The trade is explicit: a crafted file with valid
 // checksums but inconsistent content is caught by VerifyCSR, not here;
 // until then, out-of-range adjacency surfaces as an index-range panic
-// in the kernels, never as memory corruption.
+// in the kernels, never as memory corruption. Connectivity is NOT
+// re-verified — callers vouch for it (a snapshot records the encoder's
+// BFS result under its checksum); diam is the known diameter or -1.
 func NewDenseFromCSRTrusted(n int, offsets, adj []int32, packed []int64, name string, diam int) (*Dense, error) {
 	if n <= 0 || n > 1<<31-1 {
 		return nil, fmt.Errorf("graph %q: CSR node count %d out of range: %w", name, n, ErrInvalidEdge)
@@ -175,12 +154,14 @@ func NewDenseFromCSRTrusted(n int, offsets, adj []int32, packed []int64, name st
 	return &Dense{n: n, offsets: offsets, adj: adj, edges: packed, name: name, diam: diam}, nil
 }
 
-// VerifyCSR runs the O(m) content tier of the CSR validation (see
-// NewDenseFromCSR): adjacency entries in range, packed edges strictly
-// ascending with valid endpoints, and the adjacency array exactly the
-// cursor fill of the edge list. It is the deep check
-// NewDenseFromCSRTrusted defers; snapshot encoders run it once after
-// writing so loaders don't have to on every start.
+// VerifyCSR runs the O(m) content checks of the CSR arrays: adjacency
+// entries in range, packed edges strictly ascending (which implies
+// u < w, no duplicates) with valid endpoints, and the adjacency array
+// exactly the cursor fill newDenseUnchecked would derive from the edge
+// list, so the triple is internally consistent, not merely plausible.
+// It is the deep check NewDenseFromCSRTrusted defers; snapshot
+// encoders run it once after writing so loaders don't have to on every
+// start.
 func (g *Dense) VerifyCSR() error {
 	n, name, offsets, adj, packed := g.n, g.name, g.offsets, g.adj, g.edges
 	if i := csrAdjOutOfRange(adj, int32(n)); i >= 0 {
@@ -270,19 +251,9 @@ func csrAdjMatchesEdges(offsets, adj, cursor []int32, packed []int64) int {
 }
 
 // CSR exposes the graph's offset and adjacency arrays — together with
-// PackedEdges, the complete serializable representation NewDenseFromCSR
-// rebuilds from. Callers must treat both as read-only.
+// PackedEdges, the complete serializable representation
+// NewDenseFromCSRTrusted rebuilds from. Callers must treat both as read-only.
 func (g *Dense) CSR() (offsets, adj []int32) { return g.offsets, g.adj }
-
-// SetAux attaches an auxiliary artifact to the graph — the seam loaders
-// use to carry prebuilt companion data (a decoded snapshot with alias
-// tables and compiled transition tables) alongside the graph without
-// the graph package knowing the concrete type. One value; a second call
-// replaces the first.
-func (g *Dense) SetAux(v any) { g.aux = v }
-
-// Aux returns the artifact attached by SetAux, or nil.
-func (g *Dense) Aux() any { return g.aux }
 
 // newDenseUnchecked builds the CSR structures from a deduplicated,
 // normalized (u < w) packed edge list. Callers guarantee validity.

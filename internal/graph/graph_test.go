@@ -538,10 +538,21 @@ func BenchmarkBFS(b *testing.B) {
 	}
 }
 
-// TestNewDenseFromCSR checks the snapshot revival constructor: a valid
-// CSR round-trips into a graph identical to the NewDense original, and
-// every class of inconsistent input is rejected.
+// TestNewDenseFromCSR checks the snapshot revival path,
+// NewDenseFromCSRTrusted followed by VerifyCSR: a valid CSR round-trips
+// into a graph identical to the NewDense original, and every class of
+// inconsistent input is rejected by one tier or the other.
 func TestNewDenseFromCSR(t *testing.T) {
+	fromCSR := func(n int, o, a []int32, p []int64, name string, diam int) (*Dense, error) {
+		g, err := NewDenseFromCSRTrusted(n, o, a, p, name, diam)
+		if err != nil {
+			return nil, err
+		}
+		if err := g.VerifyCSR(); err != nil {
+			return nil, err
+		}
+		return g, nil
+	}
 	orig := Torus2D(3, 4)
 	offsets, adj := orig.CSR()
 	packed := orig.PackedEdges()
@@ -552,9 +563,9 @@ func TestNewDenseFromCSR(t *testing.T) {
 	}
 
 	o, a, p := clone()
-	g, err := NewDenseFromCSR(orig.N(), o, a, p, orig.Name(), orig.KnownDiameter())
+	g, err := fromCSR(orig.N(), o, a, p, orig.Name(), orig.KnownDiameter())
 	if err != nil {
-		t.Fatalf("NewDenseFromCSR: %v", err)
+		t.Fatalf("fromCSR: %v", err)
 	}
 	if g.N() != orig.N() || g.M() != orig.M() || g.KnownDiameter() != orig.KnownDiameter() {
 		t.Fatalf("revived graph n=%d m=%d diam=%d, want %d/%d/%d",
@@ -571,7 +582,7 @@ func TestNewDenseFromCSR(t *testing.T) {
 
 	reject := func(name string, n int, o, a []int32, p []int64, diam int) {
 		t.Helper()
-		if _, err := NewDenseFromCSR(n, o, a, p, "bad", diam); err == nil {
+		if _, err := fromCSR(n, o, a, p, "bad", diam); err == nil {
 			t.Fatalf("%s: accepted", name)
 		}
 	}
@@ -605,7 +616,7 @@ func TestNewDenseFromCSR(t *testing.T) {
 	// in range but disagrees with the packed edge list must be caught.
 	o, a, p = clone()
 	a[0], a[1] = a[1], a[0]
-	if _, err := NewDenseFromCSR(orig.N(), o, a, p, "bad", -1); err == nil {
+	if _, err := fromCSR(orig.N(), o, a, p, "bad", -1); err == nil {
 		t.Fatalf("swapped adjacency entries accepted")
 	}
 }

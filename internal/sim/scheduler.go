@@ -115,27 +115,6 @@ func NewWeighted(g graph.Graph, name string, rates []float64) (*Weighted, error)
 	return &Weighted{name: name, pairs: pairs, alias: alias}, nil
 }
 
-// NewWeightedFromAlias builds a weighted scheduler around a prebuilt
-// alias table (one column per undirected edge in ForEachEdge order) —
-// the snapshot-consumption path: a table revived from a binary
-// snapshot replays the exact draw sequence of the NewWeighted-built
-// original, so a preprocessed weighted run is byte-identical to the
-// run that built its rates in process.
-func NewWeightedFromAlias(g graph.Graph, name string, alias *xrand.Alias) (*Weighted, error) {
-	if alias == nil {
-		return nil, fmt.Errorf("sim: weighted scheduler for %q: nil alias table", g.Name())
-	}
-	if alias.N() != g.M() {
-		return nil, fmt.Errorf("sim: weighted scheduler for %q wants %d alias columns, got %d",
-			g.Name(), g.M(), alias.N())
-	}
-	pairs := make([]int64, 0, g.M())
-	g.ForEachEdge(func(u, w int) {
-		pairs = append(pairs, int64(u)<<32|int64(w))
-	})
-	return &Weighted{name: name, pairs: pairs, alias: alias}, nil
-}
-
 // Name returns the label passed to NewWeighted.
 func (s *Weighted) Name() string { return s.name }
 

@@ -1,26 +1,25 @@
 // Snapshot decoding: parse and bounds-check the container, verify
-// every payload checksum, then revive the graph and its artifacts. On
-// a little-endian host with an 8-aligned buffer the bulk slabs (CSR
-// arrays, packed edges, rates, alias columns) are aliased straight out
-// of the read buffer — zero copies, zero per-element work; otherwise
-// the same bytes are decoded element by element. Both paths feed
-// identical values through identical validation.
+// every payload checksum, then revive the graph. On a little-endian
+// host with an 8-aligned buffer the bulk slabs (CSR arrays and packed
+// edges) are aliased straight out of the read buffer — zero copies,
+// zero per-element work; otherwise the same bytes are decoded element
+// by element. Both paths feed identical values through identical
+// validation.
 //
 // Validation is tiered by cost. Decode always checks the container
 // (magic, size, section bounds and alignment, CRC-32C of every
-// payload) and the O(n) structural invariants (meta consistency,
-// section lengths, offsets monotone with correct endpoints,
-// connectivity flag, finite nonnegative rates, alias column sanity).
-// The O(m) content checks — adjacency entries in range and exactly
-// consistent with the packed edge list — live in Verify, which the
-// encoder runs once after writing (WriteFile callers) rather than
-// every loader on every start: on a memory-bandwidth-bound machine
-// each O(m) scan costs as much as the checksum pass itself, and the
-// checksum already pins the bytes to what the encoder verified. A
-// crafted file with recomputed checksums but inconsistent content is
-// therefore accepted by Decode and caught by Verify; in between, Go
-// bounds checks turn any out-of-range adjacency into an index panic,
-// never memory corruption.
+// payload) and the O(n) structural invariants (meta consistency with n
+// and 2m within 2³¹−1, section lengths, offsets monotone with correct
+// endpoints, connectivity flag). The O(m) content checks — adjacency
+// entries in range and exactly consistent with the packed edge list —
+// live in Verify, which the encoder runs once after writing (WriteFile
+// callers) rather than every loader on every start: on a
+// memory-bandwidth-bound machine each O(m) scan costs as much as the
+// checksum pass itself, and the checksum already pins the bytes to
+// what the encoder verified. A crafted file with recomputed checksums
+// but inconsistent content is therefore accepted by Decode and caught
+// by Verify; in between, Go bounds checks turn any out-of-range
+// adjacency into an index panic, never memory corruption.
 
 package snapshot
 
@@ -34,7 +33,6 @@ import (
 	"unsafe"
 
 	"popgraph/internal/graph"
-	"popgraph/internal/xrand"
 )
 
 // Decode errors. Every decode failure wraps one of these, so callers
@@ -142,7 +140,6 @@ func decode(data []byte, zeroCopy bool) (*Snapshot, error) {
 		return nil, corruptf("connectivity flag not set (v1 stores connected graphs only)")
 	}
 	var meta, offs, adjs, edgs *section
-	var weights []section
 	for i := range sections {
 		sec := &sections[i]
 		grab := func(slot **section) error {
@@ -161,9 +158,7 @@ func decode(data []byte, zeroCopy bool) (*Snapshot, error) {
 			err = grab(&adjs)
 		case kindEdges:
 			err = grab(&edgs)
-		case kindWeights:
-			weights = append(weights, *sec)
-		case kindTable:
+		case kindWeights, kindTable:
 			err = fmt.Errorf("snapshot: retired %s section (kind %d); rebuild the file with cmd/preprocess: %w",
 				kindName(sec.kind), sec.kind, ErrVersion)
 		default:
@@ -200,20 +195,7 @@ func decode(data []byte, zeroCopy bool) (*Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: %v: %w", err, ErrCorrupt)
 	}
-
-	s := &Snapshot{Graph: g, Source: source}
-	for i := range weights {
-		w, err := decodeWeights(payload(data, &weights[i]), m, zeroCopy)
-		if err != nil {
-			return nil, err
-		}
-		if s.WeightSet(w.Name) != nil {
-			return nil, corruptf("duplicate weight set %q", w.Name)
-		}
-		s.Weights = append(s.Weights, w)
-	}
-	g.SetAux(s)
-	return s, nil
+	return &Snapshot{Graph: g, Source: source}, nil
 }
 
 func payload(data []byte, sec *section) []byte {
@@ -230,6 +212,9 @@ func decodeMeta(p []byte) (n, m int, name, source string, err error) {
 	sourceLen := int(binary.LittleEndian.Uint32(p[20:]))
 	if n64 == 0 || n64 > math.MaxInt32 || m64 > math.MaxInt32 {
 		return 0, 0, "", "", corruptf("meta claims n=%d, m=%d", n64, m64)
+	}
+	if 2*m64 > math.MaxInt32 {
+		return 0, 0, "", "", corruptf("meta claims 2m=%d adjacency entries, over the 2³¹−1 limit of int32 CSR offsets", 2*m64)
 	}
 	if nameLen > math.MaxUint16 || sourceLen > math.MaxUint16 || 24+nameLen+sourceLen != len(p) {
 		return 0, 0, "", "", corruptf("meta string lengths (%d, %d) disagree with the %d-byte section",
@@ -270,19 +255,6 @@ func int64Slab(p []byte, zeroCopy bool) []int64 {
 	return out
 }
 
-func float64Slab(p []byte, zeroCopy bool) []float64 {
-	count := len(p) / 8
-	if count == 0 {
-		return nil
-	}
-	if zeroCopy {
-		return unsafe.Slice((*float64)(unsafe.Pointer(&p[0])), count)
-	}
-	out := make([]float64, count)
-	fillFloat64(out, p)
-	return out
-}
-
 // The portable fill loops run once per element over slabs that reach
 // tens of millions of entries on big-endian or misaligned hosts, so
 // they are held to the same no-allocation discipline as the simulation
@@ -302,68 +274,16 @@ func fillInt64(dst []int64, p []byte) {
 	}
 }
 
-//popcheck:kernel
-func fillFloat64(dst []float64, p []byte) {
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
-	}
-}
-
-func decodeWeights(p []byte, m int, zeroCopy bool) (WeightSet, error) {
-	if len(p) < 16 {
-		return WeightSet{}, corruptf("weights section truncated (%d bytes)", len(p))
-	}
-	if em := binary.LittleEndian.Uint64(p[0:]); em != uint64(m) {
-		return WeightSet{}, corruptf("weight set covers %d edges, graph has %d", em, m)
-	}
-	nameLen := int(binary.LittleEndian.Uint32(p[8:]))
-	if nameLen == 0 || nameLen > math.MaxUint16 || len(p) != weightsPayloadSize(nameLen, m) {
-		return WeightSet{}, corruptf("weights section is %d bytes, name length %d implies %d",
-			len(p), nameLen, weightsPayloadSize(nameLen, m))
-	}
-	name := string(p[16 : 16+nameLen])
-	off := align8(16 + nameLen)
-	rates := float64Slab(p[off:off+8*m], zeroCopy)
-	prob := float64Slab(p[off+8*m:off+16*m], zeroCopy)
-	alias := int32Slab(p[off+16*m:off+16*m+4*m], zeroCopy)
-	for i, r := range rates {
-		if math.IsNaN(r) || math.IsInf(r, 0) || r < 0 {
-			return WeightSet{}, corruptf("weight set %q rate %d is %v", name, i, r)
-		}
-	}
-	a, err := xrand.AliasFromColumns(prob, alias)
-	if err != nil {
-		return WeightSet{}, corruptf("weight set %q: %v", name, err)
-	}
-	return WeightSet{Name: name, Rates: rates, Alias: a}, nil
-}
-
 // Verify runs the deep O(m) content checks Decode defers (see the
 // package comment on tiered validation): the CSR triple must be
 // internally consistent — adjacency in range, packed edges strictly
-// ascending, adjacency exactly the cursor fill of the edge list — and
-// every stored alias table must equal the one Vose's construction
-// rebuilds from its own rates. WriteFile runs this before renaming the
-// snapshot into place, so a .popg that exists was deep-verified at
-// encode time; loaders that want to re-establish that guarantee for a
+// ascending, adjacency exactly the cursor fill of the edge list.
+// WriteFile runs this before renaming the snapshot into place, so a
+// .popg that exists was deep-verified at encode time; loaders that want to re-establish that guarantee for a
 // file of unknown provenance (graphinfo -verify) call it explicitly.
 func Verify(s *Snapshot) error {
 	if err := s.Graph.VerifyCSR(); err != nil {
 		return fmt.Errorf("snapshot: %v: %w", err, ErrCorrupt)
-	}
-	for i := range s.Weights {
-		w := &s.Weights[i]
-		want, err := xrand.NewAlias(w.Rates)
-		if err != nil {
-			return corruptf("weight set %q: %v", w.Name, err)
-		}
-		wantProb, wantAlias := want.Table()
-		gotProb, gotAlias := w.Alias.Table()
-		for j := range wantProb {
-			if wantProb[j] != gotProb[j] || wantAlias[j] != gotAlias[j] {
-				return corruptf("weight set %q: stored alias table disagrees with its rates at edge %d", w.Name, j)
-			}
-		}
 	}
 	return nil
 }
@@ -374,8 +294,7 @@ type SectionInfo struct {
 	Offset   uint64
 	Length   uint64
 	Checksum uint32
-	// Name is the artifact name for weights sections, the graph name
-	// for meta, empty otherwise.
+	// Name is the graph name for meta, empty otherwise.
 	Name string
 }
 
@@ -419,21 +338,13 @@ func Inspect(path string) (Info, error) {
 			Length:   sec.length,
 			Checksum: sec.crc,
 		}
-		p := payload(data, sec)
-		switch sec.kind {
-		case kindMeta:
-			n, m, name, source, err := decodeMeta(p)
+		if sec.kind == kindMeta {
+			n, m, name, source, err := decodeMeta(payload(data, sec))
 			if err != nil {
 				return Info{}, fmt.Errorf("%s: %w", path, err)
 			}
 			info.N, info.M, info.GraphName, info.Source = n, m, name, source
 			si.Name = name
-		case kindWeights:
-			if len(p) >= 16 {
-				if l := int(binary.LittleEndian.Uint32(p[8:])); 16+l <= len(p) {
-					si.Name = string(p[16 : 16+l])
-				}
-			}
 		}
 		info.Sections = append(info.Sections, si)
 	}

@@ -33,7 +33,7 @@ func align8(n int) int { return (n + 7) &^ 7 }
 
 // bytesOf returns the raw byte view of a numeric slab. Only valid as a
 // wire image on little-endian hosts; callers gate on hostLittleEndian.
-func bytesOf[T int32 | int64 | uint32 | float64](s []T) []byte {
+func bytesOf[T int32 | int64](s []T) []byte {
 	if len(s) == 0 {
 		return nil
 	}
@@ -48,8 +48,7 @@ type section struct {
 	length uint64
 }
 
-// Encode serializes the snapshot. The graph must be set; weights are
-// optional.
+// Encode serializes the snapshot. The graph must be set.
 func (s *Snapshot) Encode() ([]byte, error) {
 	if s.Graph == nil {
 		return nil, fmt.Errorf("snapshot: encode without a graph")
@@ -73,13 +72,6 @@ func (s *Snapshot) Encode() ([]byte, error) {
 		8 * m,                              // packed-edges
 	}
 	kinds := []uint32{kindMeta, kindOffsets, kindAdj, kindEdges}
-	for _, w := range s.Weights {
-		lengths = append(lengths, weightsPayloadSize(len(w.Name), m))
-		kinds = append(kinds, kindWeights)
-	}
-	if len(kinds) > maxSections {
-		return nil, fmt.Errorf("snapshot: %d sections exceed the %d-section cap", len(kinds), maxSections)
-	}
 
 	sections := make([]section, len(kinds))
 	off := headerSize + sectionEntrySize*len(kinds)
@@ -108,11 +100,6 @@ func (s *Snapshot) Encode() ([]byte, error) {
 	putInt32s(next(), offsets)
 	putInt32s(next(), adj)
 	putInt64s(next(), edges)
-	for _, w := range s.Weights {
-		if err := encodeWeights(next(), w, m); err != nil {
-			return nil, err
-		}
-	}
 	for i := range sections {
 		sections[i].crc = crc32.Checksum(buf[sections[i].offset:sections[i].offset+sections[i].length], castagnoli)
 	}
@@ -132,29 +119,6 @@ func (s *Snapshot) Encode() ([]byte, error) {
 	return buf, nil
 }
 
-// weightsPayloadSize: u64 edge count, u32 name length, u32 reserved,
-// name padded to 8 (so the float slabs land 8-aligned), rates m×f64,
-// prob m×f64, alias m×u32.
-func weightsPayloadSize(nameLen, m int) int {
-	return align8(16+nameLen) + 8*m + 8*m + 4*m
-}
-
-func encodeWeights(p []byte, w WeightSet, m int) error {
-	if len(w.Rates) != m || w.Alias.N() != m {
-		return fmt.Errorf("snapshot: weight set %q has %d rates / %d alias columns for %d edges",
-			w.Name, len(w.Rates), w.Alias.N(), m)
-	}
-	binary.LittleEndian.PutUint64(p[0:], uint64(m))
-	binary.LittleEndian.PutUint32(p[8:], uint32(len(w.Name)))
-	copy(p[16:], w.Name)
-	off := align8(16 + len(w.Name))
-	prob, alias := w.Alias.Table()
-	putFloat64s(p[off:off+8*m], w.Rates)
-	putFloat64s(p[off+8*m:off+16*m], prob)
-	putInt32s(p[off+16*m:off+16*m+4*m], alias)
-	return nil
-}
-
 func putInt32s(p []byte, v []int32) {
 	if hostLittleEndian {
 		copy(p, bytesOf(v))
@@ -172,16 +136,6 @@ func putInt64s(p []byte, v []int64) {
 	}
 	for i, x := range v {
 		binary.LittleEndian.PutUint64(p[8*i:], uint64(x))
-	}
-}
-
-func putFloat64s(p []byte, v []float64) {
-	if hostLittleEndian {
-		copy(p, bytesOf(v))
-		return
-	}
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(p[8*i:], math.Float64bits(x))
 	}
 }
 

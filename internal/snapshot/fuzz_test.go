@@ -17,8 +17,10 @@ const decodeAllocSlack = 1 << 20
 // back as a snapshot or an error wrapping one of the decode sentinels:
 // never a panic, and never an allocation sized by a claimed length.
 // A snapshot that decodes must also survive the deep Verify pass. The
-// seed corpus in testdata/fuzz/FuzzDecode holds a valid cycle:8 file
-// with one weight set and five damaged copies of it: truncated, a huge
+// seed corpus in testdata/fuzz/FuzzDecode holds a valid graph-only
+// cycle:8 file and, as retired-weights-kind, an older cycle:8 file that
+// carries one stored weight set (a retired section kind). The other
+// five seeds are damaged copies of that older file: truncated, a huge
 // section count, a bad checksum, an unknown section kind and the
 // retired transition-table kind.
 func FuzzDecode(f *testing.F) {

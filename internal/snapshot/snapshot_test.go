@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -119,56 +118,12 @@ func TestRoundTripFamilies(t *testing.T) {
 			if got.Source != "spec:"+name {
 				t.Fatalf("source %q, want %q", got.Source, "spec:"+name)
 			}
-			if Of(got.Graph) != got {
-				t.Fatalf("decoded graph does not carry its snapshot as Aux")
-			}
-			if Of(g) != nil && Of(g) == got {
-				t.Fatalf("original graph aliases the decoded snapshot")
-			}
 		})
 	}
 }
 
-// TestRoundTripAliasDraws pins the determinism contract for weights:
-// the revived alias table replays the exact draw sequence of the one
-// built in process.
-func TestRoundTripAliasDraws(t *testing.T) {
-	r := xrand.New(7)
-	g, err := graph.WattsStrogatz(256, 6, 0.3, r)
-	if err != nil {
-		t.Fatalf("ws: %v", err)
-	}
-	s, err := Build(g, "ws:256:6:0.3")
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	rates := make([]float64, g.M())
-	for i := range rates {
-		rates[i] = -math.Log(1 - r.Float64())
-	}
-	if err := s.AddWeights("exp", rates); err != nil {
-		t.Fatalf("AddWeights: %v", err)
-	}
-	got := mustRoundTrip(t, s)
-	set := got.WeightSet("exp")
-	if set == nil {
-		t.Fatalf("weight set %q lost in round trip", "exp")
-	}
-	for i := range rates {
-		if set.Rates[i] != rates[i] {
-			t.Fatalf("rates[%d] = %v, want %v", i, set.Rates[i], rates[i])
-		}
-	}
-	rA, rB := xrand.New(123), xrand.New(123)
-	for i := 0; i < 4096; i++ {
-		if a, b := s.Weights[0].Alias.Sample(rA), set.Alias.Sample(rB); a != b {
-			t.Fatalf("alias draw %d: original %d, revived %d", i, a, b)
-		}
-	}
-}
-
-// encodeFixture returns a valid snapshot buffer with one weight set,
-// for the corruption tests.
+// encodeFixture returns a valid snapshot buffer for the corruption
+// tests.
 func encodeFixture(t *testing.T) []byte {
 	t.Helper()
 	r := xrand.New(3)
@@ -179,13 +134,6 @@ func encodeFixture(t *testing.T) []byte {
 	s, err := Build(g, "ws:64:4:0.2")
 	if err != nil {
 		t.Fatalf("Build: %v", err)
-	}
-	rates := make([]float64, g.M())
-	for i := range rates {
-		rates[i] = 1 + float64(i%7)
-	}
-	if err := s.AddWeights("exp", rates); err != nil {
-		t.Fatalf("AddWeights: %v", err)
 	}
 	data, err := s.Encode()
 	if err != nil {
@@ -225,83 +173,76 @@ func TestDecodeRejects(t *testing.T) {
 		name    string
 		mutate  func(t *testing.T, data []byte) []byte
 		wantErr error
+		// wantMsg, when set, must appear in the error: it pins which
+		// check refused the data where several could.
+		wantMsg string
 	}{
 		{"empty", func(t *testing.T, data []byte) []byte {
 			return nil
-		}, ErrNotSnapshot},
+		}, ErrNotSnapshot, ""},
 		{"foreign-data", func(t *testing.T, data []byte) []byte {
 			copy(data, "GIF89a-definitely-not-a-snapshot")
 			return data
-		}, ErrNotSnapshot},
+		}, ErrNotSnapshot, ""},
 		{"older-version", func(t *testing.T, data []byte) []byte {
 			copy(data[:16], "popgraph-snap/v0")
 			return data
-		}, ErrVersion},
+		}, ErrVersion, ""},
 		{"future-version", func(t *testing.T, data []byte) []byte {
 			copy(data[:16], "popgraph-snap/v2")
 			return data
-		}, ErrVersion},
+		}, ErrVersion, ""},
 		{"truncated-header", func(t *testing.T, data []byte) []byte {
 			return data[:20]
-		}, ErrCorrupt},
+		}, ErrCorrupt, ""},
 		{"truncated-payload", func(t *testing.T, data []byte) []byte {
 			return data[:len(data)-8]
-		}, ErrCorrupt},
+		}, ErrCorrupt, ""},
 		{"trailing-garbage", func(t *testing.T, data []byte) []byte {
 			return append(data, 0, 0, 0, 0, 0, 0, 0, 0)
-		}, ErrCorrupt},
+		}, ErrCorrupt, ""},
 		{"flipped-payload-bit", func(t *testing.T, data []byte) []byte {
 			_, off, _ := findSection(t, data, kindAdj)
 			data[off] ^= 0x01
 			return data
-		}, ErrCorrupt},
+		}, ErrCorrupt, ""},
 		{"section-out-of-bounds", func(t *testing.T, data []byte) []byte {
 			idx, _, _ := findSection(t, data, kindEdges)
 			e := data[headerSize+sectionEntrySize*idx:]
 			binary.LittleEndian.PutUint64(e[16:], uint64(len(data)))
 			return data
-		}, ErrCorrupt},
+		}, ErrCorrupt, ""},
 		{"misaligned-section", func(t *testing.T, data []byte) []byte {
 			idx, off, _ := findSection(t, data, kindEdges)
 			e := data[headerSize+sectionEntrySize*idx:]
 			binary.LittleEndian.PutUint64(e[8:], uint64(off)+4)
 			return data
-		}, ErrCorrupt},
+		}, ErrCorrupt, ""},
 		{"connectivity-flag-cleared", func(t *testing.T, data []byte) []byte {
 			binary.LittleEndian.PutUint32(data[16:], 0)
 			return data
-		}, ErrCorrupt},
+		}, ErrCorrupt, ""},
 		{"offsets-nonmonotone", func(t *testing.T, data []byte) []byte {
 			idx, off, _ := findSection(t, data, kindOffsets)
 			v := binary.LittleEndian.Uint32(data[off+8:])
 			binary.LittleEndian.PutUint32(data[off+8:], v+1000000)
 			fixCRC(data, idx)
 			return data
-		}, ErrCorrupt},
-		{"alias-prob-above-one", func(t *testing.T, data []byte) []byte {
-			idx, off, length := findSection(t, data, kindWeights)
-			p := data[off : off+length]
-			m := int(binary.LittleEndian.Uint64(p[0:]))
-			nameLen := int(binary.LittleEndian.Uint32(p[8:]))
-			probOff := align8(16+nameLen) + 8*m
-			binary.LittleEndian.PutUint64(p[probOff:], math.Float64bits(2.0))
+		}, ErrCorrupt, ""},
+		{"meta-2m-over-limit", func(t *testing.T, data []byte) []byte {
+			// m = 2³⁰ passes the m ≤ 2³¹−1 check, but 2m does not fit
+			// int32 CSR offsets.
+			idx, off, _ := findSection(t, data, kindMeta)
+			binary.LittleEndian.PutUint64(data[off+8:], 1<<30)
 			fixCRC(data, idx)
 			return data
-		}, ErrCorrupt},
-		{"negative-rate", func(t *testing.T, data []byte) []byte {
-			idx, off, _ := findSection(t, data, kindWeights)
-			p := data[off:]
-			nameLen := int(binary.LittleEndian.Uint32(p[8:]))
-			binary.LittleEndian.PutUint64(p[align8(16+nameLen):], math.Float64bits(-1.0))
-			fixCRC(data, idx)
-			return data
-		}, ErrCorrupt},
+		}, ErrCorrupt, "2³¹−1"},
 		{"unknown-section-kind", func(t *testing.T, data []byte) []byte {
-			idx, _, _ := findSection(t, data, kindWeights)
+			idx, _, _ := findSection(t, data, kindEdges)
 			e := data[headerSize+sectionEntrySize*idx:]
 			binary.LittleEndian.PutUint32(e[0:], 99)
 			return data
-		}, ErrCorrupt},
+		}, ErrCorrupt, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -313,28 +254,43 @@ func TestDecodeRejects(t *testing.T) {
 			if !errors.Is(err, tc.wantErr) {
 				t.Fatalf("Decode error %v, want %v", err, tc.wantErr)
 			}
+			if !strings.Contains(err.Error(), tc.wantMsg) {
+				t.Fatalf("Decode error %q does not mention %q", err, tc.wantMsg)
+			}
 		})
 	}
 }
 
-// TestDecodeRefusesRetiredTableSection pins what a snapshot written
-// with a transition-table section gets: a version error that names the
-// section and says how to get a readable file. Relabelling the
-// fixture's weights section as kind 6 makes one, since the section
-// kind is outside the checksum.
-func TestDecodeRefusesRetiredTableSection(t *testing.T) {
+// assertRetiredKind relabels the fixture's packed-edges section as a
+// retired kind (the section kind is outside the checksum) and requires
+// Decode to refuse it with a version error that names the section and
+// says how to get a readable file.
+func assertRetiredKind(t *testing.T, kind uint32, name string) {
+	t.Helper()
 	data := encodeFixture(t)
-	idx, _, _ := findSection(t, data, kindWeights)
-	binary.LittleEndian.PutUint32(data[headerSize+sectionEntrySize*idx:], kindTable)
+	idx, _, _ := findSection(t, data, kindEdges)
+	binary.LittleEndian.PutUint32(data[headerSize+sectionEntrySize*idx:], kind)
 	_, err := Decode(data)
 	if !errors.Is(err, ErrVersion) {
 		t.Fatalf("Decode error %v, want ErrVersion", err)
 	}
-	for _, want := range []string{"transition-table", "cmd/preprocess"} {
+	for _, want := range []string{name, "cmd/preprocess"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("Decode error %q does not mention %q", err, want)
 		}
 	}
+}
+
+// TestDecodeRefusesRetiredTableSection pins what a snapshot written
+// with a transition-table section (kind 6) gets.
+func TestDecodeRefusesRetiredTableSection(t *testing.T) {
+	assertRetiredKind(t, kindTable, "transition-table")
+}
+
+// TestDecodeRefusesRetiredWeightsSection pins what a snapshot written
+// with a stored weight set (kind 5) gets.
+func TestDecodeRefusesRetiredWeightsSection(t *testing.T) {
+	assertRetiredKind(t, kindWeights, "weights")
 }
 
 // TestVerifyRejects covers the deep validation tier: content
@@ -370,17 +326,6 @@ func TestVerifyRejects(t *testing.T) {
 			fixCRC(data, idx)
 			return data
 		}},
-		{"alias-disagrees-with-rates", func(t *testing.T, data []byte) []byte {
-			idx, off, length := findSection(t, data, kindWeights)
-			p := data[off : off+length]
-			m := int(binary.LittleEndian.Uint64(p[0:]))
-			nameLen := int(binary.LittleEndian.Uint32(p[8:]))
-			probOff := align8(16+nameLen) + 8*m
-			v := math.Float64frombits(binary.LittleEndian.Uint64(p[probOff:]))
-			binary.LittleEndian.PutUint64(p[probOff:], math.Float64bits(v/2))
-			fixCRC(data, idx)
-			return data
-		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -412,15 +357,9 @@ func TestDecodePortablePath(t *testing.T) {
 		t.Fatalf("portable decode: %v", err)
 	}
 	assertSameCSR(t, want.Graph, got.Graph)
-	rA, rB := xrand.New(5), xrand.New(5)
-	for i := 0; i < 1024; i++ {
-		if a, b := want.Weights[0].Alias.Sample(rA), got.Weights[0].Alias.Sample(rB); a != b {
-			t.Fatalf("alias draw %d differs between decode paths", i)
-		}
-	}
 }
 
-func TestWriteFileLoadAndMmap(t *testing.T) {
+func TestWriteFileLoad(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "g.popg")
 	r := xrand.New(11)
@@ -440,11 +379,6 @@ func TestWriteFileLoadAndMmap(t *testing.T) {
 		t.Fatalf("Load: %v", err)
 	}
 	assertSameCSR(t, g, loaded.Graph)
-	mapped, err := LoadMmap(path)
-	if err != nil {
-		t.Fatalf("LoadMmap: %v", err)
-	}
-	assertSameCSR(t, g, mapped.Graph)
 
 	// WriteFile is atomic: no temp files survive a successful write.
 	entries, err := os.ReadDir(dir)
@@ -473,43 +407,35 @@ func TestInspect(t *testing.T) {
 	if info.Source != "ws:64:4:0.2" {
 		t.Fatalf("Inspect source %q", info.Source)
 	}
-	if len(info.Sections) != 5 {
-		t.Fatalf("Inspect found %d sections, want 5", len(info.Sections))
+	if len(info.Sections) != 4 {
+		t.Fatalf("Inspect found %d sections, want 4", len(info.Sections))
 	}
-	wantKinds := []string{"meta", "csr-offsets", "csr-adjacency", "packed-edges", "weights"}
+	wantKinds := []string{"meta", "csr-offsets", "csr-adjacency", "packed-edges"}
 	for i, k := range wantKinds {
 		if info.Sections[i].Kind != k {
 			t.Fatalf("section %d kind %q, want %q", i, info.Sections[i].Kind, k)
 		}
 	}
-	if info.Sections[4].Name != "exp" {
-		t.Fatalf("artifact name %q, want exp", info.Sections[4].Name)
+	if info.Sections[0].Name != info.GraphName {
+		t.Fatalf("meta section name %q, want the graph name %q", info.Sections[0].Name, info.GraphName)
 	}
 }
 
-// TestBuildRejects covers Build/Add* input validation.
+// TestBuildRejects covers the encoder's input validation: a snapshot
+// with no graph, and strings too long for the meta section's 16-bit
+// length fields.
 func TestBuildRejects(t *testing.T) {
-	s, err := Build(graph.Cycle(6), "cycle:6")
+	if _, err := (&Snapshot{}).Encode(); err == nil {
+		t.Fatalf("Encode accepted a snapshot without a graph")
+	}
+	s, err := Build(graph.Cycle(6), strings.Repeat("x", 1<<16))
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	if err := s.AddWeights("", []float64{1}); err == nil {
-		t.Fatalf("AddWeights accepted an empty name")
+	if _, err := s.Encode(); err == nil {
+		t.Fatalf("Encode accepted a %d-byte source spec", len(s.Source))
 	}
-	if err := s.AddWeights("short", []float64{1}); err == nil {
-		t.Fatalf("AddWeights accepted %d rates for %d edges", 1, s.Graph.M())
-	}
-	if err := s.AddWeights("exp", make([]float64, s.Graph.M())); err == nil {
-		t.Fatalf("AddWeights accepted all-zero rates")
-	}
-	ones := make([]float64, s.Graph.M())
-	for i := range ones {
-		ones[i] = 1
-	}
-	if err := s.AddWeights("exp", ones); err != nil {
-		t.Fatalf("AddWeights: %v", err)
-	}
-	if err := s.AddWeights("exp", ones); err == nil {
-		t.Fatalf("AddWeights accepted a duplicate name")
+	if err := WriteFile(filepath.Join(t.TempDir(), "g.popg"), s); err == nil {
+		t.Fatalf("WriteFile accepted a %d-byte source spec", len(s.Source))
 	}
 }

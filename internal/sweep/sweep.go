@@ -144,7 +144,7 @@ func (s Spec) Validate() error {
 // GraphSpecs expands the graph templates against the size ladder,
 // template-major: each template with an N yields one spec per size,
 // templates without an N yield themselves once. Snapshot templates
-// (file:/mmap:) are always fixed graphs — their payload is a filesystem
+// (file:PATH) are always fixed graphs — their payload is a filesystem
 // path, where a literal N must survive untouched.
 func (s Spec) GraphSpecs() []string {
 	var out []string
@@ -163,10 +163,7 @@ func (s Spec) GraphSpecs() []string {
 // templateHasN reports whether a graph template takes the size ladder:
 // it contains the substitution letter and is not a snapshot path spec.
 func templateHasN(t string) bool {
-	if strings.HasPrefix(t, "file:") || strings.HasPrefix(t, "mmap:") {
-		return false
-	}
-	return strings.Contains(t, "N")
+	return !strings.HasPrefix(t, "file:") && strings.Contains(t, "N")
 }
 
 // GraphBuildSeed returns the construction seed Build hands ParseGraph

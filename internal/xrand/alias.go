@@ -80,34 +80,6 @@ func NewAlias(weights []float64) (*Alias, error) {
 	return a, nil
 }
 
-// AliasFromColumns reconstructs an alias table from its two columns —
-// the inverse of Table, used to revive a table serialized in a binary
-// snapshot without re-running Vose's construction. Columns are adopted,
-// not copied. Every prob entry must be a probability in [0, 1] and
-// every alias entry a valid column index; any table NewAlias built
-// satisfies both, and a reconstructed table replays the exact draw
-// sequence of the original (Sample reads only these two slices).
-func AliasFromColumns(prob []float64, alias []int32) (*Alias, error) {
-	n := len(prob)
-	if n == 0 {
-		return nil, fmt.Errorf("xrand: alias table over no columns")
-	}
-	if len(alias) != n {
-		return nil, fmt.Errorf("xrand: alias columns disagree: %d prob vs %d alias entries", n, len(alias))
-	}
-	for i, p := range prob {
-		if math.IsNaN(p) || p < 0 || p > 1 {
-			return nil, fmt.Errorf("xrand: alias prob %d is %v, outside [0, 1]", i, p)
-		}
-	}
-	for i, a := range alias {
-		if a < 0 || int(a) >= n {
-			return nil, fmt.Errorf("xrand: alias target %d is %d, outside [0, %d)", i, a, n)
-		}
-	}
-	return &Alias{prob: prob, alias: alias}, nil
-}
-
 // N returns the number of columns (the support size).
 func (a *Alias) N() int { return len(a.prob) }
 

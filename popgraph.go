@@ -161,22 +161,18 @@ func MinDegree(g Graph) int { return graph.MinDegree(g) }
 //
 //	clique:N  cycle:N  path:N  star:N  hypercube:D  torus:RxC  grid:RxC
 //	lollipop:K:P  barbell:K:P  gnp:N:P  regular:N:D  ws:N:K:BETA  ba:N:M
-//	file:PATH.popg  mmap:PATH.popg
+//	file:PATH.popg
 //
 // Random families (gnp, regular, ws, ba) consume randomness from r.
 //
 // file:PATH loads a preprocessed binary snapshot (popgraph-snap/v1,
-// written by cmd/preprocess or graphinfo -out) instead of generating a
-// graph: one validated read revives the exact CSR arrays the generator
-// built, so runs on the loaded graph are byte-identical to runs on the
-// original and startup is milliseconds. Generating ws:1000000:10:0.1
+// written by cmd/preprocess) instead of generating a graph: one
+// validated read revives the exact CSR arrays the generator built, so
+// runs on the loaded graph are byte-identical to runs on the original
+// and startup is milliseconds. Generating ws:1000000:10:0.1
 // takes 0.6–0.7 s on a 2-core Xeon VM: rewiring 0.12–0.14 s, sorting
 // 0.28–0.36 s, the CSR fill 0.08–0.13 s and the BFS connectivity check
-// 0.10–0.13 s. mmap:PATH is the same with
-// an opt-in memory mapping on linux (lazy page-in, pages shared across
-// processes; the mapping lives as long as the process). Loaded graphs
-// carry their snapshot's prebuilt weight sets: see the weighted:snap
-// scheduler spec.
+// 0.10–0.13 s.
 //
 // Specs whose parameters are out of range for the family (e.g.
 // "cycle:2", "hypercube:0", "torus:2x5", negative sizes) return an
@@ -187,13 +183,6 @@ func MinDegree(g Graph) int { return graph.MinDegree(g) }
 func ParseGraph(spec string, r *Rand) (Graph, error) {
 	if path, ok := strings.CutPrefix(spec, "file:"); ok {
 		s, err := snapshot.Load(path)
-		if err != nil {
-			return nil, fmt.Errorf("popgraph: bad graph spec %q: %w", spec, err)
-		}
-		return s.Graph, nil
-	}
-	if path, ok := strings.CutPrefix(spec, "mmap:"); ok {
-		s, err := snapshot.LoadMmap(path)
 		if err != nil {
 			return nil, fmt.Errorf("popgraph: bad graph spec %q: %w", spec, err)
 		}
@@ -367,23 +356,19 @@ func NewChurnScheduler(g Graph, upLen, downLen float64) (Scheduler, error) {
 //	uniform                  the paper's model (the default everywhere)
 //	weighted | weighted:exp  i.i.d. Exp(1) per-edge rates drawn from r
 //	weighted:degprod         rate of {u,w} = deg(u)·deg(w)
-//	weighted:snap[:NAME]     prebuilt rates from the graph's snapshot
 //	node-clock               degree-proportional initiator clocks
 //	churn:UP:DOWN            edges flap; mean up/down burst lengths (>= 1)
 //
-// weighted:snap requires a file:/mmap:-loaded graph and consumes the
-// alias table stored in its snapshot (the named weight set, or the
-// snapshot's only one when NAME is omitted) — no rates are drawn and
-// no alias construction runs. Note the distinction from weighted:exp,
-// which redraws rates from r even on a loaded graph so that sweep grid
-// cells stay byte-identical between file: and generator specs.
+// weighted:exp draws its rates from r on every graph, a file:-loaded
+// one included, so sweep grid cells stay byte-identical between file:
+// and generator specs.
 //
 // Bad specs return an error naming the spec; ParseScheduler never
 // panics on CLI input.
 func ParseScheduler(spec string, g Graph, r *Rand) (Scheduler, error) {
 	argErr := func(reason string) error {
 		if reason == "" {
-			return fmt.Errorf("popgraph: bad scheduler spec %q (want uniform | weighted[:exp|:degprod|:snap[:NAME]] | node-clock | churn:UP:DOWN)", spec)
+			return fmt.Errorf("popgraph: bad scheduler spec %q (want uniform | weighted[:exp|:degprod] | node-clock | churn:UP:DOWN)", spec)
 		}
 		return fmt.Errorf("popgraph: bad scheduler spec %q: %s", spec, reason)
 	}
@@ -397,8 +382,6 @@ func ParseScheduler(spec string, g Graph, r *Rand) (Scheduler, error) {
 	case "weighted":
 		model := "exp"
 		switch {
-		case len(parts) >= 2 && parts[1] == "snap":
-			return snapWeighted(spec, parts, g, argErr)
 		case len(parts) == 2:
 			model = parts[1]
 		case len(parts) != 1:
@@ -453,36 +436,6 @@ func ParseScheduler(spec string, g Graph, r *Rand) (Scheduler, error) {
 	default:
 		return nil, argErr("")
 	}
-}
-
-// snapWeighted resolves "weighted:snap[:NAME]": the weighted scheduler
-// over the alias table stored in the graph's snapshot. With no NAME the
-// snapshot must hold exactly one weight set, so the spec stays
-// unambiguous.
-func snapWeighted(spec string, parts []string, g Graph, argErr func(string) error) (Scheduler, error) {
-	snap := snapshot.Of(g)
-	if snap == nil {
-		return nil, argErr("graph was not loaded from a snapshot (use a file:/mmap: graph spec)")
-	}
-	var set *snapshot.WeightSet
-	switch len(parts) {
-	case 2:
-		if len(snap.Weights) != 1 {
-			return nil, argErr(fmt.Sprintf("snapshot holds %d weight sets; name one as weighted:snap:NAME", len(snap.Weights)))
-		}
-		set = &snap.Weights[0]
-	case 3:
-		if set = snap.WeightSet(parts[2]); set == nil {
-			return nil, argErr(fmt.Sprintf("snapshot has no weight set %q", parts[2]))
-		}
-	default:
-		return nil, argErr("")
-	}
-	s, err := sim.NewWeightedFromAlias(g, "weighted:snap:"+set.Name, set.Alias)
-	if err != nil {
-		return nil, fmt.Errorf("popgraph: bad scheduler spec %q: %w", spec, err)
-	}
-	return s, nil
 }
 
 // Protocol is a population protocol runnable by Run; see the constructors

@@ -1,11 +1,13 @@
 package popgraph_test
 
 import (
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
 
 	"popgraph"
+	"popgraph/internal/snapshot"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -95,6 +97,7 @@ func TestParseGraphErrors(t *testing.T) {
 		"", "nope:5", "clique", "clique:x", "torus:4", "torus:axb",
 		"gnp:10", "gnp:10:zzz", "lollipop:4", "regular:10:x",
 		"ws:10:4", "ws:10:x:0.1", "ws:10:4:x", "ba:10", "ba:10:x",
+		"mmap:x.popg",
 	} {
 		if _, err := popgraph.ParseGraph(spec, r); err == nil {
 			t.Errorf("spec %q accepted", spec)
@@ -199,7 +202,7 @@ func TestParseSchedulerErrors(t *testing.T) {
 	g := popgraph.Clique(8)
 	for _, spec := range []string{
 		"", "bogus", "uniform:1",
-		"weighted:nosuch", "weighted:exp:1",
+		"weighted:nosuch", "weighted:exp:1", "weighted:snap",
 		"node-clock:3",
 		"churn", "churn:64", "churn:64:16:4", "churn:x:16", "churn:64:x",
 		"churn:0.5:16", "churn:64:0", "churn:-1:2",
@@ -229,6 +232,50 @@ func TestParsedSchedulersRun(t *testing.T) {
 		if !res.Stabilized {
 			t.Fatalf("%s: did not stabilize", spec)
 		}
+	}
+}
+
+// TestFileSpecMatchesGenerator — a file: spec loads the graph its
+// generator spec built, so a six-state run under a weighted:exp
+// scheduler parsed on the loaded graph has the same Result and leaves
+// the RNG in the same state as the run on the generator-built graph.
+func TestFileSpecMatchesGenerator(t *testing.T) {
+	const spec = "ws:512:8:0.2"
+	g, err := popgraph.ParseGraph(spec, popgraph.NewRand(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := snapshot.Build(g, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "ws.popg")
+	if err := snapshot.WriteFile(path, snap); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := popgraph.ParseGraph("file:"+path, popgraph.NewRand(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(g popgraph.Graph) (popgraph.Result, *popgraph.Rand) {
+		r := popgraph.NewRand(41)
+		s, err := popgraph.ParseScheduler("weighted:exp", g, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := popgraph.Run(g, popgraph.NewSixState(), r, popgraph.Options{Scheduler: s})
+		return res, r
+	}
+	wantRes, wantRNG := run(g)
+	gotRes, gotRNG := run(loaded)
+	if !wantRes.Stabilized {
+		t.Fatalf("generator run did not stabilize: %+v", wantRes)
+	}
+	if gotRes != wantRes {
+		t.Fatalf("file: run %+v, generator run %+v", gotRes, wantRes)
+	}
+	if gotRNG.Save() != wantRNG.Save() {
+		t.Fatalf("post-run RNG state differs between file: and generator runs")
 	}
 }
 
