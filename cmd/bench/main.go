@@ -23,8 +23,9 @@
 //	                                  # committed baseline's; prints the full
 //	                                  # per-cell delta table either way
 //	bench -quick -compare BENCH_sim.json -summary delta.md
-//	                                  # also write the delta table as markdown
-//	                                  # (CI appends it to the step summary)
+//	                                  # also write the delta and telemetry
+//	                                  # tables as markdown (CI appends them to
+//	                                  # the step summary)
 package main
 
 import (
@@ -45,7 +46,7 @@ func main() {
 		quiet   = flag.Bool("q", false, "suppress per-cell progress output")
 		compare = flag.String("compare", "", "baseline BENCH_sim.json to gate against (exit 1 on regression)")
 		tol     = flag.Float64("compare-tol", 0.30, "regression tolerance for -compare as a fraction (0.30 = 30%)")
-		summary = flag.String("summary", "", "write the -compare delta table as markdown to this file (CI step summaries)")
+		summary = flag.String("summary", "", "write the -compare delta and telemetry tables as markdown to this file (CI step summaries)")
 		metrics = flag.String("metrics", "", "write the aggregated telemetry snapshot of all timed trials as JSON to this path")
 		pprof   = flag.String("pprof", "", "serve net/http/pprof and /metrics on this address while the grid runs (e.g. :6060)")
 	)
@@ -170,40 +171,25 @@ func run(out string, seed uint64, quick, quiet bool, compare string, tol float64
 		}
 	}
 
+	// Top-line flight-recorder counters: what this run actually executed,
+	// next to how fast.
+	tt := bench.TelemetryReport(meter.Snapshot())
+	tt.WriteText(os.Stdout)
+
 	if compare != "" {
 		// The full per-cell delta picture first — the gate's pass/fail
 		// verdict alone hides how close each cell sits to the threshold.
-		deltas := bench.DeltaTable(rep, base, tol)
-		dt := table.New(fmt.Sprintf("per-cell delta vs %s (best-trial specialized ns/step, tolerance %.0f%%)",
-			compare, 100*tol),
-			"graph", "sched", "protocol", "drop", "engine",
-			"base ns/step", "cur ns/step", "delta", "status")
-		for _, d := range deltas {
-			delta := "—"
-			if d.Status == "ok" || d.Status == "regressed" {
-				delta = fmt.Sprintf("%+.1f%%", 100*d.Delta)
-			}
-			dt.AddRow(d.GraphSpec, d.Scheduler, d.Protocol, d.Drop,
-				d.Engine+"/"+d.ProtocolEngine, d.BaseNs, d.CurNs, delta, d.Status)
-		}
+		dt := bench.DeltaReport(fmt.Sprintf("per-cell delta vs %s (best-trial specialized ns/step, tolerance %.0f%%)",
+			compare, 100*tol), bench.DeltaTable(rep, base, tol))
 		dt.WriteText(os.Stdout)
 		if summary != "" {
 			f, err := os.Create(summary)
 			if err != nil {
 				return err
 			}
-			if err := bench.WriteDeltaMarkdown(f, deltas, tol); err != nil {
-				f.Close()
-				return err
-			}
-			// Top-line flight-recorder counters ride along under the delta
-			// table, so the step summary answers "what did this run
-			// actually execute" next to "how fast".
+			dt.WriteMarkdown(f)
 			fmt.Fprintln(f)
-			if err := bench.WriteTelemetryMarkdown(f, meter.Snapshot()); err != nil {
-				f.Close()
-				return err
-			}
+			tt.WriteMarkdown(f)
 			if err := f.Close(); err != nil {
 				return err
 			}

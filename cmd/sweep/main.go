@@ -14,7 +14,7 @@
 //	sweep -graphs ws:N:4:0.1,ba:N:3 -sizes 64,128 \
 //	      -schedulers uniform,weighted:exp,churn:64:16 -protocols six-state
 //	sweep -spec sweep.json -workers 4 -markdown
-//	sweep -spec sweep.json -progress -metrics metrics.json \
+//	sweep -spec sweep.json -metrics metrics.json \
 //	      -journal journal.jsonl -trajectory traj.jsonl -pprof :6060
 //
 // Sharded execution splits the trial grid across processes or machines
@@ -36,23 +36,24 @@
 //
 // The -spec file is JSON with fields name, seed, trials, graphs, sizes,
 // schedulers, protocols, drop_rates, max_steps (see internal/sweep);
-// explicit flags override the corresponding spec fields. Progress
-// streams to stderr; the summary table goes to stdout. Records stream
-// to the JSONL writer in grid order as trials finish, so memory stays
-// O(cells) however many trials the grid has.
+// explicit flags override the corresponding spec fields. A throttled
+// done/total (ETA …) progress line streams to stderr unless -q; the
+// summary table goes to stdout. Records stream to a shard.Writer in grid
+// order as trials finish, so memory stays O(cells) however many trials
+// the grid has: a solo run opens it without a manifest, so the file is
+// buffered, and a checkpointed run writes each line as it completes.
 //
 // Flight-recorder flags: -metrics writes an aggregated telemetry
 // snapshot (steps, chunks, RNG refills, drops, kernel dispatch mix,
 // latency histograms) as JSON; -journal writes a phase-span run journal
 // as JSONL; -trajectory writes per-trial (step, leaders, gap) curves as
 // JSONL; -pprof serves net/http/pprof plus the live snapshot at
-// /metrics; -progress adds a throttled done/total (ETA …) stderr line.
+// /metrics, which the pool updates as each dispatch unit completes.
 // Telemetry never touches the random stream, so the records stay
 // byte-identical with or without it.
 package main
 
 import (
-	"bufio"
 	"errors"
 	"flag"
 	"fmt"
@@ -85,7 +86,6 @@ type cliConfig struct {
 	out        string
 	markdown   bool
 	quiet      bool
-	progress   bool
 	metrics    string
 	journal    string
 	trajectory string
@@ -116,7 +116,6 @@ func main() {
 	flag.StringVar(&c.out, "out", "sweep.jsonl", "JSON Lines output path (empty = skip)")
 	flag.BoolVar(&c.markdown, "markdown", false, "render the summary table as Markdown")
 	flag.BoolVar(&c.quiet, "q", false, "suppress progress output")
-	flag.BoolVar(&c.progress, "progress", false, "live done/total (ETA …) progress line on stderr, throttled")
 	flag.StringVar(&c.metrics, "metrics", "", "write the aggregated telemetry snapshot as JSON to this path")
 	flag.StringVar(&c.journal, "journal", "", "write the phase-span run journal as JSONL to this path")
 	flag.StringVar(&c.trajectory, "trajectory", "", "write per-trial (step, leaders, gap) trajectories as JSONL to this path")
@@ -165,7 +164,7 @@ func run(c cliConfig, args []string) error {
 		spec.Graphs = splitList(c.graphs)
 	}
 	if c.sizes != "" {
-		ns, err := parseInts(c.sizes)
+		ns, err := parseList(c.sizes, strconv.Atoi)
 		if err != nil {
 			return fmt.Errorf("bad -sizes: %w", err)
 		}
@@ -178,7 +177,7 @@ func run(c cliConfig, args []string) error {
 		spec.Protocols = splitList(c.protocols)
 	}
 	if c.drops != "" {
-		qs, err := parseFloats(c.drops)
+		qs, err := parseList(c.drops, func(s string) (float64, error) { return strconv.ParseFloat(s, 64) })
 		if err != nil {
 			return fmt.Errorf("bad -drop: %w", err)
 		}
@@ -258,13 +257,13 @@ func run(c cliConfig, args []string) error {
 	}
 	acc := results.NewAccumulator()
 
-	// The record sink: a checkpointing shard writer when sharding, a
-	// plain streaming JSONL writer otherwise. Both receive records in
-	// grid order as trials finish.
-	var sink recordSink
+	// The record sink receives records in grid order as trials finish.
+	// Without -checkpoint it has no manifest, so it buffers and never
+	// resumes.
+	var sink *shard.Writer
 	skip := 0
-	if sharded {
-		w, done, err := shard.Open(c.out, c.checkpoint, shard.Manifest{
+	if c.out != "" {
+		sink, skip, err = shard.Open(c.out, c.checkpoint, shard.Manifest{
 			Schema:     shard.ManifestSchema,
 			SpecHash:   shard.SpecHash(spec),
 			SpecName:   spec.Name,
@@ -278,13 +277,11 @@ func run(c cliConfig, args []string) error {
 		if err != nil {
 			return err
 		}
-		skip = done
-		sink = w
 		if skip > 0 {
 			// Fold the resumed prefix into the aggregate so the shard's
 			// summary table covers the whole shard, not just this leg.
 			if err := readInto(c.out, acc); err != nil {
-				w.Close()
+				sink.Close()
 				return err
 			}
 			if !c.quiet {
@@ -292,12 +289,6 @@ func run(c cliConfig, args []string) error {
 					shardIdx, shardOf, skip, len(plan.Cells))
 			}
 		}
-	} else if c.out != "" {
-		w, err := newStreamWriter(c.out)
-		if err != nil {
-			return err
-		}
-		sink = w
 	}
 
 	cells := plan.Cells[skip:]
@@ -321,22 +312,14 @@ func run(c cliConfig, args []string) error {
 		trajs = sweep.AttachTrajectories(tasks, telemetry.DefaultTrajectorySamples)
 	}
 	pool := runner.Pool{Workers: c.workers, Meter: meter, Journal: journal}
-	switch {
-	case c.progress:
+	if !c.quiet {
 		pool.Progress = etaProgress(time.Now())
-	case !c.quiet:
-		pool.Progress = func(done, total int) {
-			fmt.Fprintf(os.Stderr, "\rsweep: %d/%d trials", done, total)
-			if done == total {
-				fmt.Fprintln(os.Stderr)
-			}
-		}
 	}
 
 	// Crashed trials (e.g. a protocol rejecting its graph at Reset) are
 	// recorded, not fatal; surface them so a silent grid cell of failures
 	// is visible even with -q.
-	crashed, written := 0, 0
+	crashed := 0
 	var sinkErr error
 	endWrite := journal.Span("write", map[string]any{"cells": len(cells), "path": c.out})
 	execErr := shard.Execute(tasks, cells, pool, func(cell shard.Cell, rec results.Record) {
@@ -353,7 +336,6 @@ func run(c cliConfig, args []string) error {
 		}
 		if sink != nil && sinkErr == nil {
 			sinkErr = sink.Append(cell.Global, rec)
-			written++
 		}
 	})
 	endWrite()
@@ -373,7 +355,7 @@ func run(c cliConfig, args []string) error {
 			crashed, len(cells))
 	}
 	if c.out != "" && !c.quiet {
-		fmt.Fprintf(os.Stderr, "sweep: wrote %d records to %s\n", written, c.out)
+		fmt.Fprintf(os.Stderr, "sweep: wrote %d records to %s\n", len(cells), c.out)
 	}
 
 	if c.trajectory != "" {
@@ -462,40 +444,6 @@ func runMerge(c cliConfig, manifests []string) error {
 	}
 	writeTable(c, tableTitle(info.SpecName, info.Seed), acc, nil)
 	return nil
-}
-
-// recordSink is what the streaming execute writes records into.
-type recordSink interface {
-	Append(global int, rec results.Record) error
-	Close() error
-}
-
-// jsonlWriter is the unsharded sink: buffered JSONL in arrival (= grid)
-// order through results.Write's encoding, no checkpointing.
-type jsonlWriter struct {
-	f   *os.File
-	buf *bufio.Writer
-}
-
-// newStreamWriter opens the plain JSONL sink.
-func newStreamWriter(path string) (*jsonlWriter, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	return &jsonlWriter{f: f, buf: bufio.NewWriterSize(f, 64*1024)}, nil
-}
-
-func (w *jsonlWriter) Append(_ int, rec results.Record) error {
-	return results.Write(w.buf, []results.Record{rec})
-}
-
-func (w *jsonlWriter) Close() error {
-	if err := w.buf.Flush(); err != nil {
-		w.f.Close()
-		return err
-	}
-	return w.f.Close()
 }
 
 // readInto streams a JSONL file into the accumulator.
@@ -609,26 +557,15 @@ func splitList(s string) []string {
 	return out
 }
 
-func parseInts(s string) ([]int, error) {
-	var out []int
+// parseList parses every element of a comma-separated list.
+func parseList[T any](s string, parse func(string) (T, error)) ([]T, error) {
+	var out []T
 	for _, part := range splitList(s) {
-		n, err := strconv.Atoi(part)
+		v, err := parse(part)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
-func parseFloats(s string) ([]float64, error) {
-	var out []float64
-	for _, part := range splitList(s) {
-		f, err := strconv.ParseFloat(part, 64)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, f)
+		out = append(out, v)
 	}
 	return out, nil
 }

@@ -36,6 +36,9 @@ var contractPaths = []string{
 	"internal/graph",
 	"internal/sweep",
 	"internal/snapshot",
+	"internal/results",
+	"internal/shard",
+	"internal/jsonl",
 	"internal/protocols/",
 }
 

@@ -29,7 +29,10 @@ func TestInScope(t *testing.T) {
 		"internal/protocols/majority": true,
 		"internal/sweep":              true,
 		"internal/telemetry":          false,
-		"internal/results":            false,
+		"internal/results":            true,
+		"internal/shard":              true,
+		"internal/jsonl":              true,
+		"internal/runner":             false,
 		"cmd/sweep":                   false,
 		"":                            false,
 		"internal/simulator":          false, // prefix must respect path boundaries

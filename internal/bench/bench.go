@@ -35,6 +35,7 @@ import (
 	"popgraph"
 	"popgraph/internal/runner"
 	"popgraph/internal/sim"
+	"popgraph/internal/table"
 	"popgraph/internal/telemetry"
 )
 
@@ -420,26 +421,22 @@ type CellDelta struct {
 // row per cell on either side — matched cells with their relative
 // change and regression verdict at tolerance tol, then cells present
 // only in the current grid ("new"), with baseline-only cells ("removed")
-// at the end. Unlike Compare, which reports only failures for the CI
-// gate, the delta table is the full picture a human (or a CI step
-// summary) reads.
+// at the end. It is the one place the gate's verdict is made: Compare
+// reports its regressed rows, and DeltaReport renders all of them, the
+// full picture a human (or a CI step summary) reads.
 func DeltaTable(cur, base Report, tol float64) []CellDelta {
 	baseline := make(map[string]Measurement, len(base.Results))
 	for _, m := range base.Results {
 		baseline[m.key()] = m
 	}
+	cell := func(m Measurement, status string) CellDelta {
+		return CellDelta{GraphSpec: m.GraphSpec, Scheduler: m.Scheduler, Protocol: m.Protocol,
+			Drop: m.Drop, Engine: m.Engine, ProtocolEngine: m.ProtocolEngine, Status: status}
+	}
 	var rows []CellDelta
 	for _, m := range cur.Results {
-		row := CellDelta{
-			GraphSpec:      m.GraphSpec,
-			Scheduler:      m.Scheduler,
-			Protocol:       m.Protocol,
-			Drop:           m.Drop,
-			Engine:         m.Engine,
-			ProtocolEngine: m.ProtocolEngine,
-			CurNs:          gateNs(m.Specialized),
-		}
-		row.Status = "new"
+		row := cell(m, "new")
+		row.CurNs = gateNs(m.Specialized)
 		if b, ok := baseline[m.key()]; ok {
 			delete(baseline, m.key())
 			if base := gateNs(b.Specialized); base > 0 {
@@ -456,37 +453,21 @@ func DeltaTable(cur, base Report, tol float64) []CellDelta {
 	// Deterministic order for the leftover baseline-only cells: baseline
 	// report order.
 	for _, b := range base.Results {
-		if _, ok := baseline[b.key()]; !ok {
-			continue
+		if _, ok := baseline[b.key()]; ok {
+			row := cell(b, "removed")
+			row.BaseNs = gateNs(b.Specialized)
+			rows = append(rows, row)
 		}
-		rows = append(rows, CellDelta{
-			GraphSpec:      b.GraphSpec,
-			Scheduler:      b.Scheduler,
-			Protocol:       b.Protocol,
-			Drop:           b.Drop,
-			Engine:         b.Engine,
-			ProtocolEngine: b.ProtocolEngine,
-			BaseNs:         gateNs(b.Specialized),
-			Status:         "removed",
-		})
 	}
 	return rows
 }
 
-// WriteDeltaMarkdown renders a DeltaTable as a GitHub-flavored markdown
-// table; CI appends it to the job's step summary so the per-cell
-// picture ships with every bench-smoke run.
-func WriteDeltaMarkdown(w io.Writer, rows []CellDelta, tol float64) error {
-	if _, err := fmt.Fprintf(w, "### bench -compare deltas (tolerance %.0f%%)\n\n", 100*tol); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintln(w, "| graph | scheduler | protocol | drop | engine | base ns/step | cur ns/step | delta | status |"); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintln(w, "| --- | --- | --- | --- | --- | --- | --- | --- | --- |"); err != nil {
-		return err
-	}
-	fmtNs := func(v float64) string {
+// DeltaReport renders DeltaTable rows as one table, which cmd/bench
+// writes as text and, for a CI step summary, as markdown.
+func DeltaReport(title string, rows []CellDelta) *table.Table {
+	t := table.New(title, "graph", "sched", "protocol", "drop", "engine",
+		"base ns/step", "cur ns/step", "delta", "status")
+	ns := func(v float64) string {
 		if v <= 0 {
 			return "—"
 		}
@@ -494,85 +475,56 @@ func WriteDeltaMarkdown(w io.Writer, rows []CellDelta, tol float64) error {
 	}
 	for _, r := range rows {
 		delta := "—"
-		if r.Status == "ok" || r.Status == "regressed" {
+		if r.matched() {
 			delta = fmt.Sprintf("%+.1f%%", 100*r.Delta)
 		}
-		status := r.Status
-		if status == "regressed" {
-			status = "**regressed**"
-		}
-		if _, err := fmt.Fprintf(w, "| %s | %s | %s | %g | %s/%s | %s | %s | %s | %s |\n",
-			r.GraphSpec, r.Scheduler, r.Protocol, r.Drop, r.Engine, r.ProtocolEngine,
-			fmtNs(r.BaseNs), fmtNs(r.CurNs), delta, status); err != nil {
-			return err
-		}
+		t.AddRow(r.GraphSpec, r.Scheduler, r.Protocol, r.Drop, r.Engine+"/"+r.ProtocolEngine,
+			ns(r.BaseNs), ns(r.CurNs), delta, r.Status)
 	}
-	return nil
+	return t
 }
 
-// WriteTelemetryMarkdown renders a flight-recorder snapshot's top-line
-// counters — steps/sec, RNG refills per million steps, the kernel
-// dispatch mix — as GitHub-flavored markdown; CI appends it to the
-// bench-smoke step summary next to the delta table.
-func WriteTelemetryMarkdown(w io.Writer, s telemetry.Snapshot) error {
-	if _, err := fmt.Fprintf(w, "### engine telemetry\n\n"); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintln(w, "| metric | value |"); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintln(w, "| --- | --- |"); err != nil {
-		return err
-	}
-	rows := [][2]string{
-		{"steps executed", fmt.Sprintf("%d", s.StepsExecuted)},
-		{"steps/sec", fmt.Sprintf("%.3g", s.StepsPerSec())},
-		{"RNG refills / Mstep", fmt.Sprintf("%.1f", s.RefillsPerMStep())},
-		{"chunks run", fmt.Sprintf("%d", s.ChunksRun)},
-		{"drops applied", fmt.Sprintf("%d", s.DropsApplied)},
-		{"trials (stabilized/run)", fmt.Sprintf("%d/%d", s.TrialsStabilized, s.TrialsRun)},
-		{"kernel mix", strings.Join(s.KernelMix(), "<br>")},
-	}
-	for _, r := range rows {
-		if _, err := fmt.Fprintf(w, "| %s | %s |\n", r[0], r[1]); err != nil {
-			return err
-		}
-	}
-	return nil
+// matched reports whether the row compares a current cell with a
+// baseline cell.
+func (r CellDelta) matched() bool { return r.Status == "ok" || r.Status == "regressed" }
+
+// TelemetryReport renders a flight-recorder snapshot's top-line counters
+// — steps/sec, RNG refills per million steps, the kernel dispatch mix —
+// as a metric/value table.
+func TelemetryReport(s telemetry.Snapshot) *table.Table {
+	t := table.New("engine telemetry", "metric", "value")
+	t.AddRow("steps executed", s.StepsExecuted)
+	t.AddRow("steps/sec", fmt.Sprintf("%.3g", s.StepsPerSec()))
+	t.AddRow("RNG refills / Mstep", fmt.Sprintf("%.1f", s.RefillsPerMStep()))
+	t.AddRow("chunks run", s.ChunksRun)
+	t.AddRow("drops applied", s.DropsApplied)
+	t.AddRow("trials (stabilized/run)", fmt.Sprintf("%d/%d", s.TrialsStabilized, s.TrialsRun))
+	t.AddRow("kernel mix", strings.Join(s.KernelMix(), " "))
+	return t
 }
 
 // Compare checks cur against a committed baseline and returns one
-// message per regressed cell: a cell regresses when its specialized
-// best-trial ns/step exceeds the baseline cell's by more than tol (a
-// fraction; 0.30 means 30% slower). Best-of-trials is the comparison
-// statistic because minima are far more stable than means under
-// machine noise; reports from producers predating the field fall back
-// to the aggregate. Cells are matched on graph spec × scheduler ×
-// protocol; individual cells present on only one side are skipped —
+// message per regressed DeltaTable row: a cell regresses when its
+// specialized best-trial ns/step exceeds the baseline cell's by more
+// than tol (a fraction; 0.30 means 30% slower). Best-of-trials is the
+// comparison statistic because minima are far more stable than means
+// under machine noise; reports from producers predating the field fall
+// back to the aggregate. Cells present on only one side are skipped —
 // new grid cells have no baseline and removed ones no current
 // measurement — but if *no* cell matches at all (a grid or spec rename
-// without a regenerated baseline), that is itself reported, so the
-// gate can never go vacuously green. An empty slice means no
-// regression.
+// without a regenerated baseline), that is itself reported, so the gate
+// can never go vacuously green. An empty slice means no regression.
 func Compare(cur, base Report, tol float64) []string {
-	baseline := make(map[string]Measurement, len(base.Results))
-	for _, m := range base.Results {
-		baseline[m.key()] = m
-	}
 	var msgs []string
 	matched := 0
-	for _, m := range cur.Results {
-		b, ok := baseline[m.key()]
-		if !ok || gateNs(b.Specialized) <= 0 {
-			continue
+	for _, r := range DeltaTable(cur, base, tol) {
+		if r.matched() {
+			matched++
 		}
-		matched++
-		curNs, baseNs := gateNs(m.Specialized), gateNs(b.Specialized)
-		if curNs > baseNs*(1+tol) {
+		if r.Status == "regressed" {
 			msgs = append(msgs, fmt.Sprintf(
 				"%s × %s × %s × drop %g: specialized %.2f ns/step vs baseline %.2f (+%.0f%%, tolerance %.0f%%)",
-				m.GraphSpec, m.Scheduler, m.Protocol, m.Drop,
-				curNs, baseNs, 100*(curNs/baseNs-1), 100*tol))
+				r.GraphSpec, r.Scheduler, r.Protocol, r.Drop, r.CurNs, r.BaseNs, 100*r.Delta, 100*tol))
 		}
 	}
 	if matched == 0 && len(cur.Results) > 0 {

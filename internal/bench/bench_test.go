@@ -196,11 +196,9 @@ func TestDeltaTable(t *testing.T) {
 		t.Fatalf("torus delta %v, want ~0.10", d)
 	}
 	var buf bytes.Buffer
-	if err := WriteDeltaMarkdown(&buf, rows, 0.30); err != nil {
-		t.Fatal(err)
-	}
+	DeltaReport("deltas", rows).WriteMarkdown(&buf)
 	md := buf.String()
-	for _, want := range []string{"**regressed**", "| torus:8x8 |", "removed", "new", "+100.0%"} {
+	for _, want := range []string{"| regressed |", "| torus:8x8 |", "removed", "new", "+100.0%"} {
 		if !strings.Contains(md, want) {
 			t.Fatalf("markdown missing %q:\n%s", want, md)
 		}

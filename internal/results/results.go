@@ -13,11 +13,10 @@ package results
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
-	"strings"
 
+	"popgraph/internal/jsonl"
 	"popgraph/internal/stats"
 	"popgraph/internal/table"
 )
@@ -76,13 +75,14 @@ func (r Record) Key() Key {
 	return Key{Graph: r.Graph, Scheduler: r.Scheduler, Protocol: r.Protocol, DropRate: r.DropRate}
 }
 
-// Write encodes records as JSON Lines. The output is deterministic:
-// records are written in slice order with fixed field order.
+// Write encodes records as JSON Lines through internal/jsonl. The output
+// is deterministic: records are written in slice order with fixed field
+// order.
 func Write(w io.Writer, recs []Record) error {
 	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
+	lines := jsonl.NewWriter(bw)
 	for i := range recs {
-		if err := enc.Encode(&recs[i]); err != nil {
+		if err := lines.Write(&recs[i]); err != nil {
 			return fmt.Errorf("results: encoding record %d: %w", i, err)
 		}
 	}
@@ -91,45 +91,14 @@ func Write(w io.Writer, recs []Record) error {
 
 // Read decodes a JSON Lines stream previously produced by Write. Blank
 // lines are skipped; any malformed line is an error.
-func Read(r io.Reader) ([]Record, error) {
-	var recs []Record
-	err := ForEach(r, func(rec Record) error {
-		recs = append(recs, rec)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return recs, nil
-}
+func Read(r io.Reader) ([]Record, error) { return jsonl.ReadAll[Record](r) }
 
 // ForEach decodes a JSON Lines stream one record at a time, calling fn
 // for each — the streaming sibling of Read for consumers (merge,
 // aggregation) that must not hold every record in memory. Blank lines
-// are skipped; a malformed line or an error from fn stops the scan.
-func ForEach(r io.Reader, fn func(Record) error) error {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		var rec Record
-		if err := json.Unmarshal([]byte(text), &rec); err != nil {
-			return fmt.Errorf("results: line %d: %w", line, err)
-		}
-		if err := fn(rec); err != nil {
-			return err
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("results: %w", err)
-	}
-	return nil
-}
+// are skipped; a malformed line, a line over jsonl.MaxLine or an error
+// from fn stops the scan.
+func ForEach(r io.Reader, fn func(Record) error) error { return jsonl.ForEach(r, fn) }
 
 // Group summarizes all trials of one configuration.
 type Group struct {

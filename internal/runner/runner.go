@@ -97,10 +97,12 @@ type Pool struct {
 	Progress func(done, total int)
 	// Meter, if non-nil, aggregates flight-recorder telemetry for the
 	// batch. Each worker feeds a private shard — engine accounting via
-	// sim.Options.Meter plus per-trial wall-time and queue-wait — and the
-	// shards are merged into Meter after the pool drains, so the hot path
-	// never contends on shared counters. Jobs that already carry their
-	// own Opts.Meter keep it.
+	// sim.Options.Meter plus per-trial wall-time and queue-wait — and
+	// folds it into Meter as each dispatch unit completes, before the
+	// unit counts as done: the hot path never contends on shared
+	// counters, a live reader (the -pprof /metrics endpoint) sees the
+	// run progress, and Meter covers every trial Progress has reported.
+	// Jobs that already carry their own Opts.Meter keep it.
 	Meter *telemetry.Counters
 	// Journal, if non-nil, receives a "run" span covering the whole
 	// batch. Nil is fine: a nil journal records nothing.
@@ -210,14 +212,8 @@ func (p Pool) Stream(jobs []Job, emit func(i int, o Outcome)) {
 			report()
 		}()
 	}
-	shards := make([]*telemetry.Counters, workers)
 	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		var shard *telemetry.Counters
-		if p.Meter != nil {
-			shard = new(telemetry.Counters)
-			shards[w] = shard
-		}
+	for range workers {
 		go func() {
 			defer wg.Done()
 			for {
@@ -227,6 +223,10 @@ func (p Pool) Stream(jobs []Job, emit func(i int, o Outcome)) {
 				}
 				lo := u * unit
 				outs := make([]Outcome, min(lo+unit, len(jobs))-lo)
+				var shard *telemetry.Counters
+				if p.Meter != nil {
+					shard = new(telemetry.Counters)
+				}
 				for k := range outs {
 					j := jobs[lo+k]
 					if shard != nil && j.Opts.Meter == nil {
@@ -241,6 +241,9 @@ func (p Pool) Stream(jobs []Job, emit func(i int, o Outcome)) {
 						shard.AddTrial(o.ElapsedNs, o.QueueWaitNs, o.Result.Stabilized, o.Failed())
 					}
 					outs[k] = o
+				}
+				if shard != nil {
+					p.Meter.Merge(shard.Snapshot())
 				}
 				completions <- completion{u, outs}
 				done.Add(int64(len(outs)))
@@ -259,13 +262,6 @@ func (p Pool) Stream(jobs []Job, emit func(i int, o Outcome)) {
 	if notify != nil {
 		close(notify)
 		repWG.Wait()
-	}
-	if p.Meter != nil {
-		for _, s := range shards {
-			if s != nil {
-				p.Meter.Merge(s.Snapshot())
-			}
-		}
 	}
 }
 

@@ -352,3 +352,29 @@ func TestStreamProgressAndMeterStillWork(t *testing.T) {
 		t.Fatalf("meter steps %d, streamed sum %d", got, steps)
 	}
 }
+
+// TestMeterIsLiveAtFinalProgress reads the meter from inside the final
+// Progress callback, the way a -pprof /metrics reader sees it while the
+// pool still runs: every reported trial must already be in Meter, not
+// only after Stream returns.
+func TestMeterIsLiveAtFinalProgress(t *testing.T) {
+	g := graph.NewClique(8)
+	jobs := TrialJobs(g, factory, 11, 64, sim.Options{})
+	for _, workers := range []int{1, 3} {
+		meter := new(telemetry.Counters)
+		var atFinal telemetry.Snapshot
+		var steps int64
+		Pool{Workers: workers, Meter: meter, Progress: func(done, total int) {
+			if done == total {
+				atFinal = meter.Snapshot()
+			}
+		}}.Stream(jobs, func(_ int, o Outcome) { steps += o.Result.Steps })
+		if atFinal.TrialsRun != int64(len(jobs)) || atFinal.StepsExecuted != steps {
+			t.Fatalf("workers=%d: meter at the final progress call has %d trials and %d steps, want %d and %d",
+				workers, atFinal.TrialsRun, atFinal.StepsExecuted, len(jobs), steps)
+		}
+		if got := meter.Snapshot(); got.TrialsRun != int64(len(jobs)) {
+			t.Fatalf("workers=%d: meter after Stream has %d trials, want %d", workers, got.TrialsRun, len(jobs))
+		}
+	}
+}

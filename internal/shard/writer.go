@@ -1,20 +1,24 @@
 package shard
 
 import (
+	"bufio"
 	"bytes"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 
+	"popgraph/internal/jsonl"
 	"popgraph/internal/results"
 )
 
-// Writer streams one shard's records to a JSONL file in plan order. The
-// records file is the checkpoint: line i holds the shard's i-th planned
-// cell, and every Append hands its whole line to the OS, so a killed
-// process loses at most the line it was writing. The manifest is a
-// header, finalized by Close after the records file is synced.
+// Writer streams one shard's records to a JSONL file in plan order,
+// through the internal/jsonl codec. With a manifest, the records file is
+// the checkpoint: line i holds the shard's i-th planned cell, and every
+// Append hands its whole line to the OS, so a killed process loses at
+// most the line it was writing. The manifest is a header, finalized by
+// Close after the records file is synced. Without a manifest nothing can
+// resume the file, so the writer buffers it instead.
 //
 // Opening a writer whose manifest already exists resumes it: the
 // records file's complete lines are counted and kept — a writer that was
@@ -24,6 +28,7 @@ import (
 // would write.
 type Writer struct {
 	out          *os.File
+	lines        *jsonl.Writer // closes out
 	manifest     Manifest
 	manifestPath string // "" disables checkpointing
 }
@@ -31,9 +36,10 @@ type Writer struct {
 // Open creates or resumes a shard writer. base describes the shard
 // (spec hash, shard/of, grid total, records path, timing mode) and must
 // carry a zero Completed count; outPath is the records file the base's
-// Records field names. When manifestPath is empty, checkpointing is off
-// and the records file is always started fresh. The returned count is
-// the number of already-completed cells to skip — 0 for a fresh run.
+// Records field names. When manifestPath is empty, checkpointing is off:
+// the records file is always started fresh and written through a buffer
+// that Close flushes. The returned count is the number of
+// already-completed cells to skip — 0 for a fresh run.
 func Open(outPath, manifestPath string, base Manifest) (*Writer, int, error) {
 	if base.Completed != 0 {
 		return nil, 0, fmt.Errorf("shard: Open with a non-zero completed count")
@@ -53,17 +59,28 @@ func Open(outPath, manifestPath string, base Manifest) (*Writer, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	w.out = out
-	if manifestPath != "" {
-		// Write the header up front so a kill before Close still leaves a
-		// resumable checkpoint.
-		if err := WriteManifest(manifestPath, w.manifest); err != nil {
-			out.Close()
-			return nil, 0, err
-		}
+	if manifestPath == "" {
+		w.out, w.lines = out, jsonl.NewWriter(bufferedFile{bufio.NewWriterSize(out, 64*1024), out})
+		return w, 0, nil
 	}
+	// Write the header up front so a kill before Close still leaves a
+	// resumable checkpoint.
+	if err := WriteManifest(manifestPath, w.manifest); err != nil {
+		out.Close()
+		return nil, 0, err
+	}
+	w.out, w.lines = out, jsonl.NewWriter(out)
 	return w, 0, nil
 }
+
+// bufferedFile is an unsynced records file behind a write buffer; Close
+// flushes the buffer and closes the file.
+type bufferedFile struct {
+	*bufio.Writer
+	f *os.File
+}
+
+func (b bufferedFile) Close() error { return errors.Join(b.Flush(), b.f.Close()) }
 
 // resume validates the previous checkpoint against the requested run and
 // reopens the records file after its last complete line.
@@ -106,7 +123,7 @@ func (w *Writer) resume(outPath string, prev Manifest) (*Writer, int, error) {
 		out.Close()
 		return nil, 0, fmt.Errorf("shard: resuming %s: %w", outPath, err)
 	}
-	w.out = out
+	w.out, w.lines = out, jsonl.NewWriter(out)
 	w.manifest = prev
 	w.manifest.Completed = lines
 	return w, lines, nil
@@ -143,46 +160,27 @@ func (w *Writer) Append(global int, rec results.Record) error {
 	if w.manifest.NoTiming {
 		rec.ElapsedNs, rec.QueueWaitNs = 0, 0
 	}
-	line, err := encodeRecord(rec)
-	if err != nil {
-		return err
-	}
-	if _, err := w.out.Write(line); err != nil {
+	if err := w.lines.Write(&rec); err != nil {
 		return err
 	}
 	w.manifest.Completed++
 	return nil
 }
 
-// Done returns the number of cells written so far (including any
-// resumed prefix).
-func (w *Writer) Done() int { return w.manifest.Completed }
-
-// Close syncs and closes the records file, and only then writes the
-// manifest with the final count: a manifest that claims N cells means N
-// lines that are durable on disk.
+// Close closes the records file and reports the first write error. With
+// a manifest it syncs the file first, and only then writes the manifest
+// with the final count: a manifest that claims N cells means N lines
+// that are durable on disk.
 func (w *Writer) Close() error {
 	if w.manifestPath == "" {
-		return w.out.Close()
+		return w.lines.Close()
 	}
 	err := w.out.Sync()
-	if cerr := w.out.Close(); err == nil {
+	if cerr := w.lines.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
 		return err
 	}
 	return WriteManifest(w.manifestPath, w.manifest)
-}
-
-// encodeRecord renders one record exactly as results.Write does — same
-// encoder, one line, trailing newline — so shard files concatenate into
-// a byte-identical solo log.
-func encodeRecord(rec results.Record) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	if err := enc.Encode(&rec); err != nil {
-		return nil, fmt.Errorf("shard: encoding record: %w", err)
-	}
-	return buf.Bytes(), nil
 }

@@ -31,13 +31,7 @@ func StartDebugServer(addr string, c *Counters) (string, func(), error) {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	serveMetrics := func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		var s Snapshot
-		if c != nil {
-			s = c.Snapshot()
-		} else {
-			s.Schema = SnapshotSchema
-		}
-		_ = s.WriteJSON(w)
+		_ = c.Snapshot().WriteJSON(w)
 	}
 	mux.HandleFunc("/metrics", serveMetrics)
 	mux.HandleFunc("/{$}", serveMetrics)

@@ -1,24 +1,22 @@
-// The run journal: a JSONL stream of phase spans (graph build,
-// condition, compile, run, aggregate) and point events, written as they
-// close so a crashed run still leaves a usable timeline. One line per
-// record keeps the format greppable and trivially concatenable across
-// shards.
+// The run journal: a JSONL stream of phase spans (build, run, write,
+// aggregate), written as they close so a crashed run still leaves a
+// usable timeline. One line per record keeps the format greppable and
+// trivially concatenable across shards.
 
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
-	"sync"
 	"time"
+
+	"popgraph/internal/jsonl"
 )
 
 // SpanRecord is one journal line. StartNs is the offset from the
 // journal's creation (not an absolute timestamp, so journals from the
-// same run diff cleanly); DurNs is the span's duration, 0 for point
-// events.
+// same run diff cleanly); DurNs is the span's duration.
 type SpanRecord struct {
 	Span    string         `json:"span"`
 	StartNs int64          `json:"start_ns"`
@@ -26,30 +24,22 @@ type SpanRecord struct {
 	Attrs   map[string]any `json:"attrs,omitempty"`
 }
 
-// Journal records phase spans as JSONL. Safe for concurrent use; a nil
-// *Journal is a valid disabled recorder (every method no-ops), so
-// callers thread one through unconditionally:
+// Journal records phase spans as JSONL through internal/jsonl. Safe for
+// concurrent use; a nil *Journal is a valid disabled recorder (every
+// method no-ops), so callers thread one through unconditionally:
 //
 //	done := journal.Span("compile", nil)
 //	plan, err := sim.Compile(g, opts)
 //	done()
 type Journal struct {
-	mu    sync.Mutex
-	w     io.Writer
-	c     io.Closer
-	enc   *json.Encoder
+	lines *jsonl.Writer
 	epoch time.Time
-	err   error
 }
 
 // NewJournal returns a journal writing JSONL records to w. Span offsets
 // are measured from this call.
 func NewJournal(w io.Writer) *Journal {
-	j := &Journal{w: w, enc: json.NewEncoder(w), epoch: time.Now()}
-	if c, ok := w.(io.Closer); ok {
-		j.c = c
-	}
-	return j
+	return &Journal{lines: jsonl.NewWriter(w), epoch: time.Now()}
 }
 
 // OpenJournal creates (truncating) a journal file at path.
@@ -62,14 +52,15 @@ func OpenJournal(path string) (*Journal, error) {
 }
 
 // Span opens a phase span and returns the function that closes it; the
-// record is written when the span closes. attrs may be nil.
+// record is written when the span closes. attrs may be nil. A failed
+// write is reported by Close.
 func (j *Journal) Span(name string, attrs map[string]any) func() {
 	if j == nil {
 		return func() {}
 	}
 	start := time.Since(j.epoch)
 	return func() {
-		j.emit(SpanRecord{
+		j.lines.Write(SpanRecord{
 			Span:    name,
 			StartNs: start.Nanoseconds(),
 			DurNs:   (time.Since(j.epoch) - start).Nanoseconds(),
@@ -78,53 +69,15 @@ func (j *Journal) Span(name string, attrs map[string]any) func() {
 	}
 }
 
-// Event writes a zero-duration point record.
-func (j *Journal) Event(name string, attrs map[string]any) {
-	if j == nil {
-		return
-	}
-	j.emit(SpanRecord{Span: name, StartNs: time.Since(j.epoch).Nanoseconds(), Attrs: attrs})
-}
-
-func (j *Journal) emit(rec SpanRecord) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.err != nil {
-		return
-	}
-	j.err = j.enc.Encode(rec)
-}
-
-// Close flushes and closes the underlying writer (when it is a Closer)
-// and reports the first error the journal hit, so CLIs surface silently
-// failed telemetry writes at exit.
+// Close closes the underlying writer (when it is a Closer) and reports
+// the first error the journal hit, so CLIs surface silently failed
+// telemetry writes at exit.
 func (j *Journal) Close() error {
 	if j == nil {
 		return nil
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.c != nil {
-		if err := j.c.Close(); err != nil && j.err == nil {
-			j.err = err
-		}
-		j.c = nil
-	}
-	return j.err
+	return j.lines.Close()
 }
 
 // ReadJournal parses a JSONL journal, for tests and tooling.
-func ReadJournal(r io.Reader) ([]SpanRecord, error) {
-	dec := json.NewDecoder(r)
-	var recs []SpanRecord
-	for {
-		var rec SpanRecord
-		if err := dec.Decode(&rec); err != nil {
-			if err == io.EOF {
-				return recs, nil
-			}
-			return nil, fmt.Errorf("telemetry: parsing journal: %w", err)
-		}
-		recs = append(recs, rec)
-	}
-}
+func ReadJournal(r io.Reader) ([]SpanRecord, error) { return jsonl.ReadAll[SpanRecord](r) }

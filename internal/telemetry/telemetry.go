@@ -37,8 +37,9 @@ const SnapshotSchema = "popgraph-telemetry/v1"
 
 // Counters is the live, concurrently writable metric sink. All fields
 // update atomically, so one Counters may be shared by every worker of a
-// pool — though the runner instead gives each worker a private shard and
-// merges at the end, keeping the hot path free of cache-line contention.
+// pool — though the runner instead gives each worker a private shard per
+// dispatch unit and merges it when the unit completes, keeping the hot
+// path free of cache-line contention.
 // The zero value is ready to use; a nil *Counters disables metering
 // wherever one is accepted.
 type Counters struct {
@@ -97,10 +98,13 @@ func (c *Counters) AddTrial(elapsedNs, queueNs int64, stabilized, failed bool) {
 }
 
 // Snapshot copies the counters into plain mergeable data. Taken after
-// workers quiesce (the runner merges shards only once its pool drains),
-// a snapshot is exact; taken live (the -pprof /metrics endpoint), it is
-// a consistent-enough point-in-time read.
+// workers quiesce, a snapshot is exact; taken live (the -pprof /metrics
+// endpoint), it is a consistent-enough point-in-time read covering every
+// completed dispatch unit. A nil c gives the all-zero snapshot.
 func (c *Counters) Snapshot() Snapshot {
+	if c == nil {
+		return Snapshot{Schema: SnapshotSchema}
+	}
 	s := Snapshot{
 		Schema:           SnapshotSchema,
 		StepsExecuted:    c.steps.Load(),
@@ -284,12 +288,7 @@ func ReadSnapshot(r io.Reader) (Snapshot, error) {
 // (all-zero) snapshot, so callers don't need to special-case disabled
 // metering.
 func WriteSnapshotFile(path string, c *Counters) error {
-	var s Snapshot
-	if c != nil {
-		s = c.Snapshot()
-	} else {
-		s.Schema = SnapshotSchema
-	}
+	s := c.Snapshot()
 	f, err := os.Create(path)
 	if err != nil {
 		return err

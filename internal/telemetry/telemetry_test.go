@@ -207,7 +207,7 @@ func TestJournalSpansAndNilSafety(t *testing.T) {
 	var buf bytes.Buffer
 	j := NewJournal(&buf)
 	end := j.Span("compile", map[string]any{"cells": 3.0})
-	j.Event("checkpoint", nil)
+	j.Span("checkpoint", nil)()
 	end()
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
@@ -225,7 +225,6 @@ func TestJournalSpansAndNilSafety(t *testing.T) {
 
 	var nilJ *Journal
 	nilJ.Span("x", nil)()
-	nilJ.Event("y", nil)
 	if err := nilJ.Close(); err != nil {
 		t.Errorf("nil journal Close: %v", err)
 	}

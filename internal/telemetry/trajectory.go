@@ -6,13 +6,12 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
-	"sync"
 
 	"popgraph/internal/core"
+	"popgraph/internal/jsonl"
 )
 
 // TrajectorySample is one point of a convergence curve. Step is the
@@ -153,24 +152,15 @@ func (tr *Trajectory) decimate() {
 // completes.
 func (tr *Trajectory) Samples() []TrajectorySample { return tr.samples }
 
-// TrajectoryLog serializes trial curves to JSONL, one sample per line.
-// Curves are written whole per trial, so writing them in job order
-// yields a byte-deterministic file for any worker count (timing never
-// appears in a sample).
-type TrajectoryLog struct {
-	mu  sync.Mutex
-	enc *json.Encoder
-	c   io.Closer
-	err error
-}
+// TrajectoryLog serializes trial curves to JSONL through internal/jsonl,
+// one sample per line. Writing curves whole, in job order, from one
+// goroutine yields a byte-deterministic file for any worker count
+// (timing never appears in a sample).
+type TrajectoryLog struct{ lines *jsonl.Writer }
 
 // NewTrajectoryLog returns a log writing JSONL to w.
 func NewTrajectoryLog(w io.Writer) *TrajectoryLog {
-	l := &TrajectoryLog{enc: json.NewEncoder(w)}
-	if c, ok := w.(io.Closer); ok {
-		l.c = c
-	}
-	return l
+	return &TrajectoryLog{lines: jsonl.NewWriter(w)}
 }
 
 // OpenTrajectoryLog creates (truncating) a trajectory file at path.
@@ -182,18 +172,16 @@ func OpenTrajectoryLog(path string) (*TrajectoryLog, error) {
 	return NewTrajectoryLog(f), nil
 }
 
-// WriteTrial appends one trial's samples. A nil log discards them.
+// WriteTrial appends one trial's samples. A nil log discards them; a
+// failed write is reported by Close.
 func (l *TrajectoryLog) WriteTrial(samples []TrajectorySample) {
 	if l == nil {
 		return
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for _, s := range samples {
-		if l.err != nil {
+	for i := range samples {
+		if l.lines.Write(&samples[i]) != nil {
 			return
 		}
-		l.err = l.enc.Encode(s)
 	}
 }
 
@@ -202,30 +190,11 @@ func (l *TrajectoryLog) Close() error {
 	if l == nil {
 		return nil
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.c != nil {
-		if err := l.c.Close(); err != nil && l.err == nil {
-			l.err = err
-		}
-		l.c = nil
-	}
-	return l.err
+	return l.lines.Close()
 }
 
 // ReadTrajectories parses a JSONL trajectory stream back into samples,
 // for tests and tooling.
 func ReadTrajectories(r io.Reader) ([]TrajectorySample, error) {
-	dec := json.NewDecoder(r)
-	var out []TrajectorySample
-	for {
-		var s TrajectorySample
-		if err := dec.Decode(&s); err != nil {
-			if err == io.EOF {
-				return out, nil
-			}
-			return nil, fmt.Errorf("telemetry: parsing trajectory: %w", err)
-		}
-		out = append(out, s)
-	}
+	return jsonl.ReadAll[TrajectorySample](r)
 }
