@@ -64,6 +64,9 @@ func main() {
 
 func run(graphSpec, schedSpec, protoSpec string, seed uint64, trials int, maxSteps int64,
 	dropRate float64, workers int, verbose, graphStats bool, metrics, pprofAddr string) error {
+	if maxSteps < 0 {
+		return fmt.Errorf("negative -max-steps %d (0 means automatic)", maxSteps)
+	}
 	r := popgraph.NewRand(seed)
 	g, err := popgraph.ParseGraph(graphSpec, r)
 	if err != nil {

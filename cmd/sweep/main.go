@@ -72,29 +72,30 @@ import (
 
 // cliConfig carries the parsed flag set into run.
 type cliConfig struct {
-	specFile   string
-	graphs     string
-	sizes      string
-	scheds     string
-	protocols  string
-	drops      string
-	trials     int
-	seed       uint64
-	seedSet    bool
-	maxSteps   int64
-	workers    int
-	out        string
-	markdown   bool
-	quiet      bool
-	metrics    string
-	journal    string
-	trajectory string
-	pprofAddr  string
-	shardSpec  string
-	checkpoint string
-	merge      bool
-	noTiming   bool
-	stopAfter  int
+	specFile    string
+	graphs      string
+	sizes       string
+	scheds      string
+	protocols   string
+	drops       string
+	trials      int
+	seed        uint64
+	seedSet     bool
+	maxSteps    int64
+	maxStepsSet bool
+	workers     int
+	out         string
+	markdown    bool
+	quiet       bool
+	metrics     string
+	journal     string
+	trajectory  string
+	pprofAddr   string
+	shardSpec   string
+	checkpoint  string
+	merge       bool
+	noTiming    bool
+	stopAfter   int
 }
 
 // errStopped reports a deliberate -stop-after exit; main maps it to
@@ -102,44 +103,64 @@ type cliConfig struct {
 var errStopped = errors.New("stopped by -stop-after (checkpoint is resumable)")
 
 func main() {
-	var c cliConfig
-	flag.StringVar(&c.specFile, "spec", "", "JSON sweep spec file (flags override its fields)")
-	flag.StringVar(&c.graphs, "graphs", "", "comma-separated graph templates, N = size rung (e.g. clique:N,torus:NxN)")
-	flag.StringVar(&c.sizes, "sizes", "", "comma-separated size ladder substituted for N")
-	flag.StringVar(&c.scheds, "schedulers", "", "comma-separated schedulers (uniform|weighted[:exp|:degprod]|node-clock|churn:UP:DOWN)")
-	flag.StringVar(&c.protocols, "protocols", "", "comma-separated protocols (six-state|identifier|identifier-regular|fast|star|majority:FRAC)")
-	flag.StringVar(&c.drops, "drop", "", "comma-separated drop rates in [0,1)")
-	flag.IntVar(&c.trials, "trials", 0, "trials per grid cell")
-	flag.Uint64Var(&c.seed, "seed", 1, "base random seed (overrides the spec file's)")
-	flag.Int64Var(&c.maxSteps, "max-steps", -1, "step cap per trial (0 = automatic 72·n⁴·log₂n — set explicitly for large n if trials may not stabilize)")
-	flag.IntVar(&c.workers, "workers", 0, "parallel trials (0 = all cores)")
-	flag.StringVar(&c.out, "out", "sweep.jsonl", "JSON Lines output path (empty = skip)")
-	flag.BoolVar(&c.markdown, "markdown", false, "render the summary table as Markdown")
-	flag.BoolVar(&c.quiet, "q", false, "suppress progress output")
-	flag.StringVar(&c.metrics, "metrics", "", "write the aggregated telemetry snapshot as JSON to this path")
-	flag.StringVar(&c.journal, "journal", "", "write the phase-span run journal as JSONL to this path")
-	flag.StringVar(&c.trajectory, "trajectory", "", "write per-trial (step, leaders, gap) trajectories as JSONL to this path")
-	flag.StringVar(&c.pprofAddr, "pprof", "", "serve net/http/pprof and /metrics on this address (e.g. :6060)")
-	flag.StringVar(&c.shardSpec, "shard", "", "run only shard i of m of the trial grid, as i/m (e.g. 0/4)")
-	flag.StringVar(&c.checkpoint, "checkpoint", "", "checkpoint manifest path: write it at start and exit, resume from it and the -out file's complete lines if present")
-	flag.BoolVar(&c.merge, "merge", false, "merge mode: combine shard runs (args = manifest files) into -out and print the summary table")
-	flag.BoolVar(&c.noTiming, "no-timing", false, "strip the host-dependent wall-time fields from records (byte-stable logs)")
-	flag.IntVar(&c.stopAfter, "stop-after", 0, "stop after this many newly completed cells with exit code 3 (kill/resume testing)")
-	flag.Parse()
-	// 0 is a valid -seed, so "was the flag given" must come from the
-	// flag set, not from a sentinel value.
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "seed" {
-			c.seedSet = true
-		}
-	})
-	if err := run(c, flag.Args()); err != nil {
+	c, args, err := parseArgs(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
+	if err != nil {
+		os.Exit(2) // the flag set has printed the error and the usage
+	}
+	if err := run(c, args); err != nil {
 		fmt.Fprintln(os.Stderr, "sweep:", err)
 		if errors.Is(err, errStopped) {
 			os.Exit(3)
 		}
 		os.Exit(1)
 	}
+}
+
+// parseArgs parses the command line into a cliConfig and the remaining
+// arguments; a parse error has already been printed with the usage.
+func parseArgs(argv []string) (cliConfig, []string, error) {
+	var c cliConfig
+	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
+	fs.StringVar(&c.specFile, "spec", "", "JSON sweep spec file (flags override its fields)")
+	fs.StringVar(&c.graphs, "graphs", "", "comma-separated graph templates, N = size rung (e.g. clique:N,torus:NxN)")
+	fs.StringVar(&c.sizes, "sizes", "", "comma-separated size ladder substituted for N")
+	fs.StringVar(&c.scheds, "schedulers", "", "comma-separated schedulers (uniform|weighted[:exp|:degprod]|node-clock|churn:UP:DOWN)")
+	fs.StringVar(&c.protocols, "protocols", "", "comma-separated protocols (six-state|identifier|identifier-regular|fast|star|majority:FRAC)")
+	fs.StringVar(&c.drops, "drop", "", "comma-separated drop rates in [0,1)")
+	fs.IntVar(&c.trials, "trials", 0, "trials per grid cell")
+	fs.Uint64Var(&c.seed, "seed", 1, "base random seed (overrides the spec file's)")
+	fs.Int64Var(&c.maxSteps, "max-steps", 0, "step cap per trial (0 = automatic 72·n⁴·log₂n — set explicitly for large n if trials may not stabilize)")
+	fs.IntVar(&c.workers, "workers", 0, "parallel trials (0 = all cores)")
+	fs.StringVar(&c.out, "out", "sweep.jsonl", "JSON Lines output path (empty = skip)")
+	fs.BoolVar(&c.markdown, "markdown", false, "render the summary table as Markdown")
+	fs.BoolVar(&c.quiet, "q", false, "suppress progress output")
+	fs.StringVar(&c.metrics, "metrics", "", "write the aggregated telemetry snapshot as JSON to this path")
+	fs.StringVar(&c.journal, "journal", "", "write the phase-span run journal as JSONL to this path")
+	fs.StringVar(&c.trajectory, "trajectory", "", "write per-trial (step, leaders, gap) trajectories as JSONL to this path")
+	fs.StringVar(&c.pprofAddr, "pprof", "", "serve net/http/pprof and /metrics on this address (e.g. :6060)")
+	fs.StringVar(&c.shardSpec, "shard", "", "run only shard i of m of the trial grid, as i/m (e.g. 0/4)")
+	fs.StringVar(&c.checkpoint, "checkpoint", "", "checkpoint manifest path: write it at start and exit, resume from it and the -out file's complete lines if present")
+	fs.BoolVar(&c.merge, "merge", false, "merge mode: combine shard runs (args = manifest files) into -out and print the summary table")
+	fs.BoolVar(&c.noTiming, "no-timing", false, "strip the host-dependent wall-time fields from records (byte-stable logs)")
+	fs.IntVar(&c.stopAfter, "stop-after", 0, "stop after this many newly completed cells with exit code 3 (kill/resume testing)")
+	if err := fs.Parse(argv); err != nil {
+		return c, nil, err
+	}
+	// 0 is a valid -seed and -max-steps, and a negative -max-steps must
+	// reach Spec.Validate, so "was the flag given" comes from the flag
+	// set, not from a sentinel value.
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "seed":
+			c.seedSet = true
+		case "max-steps":
+			c.maxStepsSet = true
+		}
+	})
+	return c, fs.Args(), nil
 }
 
 func run(c cliConfig, args []string) error {
@@ -189,7 +210,7 @@ func run(c cliConfig, args []string) error {
 	if c.seedSet {
 		spec.Seed = c.seed
 	}
-	if c.maxSteps >= 0 {
+	if c.maxStepsSet {
 		spec.MaxSteps = c.maxSteps
 	}
 

@@ -56,3 +56,45 @@ func TestRefusedMergeKeepsOut(t *testing.T) {
 		}
 	}
 }
+
+// TestRunRefusesOutOfRangeSpecs — a negative -max-steps and a trial
+// total over 2³¹−1, from flags or from a -spec file, are errors naming
+// the value, returned before any graph or job is built.
+func TestRunRefusesOutOfRangeSpecs(t *testing.T) {
+	dir := t.TempDir()
+	specFile := func(name, json string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(json), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	cases := []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"negative -max-steps", []string{"-graphs", "clique:4", "-protocols", "six-state", "-max-steps", "-5"}, "-5"},
+		{"-trials over the bound", []string{"-graphs", "clique:4", "-protocols", "six-state", "-trials", "4000000000"},
+			"4000000000 trials"},
+		{"-trials times cells over the bound", []string{"-graphs", "clique:N", "-sizes", "8,16", "-protocols", "six-state",
+			"-trials", "1073741824"}, "2147483648 trials"},
+		{"spec trials over the bound", []string{"-spec", specFile("huge.json",
+			`{"trials": 4611686018427387904, "graphs": ["clique:N"], "sizes": [8, 16], "protocols": ["six-state", "fast"]}`)},
+			"18446744073709551616 trials"},
+		{"spec negative max_steps", []string{"-spec", specFile("neg.json",
+			`{"trials": 1, "graphs": ["clique:4"], "protocols": ["six-state"], "max_steps": -7}`)}, "-7"},
+		{"-max-steps overrides the spec", []string{"-spec", specFile("ok.json",
+			`{"trials": 1, "graphs": ["clique:4"], "protocols": ["six-state"], "max_steps": 100}`), "-max-steps", "-5"}, "-5"},
+	}
+	for _, c := range cases {
+		cfg, rest, err := parseArgs(append(c.args, "-out", "", "-q"))
+		if err != nil {
+			t.Fatalf("%s: parsing flags: %v", c.name, err)
+		}
+		err = run(cfg, rest)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want an error naming %s", c.name, err, c.want)
+		}
+	}
+}

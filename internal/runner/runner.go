@@ -99,8 +99,8 @@ type Pool struct {
 	// batch. Each worker feeds a private shard — engine accounting via
 	// sim.Options.Meter plus per-trial wall-time and queue-wait — and
 	// folds it into Meter as each dispatch unit completes, before the
-	// unit counts as done: the hot path never contends on shared
-	// counters, a live reader (the -pprof /metrics endpoint) sees the
+	// unit counts as done: Meter's lock is taken once per unit, not twice
+	// per trial, a live reader (the -pprof /metrics endpoint) sees the
 	// run progress, and Meter covers every trial Progress has reported.
 	// Jobs that already carry their own Opts.Meter keep it.
 	Meter *telemetry.Counters

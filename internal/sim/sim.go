@@ -195,8 +195,9 @@ type Options struct {
 	// ints and are flushed in one batch after the run's result is
 	// decided, so results are byte-identical with Meter set or nil (the
 	// equivalence matrix asserts this). The same Meter may be shared by
-	// concurrent runs; the runner gives each worker a private shard
-	// instead to keep flushes contention-free.
+	// concurrent runs, since each flush is one locked update; the runner
+	// gives each worker a private shard instead, so flushes never wait
+	// on another worker's.
 	Meter *telemetry.Counters
 }
 

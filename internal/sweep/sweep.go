@@ -30,6 +30,7 @@ package sweep
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -136,7 +137,26 @@ func (s Spec) Validate() error {
 		}
 	}
 	if s.MaxSteps < 0 {
-		return fmt.Errorf("sweep: negative max_steps")
+		return fmt.Errorf("sweep: negative max_steps (got %d)", s.MaxSteps)
+	}
+	return s.checkTrialTotal()
+}
+
+// maxTrials caps a sweep's trial total, CellCount()·Trials: every trial
+// gets a job up front, so the total shares the 2³¹−1 ceiling that graph
+// sizes have (node ids and CSR offsets are int32).
+const maxTrials = math.MaxInt32
+
+// checkTrialTotal refuses a grid of more than maxTrials trials before
+// anything is allocated for it. The total is a float64 product of the
+// axis lengths, so it cannot overflow, and float64 rounding is monotone,
+// so the comparison is exact.
+func (s Spec) checkTrialTotal() error {
+	cells := float64(s.graphCount()) * float64(len(s.schedulers())) *
+		float64(len(s.Protocols)) * float64(len(s.dropRates()))
+	if total := cells * float64(s.Trials); total > maxTrials {
+		return fmt.Errorf("sweep: %.0f cells × %d trials is %.0f trials, over the limit of %d",
+			cells, s.Trials, total, maxTrials)
 	}
 	return nil
 }
@@ -158,6 +178,20 @@ func (s Spec) GraphSpecs() []string {
 		}
 	}
 	return out
+}
+
+// graphCount returns len(s.GraphSpecs()) without expanding the
+// templates.
+func (s Spec) graphCount() int {
+	n := 0
+	for _, t := range s.Graphs {
+		if templateHasN(t) {
+			n += len(s.Sizes)
+		} else {
+			n++
+		}
+	}
+	return n
 }
 
 // templateHasN reports whether a graph template takes the size ladder:
@@ -313,10 +347,11 @@ func Trials(tasks []Task) int {
 }
 
 // CellCount returns the number of grid cells — tasks the spec's Build
-// would materialize — without constructing any graph or scheduler. The
-// trial grid a shard planner partitions has CellCount()·Trials entries.
+// would materialize — without constructing any graph or scheduler or
+// expanding a template. The trial grid a shard planner partitions has
+// CellCount()·Trials entries.
 func (s Spec) CellCount() int {
-	return len(s.GraphSpecs()) * len(s.schedulers()) * len(s.Protocols) * len(s.dropRates())
+	return s.graphCount() * len(s.schedulers()) * len(s.Protocols) * len(s.dropRates())
 }
 
 // TrialRecord converts one trial's outcome into its results record. The

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"runtime"
 	"strings"
@@ -108,6 +109,38 @@ func TestValidate(t *testing.T) {
 	}
 	if err := smokeSpec().Validate(); err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
+	}
+}
+
+// TestParseJSONTrialTotal — a grid whose trial total, CellCount()·Trials,
+// exceeds 2³¹−1 is an error naming the total, even when the int product
+// would wrap, and nothing is allocated for it.
+func TestParseJSONTrialTotal(t *testing.T) {
+	cases := []struct {
+		name, json, total string // total == "" means accepted
+	}{
+		{"at the limit", `{"trials": 2147483647, "graphs": ["clique:8"], "protocols": ["six-state"]}`, ""},
+		{"one cell over", `{"trials": 2147483648, "graphs": ["clique:8"], "protocols": ["six-state"]}`, "2147483648 trials"},
+		{"cells times trials", `{"trials": 1000000000, "graphs": ["clique:N", "star:12"], "sizes": [8, 16, 32],
+			"protocols": ["six-state"]}`, "4000000000 trials"},
+		{"product wraps int64", `{"trials": 4611686018427387904, "graphs": ["clique:N"], "sizes": [8, 16],
+			"protocols": ["six-state", "fast"]}`, "18446744073709551616 trials"},
+		{"every axis counts", `{"trials": 100000000, "graphs": ["clique:8"], "schedulers": ["uniform", "node-clock"],
+			"protocols": ["six-state", "fast", "identifier"], "drop_rates": [0, 0.1, 0.2, 0.3]}`, "2400000000 trials"},
+	}
+	for _, c := range cases {
+		s, err := ParseJSON([]byte(c.json))
+		if c.total == "" {
+			if err != nil {
+				t.Errorf("%s: %v", c.name, err)
+			} else if got := s.CellCount() * s.Trials; got != math.MaxInt32 {
+				t.Errorf("%s: %d trials", c.name, got)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), c.total) {
+			t.Errorf("%s: got %v, want an error naming %s", c.name, err, c.total)
+		}
 	}
 }
 

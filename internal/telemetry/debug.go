@@ -20,8 +20,8 @@ import (
 // /metrics serves an all-zero snapshot.
 //
 // The server runs entirely off the simulation path: profiling samples
-// are taken by the Go runtime and /metrics reads are atomic loads, so
-// attaching it cannot perturb results.
+// are taken by the Go runtime and /metrics reads copy the counters
+// under their lock, so attaching it cannot perturb results.
 func StartDebugServer(addr string, c *Counters) (string, func(), error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)

@@ -1,15 +1,14 @@
-// Log-bucketed latency histograms. A Histogram is a fixed array of
-// power-of-two buckets with atomically updated counts, so any number of
-// workers can record into one instance without locks, and two snapshots
-// taken on different workers (or different shards of a sweep) merge by
-// plain bucket-wise addition — the merge of the parts is exactly the
-// histogram of the whole.
+// Log-bucketed latency histograms. A HistSnapshot keeps power-of-two
+// buckets sparsely, so two histograms recorded on different workers (or
+// different shards of a sweep) merge by plain bucket-wise addition — the
+// merge of the parts is exactly the histogram of the whole.
 
 package telemetry
 
 import (
 	"math"
-	"sync/atomic"
+	"slices"
+	"sort"
 )
 
 // histBuckets is the bucket count: bucket 0 holds non-positive values,
@@ -17,16 +16,6 @@ import (
 // every positive int64 lands in a bucket with ~2x resolution — plenty
 // for latency distributions spanning nanoseconds to hours.
 const histBuckets = 64
-
-// Histogram is a lock-free log-bucketed histogram of int64 samples
-// (typically nanoseconds). The zero value is ready to use.
-type Histogram struct {
-	counts [histBuckets]atomic.Int64
-	count  atomic.Int64
-	sum    atomic.Int64
-	min    atomic.Int64 // stored as sample+1 so 0 means "no samples yet"
-	max    atomic.Int64
-}
 
 // bucketOf maps a sample to its bucket index: 0 for v <= 0, otherwise
 // 1 + floor(log2 v).
@@ -49,41 +38,6 @@ func bucketLo(i int) int64 {
 	return 1 << (i - 1)
 }
 
-// Observe records one sample. Safe for concurrent use.
-func (h *Histogram) Observe(v int64) {
-	h.counts[bucketOf(v)].Add(1)
-	h.count.Add(1)
-	h.sum.Add(v)
-	atomicMin(&h.min, v+1)
-	atomicMax(&h.max, v)
-}
-
-// atomicMin lowers a to v if v is smaller (treating 0 as "unset").
-func atomicMin(a *atomic.Int64, v int64) {
-	for {
-		cur := a.Load()
-		if cur != 0 && cur <= v {
-			return
-		}
-		if a.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
-// atomicMax raises a to v if v is larger.
-func atomicMax(a *atomic.Int64, v int64) {
-	for {
-		cur := a.Load()
-		if cur >= v {
-			return
-		}
-		if a.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
 // HistBucket is one populated bucket of a histogram snapshot: Lo is the
 // bucket's inclusive lower bound (its exclusive upper bound is the next
 // bucket's Lo, i.e. 2*Lo for Lo > 0), Count the number of samples in it.
@@ -92,9 +46,11 @@ type HistBucket struct {
 	Count int64 `json:"count"`
 }
 
-// HistSnapshot is a point-in-time copy of a Histogram: plain values,
-// mergeable and JSON-encodable. Only populated buckets are kept, in
-// ascending Lo order.
+// HistSnapshot is a log-bucketed histogram of int64 samples (typically
+// nanoseconds) as plain values, mergeable and JSON-encodable. Only
+// populated buckets are kept, in ascending Lo order. The zero value is
+// the empty histogram; it is not safe for concurrent use (Counters
+// guards its own).
 type HistSnapshot struct {
 	Count   int64        `json:"count"`
 	Sum     int64        `json:"sum"`
@@ -103,51 +59,35 @@ type HistSnapshot struct {
 	Buckets []HistBucket `json:"buckets,omitempty"`
 }
 
-// Snapshot copies the histogram's current state. Concurrent Observe
-// calls may straddle the copy; each sample is either fully in or fully
-// absent from the totals the caller compares (count vs buckets may skew
-// by in-flight samples — irrelevant for end-of-run snapshots, which are
-// taken after the workers quiesce).
-func (h *Histogram) Snapshot() HistSnapshot {
-	s := HistSnapshot{
-		Count: h.count.Load(),
-		Sum:   h.sum.Load(),
-		Max:   h.max.Load(),
+// Add records one sample, keeping Buckets sorted.
+func (s *HistSnapshot) Add(v int64) {
+	if s.Count == 0 || v < s.Min {
+		s.Min = v
 	}
-	if m := h.min.Load(); m != 0 {
-		s.Min = m - 1
+	if s.Count == 0 || v > s.Max {
+		s.Max = v
 	}
-	for i := 0; i < histBuckets; i++ {
-		if c := h.counts[i].Load(); c != 0 {
-			s.Buckets = append(s.Buckets, HistBucket{Lo: bucketLo(i), Count: c})
-		}
+	s.Count++
+	s.Sum += v
+	lo := bucketLo(bucketOf(v))
+	i := sort.Search(len(s.Buckets), func(i int) bool { return s.Buckets[i].Lo >= lo })
+	if i < len(s.Buckets) && s.Buckets[i].Lo == lo {
+		s.Buckets[i].Count++
+		return
 	}
-	return s
+	s.Buckets = slices.Insert(s.Buckets, i, HistBucket{Lo: lo, Count: 1})
 }
 
 // Merge returns the histogram of the combined sample: bucket-wise sums,
 // summed counts and totals, elementwise min/max. Merging with the zero
 // HistSnapshot is the identity, so shards with no samples merge away.
 func (s HistSnapshot) Merge(o HistSnapshot) HistSnapshot {
-	out := HistSnapshot{
-		Count: s.Count + o.Count,
-		Sum:   s.Sum + o.Sum,
-		Max:   s.Max,
+	if s.Count == 0 {
+		s.Min, s.Max = o.Min, o.Max
+	} else if o.Count > 0 {
+		s.Min, s.Max = min(s.Min, o.Min), max(s.Max, o.Max)
 	}
-	if o.Max > out.Max {
-		out.Max = o.Max
-	}
-	switch {
-	case s.Count == 0:
-		out.Min = o.Min
-	case o.Count == 0:
-		out.Min = s.Min
-	default:
-		out.Min = s.Min
-		if o.Min < out.Min {
-			out.Min = o.Min
-		}
-	}
+	out := HistSnapshot{Count: s.Count + o.Count, Sum: s.Sum + o.Sum, Min: s.Min, Max: s.Max}
 	var merged [histBuckets]int64
 	for _, b := range s.Buckets {
 		merged[bucketOf(b.Lo)] += b.Count

@@ -1,4 +1,4 @@
-// Package telemetry is the simulator's flight recorder: lock-free
+// Package telemetry is the simulator's flight recorder: mergeable
 // counters fed by the execution engine and the batch runner, log-bucketed
 // latency histograms, a JSONL span journal for phase timing, per-trial
 // convergence trajectories, and the -pprof/-metrics debug endpoints the
@@ -8,7 +8,7 @@
 // must be provably free of determinism impact: nothing in this package
 // ever touches a random stream or reorders work, counters are fed at
 // chunk/run granularity from locals the kernels already maintain (never
-// per-step atomics), and the disabled path — a nil *Counters, a nil
+// per step), and the disabled path — a nil *Counters, a nil
 // *Journal — costs one predictable branch. sim's equivalence matrix
 // asserts byte-identical Results, observer sequences and post-run RNG
 // state with metrics on and off.
@@ -28,142 +28,82 @@ import (
 	"os"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // SnapshotSchema identifies the snapshot JSON layout; bump on breaking
 // changes.
 const SnapshotSchema = "popgraph-telemetry/v1"
 
-// Counters is the live, concurrently writable metric sink. All fields
-// update atomically, so one Counters may be shared by every worker of a
-// pool — though the runner instead gives each worker a private shard per
-// dispatch unit and merges it when the unit completes, keeping the hot
-// path free of cache-line contention.
+// Counters is the live, concurrently writable metric sink: a mutex
+// around a plain Snapshot, so every read is a consistent copy (trial
+// counts always match their histograms) and a new metric is one
+// Snapshot field plus one line in Snapshot.Merge. The runner gives each
+// worker a private shard per dispatch unit and merges it when the unit
+// completes, so the shared Counters sees one Merge per unit, not two
+// calls per trial.
 // The zero value is ready to use; a nil *Counters disables metering
 // wherever one is accepted.
 type Counters struct {
-	steps    atomic.Int64
-	chunks   atomic.Int64
-	refills  atomic.Int64
-	drops    atomic.Int64
-	observes atomic.Int64
-
-	trials     atomic.Int64
-	stabilized atomic.Int64
-	failed     atomic.Int64
-
-	trialNs Histogram
-	queueNs Histogram
-
-	// kernels maps a dispatch label ("dense-uniform/table", "generic/step",
-	// ...) to its run count. sync.Map keeps increments lock-free after a
-	// label's first run; dispatch is recorded once per run, so the map is
-	// never on a hot path.
-	kernels sync.Map // string -> *atomic.Int64
+	mu sync.Mutex
+	s  Snapshot
 }
 
 // AddRun records one completed simulation run's engine accounting:
 // steps executed, chunks driven, RNG block refills, dropped
 // interactions, observer callbacks, and the kernel dispatch label the
 // run executed on. The engine calls it once per run, from locals it
-// accumulated for free, so metering adds a handful of atomic adds per
-// run — nothing per step.
+// accumulated for free, so metering costs one lock per run — nothing
+// per step.
 func (c *Counters) AddRun(steps, chunks, refills, drops, observes int64, kernel string) {
-	c.steps.Add(steps)
-	c.chunks.Add(chunks)
-	c.refills.Add(refills)
-	c.drops.Add(drops)
-	c.observes.Add(observes)
-	v, ok := c.kernels.Load(kernel)
-	if !ok {
-		v, _ = c.kernels.LoadOrStore(kernel, new(atomic.Int64))
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.s.StepsExecuted += steps
+	c.s.ChunksRun += chunks
+	c.s.RNGRefills += refills
+	c.s.DropsApplied += drops
+	c.s.ObserverCalls += observes
+	if c.s.KernelDispatch == nil {
+		c.s.KernelDispatch = make(map[string]int64)
 	}
-	v.(*atomic.Int64).Add(1)
+	c.s.KernelDispatch[kernel]++
 }
 
 // AddTrial records one batch trial's outcome shape and latencies:
 // elapsedNs is the trial's wall time, queueNs how long it waited for a
 // worker slot.
 func (c *Counters) AddTrial(elapsedNs, queueNs int64, stabilized, failed bool) {
-	c.trials.Add(1)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.s.TrialsRun++
 	if stabilized {
-		c.stabilized.Add(1)
+		c.s.TrialsStabilized++
 	}
 	if failed {
-		c.failed.Add(1)
+		c.s.TrialsFailed++
 	}
-	c.trialNs.Observe(elapsedNs)
-	c.queueNs.Observe(queueNs)
+	c.s.TrialNs.Add(elapsedNs)
+	c.s.QueueWaitNs.Add(queueNs)
 }
 
-// Snapshot copies the counters into plain mergeable data. Taken after
-// workers quiesce, a snapshot is exact; taken live (the -pprof /metrics
-// endpoint), it is a consistent-enough point-in-time read covering every
+// Snapshot returns a deep copy of the counters. Taken after workers
+// quiesce, a snapshot is exact; taken live (the -pprof /metrics
+// endpoint), it is a consistent point-in-time read covering every
 // completed dispatch unit. A nil c gives the all-zero snapshot.
 func (c *Counters) Snapshot() Snapshot {
 	if c == nil {
 		return Snapshot{Schema: SnapshotSchema}
 	}
-	s := Snapshot{
-		Schema:           SnapshotSchema,
-		StepsExecuted:    c.steps.Load(),
-		ChunksRun:        c.chunks.Load(),
-		RNGRefills:       c.refills.Load(),
-		DropsApplied:     c.drops.Load(),
-		ObserverCalls:    c.observes.Load(),
-		TrialsRun:        c.trials.Load(),
-		TrialsStabilized: c.stabilized.Load(),
-		TrialsFailed:     c.failed.Load(),
-		TrialNs:          c.trialNs.Snapshot(),
-		QueueWaitNs:      c.queueNs.Snapshot(),
-	}
-	c.kernels.Range(func(k, v any) bool {
-		if n := v.(*atomic.Int64).Load(); n != 0 {
-			if s.KernelDispatch == nil {
-				s.KernelDispatch = make(map[string]int64)
-			}
-			s.KernelDispatch[k.(string)] = n
-		}
-		return true
-	})
-	return s
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return Snapshot{Schema: SnapshotSchema}.Merge(c.s)
 }
 
 // Merge folds a snapshot (typically a worker shard's) into the live
 // counters.
 func (c *Counters) Merge(s Snapshot) {
-	c.steps.Add(s.StepsExecuted)
-	c.chunks.Add(s.ChunksRun)
-	c.refills.Add(s.RNGRefills)
-	c.drops.Add(s.DropsApplied)
-	c.observes.Add(s.ObserverCalls)
-	c.trials.Add(s.TrialsRun)
-	c.stabilized.Add(s.TrialsStabilized)
-	c.failed.Add(s.TrialsFailed)
-	mergeHist(&c.trialNs, s.TrialNs)
-	mergeHist(&c.queueNs, s.QueueWaitNs)
-	for k, n := range s.KernelDispatch {
-		v, ok := c.kernels.Load(k)
-		if !ok {
-			v, _ = c.kernels.LoadOrStore(k, new(atomic.Int64))
-		}
-		v.(*atomic.Int64).Add(n)
-	}
-}
-
-// mergeHist folds a histogram snapshot back into a live histogram.
-func mergeHist(h *Histogram, s HistSnapshot) {
-	if s.Count == 0 {
-		return
-	}
-	for _, b := range s.Buckets {
-		h.counts[bucketOf(b.Lo)].Add(b.Count)
-	}
-	h.count.Add(s.Count)
-	h.sum.Add(s.Sum)
-	atomicMin(&h.min, s.Min+1)
-	atomicMax(&h.max, s.Max)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.s = c.s.Merge(s)
 }
 
 // Snapshot is a plain-data copy of a Counters, the unit of export and

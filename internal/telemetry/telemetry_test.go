@@ -47,31 +47,30 @@ func TestBucketOfLo(t *testing.T) {
 func TestHistogramMergeOfPartsIsWhole(t *testing.T) {
 	g := lcg(7)
 	const n, parts = 10_000, 7
-	var whole Histogram
-	var shards [parts]Histogram
+	var whole HistSnapshot
+	var shards [parts]HistSnapshot
 	for i := 0; i < n; i++ {
 		v := g.next() % (1 << 40)
 		if i%13 == 0 {
 			v = 0 // exercise the non-positive bucket
 		}
-		whole.Observe(v)
-		shards[i%parts].Observe(v)
+		whole.Add(v)
+		shards[i%parts].Add(v)
 	}
-	merged := shards[0].Snapshot()
+	merged := shards[0]
 	for i := 1; i < parts; i++ {
-		merged = merged.Merge(shards[i].Snapshot())
+		merged = merged.Merge(shards[i])
 	}
-	if want := whole.Snapshot(); !reflect.DeepEqual(merged, want) {
+	if want := whole; !reflect.DeepEqual(merged, want) {
 		t.Fatalf("merge of parts != whole:\n got %+v\nwant %+v", merged, want)
 	}
 }
 
 func TestHistogramMergeEmptyIdentity(t *testing.T) {
-	var h Histogram
+	var s HistSnapshot
 	for _, v := range []int64{5, 90, 3000, 1} {
-		h.Observe(v)
+		s.Add(v)
 	}
-	s := h.Snapshot()
 	var zero HistSnapshot
 	if got := s.Merge(zero); !reflect.DeepEqual(got, s) {
 		t.Errorf("s.Merge(zero) = %+v, want %+v", got, s)
@@ -85,11 +84,10 @@ func TestHistogramMergeEmptyIdentity(t *testing.T) {
 }
 
 func TestHistogramStats(t *testing.T) {
-	var h Histogram
+	var s HistSnapshot
 	for v := int64(1); v <= 100; v++ {
-		h.Observe(v)
+		s.Add(v)
 	}
-	s := h.Snapshot()
 	if s.Count != 100 || s.Sum != 5050 || s.Min != 1 || s.Max != 100 {
 		t.Fatalf("stats: %+v", s)
 	}
@@ -179,6 +177,69 @@ func TestCountersConcurrent(t *testing.T) {
 	}
 	if runs != total {
 		t.Fatalf("kernel dispatch total %d, want %d", runs, total)
+	}
+}
+
+// TestLiveSnapshotConsistent is the /metrics contract: a Snapshot taken
+// while workers merge shards into the shared Counters is a consistent
+// cut, so every read's trial count matches its histograms, its step
+// total and its kernel tally.
+func TestLiveSnapshotConsistent(t *testing.T) {
+	var c Counters
+	const writers, shards, perShard = 4, 20_000, 8
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < shards; i++ {
+				var shard Counters
+				for k := 0; k < perShard; k++ {
+					shard.AddRun(100, 2, 1, 0, 0, "dense-uniform/table")
+					shard.AddTrial(int64(1+k), int64(k), true, false)
+				}
+				c.Merge(shard.Snapshot())
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	sumBuckets := func(h HistSnapshot) (n int64) {
+		for _, b := range h.Buckets {
+			n += b.Count
+		}
+		return n
+	}
+	reads, bad := 0, 0
+	for finished := false; !finished; {
+		select {
+		case <-done:
+			finished = true // one last read after the writers quiesce
+		default:
+		}
+		s := c.Snapshot()
+		reads++
+		var kernels int64
+		for _, n := range s.KernelDispatch {
+			kernels += n
+		}
+		tr := s.TrialsRun
+		if s.TrialNs.Count != tr || s.QueueWaitNs.Count != tr ||
+			sumBuckets(s.TrialNs) != tr || sumBuckets(s.QueueWaitNs) != tr ||
+			s.StepsExecuted != 100*tr || kernels != tr {
+			if bad == 0 {
+				t.Errorf("inconsistent read: trials %d, trial_ns %d (buckets %d), queue_wait_ns %d (buckets %d), steps %d, kernels %d",
+					tr, s.TrialNs.Count, sumBuckets(s.TrialNs), s.QueueWaitNs.Count, sumBuckets(s.QueueWaitNs),
+					s.StepsExecuted, kernels)
+			}
+			bad++
+		}
+	}
+	if bad > 0 {
+		t.Errorf("%d of %d live reads were inconsistent", bad, reads)
+	}
+	if got := c.Snapshot().TrialsRun; got != writers*shards*perShard {
+		t.Fatalf("trials_run %d, want %d", got, writers*shards*perShard)
 	}
 }
 
