@@ -4,11 +4,11 @@
 // measured the same way PR-over-PR.
 //
 // Every cell is timed on the specialized kernel its execution plan
-// compiles to (dense/clique uniform, weighted alias-table, node-clock —
-// with drop rates running inside the fast loops) and on the generic
-// Source-driven reference loop, over the identical interaction
-// sequence; cells whose plan is the generic kernel anyway (churn) are
-// timed once. The report therefore records a real fast-vs-reference
+// compiles to (dense/clique uniform, weighted alias-table, node-clock,
+// churn-uniform — with drop rates running inside the fast loops) and on
+// the generic Source-driven reference loop, over the identical
+// interaction sequence; cells whose plan is the generic kernel anyway
+// (churn on the implicit clique) are timed once. The report therefore records a real fast-vs-reference
 // speedup per scheduler and per drop rate, and the -compare gate guards
 // each specialized loop independently.
 //

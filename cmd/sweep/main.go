@@ -79,6 +79,7 @@ type cliConfig struct {
 	protocols   string
 	drops       string
 	trials      int
+	trialsSet   bool
 	seed        uint64
 	seedSet     bool
 	maxSteps    int64
@@ -130,7 +131,7 @@ func parseArgs(argv []string) (cliConfig, []string, error) {
 	fs.StringVar(&c.scheds, "schedulers", "", "comma-separated schedulers (uniform|weighted[:exp|:degprod]|node-clock|churn:UP:DOWN)")
 	fs.StringVar(&c.protocols, "protocols", "", "comma-separated protocols (six-state|identifier|identifier-regular|fast|star|majority:FRAC)")
 	fs.StringVar(&c.drops, "drop", "", "comma-separated drop rates in [0,1)")
-	fs.IntVar(&c.trials, "trials", 0, "trials per grid cell")
+	fs.IntVar(&c.trials, "trials", 0, "trials per grid cell, >= 1 (default: the spec file's, else 5)")
 	fs.Uint64Var(&c.seed, "seed", 1, "base random seed (overrides the spec file's)")
 	fs.Int64Var(&c.maxSteps, "max-steps", 0, "step cap per trial (0 = automatic 72·n⁴·log₂n — set explicitly for large n if trials may not stabilize)")
 	fs.IntVar(&c.workers, "workers", 0, "parallel trials (0 = all cores)")
@@ -149,11 +150,13 @@ func parseArgs(argv []string) (cliConfig, []string, error) {
 	if err := fs.Parse(argv); err != nil {
 		return c, nil, err
 	}
-	// 0 is a valid -seed and -max-steps, and a negative -max-steps must
-	// reach Spec.Validate, so "was the flag given" comes from the flag
-	// set, not from a sentinel value.
+	// 0 is a valid -seed and -max-steps, and a -trials below 1 or a
+	// negative -max-steps must reach Spec.Validate, so "was the flag
+	// given" comes from the flag set, not from a sentinel value.
 	fs.Visit(func(f *flag.Flag) {
 		switch f.Name {
+		case "trials":
+			c.trialsSet = true
 		case "seed":
 			c.seedSet = true
 		case "max-steps":
@@ -204,7 +207,7 @@ func run(c cliConfig, args []string) error {
 		}
 		spec.DropRates = qs
 	}
-	if c.trials > 0 {
+	if c.trialsSet {
 		spec.Trials = c.trials
 	}
 	if c.seedSet {

@@ -86,6 +86,10 @@ func TestRunRefusesOutOfRangeSpecs(t *testing.T) {
 			`{"trials": 1, "graphs": ["clique:4"], "protocols": ["six-state"], "max_steps": -7}`)}, "-7"},
 		{"-max-steps overrides the spec", []string{"-spec", specFile("ok.json",
 			`{"trials": 1, "graphs": ["clique:4"], "protocols": ["six-state"], "max_steps": 100}`), "-max-steps", "-5"}, "-5"},
+		{"negative -trials", []string{"-graphs", "clique:4", "-protocols", "six-state", "-trials", "-3"}, "trials must be >= 1 (got -3)"},
+		{"zero -trials", []string{"-graphs", "clique:4", "-protocols", "six-state", "-trials", "0"}, "trials must be >= 1 (got 0)"},
+		{"-trials overrides the spec", []string{"-spec", specFile("trials.json",
+			`{"trials": 1, "graphs": ["clique:4"], "protocols": ["six-state"]}`), "-trials", "-3"}, "trials must be >= 1 (got -3)"},
 	}
 	for _, c := range cases {
 		cfg, rest, err := parseArgs(append(c.args, "-out", "", "-q"))

@@ -1,6 +1,6 @@
 // Package hotpath enforces kernel purity: a function whose doc comment
 // carries the //popcheck:kernel directive is part of the engine's hot
-// loop in internal/sim/engine.go — one of the four sampler loops, or a
+// loop in internal/sim/engine.go — one of the five sampler loops, or a
 // helper they inline (the block-prefetch draw, the protocol machine's
 // table update). Those are allocation- and dispatch-free by design. The
 // per-step cost budget there is a couple of loads, a multiply and

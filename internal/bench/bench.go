@@ -6,16 +6,16 @@
 // Each grid cell is timed twice through the batch runner
 // (internal/runner, one worker; all of a cell's trials run in one
 // Pool.Run, the way a sweep runs them, and each trial's time is its
-// Outcome.ElapsedNs): once on the specialized kernel the cell's execution plan compiles to
-// (sim.Compile — dense/clique uniform, weighted alias-table,
-// node-clock, with drop rates folded into the fast loops), and once on
-// the generic Source-driven reference kernel, which Options.Reference
-// forces. Both consume the identical random stream (see internal/sim),
+// Outcome.ElapsedNs): once on the specialized kernel the cell's
+// execution plan compiles to (sim.Compile — dense/clique uniform,
+// weighted alias-table, node-clock, churn-uniform, with drop rates
+// folded into the fast loops), and once on the generic Source-driven
+// reference kernel, which Options.Reference forces. Both consume the identical random stream (see internal/sim),
 // so the ratio is a pure engine speedup, now measured per scheduler and
 // per drop rate — the CI gate guards every specialized loop, not just
 // the uniform ones. Cells whose plan compiles to the generic kernel
-// anyway (churn, whose per-run edge state rules out monomorphization)
-// are timed once and recorded under both labels with speedup exactly 1.
+// anyway (churn on the implicit clique) are timed once and recorded
+// under both labels with speedup exactly 1.
 //
 // Compare diffs a fresh report against a committed baseline and reports
 // cells whose specialized ns/step regressed beyond a tolerance; CI runs
@@ -104,8 +104,8 @@ type Measurement struct {
 	// baseline.
 	GraphSource string `json:"graph_source"`
 	// Engine is the scheduler kernel the cell's execution plan compiled
-	// to: "dense-uniform", "clique-uniform", "weighted", "node-clock" or
-	// "generic" (sim.ExecPlan.Engine).
+	// to: "dense-uniform", "clique-uniform", "weighted", "node-clock",
+	// "churn-uniform" or "generic" (sim.ExecPlan.Engine).
 	Engine string `json:"engine"`
 	// ProtocolEngine is the protocol dispatch of the cell's fast path:
 	// "table" when the protocol fuses into the kernel's transition-table
@@ -311,8 +311,9 @@ func measure(cfg Config, seed uint64, meter *telemetry.Counters) (Measurement, e
 	// (Options.NoTable), then the Source-driven reference loop that
 	// Options.Reference forces. Paths that coincide with one already
 	// timed — "step" cells have no separate interface variant, generic-
-	// engine cells (churn) no separate reference loop — are timed once
-	// and the stats copied, making the corresponding speedup exactly 1.
+	// engine cells (clique churn) no separate reference loop — are timed
+	// once and the stats copied, making the corresponding speedup
+	// exactly 1.
 	spec, err := timeEngine(g, factory, seed, cfg, opts, meter)
 	if err != nil {
 		return Measurement{}, err

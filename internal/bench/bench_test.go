@@ -68,22 +68,23 @@ func TestRunRejectsBadConfig(t *testing.T) {
 }
 
 // TestRunSchedulerCells — scheduler and drop cells compile to their
-// specialized kernels (churn stays generic), both timings cover the
-// identical step count, and every cell records the engine its plan
-// picked.
+// specialized kernels (churn on a CSR graph included; churn on the
+// implicit clique stays generic), both timings cover the identical step
+// count, and every cell records the engine its plan picked.
 func TestRunSchedulerCells(t *testing.T) {
 	cfgs := []Config{
 		{GraphSpec: "torus:8x8", Scheduler: "weighted:exp", Protocol: "six-state", Steps: 1 << 12, Trials: 1},
 		{GraphSpec: "torus:8x8", Scheduler: "node-clock", Protocol: "six-state", Steps: 1 << 12, Trials: 1},
 		{GraphSpec: "torus:8x8", Scheduler: "churn:16:4", Protocol: "six-state", Steps: 1 << 12, Trials: 1},
 		{GraphSpec: "torus:8x8", Protocol: "six-state", Drop: 0.1, Steps: 1 << 12, Trials: 1},
+		{GraphSpec: "clique:16", Scheduler: "churn:16:4", Protocol: "six-state", Steps: 1 << 12, Trials: 1},
 	}
 	rep, err := Run(cfgs, 9, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantNames := []string{"weighted:exp", "node-clock", "churn:16:4", "uniform"}
-	wantEngines := []string{"weighted", "node-clock", "generic", "dense-uniform"}
+	wantNames := []string{"weighted:exp", "node-clock", "churn:16:4", "uniform", "churn:16:4"}
+	wantEngines := []string{"weighted", "node-clock", "churn-uniform", "dense-uniform", "generic"}
 	for i, m := range rep.Results {
 		if m.Scheduler != wantNames[i] {
 			t.Fatalf("cell %d scheduler %q, want %q", i, m.Scheduler, wantNames[i])
@@ -101,7 +102,7 @@ func TestRunSchedulerCells(t *testing.T) {
 	}
 	// The generic-engine cell is timed once: its two stat blocks must be
 	// copies, and its speedup exactly 1.
-	churn := rep.Results[2]
+	churn := rep.Results[4]
 	if churn.Specialized != churn.Generic || churn.Speedup != 1 {
 		t.Fatalf("generic cell timed twice: %+v", churn)
 	}
@@ -122,12 +123,13 @@ func TestRunProtocolEngineCells(t *testing.T) {
 		{GraphSpec: "torus:8x8", Protocol: "majority:0.75", Steps: 1 << 12, Trials: 1},
 		{GraphSpec: "torus:8x8", Protocol: "identifier", Steps: 1 << 12, Trials: 1},
 		{GraphSpec: "torus:8x8", Scheduler: "churn:16:4", Protocol: "six-state", Steps: 1 << 12, Trials: 1},
+		{GraphSpec: "clique:16", Scheduler: "churn:16:4", Protocol: "six-state", Steps: 1 << 12, Trials: 1},
 	}
 	rep, err := Run(cfgs, 11, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantProtoEngines := []string{"table", "table", "step", "step"}
+	wantProtoEngines := []string{"table", "table", "step", "table", "step"}
 	for i, m := range rep.Results {
 		if m.ProtocolEngine != wantProtoEngines[i] {
 			t.Fatalf("cell %d protocol engine %q, want %q", i, m.ProtocolEngine, wantProtoEngines[i])
@@ -141,13 +143,13 @@ func TestRunProtocolEngineCells(t *testing.T) {
 		}
 	}
 	// "step" cells have no separate interface variant: stats copied,
-	// table speedup exactly 1. The churn cell additionally copies the
-	// generic stats (one loop, timed once).
+	// table speedup exactly 1. The clique churn cell additionally copies
+	// the generic stats (one loop, timed once).
 	id := rep.Results[2]
 	if id.Interface != id.Specialized || id.TableSpeedup != 1 {
 		t.Fatalf("step cell timed a phantom interface variant: %+v", id)
 	}
-	churn := rep.Results[3]
+	churn := rep.Results[4]
 	if churn.Interface != churn.Specialized || churn.Generic != churn.Specialized ||
 		churn.Speedup != 1 || churn.TableSpeedup != 1 {
 		t.Fatalf("generic step cell timed twice: %+v", churn)

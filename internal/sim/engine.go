@@ -1,19 +1,21 @@
 // Type-specialized chunk kernels. A compiled execution plan (plan.go)
 // drives a run as a sequence of bounded chunks; the kernels here are the
 // chunk runners. There is one sampler loop per scheduler × graph shape
-// (dense-uniform, clique-uniform, weighted, node-clock), monomorphized —
-// no interface dispatch on the sampling path — and all four share one
-// protocol machine. The machine owns the block-prefetched randomness,
-// the drop coin and, when the plan fused a Tabular protocol, the
-// transition table with its live state bytes and counters. Per step a
-// loop samples its pair, flips the drop coin, and either applies the
-// table update (an inlined lookup and two byte stores) or calls
-// Protocol.Step; the choice is fixed for the run, so the branch predicts
-// perfectly. Randomness comes in fixed-size blocks through xrand.Fill,
-// and the sampling state (block buffer, cursor, hoisted Lemire rejection
-// thresholds) stays alive across chunk calls, so chunking is free: the
-// per-step cost is a buffer load, a 128-bit multiply and predictable
-// branches regardless of where the plan places chunk boundaries.
+// (dense-uniform, clique-uniform, weighted, node-clock, churn-uniform),
+// monomorphized — no interface dispatch on the sampling path — and all
+// five share one protocol machine. The machine owns the block-prefetched
+// randomness, the drop coin and, when the plan fused a Tabular protocol,
+// the transition table with its live state bytes and counters. Per step
+// a loop samples its pair (churn-uniform then flips the edge's up coin
+// and skips a contact over a down edge), flips the drop coin, and either
+// applies the table update (an inlined lookup and two byte stores) or
+// calls Protocol.Step; the choice is fixed for the run, so the branch
+// predicts perfectly. Randomness comes in fixed-size blocks through
+// xrand.Fill, and the sampling state (block buffer, cursor, hoisted
+// Lemire rejection thresholds) stays alive across chunk calls, so
+// chunking is free: the per-step cost is a buffer load, a 128-bit
+// multiply and predictable branches regardless of where the plan places
+// chunk boundaries.
 //
 // Determinism contract: a kernel consumes exactly the same uint64
 // stream, in the same order, as the generic Source-driven reference
@@ -30,6 +32,7 @@
 package sim
 
 import (
+	"math"
 	"math/bits"
 
 	"popgraph/internal/core"
@@ -434,12 +437,93 @@ func (kn *nodeClockKernel) run(p Protocol, r *xrand.Rand, _, k int64) (int64, bo
 	return k, false
 }
 
+// churnKernel is the Churn scheduler's loop on CSR graphs. Per step it
+// replays churnSource.Next's draws from the block: the Lemire pair draw
+// over 2m with the branch-free orientation of denseKernel, one churn
+// coin against the edge's up probability at this step, and the drop
+// coin only for a delivered pair, as in the reference loop. Edge state
+// is flat, one slot per undirected edge id hi>>1 holding t<<1 | up for
+// the step t of the edge's last contact; 0 means never contacted, since
+// steps start at 1. The slots are uint64 so t<<1 stays exact for every
+// int64 step. churnSource keeps the same state in a map; runs forced by
+// Options.Reference use it as the independent implementation.
+type churnKernel struct {
+	machine
+	edges  []int64
+	state  []uint64
+	twoM   uint64
+	thresh uint64
+	pi     float64 // stationary up probability b/(a+b)
+	base   float64 // per-step decay factor 1−a−b of the on/off chain
+}
+
+func newChurnKernel(s *Churn, drop float64, tp Tabular) *churnKernel {
+	g := s.g.(*graph.Dense)
+	twoM := uint64(2 * g.M())
+	kn := &churnKernel{
+		edges: g.PackedEdges(), state: make([]uint64, g.M()),
+		twoM: twoM, thresh: -twoM % twoM,
+		pi: s.b / (s.a + s.b), base: 1 - s.a - s.b,
+	}
+	kn.bind(drop, tp)
+	return kn
+}
+
+//popcheck:kernel
+func (kn *churnKernel) run(p Protocol, r *xrand.Rand, t0, k int64) (int64, bool) {
+	m := &kn.machine
+	for i := int64(1); i <= k; i++ {
+		hi, lo := bits.Mul64(m.blk.next(r), kn.twoM)
+		for lo < kn.thresh {
+			hi, lo = bits.Mul64(m.blk.next(r), kn.twoM)
+		}
+		e := uint64(kn.edges[hi>>1])
+		eu, ew := e>>32, e&0xffffffff
+		swap := (eu ^ ew) & -(hi & 1)
+		u, v := int(eu^swap), int(ew^swap)
+		// The edge's up probability at step t: stationary on first
+		// contact, else the closed-form transition of its two-state chain
+		// over the steps since its last contact. The expressions are
+		// churnSource.Next's, so every float rounds the same way.
+		t := t0 + i
+		pUp := kn.pi
+		if st := kn.state[hi>>1]; st != 0 {
+			decay := math.Pow(kn.base, float64(t-int64(st>>1)))
+			if st&1 != 0 {
+				pUp = kn.pi + decay*(1-kn.pi)
+			} else {
+				pUp = kn.pi * (1 - decay)
+			}
+		}
+		slot := uint64(t) << 1
+		if xrand.Float64From(m.blk.next(r)) < pUp {
+			slot |= 1
+			if m.drop != 0 && xrand.Float64From(m.blk.next(r)) < m.drop {
+				m.drops++
+			} else if m.table {
+				m.apply(u, v)
+			} else {
+				p.Step(u, v)
+			}
+		}
+		kn.state[hi>>1] = slot
+		if m.table {
+			if m.gap == 0 {
+				return i, true
+			}
+		} else if p.Stable() {
+			return i, true
+		}
+	}
+	return k, false
+}
+
 // sourceKernel is the generic reference loop: any Source (a scheduler's
 // per-run stream, a test's scripted sampler included, or a graph's
 // SampleEdge via samplerSource) driven one interface call per step with live
 // generator draws. Every specialized kernel above is defined to be
-// byte-identical to this one; it is also the only kernel for schedulers
-// with per-run mutable state (churn) and for custom graph types.
+// byte-identical to this one; it is also the only kernel for custom
+// graph and scheduler types and for churn on the implicit clique.
 type sourceKernel struct {
 	src   Source
 	drop  float64

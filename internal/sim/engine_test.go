@@ -331,11 +331,12 @@ func TestPlanEquivalenceMatrix(t *testing.T) {
 								name := fmt.Sprintf("%s/%s/%s/drop%v/cap%d/every%d/seed%d",
 									g.Name(), pc.tag, sc.tag, drop, maxSteps, every, seed)
 								type variant struct {
-									res   Result
-									r     *xrand.Rand
-									post  xrand.State // generator state right after the run
-									obs   *recordingObserver
-									meter *telemetry.Counters
+									res    Result
+									r      *xrand.Rand
+									post   xrand.State // generator state right after the run
+									obs    *recordingObserver
+									meter  *telemetry.Counters
+									forced bool // Options.Reference
 								}
 								runVariant := func(ref, forceGeneric, noTable, metered bool) variant {
 									r := xrand.New(seed)
@@ -364,7 +365,7 @@ func TestPlanEquivalenceMatrix(t *testing.T) {
 									} else {
 										res = Run(g, p, r, opts)
 									}
-									return variant{res: res, r: r, post: r.Save(), obs: obs, meter: meter}
+									return variant{res: res, r: r, post: r.Save(), obs: obs, meter: meter, forced: forceGeneric}
 								}
 								want := runVariant(true, false, false, false)
 								var wantDraws [16]uint64
@@ -426,6 +427,14 @@ func TestPlanEquivalenceMatrix(t *testing.T) {
 									}
 									if runs != 1 || s.ChunksRun == 0 {
 										t.Fatalf("%s: dispatch/chunk accounting off: %+v", name, s)
+									}
+									// Only Reference and churn on the implicit
+									// clique run the generic loop; every other
+									// cell, churn on CSR graphs included, must
+									// reach its sampler loop.
+									_, dense := g.(*graph.Dense)
+									if wantGeneric := v.forced || (sc.tag == "churn" && !dense); generic != wantGeneric {
+										t.Fatalf("%s: kernel dispatch %v, want generic=%v", name, s.KernelDispatch, wantGeneric)
 									}
 									if generic {
 										continue

@@ -43,23 +43,57 @@ func fuzzProtocol(sel uint64, n int) func() Tabular {
 	return func() Tabular { return majority.New(inputs) }
 }
 
+// fuzzScheduler derives the run's scheduler from sel: the uniform
+// default (nil) for even sel, otherwise churn with burst lengths from
+// the higher bits — down to 1:1, where the chain's decay factor 1−a−b
+// is −1.
+func fuzzScheduler(t *testing.T, sel uint8, g graph.Graph) Scheduler {
+	if sel%2 == 0 {
+		return nil
+	}
+	s, err := NewChurn(g, float64(1+sel>>1%16), float64(1+sel>>5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // FuzzTableEquivalence fuzzes the protocol-compilation layer: a random
 // small graph, a random Tabular protocol and a random interaction
 // script must behave byte-identically whether transitions execute
 // through the hand-written Step or through the compiled transition
 // table — per-step states and counters under a scripted drive, and
 // Results, outputs, counters and post-run generator state under full
-// fused vs interface-dispatch vs reference-loop runs.
+// fused vs interface-dispatch vs reference-loop runs, under the uniform
+// scheduler or churn. On CSR graphs churn runs the churn-uniform loop,
+// checked here against the forced reference loop's map-based source.
 func FuzzTableEquivalence(f *testing.F) {
-	f.Add(uint64(0), uint64(1), uint16(700), uint8(0))
-	f.Add(uint64(1), uint64(2), uint16(513), uint8(1))
-	f.Add(uint64(38), uint64(3), uint16(64), uint8(2))
-	f.Add(uint64(103), uint64(4), uint16(2000), uint8(3))
-	f.Fuzz(func(t *testing.T, gsel, seed uint64, steps uint16, dropSel uint8) {
+	f.Add(uint64(0), uint64(1), uint16(700), uint8(0), uint8(0))
+	f.Add(uint64(1), uint64(2), uint16(513), uint8(1), uint8(0))
+	f.Add(uint64(38), uint64(3), uint16(64), uint8(2), uint8(0))
+	f.Add(uint64(103), uint64(4), uint16(2000), uint8(3), uint8(0))
+	// Churn on cycle, torus and lollipop graphs, six-state and majority,
+	// at drop rate 0.2; each run lasts 1000–1700 steps, which at two to
+	// three draws per step spans 5–9 blocks of 512 draws.
+	f.Add(uint64(29), uint64(9), uint16(2047), uint8(1), uint8(0x21))
+	f.Add(uint64(10), uint64(9), uint16(2047), uint8(1), uint8(0x01))
+	f.Add(uint64(75), uint64(9), uint16(2047), uint8(1), uint8(0x01))
+	f.Add(uint64(1809), uint64(9), uint16(2047), uint8(1), uint8(0x21))
+	f.Fuzz(func(t *testing.T, gsel, seed uint64, steps uint16, dropSel, schedSel uint8) {
 		g := fuzzGraph(gsel)
 		n := g.N()
 		factory := fuzzProtocol(gsel>>8, n)
 		script := int64(steps)%2048 + 1
+		sched := fuzzScheduler(t, schedSel, g)
+		if _, dense := g.(*graph.Dense); dense && sched != nil {
+			pl, err := Compile(g, Options{Scheduler: sched})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if engine, proto := pl.Engine(), pl.ProtocolEngine(factory()); engine != "churn-uniform" || proto != "table" {
+				t.Fatalf("churn on %s compiled to %s/%s", g.Name(), engine, proto)
+			}
+		}
 
 		// Part 1: scripted drive. One instance steps through the
 		// hand-written transition, the other through TransitionTable.Apply
@@ -117,6 +151,7 @@ func FuzzTableEquivalence(f *testing.F) {
 			rr := xrand.New(seed)
 			res := Run(g, p, rr, Options{
 				MaxSteps:  script,
+				Scheduler: sched,
 				DropRate:  drop,
 				NoTable:   noTable,
 				Reference: reference,

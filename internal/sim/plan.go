@@ -1,8 +1,8 @@
 // Execution plans. Compile validates a run configuration once — graph
 // size, drop rate, scheduler/graph binding — and selects the single
 // fastest kernel (engine.go) for the scheduler × graph shape: one of the
-// four sampler loops, or the generic Source loop. Each run binds that
-// loop to the protocol machine it shares with the other three (table
+// five sampler loops, or the generic Source loop. Each run binds that
+// loop to the protocol machine it shares with the other four (table
 // update for a fusable Tabular protocol, Protocol.Step otherwise);
 // ExecPlan then drives the kernel in bounded chunks, placing chunk
 // boundaries exactly on observer ticks. One engine architecture serves
@@ -31,14 +31,15 @@ import (
 type planMode uint8
 
 const (
-	// modeGeneric is the Source-driven reference loop: schedulers with
-	// per-run mutable state (churn), custom graph or scheduler types, and
-	// anything forced by Options.Reference.
+	// modeGeneric is the Source-driven reference loop: custom graph or
+	// scheduler types, churn on the implicit clique, and anything forced
+	// by Options.Reference.
 	modeGeneric planMode = iota
 	modeDenseUniform
 	modeCliqueUniform
 	modeWeighted
 	modeNodeClock
+	modeChurnUniform
 )
 
 var planModeNames = [...]string{
@@ -47,6 +48,7 @@ var planModeNames = [...]string{
 	modeCliqueUniform: "clique-uniform",
 	modeWeighted:      "weighted",
 	modeNodeClock:     "node-clock",
+	modeChurnUniform:  "churn-uniform",
 }
 
 // ExecPlan is a compiled run configuration: the validated (graph,
@@ -67,14 +69,16 @@ type ExecPlan struct {
 	sched     Scheduler // non-nil when a non-uniform scheduler drives the run
 	weighted  *Weighted
 	nodeClock *NodeClock
+	churn     *Churn
 	meter     *telemetry.Counters // Options.Meter: nil disables run accounting
 }
 
 // Engine names the scheduler kernel the plan compiled to —
-// "dense-uniform", "clique-uniform", "weighted", "node-clock" or
-// "generic" — for benchmark reports and logs. The protocol axis is
-// orthogonal: ProtocolEngine reports whether a given protocol's
-// transition table is fused into the kernel's protocol machine.
+// "dense-uniform", "clique-uniform", "weighted", "node-clock",
+// "churn-uniform" or "generic" — for benchmark reports and logs. The
+// protocol axis is orthogonal: ProtocolEngine reports whether a given
+// protocol's transition table is fused into the kernel's protocol
+// machine.
 func (pl *ExecPlan) Engine() string { return planModeNames[pl.mode] }
 
 // ProtocolEngine reports the protocol dispatch a run of p on this plan
@@ -162,6 +166,11 @@ func Compile(g graph.Graph, opts Options) (*ExecPlan, error) {
 			return nil, fmt.Errorf("sim: node-clock scheduler is built for %d nodes, graph %q has %d",
 				s.alias.N(), g.Name(), g.N())
 		}
+	case *Churn:
+		if s.g.N() != g.N() || s.g.M() != g.M() {
+			return nil, fmt.Errorf("sim: churn scheduler %q is built for graph %q (n=%d, m=%d), graph %q has n=%d, m=%d",
+				s.Name(), s.g.Name(), s.g.N(), s.g.M(), g.Name(), g.N(), g.M())
+		}
 	}
 	if opts.Reference {
 		// Forced reference loop: same stream, no specialization.
@@ -174,6 +183,13 @@ func Compile(g graph.Graph, opts Options) (*ExecPlan, error) {
 	case *NodeClock:
 		pl.mode = modeNodeClock
 		pl.nodeClock = s
+	case *Churn:
+		// The kernel draws from the scheduler's own graph, as
+		// churnSource does; the implicit clique keeps the map path.
+		if _, ok := s.g.(*graph.Dense); ok {
+			pl.mode = modeChurnUniform
+			pl.churn = s
+		}
 	case nil:
 		switch g.(type) {
 		case *graph.Dense:
@@ -211,6 +227,8 @@ func (pl *ExecPlan) newKernel(p Protocol, r *xrand.Rand) (kernel, string) {
 		return newWeightedKernel(pl.weighted, pl.drop, tp), label
 	case modeNodeClock:
 		return newNodeClockKernel(pl.nodeClock, pl.drop, tp), label
+	case modeChurnUniform:
+		return newChurnKernel(pl.churn, pl.drop, tp), label
 	}
 	var src Source = samplerSource{pl.g}
 	if pl.sched != nil {

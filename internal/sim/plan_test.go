@@ -36,6 +36,13 @@ func TestCompileValidation(t *testing.T) {
 		}
 		return s
 	}
+	churnFor := func(h graph.Graph) Scheduler {
+		s, err := NewChurn(h, 8, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
 	single, err := graph.NewDense(1, nil, "single")
 	if err != nil {
 		t.Fatalf("1-node graph rejected by constructor: %v", err)
@@ -58,6 +65,11 @@ func TestCompileValidation(t *testing.T) {
 		// node ids from the mismatched scheduler straight to the protocol.
 		{"weighted-wrong-graph-reference", g, Options{Scheduler: weightedFor(graph.Path(3)), Reference: true}, "built for"},
 		{"node-clock-wrong-graph-reference", g, Options{Scheduler: nodeClockFor(graph.Path(3)), Reference: true}, "built for"},
+		// A churn scheduler draws from its own graph: one built for a
+		// bigger graph would hand the protocol node ids past n.
+		{"churn-wrong-graph", graph.Cycle(10), Options{Scheduler: churnFor(graph.Torus2D(4, 5))}, "built for"},
+		{"churn-wrong-graph-reference", graph.Cycle(10), Options{Scheduler: churnFor(graph.Torus2D(4, 5)), Reference: true}, "built for"},
+		{"churn-wrong-edge-count", graph.Cycle(12), Options{Scheduler: churnFor(g)}, "built for"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -84,8 +96,8 @@ func TestCompileValidation(t *testing.T) {
 // TestCompileEngineSelection — the plan must pick the specialized kernel
 // whenever one exists for the scheduler × graph shape — regardless of
 // observers and drop rates, which no longer force the generic loop —
-// and fall back to the generic reference kernel for stateful
-// schedulers, explicit samplers and forced-reference runs.
+// and fall back to the generic reference kernel for churn on the
+// implicit clique and for forced-reference runs.
 func TestCompileEngineSelection(t *testing.T) {
 	torus := graph.Torus2D(3, 4)
 	clique := graph.NewClique(8)
@@ -107,6 +119,10 @@ func TestCompileEngineSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cliqueChurn, err := NewChurn(clique, 8, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	obs := &countingObserver{}
 	cases := []struct {
 		name string
@@ -122,9 +138,12 @@ func TestCompileEngineSelection(t *testing.T) {
 		{"weighted", torus, Options{Scheduler: weighted}, "weighted"},
 		{"weighted-drop-observer", torus, Options{Scheduler: weighted, DropRate: 0.2, Observer: obs}, "weighted"},
 		{"node-clock", torus, Options{Scheduler: nodeClock}, "node-clock"},
-		{"churn-is-generic", torus, Options{Scheduler: churn}, "generic"},
+		{"churn-uniform", torus, Options{Scheduler: churn}, "churn-uniform"},
+		{"churn-drop-observer", torus, Options{Scheduler: churn, DropRate: 0.2, Observer: obs}, "churn-uniform"},
+		{"churn-clique-is-generic", clique, Options{Scheduler: cliqueChurn}, "generic"},
 		{"reference-forces-generic", torus, Options{Reference: true}, "generic"},
 		{"reference-weighted", torus, Options{Scheduler: weighted, Reference: true}, "generic"},
+		{"reference-churn", torus, Options{Scheduler: churn, Reference: true}, "generic"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -141,11 +160,17 @@ func TestCompileEngineSelection(t *testing.T) {
 
 // TestProtocolEngineSelection — the protocol axis of kernel selection.
 // A Tabular protocol fuses into the table variant of every specialized
-// scheduler kernel; Options.NoTable, the generic kernel (churn,
-// Reference) and non-Tabular protocols keep Step dispatch.
+// scheduler kernel, churn-uniform included; Options.NoTable, the generic
+// kernel (Reference, clique churn) and non-Tabular protocols keep Step
+// dispatch.
 func TestProtocolEngineSelection(t *testing.T) {
 	torus := graph.Torus2D(3, 4)
+	clique := graph.NewClique(8)
 	churn, err := NewChurn(torus, 8, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cliqueChurn, err := NewChurn(clique, 8, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,11 +187,14 @@ func TestProtocolEngineSelection(t *testing.T) {
 		want string
 	}{
 		{"six-state-dense", torus, Options{}, six, "table"},
-		{"six-state-clique", graph.NewClique(8), Options{}, six, "table"},
+		{"six-state-clique", clique, Options{}, six, "table"},
 		{"six-state-node-clock", torus, Options{Scheduler: nodeClock}, six, "table"},
 		{"no-table-forces-step", torus, Options{NoTable: true}, six, "step"},
 		{"reference-forces-step", torus, Options{Reference: true}, six, "step"},
-		{"churn-forces-step", torus, Options{Scheduler: churn}, six, "step"},
+		{"six-state-churn", torus, Options{Scheduler: churn}, six, "table"},
+		{"churn-no-table-forces-step", torus, Options{Scheduler: churn, NoTable: true}, six, "step"},
+		{"churn-reference-forces-step", torus, Options{Scheduler: churn, Reference: true}, six, "step"},
+		{"churn-clique-is-step", clique, Options{Scheduler: cliqueChurn}, six, "step"},
 		{"non-tabular-protocol", torus, Options{}, idelect.New(), "step"},
 		{"tie-majority-has-no-table", torus, Options{},
 			majority.New(append(make([]bool, 6), true, true, true, true, true, true)), "step"},

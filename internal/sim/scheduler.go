@@ -15,13 +15,15 @@
 // Scheduler value can serve concurrently executing trials.
 //
 // Plan compilation (plan.go) recognizes scheduler types: Uniform (or a
-// nil Options.Scheduler), Weighted and NodeClock each compile to a
-// monomorphized fast kernel (engine.go) consuming the identical random
-// stream as the generic Source loop — plugging in Uniform explicitly is
-// byte-identical to leaving Options.Scheduler nil, and a weighted or
-// node-clock run is byte-identical to driving the scheduler's Source
-// by hand. Churn keeps per-run mutable state and runs on the generic
-// kernel.
+// nil Options.Scheduler), Weighted, NodeClock and Churn on a CSR graph
+// each compile to a monomorphized fast kernel (engine.go) consuming the
+// identical random stream as the generic Source loop — plugging in
+// Uniform explicitly is byte-identical to leaving Options.Scheduler nil,
+// and a weighted, node-clock or churn run is byte-identical to driving
+// the scheduler's Source by hand. The churn kernel keeps its per-run
+// edge state in a flat slice; churn on the implicit clique, and any
+// run forced by Options.Reference, uses churnSource's map on the
+// generic kernel.
 
 package sim
 
@@ -181,10 +183,12 @@ func (s *NodeClock) Next(_ int64, r *xrand.Rand) (int, int, bool) {
 // independent drops with rate DownLen/(UpLen+DownLen)) to correlated,
 // bursty failures.
 //
-// Edge states evolve lazily: a per-run map keyed by packed edge holds
-// (state, last step touched), and on each contact the edge's two-state
-// Markov chain is advanced in closed form by the steps elapsed since —
-// one Float64 draw per contact, O(1) per step, no O(m) per-step sweep.
+// Edge states evolve lazily: per-run state keyed by edge holds (state,
+// last step touched), and on each contact the edge's two-state Markov
+// chain is advanced in closed form by the steps elapsed since — one
+// Float64 draw per contact, O(1) per step, no O(m) per-step sweep. The
+// Source from Begin keeps that state in a map keyed by packed edge; the
+// churn-uniform kernel keeps it in a slice indexed by edge id.
 type Churn struct {
 	g              graph.Graph
 	upLen, downLen float64

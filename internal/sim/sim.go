@@ -11,15 +11,16 @@
 // churn (see scheduler.go) — for scenario diversity experiments.
 //
 // Every run executes through a compiled execution plan (see plan.go):
-// Compile validates the configuration and selects one of four
+// Compile validates the configuration and selects one of five
 // block-sampling sampler loops (engine.go) for the scheduler × graph
 // shape — uniform on the concrete graph types, weighted alias-table,
-// node-clock — with drop-rate injection folded into the loops and
-// observers handled by chunk boundaries. The four loops share one
-// protocol machine, which applies a Tabular protocol's transition table
-// inline or dispatches Protocol.Step. Specialized kernels consume the
-// identical random stream as the generic Source-driven reference loop,
-// so results are byte-identical whichever kernel a plan picks.
+// node-clock, churn on CSR graphs — with drop-rate injection folded into
+// the loops and observers handled by chunk boundaries. The five loops
+// share one protocol machine, which applies a Tabular protocol's
+// transition table inline or dispatches Protocol.Step. Specialized
+// kernels consume the identical random stream as the generic
+// Source-driven reference loop, so results are byte-identical whichever
+// kernel a plan picks.
 package sim
 
 import (
