@@ -1,13 +1,15 @@
-// Popcheck is the repository's determinism lint: a multichecker running
-// the five analyzers in internal/analyzers/suite over module packages.
+// Popcheck is the repository's lint: a multichecker running the six
+// analyzers in internal/analyzers/suite over module packages.
 //
 // Usage:
 //
 //	popcheck [-list] [-disable name,name] [packages]
 //
 // Packages default to ./... and accept the loader's pattern forms
-// ("./internal/sim/...", "popgraph/internal/results", ...). Findings
-// print one per line as
+// ("./internal/sim/...", "popgraph/internal/results", ...). The whole
+// module is always loaded and checked, because deadexport needs every
+// reference in it; only findings in the named packages are printed.
+// Findings print one per line as
 //
 //	file:line:col: analyzer: message
 //
@@ -68,14 +70,21 @@ func run(args []string, stdout, stderr *os.File) int {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	patterns := fs.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	pkgs, err := loader.Load(patterns...)
+	pkgs, err := loader.Load("./...")
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
+	}
+	targets, err := loader.Load(fs.Args()...)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
+	inTarget := make(map[string]bool)
+	for _, pkg := range targets {
+		for _, f := range pkg.Files {
+			inTarget[pkg.Fset.Position(f.Package).Filename] = true
+		}
 	}
 	broken := false
 	for _, pkg := range pkgs {
@@ -93,11 +102,16 @@ func run(args []string, stdout, stderr *os.File) int {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
+	found := 0
 	for _, d := range diags {
+		if !inTarget[d.Pos.Filename] {
+			continue
+		}
+		found++
 		fmt.Fprintf(stdout, "%s:%d:%d: %s: %s\n",
 			relPath(d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
 	}
-	if len(diags) > 0 {
+	if found > 0 {
 		return 1
 	}
 	return 0

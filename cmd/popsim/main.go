@@ -67,6 +67,12 @@ func run(graphSpec, schedSpec, protoSpec string, seed uint64, trials int, maxSte
 	if maxSteps < 0 {
 		return fmt.Errorf("negative -max-steps %d (0 means automatic)", maxSteps)
 	}
+	if trials < 1 {
+		return fmt.Errorf("trials must be >= 1 (got %d)", trials)
+	}
+	if !(dropRate >= 0 && dropRate < 1) { // NaN fails every comparison
+		return fmt.Errorf("drop rate %v outside [0, 1)", dropRate)
+	}
 	r := popgraph.NewRand(seed)
 	g, err := popgraph.ParseGraph(graphSpec, r)
 	if err != nil {
@@ -82,9 +88,6 @@ func run(graphSpec, schedSpec, protoSpec string, seed uint64, trials int, maxSte
 	fmt.Printf("graph %s: n=%d m=%d Δ=%d D=%s\n",
 		g.Name(), g.N(), g.M(), popgraph.MaxDegree(g), diam)
 
-	if dropRate < 0 || dropRate >= 1 {
-		return fmt.Errorf("drop rate %v outside [0, 1)", dropRate)
-	}
 	sched, err := popgraph.ParseScheduler(schedSpec, g, r)
 	if err != nil {
 		return err

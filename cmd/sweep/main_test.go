@@ -90,6 +90,7 @@ func TestRunRefusesOutOfRangeSpecs(t *testing.T) {
 		{"zero -trials", []string{"-graphs", "clique:4", "-protocols", "six-state", "-trials", "0"}, "trials must be >= 1 (got 0)"},
 		{"-trials overrides the spec", []string{"-spec", specFile("trials.json",
 			`{"trials": 1, "graphs": ["clique:4"], "protocols": ["six-state"]}`), "-trials", "-3"}, "trials must be >= 1 (got -3)"},
+		{"NaN -drop", []string{"-graphs", "cycle:8", "-protocols", "six-state", "-drop", "NaN"}, "drop rate NaN outside [0, 1)"},
 	}
 	for _, c := range cases {
 		cfg, rest, err := parseArgs(append(c.args, "-out", "", "-q"))

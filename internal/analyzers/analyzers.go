@@ -6,14 +6,18 @@
 // enforce the repository's byte-identical determinism contract: same
 // spec + seed ⇒ same Result, observer sequence and post-run generator
 // state. Runtime tests (TestPlanEquivalenceMatrix) catch violations
-// late; the five analyzers under this directory catch the classic ways
-// of breaking the contract — wall-clock reads, global randomness,
+// late; five of the six analyzers under this directory catch the classic
+// ways of breaking the contract — wall-clock reads, global randomness,
 // unsorted map iteration, ad-hoc seed derivation, allocation or dynamic
 // dispatch sneaking into a compiled kernel, callbacks invoked under a
-// mutex — at lint time, before a poisoned result is ever cached.
+// mutex — at lint time, before a poisoned result is ever cached. The
+// sixth, deadexport, keeps exported code that only tests call from
+// building up.
 //
 // An Analyzer inspects one type-checked package at a time through a
-// Pass and reports Diagnostics. Suppression is comment-driven and
+// Pass and reports Diagnostics. Check also builds one Uses index over
+// every package it is given, so a pass can ask what the rest of the
+// module refers to. Suppression is comment-driven and
 // always names the analyzer, so every exception is grep-able:
 //
 //	//popcheck:ignore <name>[,<name>...] [reason]   line-level (this line or the next)
@@ -75,6 +79,8 @@ type Pass struct {
 	// path.
 	PkgPath string
 	RelPath string
+	// Uses indexes references across every package handed to Check.
+	Uses *Uses
 
 	directives *directiveIndex
 	diags      *[]Diagnostic
@@ -206,10 +212,83 @@ func (idx *directiveIndex) suppressed(analyzer string, pos token.Position) bool 
 		idx.line[analyzer][lineKey(pos.Filename, pos.Line)]
 }
 
+// Uses is the module-wide reference index Check builds from the
+// packages it is given: the objects their non-test files refer to, and
+// the method names of every interface declared in them or in a package
+// one of them imports directly.
+type Uses struct {
+	objs    map[types.Object]bool
+	methods map[string]bool
+}
+
+func buildUses(pkgs []*Package) *Uses {
+	u := &Uses{objs: make(map[types.Object]bool), methods: make(map[string]bool)}
+	addMethods := func(t types.Type) {
+		if iface, ok := t.Underlying().(*types.Interface); ok {
+			for i := 0; i < iface.NumMethods(); i++ {
+				u.methods[iface.Method(i).Name()] = true
+			}
+		}
+	}
+	addMethods(types.Universe.Lookup("error").Type())
+	seen := make(map[*types.Package]bool)
+	addImport := func(p *types.Package) {
+		if seen[p] {
+			return
+		}
+		seen[p] = true
+		scope := p.Scope()
+		for _, name := range scope.Names() {
+			if tn, ok := scope.Lookup(name).(*types.TypeName); ok {
+				addMethods(tn.Type())
+			}
+		}
+	}
+	for _, pkg := range pkgs {
+		for _, obj := range pkg.TypesInfo.Uses {
+			u.objs[origin(obj)] = true
+		}
+		// Every interface the package declares, at any scope, or writes
+		// as a literal appears here as a type expression.
+		for _, tv := range pkg.TypesInfo.Types {
+			if tv.IsType() {
+				addMethods(tv.Type)
+			}
+		}
+		for _, imp := range pkg.Types.Imports() {
+			addImport(imp)
+		}
+	}
+	return u
+}
+
+// origin maps an object reached through a generic instantiation back
+// to its declaration.
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
+	}
+	return obj
+}
+
+// Used reports whether a non-test file of a checked package refers to
+// obj, directly or through an instantiation of it.
+func (u *Uses) Used(obj types.Object) bool { return u.objs[origin(obj)] }
+
+// InterfaceMethod reports whether some interface declared in a checked
+// package, or in a package one of them imports directly, has a method
+// called name: a method of that name may be called through the
+// interface.
+func (u *Uses) InterfaceMethod(name string) bool { return u.methods[name] }
+
 // Check runs each analyzer over each package and returns all
 // diagnostics sorted by position then analyzer name. Analyzer errors
 // (internal failures) abort the run.
 func Check(pkgs []*Package, as []*Analyzer) ([]Diagnostic, error) {
+	uses := buildUses(pkgs)
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
 		idx := buildDirectiveIndex(pkg.Fset, pkg.Files)
@@ -222,6 +301,7 @@ func Check(pkgs []*Package, as []*Analyzer) ([]Diagnostic, error) {
 				TypesInfo:  pkg.TypesInfo,
 				PkgPath:    pkg.Path,
 				RelPath:    pkg.RelPath,
+				Uses:       uses,
 				directives: idx,
 				diags:      &diags,
 			}

@@ -12,6 +12,8 @@
 //
 // Both backquoted and double-quoted regexps are accepted. A line may
 // carry several want clauses for several expected diagnostics.
+//
+//popcheck:allow deadexport a test harness: only the analyzers' tests call it
 package analyzertest
 
 import (

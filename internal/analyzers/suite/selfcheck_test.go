@@ -10,7 +10,7 @@ import (
 // TestSuiteNames pins the analyzer set: a new pass must be added here
 // deliberately, and the names are what ignore/allow directives key on.
 func TestSuiteNames(t *testing.T) {
-	want := []string{"detrand", "hotpath", "lockcallback", "mapiter", "seedflow"}
+	want := []string{"deadexport", "detrand", "hotpath", "lockcallback", "mapiter", "seedflow"}
 	got := suite.Analyzers()
 	if len(got) != len(want) {
 		t.Fatalf("suite has %d analyzers, want %d", len(got), len(want))

@@ -5,6 +5,7 @@ package suite
 
 import (
 	"popgraph/internal/analyzers"
+	"popgraph/internal/analyzers/deadexport"
 	"popgraph/internal/analyzers/detrand"
 	"popgraph/internal/analyzers/hotpath"
 	"popgraph/internal/analyzers/lockcallback"
@@ -16,6 +17,7 @@ import (
 // order.
 func Analyzers() []*analyzers.Analyzer {
 	return []*analyzers.Analyzer{
+		deadexport.Analyzer,
 		detrand.Analyzer,
 		hotpath.Analyzer,
 		lockcallback.Analyzer,

@@ -215,17 +215,12 @@ func DefaultGrid(quick bool) []Config {
 	}
 }
 
-// Run times every config and assembles the report. logf, if non-nil,
-// receives one progress line per cell.
-func Run(cfgs []Config, seed uint64, logf func(format string, args ...interface{})) (Report, error) {
-	return RunMetered(cfgs, seed, logf, nil)
-}
-
-// RunMetered is Run with a flight-recorder meter attached to every
-// timed trial (warmups included). Metering accounts at chunk
-// granularity on the kernels' control path, so the throughput numbers
-// stay within the -compare gate's noise band of an unmetered run; nil
-// disables it, making RunMetered exactly Run.
+// RunMetered times every config and assembles the report. logf, if
+// non-nil, receives one progress line per cell. A non-nil meter is
+// attached to every timed trial (warmups included). Metering accounts
+// at chunk granularity on the kernels' control path, so the throughput
+// numbers stay within the -compare gate's noise band of an unmetered
+// run.
 func RunMetered(cfgs []Config, seed uint64, logf func(format string, args ...interface{}),
 	meter *telemetry.Counters) (Report, error) {
 	rep := Report{

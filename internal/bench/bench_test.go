@@ -13,9 +13,9 @@ func TestRunQuickGrid(t *testing.T) {
 		{GraphSpec: "cycle:64", Protocol: "six-state", Steps: 1 << 12, Trials: 1},
 	}
 	var lines []string
-	rep, err := Run(cfgs, 42, func(format string, args ...interface{}) {
+	rep, err := RunMetered(cfgs, 42, func(format string, args ...interface{}) {
 		lines = append(lines, format)
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestRunRejectsBadConfig(t *testing.T) {
 		{GraphSpec: "clique:16", Scheduler: "bogus", Protocol: "six-state", Steps: 100, Trials: 1},
 		{GraphSpec: "clique:16", Scheduler: "churn:0:0", Protocol: "six-state", Steps: 100, Trials: 1},
 	} {
-		if _, err := Run([]Config{cfg}, 1, nil); err == nil {
+		if _, err := RunMetered([]Config{cfg}, 1, nil, nil); err == nil {
 			t.Errorf("config %+v accepted", cfg)
 		}
 	}
@@ -79,7 +79,7 @@ func TestRunSchedulerCells(t *testing.T) {
 		{GraphSpec: "torus:8x8", Protocol: "six-state", Drop: 0.1, Steps: 1 << 12, Trials: 1},
 		{GraphSpec: "clique:16", Scheduler: "churn:16:4", Protocol: "six-state", Steps: 1 << 12, Trials: 1},
 	}
-	rep, err := Run(cfgs, 9, nil)
+	rep, err := RunMetered(cfgs, 9, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestRunProtocolEngineCells(t *testing.T) {
 		{GraphSpec: "torus:8x8", Scheduler: "churn:16:4", Protocol: "six-state", Steps: 1 << 12, Trials: 1},
 		{GraphSpec: "clique:16", Scheduler: "churn:16:4", Protocol: "six-state", Steps: 1 << 12, Trials: 1},
 	}
-	rep, err := Run(cfgs, 11, nil)
+	rep, err := RunMetered(cfgs, 11, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,9 +256,9 @@ func TestCompare(t *testing.T) {
 }
 
 func TestReportJSONRoundTrip(t *testing.T) {
-	rep, err := Run([]Config{
+	rep, err := RunMetered([]Config{
 		{GraphSpec: "clique:32", Protocol: "six-state", Steps: 1 << 10, Trials: 1},
-	}, 7, nil)
+	}, 7, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,9 +86,6 @@ func ExpansionTorusUpper(k int) float64 { return 4 / float64(k) }
 // Harper's edge-isoperimetric inequality).
 func ExpansionHypercube() float64 { return 1 }
 
-// ConductanceRegular returns ϕ = β/Δ for a Δ-regular graph.
-func ConductanceRegular(beta float64, deg int) float64 { return beta / float64(deg) }
-
 // HittingClique returns H(K_n) = n−1 (classic random walk).
 func HittingClique(n int) float64 { return float64(n - 1) }
 
@@ -98,9 +95,13 @@ func HittingClique(n int) float64 { return float64(n - 1) }
 func HittingCycle(n int) float64 { return float64(n/2) * float64((n+1)/2) }
 
 // HittingPathEnds returns H(P_n) endpoint-to-endpoint = (n−1)².
+//
+//popcheck:ignore deadexport walk tests check the exact solvers against it
 func HittingPathEnds(n int) float64 { return float64(n-1) * float64(n-1) }
 
 // HittingPopulationUpper returns the Lemma 17 bound H_P(G) <= 27·n·H(G).
+//
+//popcheck:ignore deadexport walk tests check the exact solvers against it
 func HittingPopulationUpper(n int, hitting float64) float64 {
 	return 27 * float64(n) * hitting
 }

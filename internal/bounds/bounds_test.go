@@ -28,7 +28,13 @@ func bruteExpansion(g graph.Graph) float64 {
 		if size == 0 || size > n/2 {
 			continue
 		}
-		if e := float64(graph.EdgeBoundary(g, inS)) / float64(size); e < best {
+		boundary := 0
+		g.ForEachEdge(func(u, w int) {
+			if inS[u] != inS[w] {
+				boundary++
+			}
+		})
+		if e := float64(boundary) / float64(size); e < best {
 			best = e
 		}
 	}
@@ -152,9 +158,6 @@ func TestHittingFormulas(t *testing.T) {
 	}
 	if HittingPopulationUpper(10, 9) != 27*10*9 {
 		t.Error("population hitting upper")
-	}
-	if ConductanceRegular(0.5, 4) != 0.125 {
-		t.Error("conductance")
 	}
 }
 

@@ -131,6 +131,8 @@ func (t *TransitionTable) K() int { return t.k }
 func (t *TransitionTable) Cells() []uint32 { return t.cells }
 
 // Role returns state s's output role.
+//
+//popcheck:ignore deadexport star tests check each state's role through it
 func (t *TransitionTable) Role(s uint8) Role { return t.roles[s] }
 
 // Next decodes the successor pair of (initiator a, responder b).
@@ -156,6 +158,8 @@ func (t *TransitionTable) Counters(states []uint8) (leaders, gap int) {
 // Apply executes one interaction (initiator u, responder v) on states in
 // place and returns the transition's counter deltas. It is the readable
 // reference for the cell decode the fused kernels inline.
+//
+//popcheck:ignore deadexport FuzzTableEquivalence in internal/sim checks the machine against it
 func (t *TransitionTable) Apply(states []uint8, u, v int) (dLeaders, dGap int) {
 	c := t.cells[int(states[u])*t.k+int(states[v])]
 	states[u], states[v] = uint8(c>>8), uint8(c)

@@ -17,8 +17,6 @@
 package epidemic
 
 import (
-	"fmt"
-
 	"popgraph/internal/graph"
 	"popgraph/internal/stats"
 	"popgraph/internal/xrand"
@@ -120,33 +118,6 @@ func EstimateB(g graph.Graph, r *xrand.Rand, opts Options) float64 {
 	return best
 }
 
-// EstimateTk estimates E[T_k(v)] for a single source by Monte Carlo; the
-// returned slice is indexed by distance. Distances never reached from v
-// hold -1 (cannot happen on connected graphs).
-func EstimateTk(g graph.Graph, src int, r *xrand.Rand, trials int) []float64 {
-	if trials <= 0 {
-		trials = 8
-	}
-	var acc []float64
-	for i := 0; i < trials; i++ {
-		first, _ := PropagationFrom(g, src, r)
-		if acc == nil {
-			acc = make([]float64, len(first))
-		}
-		if len(first) != len(acc) {
-			panic(fmt.Sprintf("epidemic: eccentricity changed between trials (%d vs %d)",
-				len(first), len(acc)))
-		}
-		for k, t := range first {
-			acc[k] += float64(t)
-		}
-	}
-	for k := range acc {
-		acc[k] /= float64(trials)
-	}
-	return acc
-}
-
 func pickSources(g graph.Graph, r *xrand.Rand, opts Options) []int {
 	n := g.N()
 	if opts.Exhaustive {
@@ -186,33 +157,4 @@ func pickSources(g graph.Graph, r *xrand.Rand, opts Options) []int {
 		add(r.Intn(n))
 	}
 	return sources
-}
-
-// InfluenceTrajectory runs the influence dynamics from src and returns
-// |S_t| (the number of nodes influenced by src) sampled every `every`
-// steps until saturation; used to visualize the S-curve of the epidemic.
-func InfluenceTrajectory(g graph.Graph, src int, r *xrand.Rand, every int64) []int {
-	if every <= 0 {
-		every = 1
-	}
-	n := g.N()
-	informed := make([]bool, n)
-	informed[src] = true
-	count := 1
-	out := []int{1}
-	var t int64
-	for count < n {
-		t++
-		u, v := g.SampleEdge(r)
-		if informed[u] != informed[v] {
-			informed[u] = true
-			informed[v] = true
-			count++
-		}
-		if t%every == 0 {
-			out = append(out, count)
-		}
-	}
-	out = append(out, count)
-	return out
 }

@@ -146,34 +146,6 @@ func TestEstimateBExhaustive(t *testing.T) {
 	}
 }
 
-func TestEstimateTk(t *testing.T) {
-	g := graph.Path(16)
-	r := xrand.New(15)
-	tk := EstimateTk(g, 0, r, 6)
-	if len(tk) != 16 {
-		t.Fatalf("len %d", len(tk))
-	}
-	for k := 1; k < len(tk); k++ {
-		if tk[k] <= tk[k-1] {
-			t.Fatalf("mean T_k not increasing at %d", k)
-		}
-	}
-}
-
-func TestInfluenceTrajectory(t *testing.T) {
-	g := graph.NewClique(32)
-	r := xrand.New(17)
-	traj := InfluenceTrajectory(g, 0, r, 50)
-	if traj[0] != 1 || traj[len(traj)-1] != 32 {
-		t.Fatalf("trajectory endpoints %d..%d", traj[0], traj[len(traj)-1])
-	}
-	for i := 1; i < len(traj); i++ {
-		if traj[i] < traj[i-1] {
-			t.Fatal("trajectory must be monotone")
-		}
-	}
-}
-
 func BenchmarkBroadcastCycle(b *testing.B) {
 	g := graph.Cycle(256)
 	r := xrand.New(1)

@@ -73,21 +73,6 @@ func Star(n int) *Dense {
 	return newDenseUnchecked(n, packed, fmt.Sprintf("star-%d", n)).setDiam(min(2, n-1))
 }
 
-// CompleteBipartite returns K_{a,b}: parts {0..a-1} and {a..a+b-1}.
-func CompleteBipartite(a, b int) *Dense {
-	if a < 1 || b < 1 || a+b < 2 {
-		panic(fmt.Sprintf("graph: K_{%d,%d} invalid", a, b))
-	}
-	mustFit("bipartite", float64(a)+float64(b), 2*float64(a)*float64(b))
-	packed := make([]int64, 0, a*b)
-	for u := 0; u < a; u++ {
-		for w := a; w < a+b; w++ {
-			packed = append(packed, pack(u, w))
-		}
-	}
-	return newDenseUnchecked(a+b, packed, fmt.Sprintf("bipartite-%d-%d", a, b)).setDiam(min(2, a+b-1))
-}
-
 // Torus2D returns the rows×cols 2-dimensional torus (wraparound grid).
 // Both dimensions must be >= 3 so the graph stays simple. It is 4-regular.
 func Torus2D(rows, cols int) *Dense {
@@ -200,20 +185,6 @@ func Hypercube(dim int) *Dense {
 		}
 	}
 	return newDenseUnchecked(n, sortPacked(packed), fmt.Sprintf("hypercube-%d", dim)).setDiam(dim)
-}
-
-// BinaryTree returns the complete binary tree of the given depth: 2^(d+1)-1
-// nodes for depth d >= 1.
-func BinaryTree(depth int) *Dense {
-	if depth < 1 || depth > 24 {
-		panic(fmt.Sprintf("graph: binary tree depth %d out of range [1,24]", depth))
-	}
-	n := 1<<(depth+1) - 1
-	packed := make([]int64, 0, n-1)
-	for v := 1; v < n; v++ {
-		packed = append(packed, pack((v-1)/2, v))
-	}
-	return newDenseUnchecked(n, packed, fmt.Sprintf("bintree-%d", depth)).setDiam(2 * depth)
 }
 
 // Lollipop returns a clique on k nodes with a path of pathLen extra nodes

@@ -129,14 +129,12 @@ func TestGeneratorsInvariantsAndCounts(t *testing.T) {
 		{Path(7), 7, 6, 6},
 		{Star(12), 12, 11, 2},
 		{Star(2), 2, 1, 1},
-		{CompleteBipartite(3, 4), 7, 12, 2},
 		{Torus2D(4, 5), 20, 40, 4},
 		{TorusK(4, 5), 20, 40, 4},
 		{TorusK(3, 3, 3), 27, 81, 3},
 		{TorusK(5), 5, 5, 2},
 		{Grid2D(3, 4), 12, 17, 5},
 		{Hypercube(4), 16, 32, 4},
-		{BinaryTree(3), 15, 14, 6},
 		{Lollipop(5, 3), 8, 13, 4},
 		{Barbell(4, 2), 10, 15, 5},
 		{gnp, 60, gnp.M(), -1},
@@ -437,33 +435,6 @@ func TestDegreeStats(t *testing.T) {
 	}
 	if !IsRegular(Cycle(5)) {
 		t.Fatal("cycle is regular")
-	}
-}
-
-func TestEdgeBoundaryAndCuts(t *testing.T) {
-	g := Cycle(8)
-	inS := make([]bool, 8)
-	for v := 0; v < 4; v++ {
-		inS[v] = true // contiguous arc: boundary 2
-	}
-	if b := EdgeBoundary(g, inS); b != 2 {
-		t.Fatalf("boundary = %d, want 2", b)
-	}
-	if e := CutExpansion(g, inS); e != 0.5 {
-		t.Fatalf("expansion = %v, want 0.5", e)
-	}
-	if vol := Volume(g, inS); vol != 8 {
-		t.Fatalf("volume = %d, want 8", vol)
-	}
-	if c := CutConductance(g, inS); c != 0.25 {
-		t.Fatalf("conductance = %v, want 0.25", c)
-	}
-	// Alternating set: every edge crosses.
-	for v := range inS {
-		inS[v] = v%2 == 0
-	}
-	if b := EdgeBoundary(g, inS); b != 8 {
-		t.Fatalf("alternating boundary = %d, want 8", b)
 	}
 }
 

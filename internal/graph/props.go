@@ -171,64 +171,6 @@ func IsRegular(g Graph) bool {
 	return true
 }
 
-// EdgeBoundary returns |∂S|: the number of edges with exactly one endpoint
-// in the set S (given as a membership mask of length N()).
-func EdgeBoundary(g Graph, inS []bool) int {
-	count := 0
-	g.ForEachEdge(func(u, w int) {
-		if inS[u] != inS[w] {
-			count++
-		}
-	})
-	return count
-}
-
-// Volume returns the sum of degrees of the nodes in S.
-func Volume(g Graph, inS []bool) int {
-	vol := 0
-	for v, in := range inS {
-		if in {
-			vol += g.Degree(v)
-		}
-	}
-	return vol
-}
-
-// CutExpansion returns |∂S| / min(|S|, n-|S|) for the cut S, the quantity
-// minimized by the edge expansion β(G). Returns +Inf-like large value
-// (encoded as -1) if one side is empty.
-func CutExpansion(g Graph, inS []bool) float64 {
-	size := 0
-	for _, in := range inS {
-		if in {
-			size++
-		}
-	}
-	small := size
-	if other := g.N() - size; other < small {
-		small = other
-	}
-	if small == 0 {
-		return -1
-	}
-	return float64(EdgeBoundary(g, inS)) / float64(small)
-}
-
-// CutConductance returns |∂S| / min(vol(S), vol(V\S)) for the cut S, the
-// quantity minimized by the conductance ϕ(G). Returns -1 on empty sides.
-func CutConductance(g Graph, inS []bool) float64 {
-	volS := Volume(g, inS)
-	volT := 2*g.M() - volS
-	small := volS
-	if volT < small {
-		small = volT
-	}
-	if small == 0 {
-		return -1
-	}
-	return float64(EdgeBoundary(g, inS)) / float64(small)
-}
-
 // Ball returns the radius-r ball B_r(U) around the node set U as a mask.
 func Ball(g Graph, nodes []int, radius int) []bool {
 	dist, queue := newBFS(g.N())

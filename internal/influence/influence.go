@@ -64,31 +64,6 @@ func ReverseInfluence(g graph.Graph, schedule [][2]int32, v int) ReverseResult {
 	return ReverseResult{Size: size, Internal: internal}
 }
 
-// ForwardInfluenceSizes runs the forward influence dynamics from a single
-// node v and returns |S_t| where S_t = {u : v ∈ I_t(u)} (the nodes
-// influenced BY v), sampled at the requested checkpoints (ascending step
-// counts). Used to cross-validate the reverse computation.
-func ForwardInfluenceSizes(g graph.Graph, v int, checkpoints []int64, r *xrand.Rand) []int {
-	in := make([]bool, g.N())
-	in[v] = true
-	count := 1
-	out := make([]int, len(checkpoints))
-	var t int64
-	for i, cp := range checkpoints {
-		for t < cp {
-			t++
-			a, b := g.SampleEdge(r)
-			if in[a] != in[b] {
-				in[a] = true
-				in[b] = true
-				count++
-			}
-		}
-		out[i] = count
-	}
-	return out
-}
-
 // NonInteracted runs t scheduler steps and returns |S(t)|: the number of
 // nodes that never interacted (Lemma 42's X(t)).
 func NonInteracted(g graph.Graph, t int64, r *xrand.Rand) int {
@@ -106,24 +81,6 @@ func NonInteracted(g graph.Graph, t int64, r *xrand.Rand) int {
 		}
 	}
 	return remaining
-}
-
-// NonInteractedInSet runs t steps and returns how many nodes of the given
-// set never interacted (Lemma 42 applied to U = B(v) in Lemma 43).
-func NonInteractedInSet(g graph.Graph, set []int, t int64, r *xrand.Rand) int {
-	touched := make([]bool, g.N())
-	for i := int64(0); i < t; i++ {
-		u, v := g.SampleEdge(r)
-		touched[u] = true
-		touched[v] = true
-	}
-	count := 0
-	for _, v := range set {
-		if !touched[v] {
-			count++
-		}
-	}
-	return count
 }
 
 // DensitySample is one observation of the six-state protocol's state

@@ -119,19 +119,6 @@ func TestLemma44FewInternalInteractions(t *testing.T) {
 	}
 }
 
-func TestForwardInfluenceMonotone(t *testing.T) {
-	g := graph.NewClique(32)
-	sizes := ForwardInfluenceSizes(g, 0, []int64{0, 50, 100, 500, 5000}, xrand.New(11))
-	if sizes[0] != 1 {
-		t.Fatalf("at t=0 size %d", sizes[0])
-	}
-	for i := 1; i < len(sizes); i++ {
-		if sizes[i] < sizes[i-1] {
-			t.Fatal("influence sizes must be monotone")
-		}
-	}
-}
-
 // TestLemma42NonInteracted — for t = c·n·log n with small c, at least
 // N^{1−ε} nodes have not interacted, w.h.p.
 func TestLemma42NonInteracted(t *testing.T) {
@@ -150,18 +137,6 @@ func TestLemma42NonInteracted(t *testing.T) {
 	// Sanity: with an enormous budget everyone interacts.
 	if rem := NonInteracted(g, int64(50*n*10), r); rem != 0 {
 		t.Errorf("%d nodes untouched after huge budget", rem)
-	}
-}
-
-func TestNonInteractedInSet(t *testing.T) {
-	g := graph.Star(32)
-	r := xrand.New(15)
-	set := []int{1, 2, 3, 4, 5}
-	if got := NonInteractedInSet(g, set, 0, r); got != len(set) {
-		t.Fatalf("t=0: %d", got)
-	}
-	if got := NonInteractedInSet(g, set, 100000, r); got != 0 {
-		t.Fatalf("huge t: %d untouched", got)
 	}
 }
 

@@ -59,6 +59,8 @@ type Result struct {
 //
 // It also calls invariant (if non-nil) on every reachable configuration.
 // Configuration spaces grow as States^n: keep n·log(States) small.
+//
+//popcheck:ignore deadexport test-only exact checker; the model-level oracle builds on it
 func Check(g graph.Graph, m Machine, initial []byte, invariant func(cfg []byte) error) (Result, error) {
 	n := g.N()
 	if len(initial) != n {

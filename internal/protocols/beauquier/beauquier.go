@@ -109,9 +109,6 @@ func (p *Protocol) Leaders() int { return p.counts.Candidates }
 // Stable implements sim.Protocol: one black token, no white tokens.
 func (p *Protocol) Stable() bool { return p.counts.Stable() }
 
-// Counts exposes the token counters for tests and instrumentation.
-func (p *Protocol) Counts() core.TokenCounts { return p.counts }
-
 // State exposes node v's raw state for tests and instrumentation.
 func (p *Protocol) State(v int) core.TokenState { return core.TokenState(p.states[v]) }
 

@@ -211,3 +211,6 @@ func TestTableIsProcessWide(t *testing.T) {
 		t.Fatalf("New().Table() allocates %v times, want 0", allocs)
 	}
 }
+
+// Counts exposes the token counters.
+func (p *Protocol) Counts() core.TokenCounts { return p.counts }

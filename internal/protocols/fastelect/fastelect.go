@@ -128,9 +128,6 @@ func New(params Params) *Protocol {
 // Name implements sim.Protocol.
 func (p *Protocol) Name() string { return "fast-space-efficient" }
 
-// Params returns the configured parameters.
-func (p *Protocol) Params() Params { return p.params }
-
 // StateCount returns the number of distinct states: fast-phase nodes use
 // (h+1)·2·(αL) combinations (streak × status × level below the cap) and
 // backup nodes use (h+1)·6 (streak × token machine), matching the paper's
@@ -267,15 +264,3 @@ func (p *Protocol) Stable() bool {
 // InBackup returns how many nodes run the backup protocol (experiments
 // use it to report how often the fast path failed).
 func (p *Protocol) InBackup() int { return p.inBackup }
-
-// Level returns node v's level (tests).
-func (p *Protocol) Level(v int) int { return int(p.level[v]) }
-
-// LeaderStatus returns node v's fast-phase status (tests).
-func (p *Protocol) LeaderStatus(v int) bool { return p.leader[v] }
-
-// IsBackup reports whether node v entered the backup (tests).
-func (p *Protocol) IsBackup(v int) bool { return p.backup[v] }
-
-// Counts exposes the backup token counters (tests).
-func (p *Protocol) Counts() core.TokenCounts { return p.counts }

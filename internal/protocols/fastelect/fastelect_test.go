@@ -225,3 +225,9 @@ func TestNewPanicsOnInvalid(t *testing.T) {
 	}()
 	New(Params{H: 0, L: 1, AlphaL: 2})
 }
+
+// Level returns node v's level.
+func (p *Protocol) Level(v int) int { return int(p.level[v]) }
+
+// Counts exposes the backup token counters.
+func (p *Protocol) Counts() core.TokenCounts { return p.counts }

@@ -187,17 +187,11 @@ func (p *Protocol) Stable() bool {
 	return p.maxID >= p.limit && p.countAtMax == len(p.ids) && p.counts.Stable()
 }
 
-// ID returns node v's current identifier (tests and experiments).
-func (p *Protocol) ID(v int) uint64 { return p.ids[v] }
-
 // Finished reports whether node v's identifier is fully generated.
 func (p *Protocol) Finished(v int) bool { return p.ids[v] >= p.limit }
 
 // K returns the identifier bit length chosen at Reset.
 func (p *Protocol) K() uint { return p.k }
-
-// MaxID returns the largest finished identifier, 0 if none yet.
-func (p *Protocol) MaxID() uint64 { return p.maxID }
 
 // GeneratedID returns the identifier node v generated itself, or 0 if v
 // adopted a foreign identifier before finishing its own. Experiments use

@@ -188,3 +188,9 @@ func TestStateCountScaling(t *testing.T) {
 		t.Fatalf("StateCount(256) = %g implausible for O(n^4)", s256)
 	}
 }
+
+// ID returns node v's current identifier.
+func (p *Protocol) ID(v int) uint64 { return p.ids[v] }
+
+// MaxID returns the largest finished identifier, 0 if none yet.
+func (p *Protocol) MaxID() uint64 { return p.maxID }

@@ -166,10 +166,6 @@ func (p *Protocol) Ones() int { return p.counts[weak1] + p.counts[strong1] }
 // opinion 1 (see Output).
 func (p *Protocol) Leaders() int { return p.Ones() }
 
-// StrongDifference returns #strong1 − #strong0, the conserved quantity
-// equal to the input difference; tests assert its invariance.
-func (p *Protocol) StrongDifference() int { return p.counts[strong1] - p.counts[strong0] }
-
 // Stable reports whether the configuration is stable: only one sign
 // remains (weak and strong), so no rule can ever change an output.
 func (p *Protocol) Stable() bool {

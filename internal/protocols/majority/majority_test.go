@@ -248,3 +248,7 @@ func TestTableIsPerSign(t *testing.T) {
 		t.Fatalf("New(inputs).Table() allocates %v times, New(inputs) alone %v: Table must add none", withTable, base)
 	}
 }
+
+// StrongDifference returns #strong1 − #strong0, the conserved quantity
+// equal to the input difference.
+func (p *Protocol) StrongDifference() int { return p.counts[strong1] - p.counts[strong0] }

@@ -39,12 +39,6 @@ func NewClock(h, n int) *Clock {
 	return &Clock{h: h, streak: make([]uint16, n)}
 }
 
-// H returns the streak length parameter.
-func (c *Clock) H() int { return c.h }
-
-// States returns the number of local states, h+1.
-func (c *Clock) States() int { return c.h + 1 }
-
 // Reset zeroes all counters.
 func (c *Clock) Reset() {
 	for i := range c.streak {
@@ -64,9 +58,6 @@ func (c *Clock) Tick(u, v int) bool {
 	c.streak[u] = s
 	return false
 }
-
-// Counter returns node v's current streak value (for tests).
-func (c *Clock) Counter(v int) int { return int(c.streak[v]) }
 
 // SampleK draws the number of interactions a fixed node needs to complete
 // one streak of length h: fair coin flips until h consecutive heads.
@@ -115,16 +106,6 @@ func SampleR(h, ell int, r *xrand.Rand) int64 {
 	var total int64
 	for i := 0; i < ell; i++ {
 		total += SampleK(h, r)
-	}
-	return total
-}
-
-// SampleS draws S(d, ell): the number of scheduler steps until a fixed
-// node of degree d completes ell streaks (Lemma 29).
-func SampleS(h, d, m, ell int, r *xrand.Rand) int64 {
-	var total int64
-	for i := 0; i < ell; i++ {
-		total += SampleX(h, d, m, r)
 	}
 	return total
 }

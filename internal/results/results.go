@@ -91,6 +91,8 @@ func Write(w io.Writer, recs []Record) error {
 
 // Read decodes a JSON Lines stream previously produced by Write. Blank
 // lines are skipped; any malformed line is an error.
+//
+//popcheck:ignore deadexport the e2ebench module's tests decode records with it
 func Read(r io.Reader) ([]Record, error) { return jsonl.ReadAll[Record](r) }
 
 // ForEach decodes a JSON Lines stream one record at a time, calling fn
@@ -117,18 +119,6 @@ type Group struct {
 	// ElapsedMeanNs is the mean wall-clock time per completed trial in
 	// nanoseconds; 0 when the records carry no timing (older logs).
 	ElapsedMeanNs float64
-}
-
-// Aggregate groups records by configuration key, preserving first-
-// appearance order, and summarizes each group's stabilization times. It
-// is a convenience wrapper over Accumulator for callers that already
-// hold the full record slice.
-func Aggregate(recs []Record) []Group {
-	acc := NewAccumulator()
-	for _, rec := range recs {
-		acc.Add(rec)
-	}
-	return acc.Groups()
 }
 
 // Accumulator aggregates records one at a time into per-configuration

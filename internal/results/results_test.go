@@ -66,8 +66,17 @@ func TestReadSkipsBlankAndRejectsGarbage(t *testing.T) {
 	}
 }
 
+// aggregate feeds recs to one Accumulator and returns its groups.
+func aggregate(recs []Record) []Group {
+	acc := NewAccumulator()
+	for _, rec := range recs {
+		acc.Add(rec)
+	}
+	return acc.Groups()
+}
+
 func TestAggregate(t *testing.T) {
-	groups := Aggregate(sample())
+	groups := aggregate(sample())
 	if len(groups) != 2 {
 		t.Fatalf("got %d groups, want 2", len(groups))
 	}
@@ -92,7 +101,7 @@ func TestAggregate(t *testing.T) {
 
 func TestAggregateEmptyGroupSummary(t *testing.T) {
 	recs := []Record{{Graph: "g", N: 4, M: 3, Protocol: "p", Steps: 99, Stabilized: false, Leader: -1}}
-	groups := Aggregate(recs)
+	groups := aggregate(recs)
 	if len(groups) != 1 || groups[0].Steps.N != 0 || groups[0].Stabilized != 0 {
 		t.Fatalf("groups %+v", groups)
 	}
@@ -100,7 +109,7 @@ func TestAggregateEmptyGroupSummary(t *testing.T) {
 
 func TestSummaryTable(t *testing.T) {
 	var buf bytes.Buffer
-	SummaryTable("demo", Aggregate(sample())).WriteText(&buf)
+	SummaryTable("demo", aggregate(sample())).WriteText(&buf)
 	out := buf.String()
 	for _, want := range []string{"demo", "clique-16", "six-state", "2/3", "cycle-8", "0.25"} {
 		if !strings.Contains(out, want) {
@@ -122,7 +131,7 @@ func TestSchedulerSplitsGroupsAndRoundTrips(t *testing.T) {
 		{Graph: "torus-4x4", N: 16, M: 32, Protocol: "six-state",
 			Trial: 0, Seed: 1, Steps: 700, Stabilized: true, Leader: 1},
 	}
-	groups := Aggregate(recs)
+	groups := aggregate(recs)
 	if len(groups) != 3 {
 		t.Fatalf("got %d groups, want 3 (scheduler must split cells)", len(groups))
 	}
@@ -163,7 +172,7 @@ func TestSummaryTableNoStabilizedRendersDash(t *testing.T) {
 			Seed: 2, Steps: 5000, Stabilized: false, Leader: -1},
 	}
 	var buf bytes.Buffer
-	SummaryTable("capped", Aggregate(recs)).WriteText(&buf)
+	SummaryTable("capped", aggregate(recs)).WriteText(&buf)
 	out := buf.String()
 	if !strings.Contains(out, "—") {
 		t.Fatalf("no dash marker for unstabilized group:\n%s", out)
@@ -224,7 +233,7 @@ func TestTimingFieldsRoundTripAndAggregate(t *testing.T) {
 	}
 	// The crashed trial's 9ms must not pollute the mean over completed
 	// trials: (4ms + 2ms) / 2.
-	groups := Aggregate(recs)
+	groups := aggregate(recs)
 	if len(groups) != 1 || groups[0].ElapsedMeanNs != 3_000_000 {
 		t.Fatalf("ElapsedMeanNs = %v, want 3e6", groups[0].ElapsedMeanNs)
 	}
@@ -270,7 +279,7 @@ func TestReadLegacyLogWithoutTimingFields(t *testing.T) {
 			t.Fatalf("round trip changed record %d: %+v != %+v", i, back[i], recs[i])
 		}
 	}
-	groups := Aggregate(recs)
+	groups := aggregate(recs)
 	if len(groups) != 1 || groups[0].ElapsedMeanNs != 0 {
 		t.Fatalf("legacy aggregate ElapsedMeanNs = %v, want 0", groups[0].ElapsedMeanNs)
 	}
@@ -292,7 +301,7 @@ func TestBackupMeanExcludesCrashedTrials(t *testing.T) {
 		{Graph: "g", N: 8, M: 12, Protocol: "p", Trial: 3, Seed: 4,
 			Steps: 0, Stabilized: false, Leader: -1, Error: "boom"},
 	}
-	groups := Aggregate(recs)
+	groups := aggregate(recs)
 	if len(groups) != 1 || groups[0].BackupMean != 10 {
 		t.Fatalf("BackupMean = %v, want 10 (crashed trials excluded)", groups[0].BackupMean)
 	}
@@ -309,7 +318,7 @@ func TestAggregateAndTableSurfaceCrashedTrials(t *testing.T) {
 			Seed: 2, Steps: 0, Stabilized: false, Leader: -1,
 			Error: `star: graph "clique-8" is not a star (degree(0)=7)`},
 	}
-	groups := Aggregate(recs)
+	groups := aggregate(recs)
 	if len(groups) != 1 || groups[0].Failed != 2 || groups[0].Stabilized != 0 {
 		t.Fatalf("groups %+v", groups)
 	}
@@ -335,9 +344,9 @@ func TestAggregateAndTableSurfaceCrashedTrials(t *testing.T) {
 	}
 }
 
-// TestAccumulatorMatchesAggregate — feeding records one at a time through
-// an Accumulator produces exactly what the slice-based Aggregate reports,
-// and the accumulator stays usable after a Groups call.
+// TestAccumulatorMatchesAggregate — an Accumulator that reported its
+// groups midway and then took the rest of the records reports exactly
+// what one fed every record at once does.
 func TestAccumulatorMatchesAggregate(t *testing.T) {
 	recs := append(sample(),
 		Record{Graph: "clique-16", N: 16, M: 120, Protocol: "six-state", Trial: 3,
@@ -355,7 +364,7 @@ func TestAccumulatorMatchesAggregate(t *testing.T) {
 		acc.Add(r)
 	}
 	got := acc.Groups()
-	want := Aggregate(recs)
+	want := aggregate(recs)
 	if len(got) != len(want) {
 		t.Fatalf("got %d groups, want %d", len(got), len(want))
 	}

@@ -65,16 +65,9 @@ type Outcome struct {
 	// the time it spent waiting between batch submission and a worker
 	// picking it up, both in nanoseconds. Timing is host- and
 	// load-dependent — everything else in an Outcome is deterministic for
-	// a fixed seed, so determinism comparisons go through Same, not
-	// struct equality.
+	// a fixed seed, so determinism comparisons ignore these two fields.
 	ElapsedNs   int64
 	QueueWaitNs int64
-}
-
-// Same reports whether two outcomes agree on every deterministic field
-// (result, backup count, error), ignoring the wall-clock timing.
-func (o Outcome) Same(other Outcome) bool {
-	return o.Result == other.Result && o.Backup == other.Backup && o.Err == other.Err
 }
 
 // Failed reports whether the trial crashed instead of completing.

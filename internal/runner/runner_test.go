@@ -378,3 +378,9 @@ func TestMeterIsLiveAtFinalProgress(t *testing.T) {
 		}
 	}
 }
+
+// Same reports whether two outcomes agree on every deterministic field
+// (result, backup count, error), ignoring the wall-clock timing.
+func (o Outcome) Same(other Outcome) bool {
+	return o.Result == other.Result && o.Backup == other.Backup && o.Err == other.Err
+}

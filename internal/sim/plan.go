@@ -111,6 +111,8 @@ func (pl *ExecPlan) fusable(p Protocol) Tabular {
 
 // MaxSteps returns the resolved step cap (Options.MaxSteps, or
 // DefaultMaxSteps of the graph when that was zero).
+//
+//popcheck:ignore deadexport popgraph_test.go checks the resolved step cap through it
 func (pl *ExecPlan) MaxSteps() int64 { return pl.maxSteps }
 
 // Compile validates opts against g and selects the execution kernel.

@@ -211,7 +211,7 @@ func (s *Churn) Name() string {
 }
 
 func formatBurst(v float64) string {
-	if v == math.Trunc(v) {
+	if v == math.Trunc(v) && v < 1<<63 { // int64(v) is exact only below 2⁶³
 		return fmt.Sprintf("%d", int64(v))
 	}
 	return fmt.Sprintf("%g", v)

@@ -280,6 +280,8 @@ func FindLeader(g graph.Graph, p Protocol) int {
 
 // CountLeaders scans outputs and returns the number of leaders; used by
 // tests to validate protocols' O(1) Leaders counters.
+//
+//popcheck:ignore deadexport oracle for the O(1) Leaders counters in five protocol test packages
 func CountLeaders(g graph.Graph, p Protocol) int {
 	count := 0
 	for v := 0; v < g.N(); v++ {

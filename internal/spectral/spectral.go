@@ -98,11 +98,6 @@ func Analyze(g graph.Graph, iters int, r *xrand.Rand) Result {
 	return res
 }
 
-// EstimateExpansion returns an upper bound on β(G) from the sweep cut.
-func EstimateExpansion(g graph.Graph, r *xrand.Rand) float64 {
-	return Analyze(g, 0, r).SweepExpansion
-}
-
 // sweep orders nodes by the normalized Fiedler value x(v)/sqrt(deg v) and
 // evaluates every prefix cut, returning the best conductance and the best
 // expansion found.

@@ -76,7 +76,7 @@ func TestSweepExpansionUpperBoundsKnown(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s should have known expansion", g.Name())
 		}
-		got := EstimateExpansion(g, r)
+		got := Analyze(g, 0, r).SweepExpansion
 		if got < beta-1e-6 {
 			t.Errorf("%s: sweep expansion %v below true β %v", g.Name(), got, beta)
 		}

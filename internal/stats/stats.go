@@ -100,20 +100,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Max returns the maximum. It panics on empty input.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Max of empty sample")
-	}
-	best := xs[0]
-	for _, x := range xs[1:] {
-		if x > best {
-			best = x
-		}
-	}
-	return best
-}
-
 // Harmonic returns the n-th harmonic number H_n = 1 + 1/2 + ... + 1/n.
 func Harmonic(n int) float64 {
 	// Exact summation below the switchover, asymptotic expansion above.
@@ -181,24 +167,4 @@ func LogLogSlope(xs, ys []float64) (slope, r2 float64) {
 	}
 	_, b, r := LinearFit(lx, ly)
 	return b, r
-}
-
-// RatioSpread returns max/min of the ratios ys[i]/fs[i]. A value close to
-// 1 means ys is well explained by the model fs up to a constant — the
-// "normalized ratio is flat" criterion used in EXPERIMENTS.md.
-func RatioSpread(ys, fs []float64) float64 {
-	if len(ys) != len(fs) || len(ys) == 0 {
-		panic("stats: RatioSpread needs equal-length nonempty samples")
-	}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for i := range ys {
-		r := ys[i] / fs[i]
-		if r < lo {
-			lo = r
-		}
-		if r > hi {
-			hi = r
-		}
-	}
-	return hi / lo
 }

@@ -59,7 +59,7 @@ func TestMeanMax(t *testing.T) {
 	if Mean([]float64{2, 4, 9}) != 5 {
 		t.Fatal("mean")
 	}
-	if Max([]float64{2, 9, 4}) != 9 {
+	if Summarize([]float64{2, 9, 4}).Max != 9 {
 		t.Fatal("max")
 	}
 }
@@ -130,16 +130,4 @@ func TestLogLogSlopePanicsOnNonpositive(t *testing.T) {
 		}
 	}()
 	LogLogSlope([]float64{1, 0}, []float64{1, 2})
-}
-
-func TestRatioSpread(t *testing.T) {
-	ys := []float64{10, 20, 40}
-	fs := []float64{1, 2, 4}
-	if got := RatioSpread(ys, fs); !almost(got, 1, 1e-12) {
-		t.Fatalf("flat spread = %v", got)
-	}
-	fs = []float64{1, 1, 1}
-	if got := RatioSpread(ys, fs); !almost(got, 4, 1e-12) {
-		t.Fatalf("spread = %v, want 4", got)
-	}
 }

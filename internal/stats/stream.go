@@ -6,23 +6,18 @@ import (
 	"sort"
 )
 
-// Stream is a mergeable streaming summary: count, mean and variance
-// (Welford/Chan accumulation) plus a fixed-size quantile sketch. It
-// replaces "collect every sample, then Summarize" in aggregation paths
-// that must not hold all records in memory, and it is the unit sweep
-// shards combine: Merge is associative with the zero Stream as identity,
-// so per-shard partials fold into the same whole in any grouping.
+// Stream is a streaming summary: count, mean and variance (Welford
+// accumulation) plus a fixed-size quantile sketch. It replaces "collect
+// every sample, then Summarize" in aggregation paths that must not hold
+// all records in memory.
 //
 // Exactness contract: Count, Min, Max and the sketch's bucket counts are
-// integer-exact and permutation-insensitive — the same multiset of
-// samples produces the same values however it was split across streams.
-// Mean and variance are mathematically permutation-insensitive but
-// accumulate in floating point, so different merge groupings may differ
-// in the last few ULPs; byte-level determinism contracts therefore feed
-// samples to a single Stream in a canonical order (grid order) rather
-// than relying on bit-equal float merges. Quantiles are exact while the
-// sketch holds at most SketchExactCap samples and bucket-resolution
-// approximations (relative error ≤ 1/SketchSubBuckets) beyond.
+// integer-exact and independent of sample order. Mean and variance
+// accumulate in floating point, so byte-level determinism contracts feed
+// samples to a Stream in a canonical order (grid order). Quantiles are
+// exact while the sketch holds at most SketchExactCap samples and
+// bucket-resolution approximations (relative error ≤ 1/SketchSubBuckets)
+// beyond.
 type Stream struct {
 	Count int64
 	// Mean and M2 are Welford accumulators: M2 is the sum of squared
@@ -51,33 +46,6 @@ func (s *Stream) Add(x float64) {
 	s.Mean += delta / float64(s.Count)
 	s.M2 += delta * (x - s.Mean)
 	s.Sketch.Add(x)
-}
-
-// Merge folds another stream into s (Chan et al. parallel-variance
-// combination). Merging the zero Stream is a no-op, and merge order
-// never changes Count, Min, Max or sketch counts.
-func (s *Stream) Merge(o Stream) {
-	if o.Count == 0 {
-		return
-	}
-	if s.Count == 0 {
-		*s = o
-		s.Sketch = o.Sketch.clone()
-		return
-	}
-	if o.Min < s.Min {
-		s.Min = o.Min
-	}
-	if o.Max > s.Max {
-		s.Max = o.Max
-	}
-	a, b := float64(s.Count), float64(o.Count)
-	total := a + b
-	delta := o.Mean - s.Mean
-	s.Mean += delta * b / total
-	s.M2 += o.M2 + delta*delta*a*b/total
-	s.Count += o.Count
-	s.Sketch.Merge(o.Sketch)
 }
 
 // Std returns the sample standard deviation (n−1 denominator), 0 for
@@ -114,8 +82,7 @@ func (s Stream) Summary() Summary {
 // Sketch geometry. Up to SketchExactCap samples the sketch stores the
 // sorted multiset and quantiles are exact; past that it collapses into
 // log-linear buckets — SketchSubBuckets per power of two — whose counts
-// depend only on the sample multiset, making Merge exactly associative
-// and permutation-insensitive in both modes. Bucketed quantiles carry a
+// depend only on the sample multiset. Bucketed quantiles carry a
 // relative error of at most 1/SketchSubBuckets.
 const (
 	SketchExactCap   = 256
@@ -125,7 +92,7 @@ const (
 	sketchExpBias = 1100
 )
 
-// QSketch is a fixed-size mergeable quantile sketch. The zero QSketch is
+// QSketch is a fixed-size quantile sketch. The zero QSketch is
 // empty and ready to use.
 type QSketch struct {
 	// exact holds the sorted samples while the sketch is exact; buckets
@@ -138,24 +105,6 @@ type QSketch struct {
 
 // N returns the number of samples added.
 func (q QSketch) N() int64 { return q.n }
-
-// Collapsed reports whether the sketch has switched from exact storage
-// to bucket counts.
-func (q QSketch) Collapsed() bool { return q.buckets != nil }
-
-// clone returns a deep copy (Merge must not alias the source's storage).
-func (q QSketch) clone() QSketch {
-	out := QSketch{n: q.n}
-	if q.buckets != nil {
-		out.buckets = make(map[int]int64, len(q.buckets))
-		for k, v := range q.buckets {
-			out.buckets[k] = v
-		}
-		return out
-	}
-	out.exact = append([]float64(nil), q.exact...)
-	return out
-}
 
 // Add inserts one sample.
 func (q *QSketch) Add(x float64) {
@@ -177,57 +126,13 @@ func (q *QSketch) Add(x float64) {
 
 // collapse converts exact storage into bucket counts. Bucketing is
 // per-value, so collapse-then-add and add-then-collapse produce the same
-// counts — the property that keeps Merge associative across the mode
-// switch.
+// counts.
 func (q *QSketch) collapse() {
 	q.buckets = make(map[int]int64, len(q.exact))
 	for _, x := range q.exact {
 		q.buckets[bucketKey(x)]++
 	}
 	q.exact = nil
-}
-
-// Merge folds another sketch into q. The result stays exact only while
-// the combined sample count fits the exact capacity.
-func (q *QSketch) Merge(o QSketch) {
-	if o.n == 0 {
-		return
-	}
-	if q.n == 0 {
-		*q = o.clone()
-		return
-	}
-	if q.buckets == nil && o.buckets == nil && len(q.exact)+len(o.exact) <= SketchExactCap {
-		merged := make([]float64, 0, len(q.exact)+len(o.exact))
-		i, j := 0, 0
-		for i < len(q.exact) && j < len(o.exact) {
-			if q.exact[i] <= o.exact[j] {
-				merged = append(merged, q.exact[i])
-				i++
-			} else {
-				merged = append(merged, o.exact[j])
-				j++
-			}
-		}
-		merged = append(merged, q.exact[i:]...)
-		merged = append(merged, o.exact[j:]...)
-		q.exact = merged
-		q.n += o.n
-		return
-	}
-	if q.buckets == nil {
-		q.collapse()
-	}
-	if o.buckets != nil {
-		for k, c := range o.buckets {
-			q.buckets[k] += c
-		}
-	} else {
-		for _, x := range o.exact {
-			q.buckets[bucketKey(x)]++
-		}
-	}
-	q.n += o.n
 }
 
 // Quantile returns the q-th quantile (0 ≤ p ≤ 1): exact (linear

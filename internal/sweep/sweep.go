@@ -127,7 +127,7 @@ func (s Spec) Validate() error {
 		}
 	}
 	for _, q := range s.DropRates {
-		if q < 0 || q >= 1 {
+		if !(q >= 0 && q < 1) { // NaN fails every comparison
 			return fmt.Errorf("sweep: drop rate %v outside [0, 1)", q)
 		}
 	}
@@ -383,6 +383,8 @@ func TrialRecord(t Task, trial int, o runner.Outcome) results.Record {
 // Execute runs every task's trials through one shared pool (so the whole
 // grid saturates the workers, not one cell at a time) and returns one
 // record per trial in grid order — deterministic for any worker count.
+//
+//popcheck:ignore deadexport shard tests compare sharded runs against the in-memory grid
 func Execute(tasks []Task, pool runner.Pool) []results.Record {
 	recs := make([]results.Record, 0, Trials(tasks))
 	ExecuteStream(tasks, pool, func(rec results.Record) {

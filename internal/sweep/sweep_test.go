@@ -97,6 +97,7 @@ func TestValidate(t *testing.T) {
 		{"N without sizes", func(s *Spec) { s.Sizes = nil }},
 		{"tiny size", func(s *Spec) { s.Sizes = []int{1} }},
 		{"bad drop", func(s *Spec) { s.DropRates = []float64{1} }},
+		{"NaN drop", func(s *Spec) { s.DropRates = []float64{0.1, math.NaN()} }},
 		{"negative cap", func(s *Spec) { s.MaxSteps = -1 }},
 		{"blank scheduler", func(s *Spec) { s.Schedulers = []string{"uniform", " "} }},
 	}
@@ -329,7 +330,11 @@ func TestExecuteByteIdenticalAcrossWorkerCounts(t *testing.T) {
 			t.Fatalf("record %d lacks a scheduler name", i)
 		}
 	}
-	if got := len(results.Aggregate(recs)); got != 6*5*2 {
+	acc := results.NewAccumulator()
+	for _, rec := range recs {
+		acc.Add(rec)
+	}
+	if got := len(acc.Groups()); got != 6*5*2 {
 		t.Fatalf("aggregated into %d groups, want %d", got, 6*5*2)
 	}
 }

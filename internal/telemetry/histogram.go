@@ -6,7 +6,6 @@
 package telemetry
 
 import (
-	"math"
 	"slices"
 	"sort"
 )
@@ -101,55 +100,4 @@ func (s HistSnapshot) Merge(o HistSnapshot) HistSnapshot {
 		}
 	}
 	return out
-}
-
-// Mean returns the average sample, or 0 when empty.
-func (s HistSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
-}
-
-// Quantile estimates the q-quantile (q in [0, 1]) from the buckets: the
-// geometric midpoint of the bucket holding the q-th sample, clamped to
-// the observed min/max. Log buckets bound the relative error by 2x,
-// which is the right fidelity for "where does the time go" questions.
-func (s HistSnapshot) Quantile(q float64) float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return float64(s.Min)
-	}
-	if q >= 1 {
-		return float64(s.Max)
-	}
-	rank := int64(math.Ceil(q * float64(s.Count)))
-	if rank < 1 {
-		rank = 1
-	}
-	var seen int64
-	for _, b := range s.Buckets {
-		seen += b.Count
-		if seen >= rank {
-			lo := float64(b.Lo)
-			hi := 2 * lo
-			if b.Lo == 0 {
-				return clampQ(0, s)
-			}
-			return clampQ(math.Sqrt(lo*hi), s)
-		}
-	}
-	return float64(s.Max)
-}
-
-func clampQ(v float64, s HistSnapshot) float64 {
-	if v < float64(s.Min) {
-		return float64(s.Min)
-	}
-	if v > float64(s.Max) {
-		return float64(s.Max)
-	}
-	return v
 }

@@ -211,18 +211,6 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 	return enc.Encode(s)
 }
 
-// ReadSnapshot parses a snapshot previously produced by WriteJSON.
-func ReadSnapshot(r io.Reader) (Snapshot, error) {
-	var s Snapshot
-	if err := json.NewDecoder(r).Decode(&s); err != nil {
-		return Snapshot{}, fmt.Errorf("telemetry: parsing snapshot: %w", err)
-	}
-	if s.Schema != "" && s.Schema != SnapshotSchema {
-		return Snapshot{}, fmt.Errorf("telemetry: unknown snapshot schema %q (want %q)", s.Schema, SnapshotSchema)
-	}
-	return s, nil
-}
-
 // WriteSnapshotFile snapshots c and writes it to path — the -metrics
 // flag's implementation, shared by the CLIs. A nil c writes an empty
 // (all-zero) snapshot, so callers don't need to special-case disabled

@@ -192,9 +192,3 @@ func (l *TrajectoryLog) Close() error {
 	}
 	return l.lines.Close()
 }
-
-// ReadTrajectories parses a JSONL trajectory stream back into samples,
-// for tests and tooling.
-func ReadTrajectories(r io.Reader) ([]TrajectorySample, error) {
-	return jsonl.ReadAll[TrajectorySample](r)
-}

@@ -276,3 +276,67 @@ func TestExactHittingValidation(t *testing.T) {
 	}()
 	ClassicHittingExact(graph.Cycle(5), 9)
 }
+
+// MeetingMC estimates M(u, v): the expected number of scheduler steps
+// until population-model walks started at u and v != u meet, i.e. occupy
+// the two endpoints of the sampled edge. Walks never co-locate: any
+// sampled edge that would merge them is a meeting.
+func MeetingMC(g graph.Graph, u, v int, r *xrand.Rand, trials int) float64 {
+	if u == v {
+		panic("walk: meeting time needs distinct starts")
+	}
+	if trials <= 0 {
+		trials = 16
+	}
+	var total int64
+	for i := 0; i < trials; i++ {
+		x, y := u, v
+		var steps int64
+		for {
+			a, b := g.SampleEdge(r)
+			steps++
+			if (x == a && y == b) || (x == b && y == a) {
+				break
+			}
+			switch {
+			case x == a:
+				x = b
+			case x == b:
+				x = a
+			}
+			switch {
+			case y == a:
+				y = b
+			case y == b:
+				y = a
+			}
+		}
+		total += steps
+	}
+	return float64(total) / float64(trials)
+}
+
+// PopulationHittingMC estimates H_P(u, v): the expected number of
+// scheduler steps for a population-model walk from u to reach v.
+func PopulationHittingMC(g graph.Graph, u, v int, r *xrand.Rand, trials int) float64 {
+	if trials <= 0 {
+		trials = 16
+	}
+	var total int64
+	for i := 0; i < trials; i++ {
+		x := u
+		var steps int64
+		for x != v {
+			a, b := g.SampleEdge(r)
+			steps++
+			switch x {
+			case a:
+				x = b
+			case b:
+				x = a
+			}
+		}
+		total += steps
+	}
+	return float64(total) / float64(trials)
+}

@@ -3,7 +3,7 @@
 //
 // The generator is xoshiro256++ seeded via splitmix64, following the
 // reference constructions of Blackman and Vigna. It is not safe for
-// concurrent use; create one generator per goroutine (see Split).
+// concurrent use; create one generator per goroutine.
 //
 // The simulator relies on xrand for reproducibility: every run of every
 // protocol, scheduler and experiment takes an explicit *Rand, so a fixed
@@ -52,13 +52,6 @@ func New(seed uint64) *Rand {
 		r.s[i] = z ^ (z >> 31)
 	}
 	return r
-}
-
-// Split returns a new generator seeded from the current one. The child
-// stream is independent of the parent's future output for all practical
-// purposes; used to hand one generator per worker goroutine.
-func (r *Rand) Split() *Rand {
-	return New(r.Uint64() ^ 0xd1b54a32d192ed03)
 }
 
 // Uint64 returns a uniformly distributed 64-bit value.
@@ -156,25 +149,6 @@ func Float64From(x uint64) float64 {
 // Bool returns a fair coin flip.
 func (r *Rand) Bool() bool { return r.Uint64()&1 == 1 }
 
-// Perm returns a uniform random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := 1; i < n; i++ {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // Geometric returns a sample of Geom(p): the number of Bernoulli(p) trials
 // up to and including the first success (support {1, 2, ...}).
 // It panics unless 0 < p <= 1.
@@ -192,36 +166,6 @@ func (r *Rand) Geometric(p float64) int64 {
 		g = 1
 	}
 	return g
-}
-
-// Poisson returns a sample of Poisson(lambda) using Knuth's method for
-// small lambda and a normal approximation cut for large lambda via
-// splitting (Poisson(a+b) = Poisson(a) + Poisson(b)).
-func (r *Rand) Poisson(lambda float64) int64 {
-	if lambda < 0 {
-		panic("xrand: Poisson with negative lambda")
-	}
-	var total int64
-	// Split into chunks small enough for the multiplicative method to
-	// stay within float range (e^-30 ≈ 1e-13, fine for float64).
-	for lambda > 30 {
-		total += r.poissonKnuth(30)
-		lambda -= 30
-	}
-	return total + r.poissonKnuth(lambda)
-}
-
-func (r *Rand) poissonKnuth(lambda float64) int64 {
-	limit := math.Exp(-lambda)
-	var k int64
-	p := 1.0
-	for {
-		p *= r.Float64()
-		if p <= limit {
-			return k
-		}
-		k++
-	}
 }
 
 // Binomial returns a sample of Bin(n, p) by direct summation of Bernoulli

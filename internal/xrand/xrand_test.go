@@ -28,20 +28,6 @@ func TestDistinctSeedsDiffer(t *testing.T) {
 	}
 }
 
-func TestSplitIndependence(t *testing.T) {
-	parent := New(7)
-	child := parent.Split()
-	same := 0
-	for i := 0; i < 100; i++ {
-		if parent.Uint64() == child.Uint64() {
-			same++
-		}
-	}
-	if same > 0 {
-		t.Fatalf("parent and child streams collided %d/100 times", same)
-	}
-}
-
 func TestUintnRange(t *testing.T) {
 	r := New(3)
 	f := func(n uint64) bool {
@@ -105,40 +91,6 @@ func TestBoolFair(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := New(13)
-	for _, n := range []int{0, 1, 2, 5, 100} {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) has length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) invalid: %v", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
-func TestShufflePreservesMultiset(t *testing.T) {
-	r := New(17)
-	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	for _, x := range xs {
-		sum += x
-	}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	got := 0
-	for _, x := range xs {
-		got += x
-	}
-	if got != sum {
-		t.Fatalf("shuffle changed contents: %v", xs)
-	}
-}
-
 func TestGeometricMean(t *testing.T) {
 	r := New(19)
 	for _, p := range []float64{1, 0.5, 0.1, 0.01} {
@@ -169,27 +121,6 @@ func TestGeometricPanics(t *testing.T) {
 			}()
 			New(1).Geometric(p)
 		}()
-	}
-}
-
-func TestPoissonMeanVariance(t *testing.T) {
-	r := New(23)
-	for _, lambda := range []float64{0.5, 3, 20, 100} {
-		const trials = 20000
-		var sum, sumsq float64
-		for i := 0; i < trials; i++ {
-			v := float64(r.Poisson(lambda))
-			sum += v
-			sumsq += v * v
-		}
-		mean := sum / trials
-		varr := sumsq/trials - mean*mean
-		if math.Abs(mean-lambda) > 0.05*lambda+0.05 {
-			t.Errorf("Poisson(%v): mean %v", lambda, mean)
-		}
-		if math.Abs(varr-lambda) > 0.15*lambda+0.1 {
-			t.Errorf("Poisson(%v): variance %v", lambda, varr)
-		}
 	}
 }
 

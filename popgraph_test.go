@@ -197,6 +197,33 @@ func TestParseScheduler(t *testing.T) {
 	}
 }
 
+// TestChurnNamesStayDistinct — burst lengths too large for int64 keep
+// their own names, and each name parses back to a scheduler of the same
+// name, so the aggregate never merges two churn specs into one cell.
+func TestChurnNamesStayDistinct(t *testing.T) {
+	r := popgraph.NewRand(23)
+	g := popgraph.Torus(3, 4)
+	seen := make(map[string]string)
+	for _, spec := range []string{"churn:1e300:2", "churn:1e308:2", "churn:9223372036854775807:2"} {
+		s, err := popgraph.ParseScheduler(spec, g, r)
+		if err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		name := s.Name()
+		if prev, ok := seen[name]; ok {
+			t.Fatalf("%s and %s share the name %q", prev, spec, name)
+		}
+		seen[name] = spec
+		back, err := popgraph.ParseScheduler(name, g, r)
+		if err != nil {
+			t.Fatalf("%s: name %q does not parse: %v", spec, name, err)
+		}
+		if back.Name() != name {
+			t.Fatalf("%s: name %q parses back as %q", spec, name, back.Name())
+		}
+	}
+}
+
 func TestParseSchedulerErrors(t *testing.T) {
 	r := popgraph.NewRand(23)
 	g := popgraph.Clique(8)

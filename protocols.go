@@ -182,7 +182,7 @@ func ProtocolFactory(spec string, g Graph, r *Rand) (factory func() Protocol, er
 		if frac, ok := strings.CutPrefix(spec, "majority:"); ok {
 			return majorityFactory(spec, frac, g.N())
 		}
-		return nil, errBadProtocol(spec)
+		return nil, fmt.Errorf("popgraph: unknown protocol %q (want six-state | identifier | identifier-regular | fast | star | majority:FRAC)", spec)
 	}
 }
 
@@ -212,12 +212,3 @@ func majorityFactory(spec, frac string, n int) (func() Protocol, error) {
 	}
 	return func() Protocol { return NewMajority(inputs) }, nil
 }
-
-type badProtocolError string
-
-func (e badProtocolError) Error() string {
-	return "popgraph: unknown protocol " + string(e) +
-		" (want six-state | identifier | identifier-regular | fast | star | majority:FRAC)"
-}
-
-func errBadProtocol(spec string) error { return badProtocolError(spec) }
