@@ -516,7 +516,10 @@ func parseShard(s string) (i, m int, err error) {
 	if m, err = strconv.Atoi(b); err != nil {
 		return 0, 0, fmt.Errorf("bad -shard count %q: %w", b, err)
 	}
-	if m < 1 || i < 0 || i >= m {
+	if m < 1 {
+		return 0, 0, fmt.Errorf("bad -shard %q: shard count must be at least 1", s)
+	}
+	if i < 0 || i >= m {
 		return 0, 0, fmt.Errorf("bad -shard %q: index must be in 0..%d", s, m-1)
 	}
 	return i, m, nil

@@ -58,8 +58,9 @@ func TestRefusedMergeKeepsOut(t *testing.T) {
 }
 
 // TestRunRefusesOutOfRangeSpecs — a negative -max-steps and a trial
-// total over 2³¹−1, from flags or from a -spec file, are errors naming
-// the value, returned before any graph or job is built.
+// total over 2³¹−1, from flags or from a -spec file, and a -shard with
+// no shards or an index past its count, are errors naming the value,
+// returned before any graph or job is built.
 func TestRunRefusesOutOfRangeSpecs(t *testing.T) {
 	dir := t.TempDir()
 	specFile := func(name, json string) string {
@@ -91,6 +92,10 @@ func TestRunRefusesOutOfRangeSpecs(t *testing.T) {
 		{"-trials overrides the spec", []string{"-spec", specFile("trials.json",
 			`{"trials": 1, "graphs": ["clique:4"], "protocols": ["six-state"]}`), "-trials", "-3"}, "trials must be >= 1 (got -3)"},
 		{"NaN -drop", []string{"-graphs", "cycle:8", "-protocols", "six-state", "-drop", "NaN"}, "drop rate NaN outside [0, 1)"},
+		{"zero -shard count", []string{"-graphs", "clique:4", "-protocols", "six-state", "-shard", "0/0"},
+			`bad -shard "0/0": shard count must be at least 1`},
+		{"-shard index past the count", []string{"-graphs", "clique:4", "-protocols", "six-state", "-shard", "3/3"},
+			`bad -shard "3/3": index must be in 0..2`},
 	}
 	for _, c := range cases {
 		cfg, rest, err := parseArgs(append(c.args, "-out", "", "-q"))

@@ -50,3 +50,40 @@ func FuzzProtocolFactory(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParseGraph feeds arbitrary spec strings to ParseGraph. Every input
+// must come back as a graph or as an error quoting the spec: never a
+// panic. file: specs are skipped, since FuzzDecode in internal/snapshot
+// covers snapshot bytes and a path like /dev/zero never ends, and so is
+// any spec holding a number above 16, so no input asks for a huge graph
+// (hypercube:16 has 65,536 nodes). The seed corpus in
+// testdata/fuzz/FuzzParseGraph holds every family's spec form and a few
+// malformed ones.
+func FuzzParseGraph(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		if strings.HasPrefix(spec, "file:") || hasNumberAbove(spec, 16) {
+			t.Skip("file: spec or a size above the cap")
+		}
+		g, err := popgraph.ParseGraph(spec, popgraph.NewRand(1))
+		if err != nil {
+			if !strings.Contains(err.Error(), strconv.Quote(spec)) {
+				t.Fatalf("spec %q: error %q does not quote the spec", spec, err)
+			}
+			return
+		}
+		if g == nil || g.N() < 1 || g.Name() == "" {
+			t.Fatalf("spec %q: accepted without a named graph", spec)
+		}
+	})
+}
+
+// hasNumberAbove reports whether a run of decimal digits in s reads as a
+// number above limit.
+func hasNumberAbove(s string, limit int) bool {
+	for _, digits := range strings.FieldsFunc(s, func(r rune) bool { return r < '0' || r > '9' }) {
+		if n, err := strconv.Atoi(digits); err != nil || n > limit {
+			return true
+		}
+	}
+	return false
+}

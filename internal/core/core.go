@@ -51,15 +51,6 @@ const (
 	CandidateWhite TokenState = 1 | TokenState(2<<1) // transient only
 )
 
-// MakeTokenState packs a candidate flag and token color.
-func MakeTokenState(candidate bool, token uint8) TokenState {
-	s := TokenState(token << 1)
-	if candidate {
-		s |= 1
-	}
-	return s
-}
-
 // Candidate reports whether the node is a leader candidate.
 func (s TokenState) Candidate() bool { return s&1 == 1 }
 
@@ -99,6 +90,30 @@ func (c *TokenCounts) Add(s TokenState, w int) {
 	}
 }
 
+// Set moves one node from token state *s to t and keeps the counts in
+// step: every protocol that changes a token state outside an interaction
+// (a node starting or leaving a six-state instance) goes through it.
+func (c *TokenCounts) Set(s *TokenState, t TokenState) {
+	c.Add(*s, -1)
+	c.Add(t, 1)
+	*s = t
+}
+
+// Step runs one interaction of the six-state machine between the
+// initiator's state *a and the responder's state *b in place and keeps
+// the counts in step. It is the token step of all three election
+// protocols: the six-state baseline, and the always-correct backup of
+// the identifier and the fast protocol.
+func (c *TokenCounts) Step(a, b *TokenState) {
+	na, nb := TokenTransition(*a, *b)
+	if na != *a {
+		c.Set(a, na)
+	}
+	if nb != *b {
+		c.Set(b, nb)
+	}
+}
+
 // Stable reports whether the token machine has stabilized: exactly one
 // black token and no white tokens remain, which pins the candidate count
 // to one via the invariant Candidates = Black + White.
@@ -118,13 +133,14 @@ func TokenTransition(a, b TokenState) (TokenState, TokenState) {
 	if ta == TokenBlack && tb == TokenBlack {
 		tb = TokenWhite // step 2
 	}
-	return resolve(a.Candidate(), ta), resolve(b.Candidate(), tb)
+	return resolve(a, ta), resolve(b, tb)
 }
 
-// resolve applies step 3 (candidate + white → follower, token destroyed).
-func resolve(cand bool, token uint8) TokenState {
-	if cand && token == TokenWhite {
-		return FollowerNone
+// resolve hands node state s the token color token and applies step 3
+// (candidate + white → follower, token destroyed).
+func resolve(s TokenState, token uint8) TokenState {
+	if t := s&1 | TokenState(token<<1); t != CandidateWhite {
+		return t
 	}
-	return MakeTokenState(cand, token)
+	return FollowerNone
 }

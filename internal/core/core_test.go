@@ -32,10 +32,20 @@ func TestTokenStateAccessors(t *testing.T) {
 		if c.s.Candidate() != c.cand || c.s.Token() != c.token || c.s.Role() != c.role {
 			t.Errorf("state %v: got (%v,%v,%v)", c.s, c.s.Candidate(), c.s.Token(), c.s.Role())
 		}
-		if MakeTokenState(c.cand, c.token) != c.s {
-			t.Errorf("MakeTokenState(%v,%v) != %v", c.cand, c.token, c.s)
+		if makeTokenState(c.cand, c.token) != c.s {
+			t.Errorf("makeTokenState(%v,%v) != %v", c.cand, c.token, c.s)
 		}
 	}
+}
+
+// makeTokenState packs a candidate flag and token color by the layout
+// TokenState documents, for checking its accessors against.
+func makeTokenState(candidate bool, token uint8) TokenState {
+	s := TokenState(token << 1)
+	if candidate {
+		s |= 1
+	}
+	return s
 }
 
 // persistent enumerates the six persistent (non-transient) states.
@@ -136,7 +146,7 @@ func TestTokenCountsStable(t *testing.T) {
 func TestMakeTokenStateRoundTrip(t *testing.T) {
 	f := func(cand bool, tok uint8) bool {
 		tok %= 3
-		s := MakeTokenState(cand, tok)
+		s := makeTokenState(cand, tok)
 		return s.Candidate() == cand && s.Token() == tok
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -64,40 +64,31 @@ func (p *Protocol) StateCount(int) float64 { return 6 }
 func (p *Protocol) Reset(g graph.Graph, _ *xrand.Rand) {
 	n := g.N()
 	p.states = make([]uint8, n)
-	p.counts = core.TokenCounts{}
+	k := n
 	if p.candidates == nil {
 		for v := range p.states {
 			p.states[v] = uint8(core.CandidateBlack)
 		}
-		p.counts = core.TokenCounts{Candidates: n, Black: n}
-		return
-	}
-	for _, v := range p.candidates {
-		if v < 0 || v >= n {
-			panic(fmt.Sprintf("beauquier: candidate %d out of range [0,%d)", v, n))
+	} else {
+		k = len(p.candidates)
+		for _, v := range p.candidates {
+			if v < 0 || v >= n {
+				panic(fmt.Sprintf("beauquier: candidate %d out of range [0,%d)", v, n))
+			}
+			if p.states[v] == uint8(core.CandidateBlack) {
+				panic(fmt.Sprintf("beauquier: duplicate candidate %d", v))
+			}
+			p.states[v] = uint8(core.CandidateBlack)
 		}
-		if p.states[v] == uint8(core.CandidateBlack) {
-			panic(fmt.Sprintf("beauquier: duplicate candidate %d", v))
-		}
-		p.states[v] = uint8(core.CandidateBlack)
-		p.counts.Add(core.CandidateBlack, 1)
 	}
+	p.counts = core.TokenCounts{Candidates: k, Black: k}
 }
 
 // Step implements sim.Protocol.
 func (p *Protocol) Step(u, v int) {
 	a, b := core.TokenState(p.states[u]), core.TokenState(p.states[v])
-	na, nb := core.TokenTransition(a, b)
-	if na != a {
-		p.counts.Add(a, -1)
-		p.counts.Add(na, 1)
-		p.states[u] = uint8(na)
-	}
-	if nb != b {
-		p.counts.Add(b, -1)
-		p.counts.Add(nb, 1)
-		p.states[v] = uint8(nb)
-	}
+	p.counts.Step(&a, &b)
+	p.states[u], p.states[v] = uint8(a), uint8(b)
 }
 
 // Output implements sim.Protocol.

@@ -189,18 +189,7 @@ func (p *Protocol) Step(u, v int) {
 
 	// Backup token-machine step between two backup nodes.
 	if p.backup[u] && p.backup[v] {
-		a, b := p.toks[u], p.toks[v]
-		na, nb := core.TokenTransition(a, b)
-		if na != a {
-			p.counts.Add(a, -1)
-			p.counts.Add(na, 1)
-			p.toks[u] = na
-		}
-		if nb != b {
-			p.counts.Add(b, -1)
-			p.counts.Add(nb, 1)
-			p.toks[v] = nb
-		}
+		p.counts.Step(&p.toks[u], &p.toks[v])
 	}
 }
 
@@ -215,17 +204,15 @@ func (p *Protocol) demote(x int) {
 }
 
 // enterBackup switches node x to the six-state backup protocol,
-// initialized with its fast-phase status as the candidate input.
+// initialized with its fast-phase status as the candidate input. A node
+// outside the backup holds FollowerNone, so only a leader's state moves.
 func (p *Protocol) enterBackup(x int) {
 	p.backup[x] = true
 	p.inBackup++
 	if p.leader[x] {
 		p.leadersFast--
-		p.toks[x] = core.CandidateBlack
-	} else {
-		p.toks[x] = core.FollowerNone
+		p.counts.Set(&p.toks[x], core.CandidateBlack)
 	}
-	p.counts.Add(p.toks[x], 1)
 }
 
 // Output implements sim.Protocol.

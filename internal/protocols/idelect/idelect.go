@@ -127,28 +127,14 @@ func (p *Protocol) Step(u, v int) {
 		p.adopt(v, p.ids[u])
 	}
 	// Rule 3.
-	a, b := p.toks[u], p.toks[v]
-	na, nb := core.TokenTransition(a, b)
-	if na != a {
-		p.counts.Add(a, -1)
-		p.counts.Add(na, 1)
-		p.toks[u] = na
-	}
-	if nb != b {
-		p.counts.Add(b, -1)
-		p.counts.Add(nb, 1)
-		p.toks[v] = nb
-	}
+	p.counts.Step(&p.toks[u], &p.toks[v])
 }
 
 // finish marks node w's identifier as complete: it becomes a candidate of
 // its own instance and the max-identifier bookkeeping updates.
 func (p *Protocol) finish(w int) {
 	p.gen[w] = p.ids[w]
-	old := p.toks[w]
-	p.counts.Add(old, -1)
-	p.counts.Add(core.CandidateBlack, 1)
-	p.toks[w] = core.CandidateBlack
+	p.counts.Set(&p.toks[w], core.CandidateBlack)
 	switch id := p.ids[w]; {
 	case id > p.maxID:
 		p.maxID = id
@@ -162,11 +148,7 @@ func (p *Protocol) finish(w int) {
 // destroying any token it carried (the token belonged to a dead instance).
 func (p *Protocol) adopt(w int, id uint64) {
 	p.ids[w] = id
-	old := p.toks[w]
-	if old != core.FollowerNone {
-		p.counts.Add(old, -1)
-		p.toks[w] = core.FollowerNone
-	}
+	p.counts.Set(&p.toks[w], core.FollowerNone)
 	if id == p.maxID {
 		p.countAtMax++
 	}

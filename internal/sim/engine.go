@@ -203,6 +203,17 @@ func (m *machine) sync() {
 // reference loop's live Float64 call — then the machine applies the
 // table or dispatches Step, then tests gap == 0 or Stable.
 //
+// The glue stays copied into each loop on purpose: both merges tried
+// so far slowed the fused path (cmd/bench -quick, best-trial ns/step,
+// 2-core Xeon VM). One loop with a per-step switch on the sampler took
+// clique-1024 six-state from 10.0–10.2 to 14.8–17.6 and cycle-1024
+// from 8.2–9.0 to 9.9–10.3, and cut cmd/e2ebench table1 msteps_per_s
+// from a median of 89.4 to 72.5 (12 runs a side). Merging only
+// dense-uniform and churn-uniform behind a per-run branch took
+// torus-16x16 six-state from 9.3–9.8 to 15.8–18.3 and torus-32x32
+// majority from 6.7–7.2 to 12.4–13.8. A shared helper is fine only
+// where it inlines (machine.apply, rngBlock.next).
+//
 // The Lemire reductions mirror xrand.Uintn draw for draw. Uintn guards
 // the threshold computation behind the rare lo < n test; since
 // thresh = 2⁶⁴ mod n < n, looping directly on lo < thresh rejects

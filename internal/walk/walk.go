@@ -10,9 +10,11 @@
 //     et al.), and two walks "meet" when they occupy the two endpoints of
 //     the sampled edge, with M(u,v) <= 2·H_P(G) (Lemma 18).
 //
-// Exact classic hitting times come from solving the harmonic system
-// h(z) = 0, h(u) = 1 + avg_{w ~ u} h(w) by Gaussian elimination; Monte
-// Carlo estimators cover the population-model quantities.
+// Exact hitting times of both walks come from one harmonic system,
+// h(z) = 0, h(u) = c(u) + avg_{w ~ u} h(w), solved by Gaussian
+// elimination; the walks differ only in the right-hand side, c(u) = 1
+// for the classic walk and m/deg(u) for the population-model walk.
+// Monte Carlo estimators cover the rest.
 package walk
 
 import (
@@ -26,8 +28,34 @@ import (
 // ClassicHittingExact returns the exact expected hitting times h(u) of the
 // classic random walk from every node u to the target, by dense Gaussian
 // elimination on the harmonic system (O(n³) time, O(n²) memory; capped at
-// n = 2048).
+// n = 2048):
+//
+//	h(u) = 1 + (1/deg(u))·Σ_{w ~ u} h(w),  h(target) = 0.
 func ClassicHittingExact(g graph.Graph, target int) []float64 {
+	return hittingExact(g, target, func(float64) float64 { return 1 })
+}
+
+// PopulationHittingExact returns the exact expected hitting times (in
+// scheduler steps) of the population-model walk to the target. From node
+// x the walk moves along each incident edge with probability 1/m and
+// stays put otherwise, so the harmonic system is the classic one with
+// right-hand side m/deg(x) instead of 1:
+//
+//	h(x) = m/deg(x) + (1/deg(x))·Σ_{w ~ x} h(w),  h(target) = 0.
+//
+// On Δ-regular graphs this gives exactly h = (m/Δ)·h_classic.
+func PopulationHittingExact(g graph.Graph, target int) []float64 {
+	m := float64(g.M())
+	return hittingExact(g, target, func(inv float64) float64 { return m * inv })
+}
+
+// hittingExact solves the harmonic system both walks share,
+//
+//	h(u) − (1/deg u)·Σ_{w ~ u, w != target} h(w) = rhs(1/deg u),
+//
+// over the variables h(u), u != target, in node order, and returns h
+// with h(target) = 0.
+func hittingExact(g graph.Graph, target int, rhs func(inv float64) float64) []float64 {
 	n := g.N()
 	if n > 2048 {
 		panic(fmt.Sprintf("walk: exact hitting needs n <= 2048, got %d", n))
@@ -35,45 +63,34 @@ func ClassicHittingExact(g graph.Graph, target int) []float64 {
 	if target < 0 || target >= n {
 		panic(fmt.Sprintf("walk: target %d out of range", target))
 	}
-	// Variables: h(u) for u != target. Row for u:
-	// h(u) - (1/deg u)·Σ_{w ~ u, w != target} h(w) = 1.
-	idx := make([]int, n)
-	vars := 0
+	col := func(v int) int { // v's variable; v != target
+		if v > target {
+			return v - 1
+		}
+		return v
+	}
+	a := make([][]float64, n-1)
+	b := make([]float64, n-1)
 	for v := 0; v < n; v++ {
 		if v == target {
-			idx[v] = -1
 			continue
 		}
-		idx[v] = vars
-		vars++
-	}
-	a := make([][]float64, vars)
-	b := make([]float64, vars)
-	for v := 0; v < n; v++ {
-		i := idx[v]
-		if i < 0 {
-			continue
-		}
-		row := make([]float64, vars)
+		i := col(v)
+		row := make([]float64, n-1)
 		row[i] = 1
-		inv := 1 / float64(g.Degree(v))
-		for j := 0; j < g.Degree(v); j++ {
-			w := g.NeighborAt(v, j)
-			if w == target {
-				continue
+		deg := g.Degree(v)
+		inv := 1 / float64(deg)
+		for j := 0; j < deg; j++ {
+			if w := g.NeighborAt(v, j); w != target {
+				row[col(w)] -= inv
 			}
-			row[idx[w]] -= inv
 		}
-		a[i] = row
-		b[i] = 1
+		a[i], b[i] = row, rhs(inv)
 	}
 	x := solveGauss(a, b)
 	h := make([]float64, n)
-	for v := 0; v < n; v++ {
-		if i := idx[v]; i >= 0 {
-			h[v] = x[i]
-		}
-	}
+	copy(h, x[:target])
+	copy(h[target+1:], x[target:])
 	return h
 }
 
@@ -121,82 +138,21 @@ func solveGauss(a [][]float64, b []float64) []float64 {
 // ClassicWorstHittingExact returns H(G) = max_{u,v} H(u, v) exactly by
 // solving the harmonic system for every target (O(n⁴); keep n <= ~256).
 func ClassicWorstHittingExact(g graph.Graph) float64 {
-	best := 0.0
-	for target := 0; target < g.N(); target++ {
-		for _, h := range ClassicHittingExact(g, target) {
-			if h > best {
-				best = h
-			}
-		}
-	}
-	return best
-}
-
-// PopulationHittingExact returns the exact expected hitting times (in
-// scheduler steps) of the population-model walk to the target. From node
-// x the walk moves along each incident edge with probability 1/m and
-// stays put otherwise, so the harmonic system is
-//
-//	h(x) = m/deg(x) + (1/deg(x))·Σ_{w ~ x} h(w),  h(target) = 0.
-//
-// On Δ-regular graphs this gives exactly h = (m/Δ)·h_classic.
-func PopulationHittingExact(g graph.Graph, target int) []float64 {
-	n := g.N()
-	if n > 2048 {
-		panic(fmt.Sprintf("walk: exact population hitting needs n <= 2048, got %d", n))
-	}
-	if target < 0 || target >= n {
-		panic(fmt.Sprintf("walk: target %d out of range", target))
-	}
-	idx := make([]int, n)
-	vars := 0
-	for v := 0; v < n; v++ {
-		if v == target {
-			idx[v] = -1
-			continue
-		}
-		idx[v] = vars
-		vars++
-	}
-	a := make([][]float64, vars)
-	b := make([]float64, vars)
-	m := float64(g.M())
-	for v := 0; v < n; v++ {
-		i := idx[v]
-		if i < 0 {
-			continue
-		}
-		row := make([]float64, vars)
-		row[i] = 1
-		deg := g.Degree(v)
-		inv := 1 / float64(deg)
-		for j := 0; j < deg; j++ {
-			w := g.NeighborAt(v, j)
-			if w == target {
-				continue
-			}
-			row[idx[w]] -= inv
-		}
-		a[i] = row
-		b[i] = m * inv
-	}
-	x := solveGauss(a, b)
-	h := make([]float64, n)
-	for v := 0; v < n; v++ {
-		if i := idx[v]; i >= 0 {
-			h[v] = x[i]
-		}
-	}
-	return h
+	return worstHittingExact(g, ClassicHittingExact)
 }
 
 // PopulationWorstHittingExact returns H_P(G) = max_{u,v} H_P(u, v)
 // exactly (O(n⁴); keep n <= ~256). Lemma 17 guarantees
 // H_P(G) <= 27·n·H(G).
 func PopulationWorstHittingExact(g graph.Graph) float64 {
+	return worstHittingExact(g, PopulationHittingExact)
+}
+
+// worstHittingExact maximizes hitting(g, target) over every target.
+func worstHittingExact(g graph.Graph, hitting func(graph.Graph, int) []float64) float64 {
 	best := 0.0
 	for target := 0; target < g.N(); target++ {
-		for _, h := range PopulationHittingExact(g, target) {
+		for _, h := range hitting(g, target) {
 			if h > best {
 				best = h
 			}

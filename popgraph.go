@@ -387,6 +387,11 @@ func ParseScheduler(spec string, g Graph, r *Rand) (Scheduler, error) {
 		case len(parts) != 1:
 			return nil, argErr("")
 		}
+		// The alias table indexes edges by int32; refuse a graph it
+		// cannot hold before allocating one rate per edge.
+		if g.M() > math.MaxInt32 {
+			return nil, argErr(fmt.Sprintf("%d edges exceed the weighted scheduler's limit of 2^31-1", g.M()))
+		}
 		rates := make([]float64, 0, g.M())
 		switch model {
 		case "exp":

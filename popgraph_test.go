@@ -3,6 +3,7 @@ package popgraph_test
 import (
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -241,6 +242,21 @@ func TestParseSchedulerErrors(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), spec) {
 			t.Errorf("spec %q: error %q does not name the spec", spec, err)
+		}
+	}
+}
+
+// TestParseSchedulerRefusesHugeWeighted — a weighted scheduler on a
+// graph with more than 2³¹−1 edges, here the implicit clique:65537
+// (M = 2,147,516,416), is an error quoting the spec, returned before one
+// rate per edge is allocated.
+func TestParseSchedulerRefusesHugeWeighted(t *testing.T) {
+	g := popgraph.Clique(65537)
+	for _, spec := range []string{"weighted", "weighted:exp", "weighted:degprod"} {
+		_, err := popgraph.ParseScheduler(spec, g, popgraph.NewRand(1))
+		if err == nil || !strings.Contains(err.Error(), strconv.Quote(spec)) ||
+			!strings.Contains(err.Error(), "2147516416 edges") {
+			t.Errorf("spec %q on clique:65537: got %v, want an error quoting the spec and the edge count", spec, err)
 		}
 	}
 }
