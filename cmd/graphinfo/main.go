@@ -6,15 +6,14 @@
 //
 // For a snapshot-loaded graph (-graph file:PATH.popg, written by
 // cmd/preprocess) it first prints the container itself — header and
-// section table with checksums — before the usual graph statistics;
-// -verify also runs the deep O(m) content check the encoder performed
-// at write time (loaders skip it by design, trusting the checksums).
+// section table with checksums — before the usual graph statistics.
+// Loading the graph checks its edge list in full, so a clean run is
+// also a complete integrity check of the file.
 //
 // Usage:
 //
 //	graphinfo -graph cycle:256 -seed 1
 //	graphinfo -graph file:ws.popg -fast
-//	graphinfo -graph file:ws.popg -verify -fast
 package main
 
 import (
@@ -34,27 +33,22 @@ func main() {
 		graphSpec = flag.String("graph", "cycle:128", "graph spec, e.g. gnp:256:0.5 or file:PATH.popg")
 		seed      = flag.Uint64("seed", 1, "random seed")
 		skipSlow  = flag.Bool("fast", false, "skip the slower B(G)/H(G) estimates")
-		verify    = flag.Bool("verify", false, "deep-verify a file: snapshot's content (the O(m) check loaders skip)")
 	)
 	flag.Parse()
-	if err := run(*graphSpec, *seed, *skipSlow, *verify); err != nil {
+	if err := run(*graphSpec, *seed, *skipSlow); err != nil {
 		fmt.Fprintln(os.Stderr, "graphinfo:", err)
 		os.Exit(1)
 	}
 }
 
-func run(spec string, seed uint64, skipSlow, verify bool) error {
-	path, isSnap := strings.CutPrefix(spec, "file:")
-	if verify && !isSnap {
-		return fmt.Errorf("-verify needs a file: snapshot spec, got %q", spec)
-	}
-	if isSnap {
+func run(spec string, seed uint64, skipSlow bool) error {
+	if path, isSnap := strings.CutPrefix(spec, "file:"); isSnap {
 		if err := printSnapshot(path); err != nil {
 			return err
 		}
 	}
 	r := popgraph.NewRand(seed)
-	g, err := loadGraph(spec, path, verify, r)
+	g, err := popgraph.ParseGraph(spec, r)
 	if err != nil {
 		return err
 	}
@@ -95,23 +89,6 @@ func run(spec string, seed uint64, skipSlow, verify bool) error {
 	fmt.Printf("paper stabilization shapes: identifier B+nlogn = %.4g, fast B*logn = %.4g, six-state H*nlogn = %.4g\n",
 		bounds.IdentifierUpper(n, b), bounds.FastUpper(n, b), bounds.SixStateUpper(n, h))
 	return nil
-}
-
-// loadGraph builds the graph spec. With verify it loads the snapshot at
-// path directly, so the deep content check runs on the graph it returns.
-func loadGraph(spec, path string, verify bool, r *popgraph.Rand) (popgraph.Graph, error) {
-	if !verify {
-		return popgraph.ParseGraph(spec, r)
-	}
-	s, err := snapshot.Load(path)
-	if err != nil {
-		return nil, err
-	}
-	if err := snapshot.Verify(s); err != nil {
-		return nil, err
-	}
-	fmt.Printf("verified   deep content check passed (CSR consistency)\n")
-	return s.Graph, nil
 }
 
 // printSnapshot prints the container-level view of a .popg file:

@@ -1,7 +1,9 @@
 // Command preprocess builds a graph once and writes it as a binary
-// popgraph-snap/v1 snapshot (see internal/snapshot), so later runs load
-// it with file:PATH.popg in milliseconds instead of regenerating it — the point at 10⁶–10⁷ nodes, where generation plus
-// connectivity conditioning dominates startup.
+// popgraph-snap/v2 snapshot (see internal/snapshot), so later runs load
+// it with file:PATH.popg in a fraction of the generation time instead
+// of regenerating it — the point at 10⁶–10⁷ nodes, where generation
+// plus connectivity conditioning dominates startup. A file written in
+// an older format is refused on load; rerun preprocess to rebuild it.
 //
 // Usage:
 //

@@ -1,11 +1,11 @@
 // Startup benchmarking: the build-once/load-many economics of binary
 // graph snapshots. For each spec the graph is generated once (timed),
-// written as a popgraph-snap/v1 container, and then loaded back with
+// written as a popgraph-snap/v2 container, and then loaded back with
 // snapshot.Load, so the report records how many times over a
 // preprocessed graph amortizes its generation. These numbers are
-// informational, not gated: load time is dominated by I/O and checksum
-// bandwidth, which varies across machines far more than kernel
-// throughput does.
+// informational, not gated: load time is dominated by I/O, checksum
+// bandwidth and the CSR fill from the edge list, which vary across
+// machines far more than kernel throughput does.
 
 package bench
 
@@ -30,8 +30,8 @@ type StartupMeasurement struct {
 	SnapshotBytes int64 `json:"snapshot_bytes"`
 	// BuildNs is the in-process generation time (ParseGraph, including
 	// connectivity conditioning for random families); LoadNs the full
-	// validated snapshot.Load (read + checksums + structural checks),
-	// best of loadReps. LoadSpeedup is BuildNs over LoadNs.
+	// validated snapshot.Load (read + checksums + edge-list checks + CSR
+	// fill), best of loadReps. LoadSpeedup is BuildNs over LoadNs.
 	BuildNs     int64   `json:"build_ns"`
 	LoadNs      int64   `json:"load_ns"`
 	LoadSpeedup float64 `json:"load_speedup"`

@@ -110,114 +110,46 @@ func NewDense(n int, edges []Edge, name string) (*Dense, error) {
 	return g, nil
 }
 
-// NewDenseFromCSRTrusted rebuilds a Dense graph directly from its three
-// CSR arrays — the exact slices CSR and PackedEdges expose — so a
-// decoded binary snapshot becomes a first-class *Dense (and keeps the
-// type-specialized kernels engaged) without re-deriving anything. The
-// slices are adopted, not copied; callers transfer ownership and must
-// not mutate them afterwards.
+// NewDenseFromPacked rebuilds a Dense graph from its packed edge list,
+// the slice PackedEdges returns, so a decoded snapshot is the
+// generator's graph by construction: offsets and adjacency come from
+// newDenseUnchecked, the same fill every generator runs. The slice is
+// adopted, not copied; callers must not mutate it afterwards.
 //
-// It runs only the O(n) shape checks: offsets must start at 0, be
-// nondecreasing and end at 2m, lengths must agree with n and m, and
-// diam must lie in [-1, n). The O(m) content checks live in VerifyCSR,
-// which callers run when the arrays' integrity is not already
-// established. A checksummed snapshot carries the same bytes its
-// encoder verified with VerifyCSR, so revalidating every element on
-// load would spend more time than the load itself (on a
-// memory-bandwidth-bound machine each O(m) scan costs as much as the
-// checksum pass). The trade is explicit: a crafted file with valid
-// checksums but inconsistent content is caught by VerifyCSR, not here;
-// until then, out-of-range adjacency surfaces as an index-range panic
-// in the kernels, never as memory corruption. Connectivity is NOT
-// re-verified — callers vouch for it (a snapshot records the encoder's
-// BFS result under its checksum); diam is the known diameter or -1.
-func NewDenseFromCSRTrusted(n int, offsets, adj []int32, packed []int64, name string, diam int) (*Dense, error) {
-	if n <= 0 || n > 1<<31-1 {
-		return nil, fmt.Errorf("graph %q: CSR node count %d out of range: %w", name, n, ErrInvalidEdge)
-	}
+// It checks everything that fill relies on, in one O(m) pass: n and 2m
+// within 2³¹−1, no more than m+1 nodes (fewer edges cannot connect
+// them, which also bounds the allocation by the input), packed edges
+// strictly ascending with 0 <= u < w < n, and diam in [-1, n).
+// Connectivity itself is not re-verified: callers vouch for it (a
+// snapshot records the encoder's BFS result under its checksum).
+func NewDenseFromPacked(n int, packed []int64, name string, diam int) (*Dense, error) {
 	m := len(packed)
-	if len(offsets) != n+1 {
-		return nil, fmt.Errorf("graph %q: CSR offsets length %d, want n+1 = %d: %w", name, len(offsets), n+1, ErrInvalidEdge)
+	if n <= 0 {
+		return nil, fmt.Errorf("graph %q: n must be positive, got %d: %w", name, n, ErrInvalidEdge)
 	}
-	if len(adj) != 2*m {
-		return nil, fmt.Errorf("graph %q: CSR adjacency length %d, want 2m = %d: %w", name, len(adj), 2*m, ErrInvalidEdge)
+	if err := checkSize(name, float64(n), 2*float64(m)); err != nil {
+		return nil, err
 	}
-	if offsets[0] != 0 || int(offsets[n]) != 2*m {
-		return nil, fmt.Errorf("graph %q: CSR offsets span [%d, %d], want [0, %d]: %w", name, offsets[0], offsets[n], 2*m, ErrInvalidEdge)
+	if n > m+1 {
+		return nil, fmt.Errorf("graph %q: %d edges cannot connect %d nodes: %w", name, m, n, ErrDisconnected)
 	}
-	if !csrOffsetsMonotone(offsets) {
-		return nil, fmt.Errorf("graph %q: CSR offsets not nondecreasing: %w", name, ErrInvalidEdge)
+	if i := firstBadEdge(packed, n); i >= 0 {
+		return nil, fmt.Errorf("graph %q: packed edge %d (%d,%d) out of order or out of range: %w",
+			name, i, packed[i]>>32, packed[i]&0xffffffff, ErrInvalidEdge)
 	}
 	if diam < -1 || diam >= n {
 		return nil, fmt.Errorf("graph %q: known diameter %d out of range [-1, %d): %w", name, diam, n, ErrInvalidEdge)
 	}
-	return &Dense{n: n, offsets: offsets, adj: adj, edges: packed, name: name, diam: diam}, nil
+	return newDenseUnchecked(n, packed, name).setDiam(diam), nil
 }
 
-// VerifyCSR runs the O(m) content checks of the CSR arrays: adjacency
-// entries in range, packed edges strictly ascending (which implies
-// u < w, no duplicates) with valid endpoints, and the adjacency array
-// exactly the cursor fill newDenseUnchecked would derive from the edge
-// list, so the triple is internally consistent, not merely plausible.
-// It is the deep check NewDenseFromCSRTrusted defers; snapshot
-// encoders run it once after writing so loaders don't have to on every
-// start.
-func (g *Dense) VerifyCSR() error {
-	n, name, offsets, adj, packed := g.n, g.name, g.offsets, g.adj, g.edges
-	if i := csrAdjOutOfRange(adj, int32(n)); i >= 0 {
-		return fmt.Errorf("graph %q: CSR adjacency entry %d is %d, outside [0,%d): %w", name, i, adj[i], n, ErrInvalidEdge)
-	}
-	if i := csrEdgesUnsorted(packed, n); i >= 0 {
-		return fmt.Errorf("graph %q: packed edge %d (%d,%d) out of order or out of range: %w",
-			name, i, packed[i]>>32, packed[i]&0xffffffff, ErrInvalidEdge)
-	}
-	cursor := make([]int32, n)
-	copy(cursor, offsets[:n])
-	if i := csrAdjMatchesEdges(offsets, adj, cursor, packed); i >= 0 {
-		return fmt.Errorf("graph %q: CSR adjacency disagrees with packed edge %d (%d,%d): %w",
-			name, i, packed[i]>>32, packed[i]&0xffffffff, ErrInvalidEdge)
-	}
-	for v := 0; v < n; v++ {
-		if cursor[v] != offsets[v+1] {
-			return fmt.Errorf("graph %q: CSR degree of node %d is %d, edge list implies %d: %w",
-				name, v, offsets[v+1]-offsets[v], cursor[v]-offsets[v], ErrInvalidEdge)
-		}
-	}
-	return nil
-}
-
-// csrOffsetsMonotone reports whether offsets is nondecreasing.
-//
-//popcheck:kernel
-func csrOffsetsMonotone(offsets []int32) bool {
-	for i := 1; i < len(offsets); i++ {
-		if offsets[i] < offsets[i-1] {
-			return false
-		}
-	}
-	return true
-}
-
-// csrAdjOutOfRange returns the index of the first adjacency entry
-// outside [0, n), or -1.
-//
-//popcheck:kernel
-func csrAdjOutOfRange(adj []int32, n int32) int {
-	for i, v := range adj {
-		if v < 0 || v >= n {
-			return i
-		}
-	}
-	return -1
-}
-
-// csrEdgesUnsorted returns the index of the first packed edge that is
-// not strictly greater than its predecessor or whose endpoints are not
+// firstBadEdge returns the index of the first packed edge that is not
+// strictly greater than its predecessor or whose endpoints are not
 // 0 <= u < w < n, or -1. Strict ascent of the packed encoding implies
 // sortedness and no duplicates in one comparison per edge.
 //
 //popcheck:kernel
-func csrEdgesUnsorted(packed []int64, n int) int {
+func firstBadEdge(packed []int64, n int) int {
 	prev := int64(-1)
 	for i, e := range packed {
 		u, w := e>>32, e&0xffffffff
@@ -228,32 +160,6 @@ func csrEdgesUnsorted(packed []int64, n int) int {
 	}
 	return -1
 }
-
-// csrAdjMatchesEdges replays the cursor fill newDenseUnchecked uses to
-// derive adjacency from the sorted packed edge list, comparing against
-// adj entry by entry; it returns the index of the first disagreeing
-// edge, or -1. cursor must be a copy of offsets[:n]; on success every
-// cursor lands on its node's end offset, which the caller checks to
-// close the degree accounting.
-//
-//popcheck:kernel
-func csrAdjMatchesEdges(offsets, adj, cursor []int32, packed []int64) int {
-	for i, e := range packed {
-		u, w := int32(e>>32), int32(e&0xffffffff)
-		cu, cw := cursor[u], cursor[w]
-		if cu >= offsets[u+1] || adj[cu] != w || cw >= offsets[w+1] || adj[cw] != u {
-			return i
-		}
-		cursor[u] = cu + 1
-		cursor[w] = cw + 1
-	}
-	return -1
-}
-
-// CSR exposes the graph's offset and adjacency arrays — together with
-// PackedEdges, the complete serializable representation
-// NewDenseFromCSRTrusted rebuilds from. Callers must treat both as read-only.
-func (g *Dense) CSR() (offsets, adj []int32) { return g.offsets, g.adj }
 
 // newDenseUnchecked builds the CSR structures from a deduplicated,
 // normalized (u < w) packed edge list. Callers guarantee validity.

@@ -509,85 +509,49 @@ func BenchmarkBFS(b *testing.B) {
 	}
 }
 
-// TestNewDenseFromCSR checks the snapshot revival path,
-// NewDenseFromCSRTrusted followed by VerifyCSR: a valid CSR round-trips
-// into a graph identical to the NewDense original, and every class of
-// inconsistent input is rejected by one tier or the other.
-func TestNewDenseFromCSR(t *testing.T) {
-	fromCSR := func(n int, o, a []int32, p []int64, name string, diam int) (*Dense, error) {
-		g, err := NewDenseFromCSRTrusted(n, o, a, p, name, diam)
-		if err != nil {
-			return nil, err
-		}
-		if err := g.VerifyCSR(); err != nil {
-			return nil, err
-		}
-		return g, nil
-	}
+// TestNewDenseFromPacked checks the snapshot revival path: a generator's
+// packed edge list rebuilds the generator's exact CSR arrays, and every
+// class of malformed edge list is an error, never a panic.
+func TestNewDenseFromPacked(t *testing.T) {
 	orig := Torus2D(3, 4)
-	offsets, adj := orig.CSR()
-	packed := orig.PackedEdges()
-	clone := func() (o, a []int32, p []int64) {
-		return append([]int32(nil), offsets...),
-			append([]int32(nil), adj...),
-			append([]int64(nil), packed...)
-	}
-
-	o, a, p := clone()
-	g, err := fromCSR(orig.N(), o, a, p, orig.Name(), orig.KnownDiameter())
+	n := orig.N()
+	g, err := NewDenseFromPacked(n, append([]int64(nil), orig.PackedEdges()...), orig.Name(), orig.KnownDiameter())
 	if err != nil {
-		t.Fatalf("fromCSR: %v", err)
+		t.Fatalf("NewDenseFromPacked: %v", err)
 	}
-	if g.N() != orig.N() || g.M() != orig.M() || g.KnownDiameter() != orig.KnownDiameter() {
-		t.Fatalf("revived graph n=%d m=%d diam=%d, want %d/%d/%d",
-			g.N(), g.M(), g.KnownDiameter(), orig.N(), orig.M(), orig.KnownDiameter())
-	}
-	for v := 0; v < g.N(); v++ {
-		if g.Degree(v) != orig.Degree(v) {
-			t.Fatalf("degree(%d) = %d, want %d", v, g.Degree(v), orig.Degree(v))
-		}
-		if !reflect.DeepEqual(g.Neighbors(v), orig.Neighbors(v)) {
-			t.Fatalf("neighbors(%d) differ", v)
-		}
+	if g.N() != n || g.Name() != orig.Name() || g.KnownDiameter() != orig.KnownDiameter() ||
+		!reflect.DeepEqual(g.offsets, orig.offsets) || !reflect.DeepEqual(g.adj, orig.adj) ||
+		!reflect.DeepEqual(g.edges, orig.edges) {
+		t.Fatalf("revived graph differs from the generator's")
 	}
 
-	reject := func(name string, n int, o, a []int32, p []int64, diam int) {
-		t.Helper()
-		if _, err := fromCSR(n, o, a, p, "bad", diam); err == nil {
-			t.Fatalf("%s: accepted", name)
-		}
+	edge := func(u, w int) int64 { return int64(u)<<32 | int64(w) }
+	cases := []struct {
+		name    string
+		n       int
+		mutate  func(p []int64) []int64
+		diam    int
+		wantErr error
+	}{
+		{"zero nodes", 0, func(p []int64) []int64 { return nil }, -1, ErrInvalidEdge},
+		{"too many nodes", 1 << 31, func(p []int64) []int64 { return p }, -1, ErrTooLarge},
+		{"too few edges to connect", n, func(p []int64) []int64 { return p[:n-2] }, -1, ErrDisconnected},
+		{"swapped edges", n, func(p []int64) []int64 { p[0], p[1] = p[1], p[0]; return p }, -1, ErrInvalidEdge},
+		{"duplicate edge", n, func(p []int64) []int64 { p[1] = p[0]; return p }, -1, ErrInvalidEdge},
+		{"endpoint out of range", n, func(p []int64) []int64 { p[len(p)-1] = edge(n-1, n); return p }, -1, ErrInvalidEdge},
+		{"self-loop", n, func(p []int64) []int64 { p[0] = edge(0, 0); return p }, -1, ErrInvalidEdge},
+		{"reversed edge", n, func(p []int64) []int64 { p[0] = edge(1, 0); return p }, -1, ErrInvalidEdge},
+		{"negative endpoint", n, func(p []int64) []int64 { p[0] = -1 << 32; return p }, -1, ErrInvalidEdge},
+		{"diameter out of range", n, func(p []int64) []int64 { return p }, n, ErrInvalidEdge},
+		{"diameter below -1", n, func(p []int64) []int64 { return p }, -2, ErrInvalidEdge},
 	}
-	reject("zero nodes", 0, []int32{0}, nil, nil, -1)
-	o, a, p = clone()
-	reject("offsets length", orig.N(), o[:len(o)-1], a, p, -1)
-	o, a, p = clone()
-	o[3]++
-	reject("offsets vs adjacency length", orig.N(), o, a, p, -1)
-	o, a, p = clone()
-	o[3], o[4] = o[4], o[3]
-	reject("nonmonotone offsets", orig.N(), o, a, p, -1)
-	o, a, p = clone()
-	a[0] = int32(orig.N())
-	reject("adjacency out of range", orig.N(), o, a, p, -1)
-	o, a, p = clone()
-	p[0], p[1] = p[1], p[0]
-	reject("unsorted edges", orig.N(), o, a, p, -1)
-	o, a, p = clone()
-	p[0] = p[1]
-	reject("duplicate edge", orig.N(), o, a, p, -1)
-	o, a, p = clone()
-	p[len(p)-1] = int64(orig.N()-1)<<32 | int64(orig.N()-1)
-	reject("self-loop", orig.N(), o, a, p, -1)
-	o, a, p = clone()
-	reject("diameter out of range", orig.N(), o, a, p, orig.N())
-	o, a, p = clone()
-	reject("diameter below -1", orig.N(), o, a, p, -2)
-
-	// Degrees cross-check: a permuted adjacency that keeps every entry
-	// in range but disagrees with the packed edge list must be caught.
-	o, a, p = clone()
-	a[0], a[1] = a[1], a[0]
-	if _, err := fromCSR(orig.N(), o, a, p, "bad", -1); err == nil {
-		t.Fatalf("swapped adjacency entries accepted")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := tc.mutate(append([]int64(nil), orig.PackedEdges()...))
+			_, err := NewDenseFromPacked(tc.n, p, "bad", tc.diam)
+			if !errors.Is(err, tc.wantErr) {
+				t.Fatalf("error %v, want %v", err, tc.wantErr)
+			}
+		})
 	}
 }

@@ -1,25 +1,19 @@
 // Snapshot decoding: parse and bounds-check the container, verify
-// every payload checksum, then revive the graph. On a little-endian
-// host with an 8-aligned buffer the bulk slabs (CSR arrays and packed
-// edges) are aliased straight out of the read buffer — zero copies,
-// zero per-element work; otherwise the same bytes are decoded element
-// by element. Both paths feed identical values through identical
-// validation.
+// every payload checksum, then rebuild the graph from its packed edge
+// list. On a little-endian host with an 8-aligned buffer the edge slab
+// is aliased straight out of the read buffer; otherwise the same bytes
+// are decoded element by element. Both paths feed identical values
+// through identical validation.
 //
-// Validation is tiered by cost. Decode always checks the container
-// (magic, size, section bounds and alignment, CRC-32C of every
-// payload) and the O(n) structural invariants (meta consistency with n
-// and 2m within 2³¹−1, section lengths, offsets monotone with correct
-// endpoints, connectivity flag). The O(m) content checks — adjacency
-// entries in range and exactly consistent with the packed edge list —
-// live in Verify, which the encoder runs once after writing (WriteFile
-// callers) rather than every loader on every start: on a
-// memory-bandwidth-bound machine each O(m) scan costs as much as the
-// checksum pass itself, and the checksum already pins the bytes to
-// what the encoder verified. A crafted file with recomputed checksums
-// but inconsistent content is therefore accepted by Decode and caught
-// by Verify; in between, Go bounds checks turn any out-of-range
-// adjacency into an index panic, never memory corruption.
+// Every load is the full check. Decode verifies the container (magic,
+// size, section bounds and alignment, CRC-32C of every payload), the
+// meta section (n and 2m within 2³¹−1, section lengths consistent with
+// m) and the connectivity flag; graph.NewDenseFromPacked then checks
+// the edge list itself (strictly ascending, 0 <= u < w < n, at most
+// m+1 nodes, stored diameter in range) in one O(m) pass and derives
+// the CSR arrays with the generators' own fill. A file whose edges were
+// edited and whose checksums were recomputed is therefore an
+// ErrCorrupt error, never a graph that panics later.
 
 package snapshot
 
@@ -42,11 +36,10 @@ var (
 	// ErrNotSnapshot marks data that does not start with the snapshot
 	// magic at all.
 	ErrNotSnapshot = errors.New("not a popgraph snapshot")
-	// ErrVersion marks a container of a different snapshot version,
-	// or one carrying a retired section kind.
+	// ErrVersion marks a container of a different snapshot version.
 	ErrVersion = errors.New("unsupported snapshot version")
 	// ErrCorrupt marks a structurally damaged container: truncated,
-	// failing a checksum, out-of-bounds sections, invalid CSR.
+	// failing a checksum, out-of-bounds sections, an invalid edge list.
 	ErrCorrupt = errors.New("corrupt snapshot")
 )
 
@@ -68,7 +61,7 @@ func Load(path string) (*Snapshot, error) {
 }
 
 // Decode parses a snapshot from data. On little-endian hosts with an
-// 8-aligned buffer the big slabs alias data directly — the caller must
+// 8-aligned buffer the edge slab aliases data directly — the caller must
 // not mutate data afterwards; other hosts get a portable copy.
 func Decode(data []byte) (*Snapshot, error) {
 	zeroCopy := hostLittleEndian &&
@@ -88,7 +81,8 @@ func parseContainer(data []byte) (flags uint32, diam int64, sections []section, 
 	}
 	if magic := string(data[0:16]); magic != Magic {
 		if string(data[:len(magicPrefix)]) == magicPrefix {
-			return 0, 0, nil, fmt.Errorf("snapshot: magic %q (this build reads %q): %w", magic, Magic, ErrVersion)
+			return 0, 0, nil, fmt.Errorf("snapshot: magic %q (this build reads %q); rebuild the file with cmd/preprocess: %w",
+				magic, Magic, ErrVersion)
 		}
 		return 0, 0, nil, fmt.Errorf("snapshot: %w", ErrNotSnapshot)
 	}
@@ -137,61 +131,40 @@ func decode(data []byte, zeroCopy bool) (*Snapshot, error) {
 		return nil, err
 	}
 	if flags&flagConnected == 0 {
-		return nil, corruptf("connectivity flag not set (v1 stores connected graphs only)")
+		return nil, corruptf("connectivity flag not set (snapshots store connected graphs only)")
 	}
-	var meta, offs, adjs, edgs *section
+	var meta, edgs *section
 	for i := range sections {
 		sec := &sections[i]
-		grab := func(slot **section) error {
-			if *slot != nil {
-				return corruptf("duplicate %s section", kindName(sec.kind))
-			}
-			*slot = sec
-			return nil
-		}
+		var slot **section
 		switch sec.kind {
 		case kindMeta:
-			err = grab(&meta)
-		case kindOffsets:
-			err = grab(&offs)
-		case kindAdj:
-			err = grab(&adjs)
+			slot = &meta
 		case kindEdges:
-			err = grab(&edgs)
-		case kindWeights, kindTable:
-			err = fmt.Errorf("snapshot: retired %s section (kind %d); rebuild the file with cmd/preprocess: %w",
-				kindName(sec.kind), sec.kind, ErrVersion)
+			slot = &edgs
 		default:
-			err = corruptf("unknown section kind %d", sec.kind)
+			return nil, corruptf("unknown section kind %d", sec.kind)
 		}
-		if err != nil {
-			return nil, err
+		if *slot != nil {
+			return nil, corruptf("duplicate %s section", kindName(sec.kind))
 		}
+		*slot = sec
 	}
-	if meta == nil || offs == nil || adjs == nil || edgs == nil {
-		return nil, corruptf("missing required section (need meta, csr-offsets, csr-adjacency, packed-edges)")
+	if meta == nil || edgs == nil {
+		return nil, corruptf("missing required section (need meta, packed-edges)")
 	}
 
 	n, m, name, source, err := decodeMeta(payload(data, meta))
 	if err != nil {
 		return nil, err
 	}
-	if offs.length != uint64(4*(n+1)) {
-		return nil, corruptf("csr-offsets section is %d bytes for n=%d, want %d", offs.length, n, 4*(n+1))
-	}
-	if adjs.length != uint64(4*2*m) {
-		return nil, corruptf("csr-adjacency section is %d bytes for m=%d, want %d", adjs.length, m, 4*2*m)
-	}
 	if edgs.length != uint64(8*m) {
 		return nil, corruptf("packed-edges section is %d bytes for m=%d, want %d", edgs.length, m, 8*m)
 	}
-	offsets := int32Slab(payload(data, offs), zeroCopy)
-	adj := int32Slab(payload(data, adjs), zeroCopy)
-	edges := int64Slab(payload(data, edgs), zeroCopy)
 	if diam < -1 || diam > math.MaxInt32 {
 		return nil, corruptf("known diameter %d out of range", diam)
 	}
-	g, err := graph.NewDenseFromCSRTrusted(n, offsets, adj, edges, name, int(diam))
+	g, err := graph.NewDenseFromPacked(n, int64Slab(payload(data, edgs), zeroCopy), name, int(diam))
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: %v: %w", err, ErrCorrupt)
 	}
@@ -225,23 +198,10 @@ func decodeMeta(p []byte) (n, m int, name, source string, err error) {
 	return int(n64), int(m64), name, source, nil
 }
 
-// int32Slab interprets a little-endian u32 slab. The zero-copy alias
-// reuses the buffer's memory; int32 and uint32 share representation,
-// and out-of-range bit patterns surface as negative values the CSR
+// int64Slab interprets a little-endian u64 slab. The zero-copy alias
+// reuses the buffer's memory; int64 and uint64 share representation,
+// and out-of-range bit patterns surface as values the edge-list
 // validation rejects.
-func int32Slab(p []byte, zeroCopy bool) []int32 {
-	count := len(p) / 4
-	if count == 0 {
-		return nil
-	}
-	if zeroCopy {
-		return unsafe.Slice((*int32)(unsafe.Pointer(&p[0])), count)
-	}
-	out := make([]int32, count)
-	fillInt32(out, p)
-	return out
-}
-
 func int64Slab(p []byte, zeroCopy bool) []int64 {
 	count := len(p) / 8
 	if count == 0 {
@@ -255,37 +215,16 @@ func int64Slab(p []byte, zeroCopy bool) []int64 {
 	return out
 }
 
-// The portable fill loops run once per element over slabs that reach
-// tens of millions of entries on big-endian or misaligned hosts, so
-// they are held to the same no-allocation discipline as the simulation
-// kernels.
-
-//popcheck:kernel
-func fillInt32(dst []int32, p []byte) {
-	for i := range dst {
-		dst[i] = int32(binary.LittleEndian.Uint32(p[4*i:]))
-	}
-}
-
+// fillInt64 is the portable fill. It runs once per element over slabs
+// that reach tens of millions of entries on big-endian or misaligned
+// hosts, so it is held to the same no-allocation discipline as the
+// simulation kernels.
+//
 //popcheck:kernel
 func fillInt64(dst []int64, p []byte) {
 	for i := range dst {
 		dst[i] = int64(binary.LittleEndian.Uint64(p[8*i:]))
 	}
-}
-
-// Verify runs the deep O(m) content checks Decode defers (see the
-// package comment on tiered validation): the CSR triple must be
-// internally consistent — adjacency in range, packed edges strictly
-// ascending, adjacency exactly the cursor fill of the edge list.
-// WriteFile runs this before renaming the snapshot into place, so a
-// .popg that exists was deep-verified at encode time; loaders that want to re-establish that guarantee for a
-// file of unknown provenance (graphinfo -verify) call it explicitly.
-func Verify(s *Snapshot) error {
-	if err := s.Graph.VerifyCSR(); err != nil {
-		return fmt.Errorf("snapshot: %v: %w", err, ErrCorrupt)
-	}
-	return nil
 }
 
 // SectionInfo is one section-table row as Inspect reports it.

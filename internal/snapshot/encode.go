@@ -1,9 +1,9 @@
-// Snapshot encoding: lay out the section table, serialize every slab
-// little-endian at 8-aligned offsets, checksum each payload. Encoding
-// happens once per preprocessed graph (cmd/preprocess), so the encoder
-// favors clarity; the bulk slabs still take the memcpy fast path on
-// little-endian hosts, where the in-memory representation already is
-// the wire representation.
+// Snapshot encoding: lay out the section table, serialize the meta
+// section and the packed edge slab little-endian at 8-aligned offsets,
+// checksum each payload. Encoding happens once per preprocessed graph
+// (cmd/preprocess), so the encoder favors clarity; the edge slab still
+// takes the memcpy fast path on little-endian hosts, where the
+// in-memory representation already is the wire representation.
 
 package snapshot
 
@@ -31,13 +31,13 @@ var hostLittleEndian = binary.NativeEndian.Uint16([]byte{0x34, 0x12}) == 0x1234
 // align8 rounds n up to the next multiple of 8.
 func align8(n int) int { return (n + 7) &^ 7 }
 
-// bytesOf returns the raw byte view of a numeric slab. Only valid as a
+// bytesOf returns the raw byte view of the edge slab. Only valid as a
 // wire image on little-endian hosts; callers gate on hostLittleEndian.
-func bytesOf[T int32 | int64](s []T) []byte {
+func bytesOf(s []int64) []byte {
 	if len(s) == 0 {
 		return nil
 	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*int(unsafe.Sizeof(s[0])))
+	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), 8*len(s))
 }
 
 // section is one section-table entry during encoding or decoding.
@@ -55,7 +55,6 @@ func (s *Snapshot) Encode() ([]byte, error) {
 	}
 	g := s.Graph
 	n, m := g.N(), g.M()
-	offsets, adj := g.CSR()
 	edges := g.PackedEdges()
 	if len(s.Source) > math.MaxUint16 {
 		return nil, fmt.Errorf("snapshot: source spec %.32q... too long", s.Source)
@@ -67,11 +66,9 @@ func (s *Snapshot) Encode() ([]byte, error) {
 	// Payload sizes, in canonical section order.
 	lengths := []int{
 		24 + len(g.Name()) + len(s.Source), // meta
-		4 * (n + 1),                        // csr-offsets
-		4 * 2 * m,                          // csr-adjacency
 		8 * m,                              // packed-edges
 	}
-	kinds := []uint32{kindMeta, kindOffsets, kindAdj, kindEdges}
+	kinds := []uint32{kindMeta, kindEdges}
 
 	sections := make([]section, len(kinds))
 	off := headerSize + sectionEntrySize*len(kinds)
@@ -97,8 +94,6 @@ func (s *Snapshot) Encode() ([]byte, error) {
 	binary.LittleEndian.PutUint32(meta[20:], uint32(len(s.Source)))
 	copy(meta[24:], g.Name())
 	copy(meta[24+len(g.Name()):], s.Source)
-	putInt32s(next(), offsets)
-	putInt32s(next(), adj)
 	putInt64s(next(), edges)
 	for i := range sections {
 		sections[i].crc = crc32.Checksum(buf[sections[i].offset:sections[i].offset+sections[i].length], castagnoli)
@@ -119,16 +114,6 @@ func (s *Snapshot) Encode() ([]byte, error) {
 	return buf, nil
 }
 
-func putInt32s(p []byte, v []int32) {
-	if hostLittleEndian {
-		copy(p, bytesOf(v))
-		return
-	}
-	for i, x := range v {
-		binary.LittleEndian.PutUint32(p[4*i:], uint32(x))
-	}
-}
-
 func putInt64s(p []byte, v []int64) {
 	if hostLittleEndian {
 		copy(p, bytesOf(v))
@@ -141,14 +126,8 @@ func putInt64s(p []byte, v []int64) {
 
 // WriteFile encodes the snapshot and writes it atomically: a temporary
 // file in the destination directory, fsync'd, then renamed into place,
-// so readers (and the CI cache) never observe a torn snapshot. It runs
-// the deep Verify pass first — the encoder pays the O(m) content check
-// once so every subsequent Load can trust the checksummed bytes
-// without repeating it.
+// so readers (and the CI cache) never observe a torn snapshot.
 func WriteFile(path string, s *Snapshot) error {
-	if err := Verify(s); err != nil {
-		return err
-	}
 	data, err := s.Encode()
 	if err != nil {
 		return err

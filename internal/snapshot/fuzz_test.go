@@ -4,6 +4,8 @@ import (
 	"errors"
 	"runtime"
 	"testing"
+
+	"popgraph/internal/graph"
 )
 
 // decodeAllocSlack is the allocation FuzzDecode forgives beyond the
@@ -16,13 +18,12 @@ const decodeAllocSlack = 1 << 20
 // FuzzDecode feeds arbitrary bytes to Decode. Every input must come
 // back as a snapshot or an error wrapping one of the decode sentinels:
 // never a panic, and never an allocation sized by a claimed length.
-// A snapshot that decodes must also survive the deep Verify pass. The
-// seed corpus in testdata/fuzz/FuzzDecode holds a valid graph-only
-// cycle:8 file and, as retired-weights-kind, an older cycle:8 file that
-// carries one stored weight set (a retired section kind). The other
-// five seeds are damaged copies of that older file: truncated, a huge
-// section count, a bad checksum, an unknown section kind and the
-// retired transition-table kind.
+// A graph that decodes must be usable: its degrees sum to 2m, and a
+// BFS over it returns. The seed corpus in testdata/fuzz/FuzzDecode
+// holds a valid cycle:8 file and five damaged copies of it: truncated,
+// a huge section count, a bad checksum, an unknown section kind, and
+// two edges swapped with the checksum recomputed. The v1 seed is the
+// same graph in the older popgraph-snap/v1 format.
 func FuzzDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
@@ -41,6 +42,14 @@ func FuzzDecode(f *testing.F) {
 		if s == nil || s.Graph == nil {
 			t.Fatalf("Decode returned no error and no graph")
 		}
-		_ = Verify(s)
+		g := s.Graph
+		degrees := 0
+		for v := 0; v < g.N(); v++ {
+			degrees += g.Degree(v)
+		}
+		if degrees != 2*g.M() {
+			t.Fatalf("degrees sum to %d, want 2m = %d", degrees, 2*g.M())
+		}
+		graph.BFSDistances(g, 0)
 	})
 }

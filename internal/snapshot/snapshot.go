@@ -1,7 +1,7 @@
-// Package snapshot defines the popgraph-snap/v1 binary container: a
-// graph in CSR form, serialized as 8-byte-aligned little-endian slabs
-// so a preprocessed graph loads with one read and a handful of
-// slice-header casts instead of being regenerated per process. A run
+// Package snapshot defines the popgraph-snap/v2 binary container: a
+// graph as its sorted packed edge list, serialized as an 8-byte-aligned
+// little-endian slab so a preprocessed graph loads with one read and a
+// single checked pass instead of being regenerated per process. A run
 // is a fixed graph plus a scheduler over it, and every scheduler is
 // rebuilt from its spec, so the graph is all a snapshot carries.
 //
@@ -10,7 +10,7 @@
 // A snapshot is a 48-byte header, a section table, and checksummed
 // payloads:
 //
-//	[0,16)   magic "popgraph-snap/v1" (the version lives in the magic)
+//	[0,16)   magic "popgraph-snap/v2" (the version lives in the magic)
 //	[16,20)  uint32 flags (bit 0: graph verified connected at encode)
 //	[20,24)  uint32 section count
 //	[24,32)  uint64 total file size
@@ -18,29 +18,27 @@
 //	[40,48)  reserved, zero
 //
 // followed by count 32-byte section entries (kind, CRC-32C checksum of
-// the payload, offset, length, reserved) and then the payloads: meta,
-// csr-offsets, csr-adjacency and packed-edges. Every payload starts at
-// an 8-byte-aligned offset — the invariant that lets the decoder on a
-// little-endian host alias []int64/[]int32 views straight into the
-// read buffer. Hosts where that cast is unsound (big-endian, or a
-// misaligned buffer) take a portable element-by-element decode of the
-// same bytes; both paths produce identical values. Section kinds 5
-// (weight sets) and 6 (transition tables) are retired: Decode refuses
-// a file that carries either.
+// the payload, offset, length, reserved) and then the payloads: meta
+// and packed-edges. Every payload starts at an 8-byte-aligned offset —
+// the invariant that lets the decoder on a little-endian host alias the
+// []int64 edge slab straight into the read buffer. Hosts where that
+// cast is unsound (big-endian, or a misaligned buffer) take a portable
+// element-by-element decode of the same bytes; both paths produce
+// identical values.
 //
 // # Determinism
 //
-// The encoder serializes the exact arrays the simulator executes on
-// (graph.Dense's CSR slices), and the decoder revives them through
-// graph.NewDenseFromCSRTrusted. A loaded graph is therefore a
-// *graph.Dense indistinguishable from the generator-built original —
-// same packed edge order, same kernel selection — so a run on it is
+// The encoder serializes the packed edge list the simulator samples
+// from, and the decoder rebuilds the CSR arrays from it through
+// graph.NewDenseFromPacked, which checks the list and then runs the
+// generators' own CSR fill. A loaded graph is therefore a *graph.Dense
+// equal to the generator-built original — same packed edge order, same
+// offsets and adjacency, same kernel selection — so a run on it is
 // byte-identical to a run on the original (the
 // TestPlanEquivalenceMatrix source axis in internal/sim holds the
 // contract). Connectivity is verified once at encode time and recorded
 // in the header flag under the checksum; the decoder trusts the flag
-// instead of re-running BFS, which is what keeps loading O(n+m) scans
-// with no graph traversal.
+// instead of re-running BFS.
 package snapshot
 
 import (
@@ -50,9 +48,9 @@ import (
 )
 
 // Magic identifies the container format and version; the version is
-// part of the magic string, so a future v2 is a different magic and a
-// v1 decoder refuses it with ErrVersion rather than misparsing it.
-const Magic = "popgraph-snap/v1"
+// part of the magic string, so another version is a different magic
+// and the decoder refuses it with ErrVersion rather than misparsing it.
+const Magic = "popgraph-snap/v2"
 
 // magicPrefix is the version-independent part of the magic, used to
 // distinguish "other snapshot version" from "not a snapshot at all".
@@ -64,16 +62,8 @@ const (
 
 	flagConnected = 1 << 0
 
-	kindMeta    = 1
-	kindOffsets = 2
-	kindAdj     = 3
-	kindEdges   = 4
-	// kindWeights and kindTable are retired. They held per-edge weight
-	// sets and compiled transition tables, which every process now
-	// builds from the scheduler and protocol specs. The kinds stay
-	// reserved, and Decode refuses a file that carries one (see decode).
-	kindWeights = 5
-	kindTable   = 6
+	kindMeta  = 1
+	kindEdges = 2
 
 	// maxSections bounds the section table so a corrupt count cannot
 	// drive a huge allocation before checksums are consulted.
@@ -85,24 +75,16 @@ func kindName(kind uint32) string {
 	switch kind {
 	case kindMeta:
 		return "meta"
-	case kindOffsets:
-		return "csr-offsets"
-	case kindAdj:
-		return "csr-adjacency"
 	case kindEdges:
 		return "packed-edges"
-	case kindWeights:
-		return "weights"
-	case kindTable:
-		return "transition-table"
 	}
 	return fmt.Sprintf("unknown(%d)", kind)
 }
 
 // Snapshot is a decoded (or to-be-encoded) container.
 type Snapshot struct {
-	// Graph is the CSR graph. After Decode it is a *graph.Dense that
-	// passed the O(n) shape checks; Verify runs the O(m) content checks.
+	// Graph is the CSR graph. After Decode it is a *graph.Dense whose
+	// edge list passed every check NewDenseFromPacked makes.
 	Graph *graph.Dense
 	// Source records the generator spec the graph was built from
 	// (informational provenance, e.g. "ws:1000000:10:0.1").

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -72,31 +73,23 @@ func mustRoundTrip(t *testing.T, s *Snapshot) *Snapshot {
 	return got
 }
 
-// assertSameCSR requires the two Dense graphs to hold identical CSR
-// arrays — the property that makes loaded-graph runs byte-identical.
-func assertSameCSR(t *testing.T, want, got *graph.Dense) {
+// assertSameGraph requires the two Dense graphs to hold identical CSR
+// arrays (every node's degree and neighbour order, hence offsets and
+// adjacency), packed edge lists and diameters — the property that makes
+// loaded-graph runs byte-identical.
+func assertSameGraph(t *testing.T, want, got *graph.Dense) {
 	t.Helper()
 	if got.N() != want.N() || got.M() != want.M() || got.Name() != want.Name() {
 		t.Fatalf("got n=%d m=%d name=%q, want n=%d m=%d name=%q",
 			got.N(), got.M(), got.Name(), want.N(), want.M(), want.Name())
 	}
-	wOff, wAdj := want.CSR()
-	gOff, gAdj := got.CSR()
-	for i := range wOff {
-		if gOff[i] != wOff[i] {
-			t.Fatalf("offsets[%d] = %d, want %d", i, gOff[i], wOff[i])
+	for v := 0; v < want.N(); v++ {
+		if !slices.Equal(got.Neighbors(v), want.Neighbors(v)) {
+			t.Fatalf("neighbours of %d = %v, want %v", v, got.Neighbors(v), want.Neighbors(v))
 		}
 	}
-	for i := range wAdj {
-		if gAdj[i] != wAdj[i] {
-			t.Fatalf("adj[%d] = %d, want %d", i, gAdj[i], wAdj[i])
-		}
-	}
-	wEdges, gEdges := want.PackedEdges(), got.PackedEdges()
-	for i := range wEdges {
-		if gEdges[i] != wEdges[i] {
-			t.Fatalf("edges[%d] = %d, want %d", i, gEdges[i], wEdges[i])
-		}
+	if !slices.Equal(got.PackedEdges(), want.PackedEdges()) {
+		t.Fatalf("packed edges differ")
 	}
 	if got.KnownDiameter() != want.KnownDiameter() {
 		t.Fatalf("diameter = %d, want %d", got.KnownDiameter(), want.KnownDiameter())
@@ -111,10 +104,7 @@ func TestRoundTripFamilies(t *testing.T) {
 				t.Fatalf("Build: %v", err)
 			}
 			got := mustRoundTrip(t, s)
-			assertSameCSR(t, s.Graph, got.Graph)
-			if err := Verify(got); err != nil {
-				t.Fatalf("Verify on a round-tripped snapshot: %v", err)
-			}
+			assertSameGraph(t, s.Graph, got.Graph)
 			if got.Source != "spec:"+name {
 				t.Fatalf("source %q, want %q", got.Source, "spec:"+name)
 			}
@@ -168,6 +158,17 @@ func fixCRC(data []byte, idx int) {
 	binary.LittleEndian.PutUint32(e[4:], crc)
 }
 
+// patchEdges returns a TestDecodeRejects mutation that edits the
+// fixture's packed-edge payload and recomputes its checksum.
+func patchEdges(edit func(edges []byte)) func(t *testing.T, data []byte) []byte {
+	return func(t *testing.T, data []byte) []byte {
+		idx, off, length := findSection(t, data, kindEdges)
+		edit(data[off : off+length])
+		fixCRC(data, idx)
+		return data
+	}
+}
+
 func TestDecodeRejects(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -189,7 +190,7 @@ func TestDecodeRejects(t *testing.T) {
 			return data
 		}, ErrVersion, ""},
 		{"future-version", func(t *testing.T, data []byte) []byte {
-			copy(data[:16], "popgraph-snap/v2")
+			copy(data[:16], "popgraph-snap/v3")
 			return data
 		}, ErrVersion, ""},
 		{"truncated-header", func(t *testing.T, data []byte) []byte {
@@ -202,7 +203,7 @@ func TestDecodeRejects(t *testing.T) {
 			return append(data, 0, 0, 0, 0, 0, 0, 0, 0)
 		}, ErrCorrupt, ""},
 		{"flipped-payload-bit", func(t *testing.T, data []byte) []byte {
-			_, off, _ := findSection(t, data, kindAdj)
+			_, off, _ := findSection(t, data, kindEdges)
 			data[off] ^= 0x01
 			return data
 		}, ErrCorrupt, ""},
@@ -222,13 +223,6 @@ func TestDecodeRejects(t *testing.T) {
 			binary.LittleEndian.PutUint32(data[16:], 0)
 			return data
 		}, ErrCorrupt, ""},
-		{"offsets-nonmonotone", func(t *testing.T, data []byte) []byte {
-			idx, off, _ := findSection(t, data, kindOffsets)
-			v := binary.LittleEndian.Uint32(data[off+8:])
-			binary.LittleEndian.PutUint32(data[off+8:], v+1000000)
-			fixCRC(data, idx)
-			return data
-		}, ErrCorrupt, ""},
 		{"meta-2m-over-limit", func(t *testing.T, data []byte) []byte {
 			// m = 2³⁰ passes the m ≤ 2³¹−1 check, but 2m does not fit
 			// int32 CSR offsets.
@@ -243,6 +237,34 @@ func TestDecodeRejects(t *testing.T) {
 			binary.LittleEndian.PutUint32(e[0:], 99)
 			return data
 		}, ErrCorrupt, ""},
+		// A popgraph-snap/v1 file also stored the CSR offsets and
+		// adjacency; testdata/cycle8-v1.popg is cycle:8 as
+		// cmd/preprocess wrote it before the format moved to v2.
+		{"v1-file", func(t *testing.T, data []byte) []byte {
+			v1, err := os.ReadFile(filepath.Join("testdata", "cycle8-v1.popg"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return v1
+		}, ErrVersion, "rebuild the file with cmd/preprocess"},
+		// Edge-list corruptions with the checksum recomputed pass the
+		// container checks, so the edge-list checks every load runs
+		// must refuse them before any CSR array is built from them.
+		{"edges-unsorted", patchEdges(func(edges []byte) {
+			a := binary.LittleEndian.Uint64(edges[0:])
+			b := binary.LittleEndian.Uint64(edges[8:])
+			binary.LittleEndian.PutUint64(edges[0:], b)
+			binary.LittleEndian.PutUint64(edges[8:], a)
+		}), ErrCorrupt, ""},
+		{"duplicate-edge", patchEdges(func(edges []byte) {
+			copy(edges[8:16], edges[0:8])
+		}), ErrCorrupt, ""},
+		{"endpoint-out-of-range", patchEdges(func(edges []byte) {
+			binary.LittleEndian.PutUint64(edges[len(edges)-8:], 63<<32|1000) // (63, 1000), n = 64
+		}), ErrCorrupt, ""},
+		{"reversed-edge", patchEdges(func(edges []byte) {
+			binary.LittleEndian.PutUint64(edges[0:], 1<<32) // (1, 0)
+		}), ErrCorrupt, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -261,88 +283,6 @@ func TestDecodeRejects(t *testing.T) {
 	}
 }
 
-// assertRetiredKind relabels the fixture's packed-edges section as a
-// retired kind (the section kind is outside the checksum) and requires
-// Decode to refuse it with a version error that names the section and
-// says how to get a readable file.
-func assertRetiredKind(t *testing.T, kind uint32, name string) {
-	t.Helper()
-	data := encodeFixture(t)
-	idx, _, _ := findSection(t, data, kindEdges)
-	binary.LittleEndian.PutUint32(data[headerSize+sectionEntrySize*idx:], kind)
-	_, err := Decode(data)
-	if !errors.Is(err, ErrVersion) {
-		t.Fatalf("Decode error %v, want ErrVersion", err)
-	}
-	for _, want := range []string{name, "cmd/preprocess"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("Decode error %q does not mention %q", err, want)
-		}
-	}
-}
-
-// TestDecodeRefusesRetiredTableSection pins what a snapshot written
-// with a transition-table section (kind 6) gets.
-func TestDecodeRefusesRetiredTableSection(t *testing.T) {
-	assertRetiredKind(t, kindTable, "transition-table")
-}
-
-// TestDecodeRefusesRetiredWeightsSection pins what a snapshot written
-// with a stored weight set (kind 5) gets.
-func TestDecodeRefusesRetiredWeightsSection(t *testing.T) {
-	assertRetiredKind(t, kindWeights, "weights")
-}
-
-// TestVerifyRejects covers the deep validation tier: content
-// corruptions whose checksums have been recomputed pass Decode (the
-// container and structural checks can't see them) but must be caught
-// by the O(m) Verify pass the encoder runs before every WriteFile.
-func TestVerifyRejects(t *testing.T) {
-	cases := []struct {
-		name   string
-		mutate func(t *testing.T, data []byte) []byte
-	}{
-		{"adjacency-out-of-range", func(t *testing.T, data []byte) []byte {
-			idx, off, _ := findSection(t, data, kindAdj)
-			binary.LittleEndian.PutUint32(data[off:], 1<<20)
-			fixCRC(data, idx)
-			return data
-		}},
-		{"adjacency-swapped-entries", func(t *testing.T, data []byte) []byte {
-			idx, off, _ := findSection(t, data, kindAdj)
-			a := binary.LittleEndian.Uint32(data[off:])
-			b := binary.LittleEndian.Uint32(data[off+4:])
-			binary.LittleEndian.PutUint32(data[off:], b)
-			binary.LittleEndian.PutUint32(data[off+4:], a)
-			fixCRC(data, idx)
-			return data
-		}},
-		{"edges-unsorted", func(t *testing.T, data []byte) []byte {
-			idx, off, _ := findSection(t, data, kindEdges)
-			a := binary.LittleEndian.Uint64(data[off:])
-			b := binary.LittleEndian.Uint64(data[off+8:])
-			binary.LittleEndian.PutUint64(data[off:], b)
-			binary.LittleEndian.PutUint64(data[off+8:], a)
-			fixCRC(data, idx)
-			return data
-		}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			data := tc.mutate(t, encodeFixture(t))
-			s, err := Decode(data)
-			if err != nil {
-				t.Fatalf("Decode rejected %s data (%v); the corruption should only be visible to Verify", tc.name, err)
-			}
-			if err := Verify(s); err == nil {
-				t.Fatalf("Verify accepted %s data", tc.name)
-			} else if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("Verify error %v, want %v", err, ErrCorrupt)
-			}
-		})
-	}
-}
-
 // TestDecodePortablePath forces the element-by-element decode (the
 // big-endian / misaligned-buffer fallback) and requires it to produce
 // the same graph as the zero-copy path.
@@ -356,7 +296,7 @@ func TestDecodePortablePath(t *testing.T) {
 	if err != nil {
 		t.Fatalf("portable decode: %v", err)
 	}
-	assertSameCSR(t, want.Graph, got.Graph)
+	assertSameGraph(t, want.Graph, got.Graph)
 }
 
 func TestWriteFileLoad(t *testing.T) {
@@ -378,7 +318,7 @@ func TestWriteFileLoad(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	assertSameCSR(t, g, loaded.Graph)
+	assertSameGraph(t, g, loaded.Graph)
 
 	// WriteFile is atomic: no temp files survive a successful write.
 	entries, err := os.ReadDir(dir)
@@ -407,10 +347,10 @@ func TestInspect(t *testing.T) {
 	if info.Source != "ws:64:4:0.2" {
 		t.Fatalf("Inspect source %q", info.Source)
 	}
-	if len(info.Sections) != 4 {
-		t.Fatalf("Inspect found %d sections, want 4", len(info.Sections))
+	if len(info.Sections) != 2 {
+		t.Fatalf("Inspect found %d sections, want 2", len(info.Sections))
 	}
-	wantKinds := []string{"meta", "csr-offsets", "csr-adjacency", "packed-edges"}
+	wantKinds := []string{"meta", "packed-edges"}
 	for i, k := range wantKinds {
 		if info.Sections[i].Kind != k {
 			t.Fatalf("section %d kind %q, want %q", i, info.Sections[i].Kind, k)

@@ -253,10 +253,12 @@ func mix(base uint64, i int) uint64 {
 }
 
 // Build materializes the grid: graphs are constructed once per expanded
-// spec and schedulers once per graph × scheduler spec (random families
-// and random edge rates draw from a seed derived from the grid
-// position, so every protocol and drop rate sees the same instance),
-// and each cell gets Trials jobs with deterministic seeds.
+// spec, schedulers once per graph × scheduler spec and protocol
+// factories once per graph × protocol spec (random families, random
+// edge rates and fast's B(G) estimate draw from a seed derived from the
+// grid position, so every protocol and drop rate sees the same
+// scheduler instance and every scheduler the same factory), and each
+// cell gets Trials jobs with deterministic seeds.
 func (s Spec) Build() ([]Task, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -271,6 +273,8 @@ func (s Spec) Build() ([]Task, error) {
 		graphs[gi] = g
 	}
 	scheds := s.schedulers()
+	factories := make([]func() popgraph.Protocol, len(s.Protocols))
+	names := make([]string, len(s.Protocols))
 	var tasks []Task
 	cell := 0
 	for gi, g := range graphs {
@@ -280,13 +284,17 @@ func (s Spec) Build() ([]Task, error) {
 			if err != nil {
 				return nil, err
 			}
-			for _, proto := range s.Protocols {
-				factory, err := popgraph.ProtocolFactory(proto, g,
-					xrand.New(mix(s.Seed^0x5ca1ab1e, gi)))
-				if err != nil {
-					return nil, err
+			for pi, proto := range s.Protocols {
+				// A factory's seed depends on the graph alone, so the
+				// first scheduler builds it and the others share it.
+				if si == 0 {
+					factory, err := popgraph.ProtocolFactory(proto, g,
+						xrand.New(mix(s.Seed^0x5ca1ab1e, gi)))
+					if err != nil {
+						return nil, err
+					}
+					factories[pi], names[pi] = factory, factory().Name()
 				}
-				name := factory().Name()
 				for _, q := range s.dropRates() {
 					opts := sim.Options{MaxSteps: s.MaxSteps, DropRate: q, Scheduler: sched}
 					tasks = append(tasks, Task{
@@ -295,9 +303,9 @@ func (s Spec) Build() ([]Task, error) {
 						SchedSpec: schedSpec,
 						Scheduler: sched.Name(),
 						ProtoSpec: proto,
-						Protocol:  name,
+						Protocol:  names[pi],
 						DropRate:  q,
-						Jobs:      runner.TrialJobs(g, factory, mix(s.Seed, cell+len(specs)), s.Trials, opts),
+						Jobs:      runner.TrialJobs(g, factories[pi], mix(s.Seed, cell+len(specs)), s.Trials, opts),
 					})
 					cell++
 				}

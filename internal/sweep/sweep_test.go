@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bytes"
+	"hash/fnv"
 	"math"
 	"reflect"
 	"runtime"
@@ -271,6 +272,41 @@ func TestBuildSchedulerAxis(t *testing.T) {
 			tasks[i].Jobs[0].Seed != again[i].Jobs[0].Seed {
 			t.Fatalf("rebuild diverged at task %d", i)
 		}
+	}
+}
+
+// TestBuildFastAcrossSchedulers pins the records of fast (whose factory
+// estimates B(G) from its seed) and six-state over two schedulers on
+// two graphs. Build makes one factory per graph × protocol and shares
+// it across schedulers; the digest is the one a factory per graph ×
+// scheduler × protocol gave, so sharing changed no record byte.
+func TestBuildFastAcrossSchedulers(t *testing.T) {
+	s := Spec{
+		Seed:       11,
+		Trials:     3,
+		Graphs:     []string{"gnp:20:0.3", "torus:4x4"},
+		Schedulers: []string{"uniform", "weighted:exp"},
+		Protocols:  []string{"fast", "six-state"},
+	}
+	tasks, err := s.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := Execute(tasks, runner.Pool{Workers: 1})
+	for i := range recs {
+		if recs[i].Error != "" {
+			t.Fatalf("record %d failed: %s", i, recs[i].Error)
+		}
+		recs[i].ElapsedNs, recs[i].QueueWaitNs = 0, 0
+	}
+	var buf bytes.Buffer
+	if err := results.Write(&buf, recs); err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write(buf.Bytes())
+	if got, want := h.Sum64(), uint64(0xa80ee0198a7647dc); len(recs) != 24 || got != want {
+		t.Fatalf("%d records with digest %016x, want 24 with %016x", len(recs), got, want)
 	}
 }
 

@@ -165,14 +165,16 @@ func MinDegree(g Graph) int { return graph.MinDegree(g) }
 //
 // Random families (gnp, regular, ws, ba) consume randomness from r.
 //
-// file:PATH loads a preprocessed binary snapshot (popgraph-snap/v1,
-// written by cmd/preprocess) instead of generating a graph: one
-// validated read revives the exact CSR arrays the generator built, so
-// runs on the loaded graph are byte-identical to runs on the original
-// and startup is milliseconds. Generating ws:1000000:10:0.1
-// takes 0.6–0.7 s on a 2-core Xeon VM: rewiring 0.12–0.14 s, sorting
-// 0.28–0.36 s, the CSR fill 0.08–0.13 s and the BFS connectivity check
-// 0.10–0.13 s.
+// file:PATH loads a preprocessed binary snapshot (popgraph-snap/v2,
+// written by cmd/preprocess) instead of generating a graph: one read,
+// checksummed, yields the generator's sorted edge list, which is
+// checked in full and filled into the same CSR arrays the generator
+// built, so runs on the loaded graph are byte-identical to runs on the
+// original. A malformed file is an error, never a panic. Generating
+// ws:1000000:10:0.1 takes 0.6–0.7 s on a 2-core Xeon VM: rewiring
+// 0.12–0.14 s, sorting 0.28–0.36 s, the CSR fill 0.08–0.13 s and the
+// BFS connectivity check 0.10–0.13 s. Loading its snapshot skips all
+// but the CSR fill.
 //
 // Specs whose parameters are out of range for the family (e.g.
 // "cycle:2", "hypercube:0", "torus:2x5", negative sizes) return an
