@@ -31,6 +31,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"popgraph"
@@ -69,6 +70,11 @@ func run(graphSpec, schedSpec, protoSpec string, seed uint64, trials int, maxSte
 	}
 	if trials < 1 {
 		return fmt.Errorf("trials must be >= 1 (got %d)", trials)
+	}
+	// Every trial gets a job up front, so the count shares sweep's
+	// 2³¹−1 trial ceiling; past it the job slice cannot be allocated.
+	if trials > math.MaxInt32 {
+		return fmt.Errorf("trials %d over the limit of %d", trials, math.MaxInt32)
 	}
 	if !(dropRate >= 0 && dropRate < 1) { // NaN fails every comparison
 		return fmt.Errorf("drop rate %v outside [0, 1)", dropRate)

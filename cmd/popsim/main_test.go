@@ -17,11 +17,21 @@ func TestRunRefusesNegativeMaxSteps(t *testing.T) {
 }
 
 // TestRunRefusesBadTrialCounts — fewer than one trial is an error before
-// any work, not a silent single trial (0) or a panic (negative).
+// any work, not a silent single trial (0) or a panic (negative), and so
+// is a count over 2³¹−1, not a makeslice panic or a huge allocation.
+// The huge counts go with an invalid graph spec, so a missing check
+// fails on the graph error instead of running them.
 func TestRunRefusesBadTrialCounts(t *testing.T) {
 	for _, trials := range []int{0, -1} {
 		err := run("clique:4", "uniform", "six-state", 1, trials, 0, 0, 1, false, false, "", "")
 		want := fmt.Sprintf("trials must be >= 1 (got %d)", trials)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("trials %d: got %v, want an error containing %q", trials, err, want)
+		}
+	}
+	for _, trials := range []int{math.MaxInt32 + 1, 1 << 62} {
+		err := run("cycle:2", "uniform", "six-state", 1, trials, 0, 0, 1, false, false, "", "")
+		want := fmt.Sprintf("trials %d over the limit of %d", trials, math.MaxInt32)
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("trials %d: got %v, want an error containing %q", trials, err, want)
 		}

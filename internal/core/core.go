@@ -101,9 +101,9 @@ func (c *TokenCounts) Set(s *TokenState, t TokenState) {
 
 // Step runs one interaction of the six-state machine between the
 // initiator's state *a and the responder's state *b in place and keeps
-// the counts in step. It is the token step of all three election
-// protocols: the six-state baseline, and the always-correct backup of
-// the identifier and the fast protocol.
+// the counts in step. It is the token step of the always-correct backup
+// inside the identifier and the fast protocol; the six-state baseline
+// runs the same TokenTransition compiled into a TransitionTable.
 func (c *TokenCounts) Step(a, b *TokenState) {
 	na, nb := TokenTransition(*a, *b)
 	if na != *a {

@@ -62,15 +62,16 @@ type TransitionTable struct {
 }
 
 // NewTransitionTable compiles a protocol's transition function into a
-// table. step is the pure pairwise transition (initiator, responder) →
-// successors; it is queried once per ordered state pair, so generating
-// it from a protocol's existing Step logic keeps the hand-written
-// transitions the single source of truth. role maps each state to its
-// output. gapWeight and gapTarget define the stability functional: the
-// caller guarantees that, on every configuration reachable from the
-// protocol's initial ones, Σ_v gapWeight(state(v)) == gapTarget holds
-// exactly when the protocol's Stable() predicate does. (Unreachable
-// configurations may disagree; no run visits them.)
+// table. step is the protocol's pure pairwise rule (initiator,
+// responder) → successors, queried once per ordered state pair. role
+// maps each state to its output. gapWeight and gapTarget define the
+// stability functional: the caller guarantees that, on every
+// configuration reachable from the protocol's initial ones,
+// Σ_v gapWeight(state(v)) == gapTarget holds exactly when the
+// configuration is stable, with outputs that no schedule can change
+// any more. (Unreachable configurations may disagree; no run visits
+// them.) internal/modelcheck checks this for the in-tree tables by
+// exhaustive search on small graphs.
 //
 // Errors: k outside [1, MaxTableStates], a successor state out of
 // range, an invalid role, or a weight large enough to overflow a cell's
@@ -131,8 +132,6 @@ func (t *TransitionTable) K() int { return t.k }
 func (t *TransitionTable) Cells() []uint32 { return t.cells }
 
 // Role returns state s's output role.
-//
-//popcheck:ignore deadexport star tests check each state's role through it
 func (t *TransitionTable) Role(s uint8) Role { return t.roles[s] }
 
 // Next decodes the successor pair of (initiator a, responder b).
@@ -156,10 +155,8 @@ func (t *TransitionTable) Counters(states []uint8) (leaders, gap int) {
 }
 
 // Apply executes one interaction (initiator u, responder v) on states in
-// place and returns the transition's counter deltas. It is the readable
-// reference for the cell decode the fused kernels inline.
-//
-//popcheck:ignore deadexport FuzzTableEquivalence in internal/sim checks the machine against it
+// place and returns the transition's counter deltas: sim.Tabular's Step,
+// and the readable form of the cell decode the fused kernels inline.
 func (t *TransitionTable) Apply(states []uint8, u, v int) (dLeaders, dGap int) {
 	c := t.cells[int(states[u])*t.k+int(states[v])]
 	states[u], states[v] = uint8(c>>8), uint8(c)

@@ -9,7 +9,7 @@ package influence
 import (
 	"popgraph/internal/core"
 	"popgraph/internal/graph"
-	"popgraph/internal/protocols/beauquier"
+	"popgraph/internal/sim"
 	"popgraph/internal/xrand"
 )
 
@@ -102,10 +102,11 @@ func (d DensitySample) MinPresent(states []core.TokenState) float64 {
 	return min
 }
 
-// DensityTracker observes a beauquier run and records state densities at
-// a fixed cadence; it implements sim.Observer.
+// DensityTracker observes a six-state run (beauquier.New) and records
+// state densities at a fixed cadence from its state bytes, which are
+// core.TokenState values; it implements sim.Observer.
 type DensityTracker struct {
-	P       *beauquier.Protocol
+	P       *sim.Tabular
 	N       int
 	Samples []DensitySample
 }
@@ -113,8 +114,8 @@ type DensityTracker struct {
 // Observe implements sim.Observer.
 func (d *DensityTracker) Observe(t int64) {
 	counts := make(map[core.TokenState]int, 6)
-	for v := 0; v < d.N; v++ {
-		counts[d.P.State(v)]++
+	for _, s := range d.P.TableStates() {
+		counts[core.TokenState(s)]++
 	}
 	dens := make(map[core.TokenState]float64, len(counts))
 	for s, c := range counts {

@@ -14,11 +14,10 @@
 // worst-case hitting time of a classic random walk on G (Theorem 16,
 // via Sudo et al. 2021).
 //
-// The protocol is sim.Tabular: its six states fit a compiled
-// core.TransitionTable, generated once per process from Step itself (a
-// two-node probe per state pair), so execution plans fuse it into the
-// table kernels while the hand-written transition stays the single
-// source of truth.
+// The protocol is a sim.Tabular: its six states are the core.TokenState
+// bytes, and its table is compiled once per process straight from
+// core.TokenTransition, so execution plans fuse it into the table
+// kernels.
 package beauquier
 
 import (
@@ -27,96 +26,50 @@ import (
 	"popgraph/internal/core"
 	"popgraph/internal/graph"
 	"popgraph/internal/sim"
-	"popgraph/internal/xrand"
 )
-
-// Protocol is the six-state token protocol. Use New or NewWithCandidates.
-// States are stored as raw core.TokenState bytes so the fused table
-// kernels can operate on them in place.
-type Protocol struct {
-	candidates []int // nil means "all nodes are candidates"
-	states     []uint8
-	counts     core.TokenCounts
-}
-
-var _ sim.Tabular = (*Protocol)(nil)
 
 // New returns the protocol with every node starting as a leader candidate,
 // the standard leader-election input.
-func New() *Protocol { return &Protocol{} }
+func New() *sim.Tabular { return sim.NewTabular("six-state", 6, table, allCandidates) }
 
 // NewWithCandidates returns the protocol with the given nonempty candidate
 // set as input, the variant used as a backup protocol (Theorem 16 input).
-func NewWithCandidates(candidates []int) *Protocol {
+// Reset panics on a candidate outside the graph or listed twice.
+func NewWithCandidates(candidates []int) *sim.Tabular {
 	if len(candidates) == 0 {
 		panic("beauquier: candidate set must be nonempty")
 	}
-	return &Protocol{candidates: append([]int(nil), candidates...)}
-}
-
-// Name implements sim.Protocol.
-func (p *Protocol) Name() string { return "six-state" }
-
-// StateCount returns 6 for any population size.
-func (p *Protocol) StateCount(int) float64 { return 6 }
-
-// Reset implements sim.Protocol.
-func (p *Protocol) Reset(g graph.Graph, _ *xrand.Rand) {
-	n := g.N()
-	p.states = make([]uint8, n)
-	k := n
-	if p.candidates == nil {
-		for v := range p.states {
-			p.states[v] = uint8(core.CandidateBlack)
-		}
-	} else {
-		k = len(p.candidates)
-		for _, v := range p.candidates {
-			if v < 0 || v >= n {
-				panic(fmt.Sprintf("beauquier: candidate %d out of range [0,%d)", v, n))
+	candidates = append([]int(nil), candidates...)
+	return sim.NewTabular("six-state", 6, table, func(g graph.Graph, states []uint8) {
+		for _, v := range candidates {
+			if v < 0 || v >= len(states) {
+				panic(fmt.Sprintf("beauquier: candidate %d out of range [0,%d)", v, len(states)))
 			}
-			if p.states[v] == uint8(core.CandidateBlack) {
+			if states[v] == uint8(core.CandidateBlack) {
 				panic(fmt.Sprintf("beauquier: duplicate candidate %d", v))
 			}
-			p.states[v] = uint8(core.CandidateBlack)
+			states[v] = uint8(core.CandidateBlack)
 		}
+	})
+}
+
+// allCandidates is New's initial configuration: every node a candidate
+// holding a black token.
+func allCandidates(_ graph.Graph, states []uint8) {
+	for v := range states {
+		states[v] = uint8(core.CandidateBlack)
 	}
-	p.counts = core.TokenCounts{Candidates: k, Black: k}
 }
 
-// Step implements sim.Protocol.
-func (p *Protocol) Step(u, v int) {
-	a, b := core.TokenState(p.states[u]), core.TokenState(p.states[v])
-	p.counts.Step(&a, &b)
-	p.states[u], p.states[v] = uint8(a), uint8(b)
-}
-
-// Output implements sim.Protocol.
-func (p *Protocol) Output(v int) core.Role { return core.TokenState(p.states[v]).Role() }
-
-// Leaders implements sim.Protocol.
-func (p *Protocol) Leaders() int { return p.counts.Candidates }
-
-// Stable implements sim.Protocol: one black token, no white tokens.
-func (p *Protocol) Stable() bool { return p.counts.Stable() }
-
-// State exposes node v's raw state for tests and instrumentation.
-func (p *Protocol) State(v int) core.TokenState { return core.TokenState(p.states[v]) }
-
-// table is the compiled six-state machine. A table belongs to the
-// protocol, not to an instance or a graph, so it is built once per
-// process. The six persistent states are the core.TokenState byte
-// values 0..5; the stability functional is #black + #white − 1, which
-// is zero exactly on stable configurations by the invariant
-// #black >= 1. The table is generated by probing Step itself over
-// every state pair, so the hand-written transition remains the single
-// source of truth.
+// table is the compiled six-state machine, built once per process from
+// core.TokenTransition. Non-candidates start in state 0, FollowerNone.
+// The stability functional is #black + #white − 1, which is zero exactly
+// on stable configurations by the invariant #black >= 1.
 var table = func() *core.TransitionTable {
 	tab, err := core.NewTransitionTable(6,
 		func(a, b uint8) (uint8, uint8) {
-			probe := &Protocol{states: []uint8{a, b}}
-			probe.Step(0, 1)
-			return probe.states[0], probe.states[1]
+			na, nb := core.TokenTransition(core.TokenState(a), core.TokenState(b))
+			return uint8(na), uint8(nb)
 		},
 		func(s uint8) core.Role { return core.TokenState(s).Role() },
 		func(s uint8) int {
@@ -131,25 +84,3 @@ var table = func() *core.TransitionTable {
 	}
 	return tab
 }()
-
-// Table implements sim.Tabular: the process-wide six-state table.
-func (p *Protocol) Table() *core.TransitionTable { return table }
-
-// TableStates implements sim.Tabular: the live state bytes, aliased.
-func (p *Protocol) TableStates() []uint8 { return p.states }
-
-// ReloadCounters implements sim.Tabular: after a fused kernel mutated
-// the state array directly, rebuild the token counters by full scan.
-// (The table's two integers cannot be split back into black vs white
-// counts, so the scan is the reconciliation.) The kernel's leader count
-// doubles as a cross-check of the counter maintenance.
-func (p *Protocol) ReloadCounters(leaders, _ int) {
-	var c core.TokenCounts
-	for _, s := range p.states {
-		c.Add(core.TokenState(s), 1)
-	}
-	if c.Candidates != leaders {
-		panic(fmt.Sprintf("beauquier: table kernel leader count %d, state scan %d", leaders, c.Candidates))
-	}
-	p.counts = c
-}

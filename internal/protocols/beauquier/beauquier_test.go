@@ -9,18 +9,19 @@ import (
 	"popgraph/internal/xrand"
 )
 
-// scanCounts recomputes the token counters from scratch.
-func scanCounts(p *Protocol, n int) core.TokenCounts {
+// scanCounts recomputes the token counts of p's configuration.
+func scanCounts(p *sim.Tabular) core.TokenCounts {
 	var c core.TokenCounts
-	for v := 0; v < n; v++ {
-		c.Add(p.State(v), 1)
+	for _, s := range p.TableStates() {
+		c.Add(core.TokenState(s), 1)
 	}
 	return c
 }
 
 // TestInvariantsDuringRun steps the protocol manually and verifies after
-// every interaction the paper's invariants: counters match a full scan,
-// #candidates = #black + #white, and #black >= 1.
+// every interaction the paper's invariants, #candidates = #black +
+// #white and #black >= 1, and that Leaders and Stable match the token
+// counts of a full scan.
 func TestInvariantsDuringRun(t *testing.T) {
 	g := graph.Torus2D(4, 4)
 	p := New()
@@ -29,32 +30,26 @@ func TestInvariantsDuringRun(t *testing.T) {
 	for step := 0; step < 200000 && !p.Stable(); step++ {
 		u, v := g.SampleEdge(r)
 		p.Step(u, v)
-		c := p.Counts()
+		c := scanCounts(p)
 		if c.Candidates != c.Black+c.White {
 			t.Fatalf("step %d: invariant broken: %+v", step, c)
 		}
 		if c.Black < 1 {
 			t.Fatalf("step %d: black tokens vanished: %+v", step, c)
 		}
-		if step%997 == 0 {
-			if got := scanCounts(p, g.N()); got != c {
-				t.Fatalf("step %d: counters %+v != scan %+v", step, c, got)
-			}
+		if p.Leaders() != c.Candidates || p.Stable() != c.Stable() {
+			t.Fatalf("step %d: Leaders %d Stable %v, scan %+v", step, p.Leaders(), p.Stable(), c)
 		}
 	}
 	if !p.Stable() {
 		t.Fatal("did not stabilize within budget")
 	}
-	if got := scanCounts(p, g.N()); got != p.Counts() {
-		t.Fatalf("final counters mismatch")
-	}
 }
 
-// TestCountersAccurateAfterFusedRun — the fused table kernels mutate the
-// state array behind Step's back and ReloadCounters rebuilds the token
-// counters at the end of the run — Counts(), Leaders() and Stable()
-// must agree with a full scan afterwards, for capped and stabilized
-// runs alike.
+// TestCountersAccurateAfterFusedRun — the fused table kernels keep the
+// counters in the kernel and store them back at the end of the run —
+// Leaders() and Stable() must agree with a full scan afterwards, for
+// capped and stabilized runs alike.
 func TestCountersAccurateAfterFusedRun(t *testing.T) {
 	g := graph.Torus2D(4, 4)
 	for _, maxSteps := range []int64{100, 0} {
@@ -63,8 +58,8 @@ func TestCountersAccurateAfterFusedRun(t *testing.T) {
 		if pl, err := sim.Compile(g, sim.Options{}); err != nil || pl.ProtocolEngine(p) != "table" {
 			t.Fatalf("run did not take the fused path (%v, %v)", pl.ProtocolEngine(p), err)
 		}
-		if got := scanCounts(p, g.N()); got != p.Counts() {
-			t.Fatalf("cap %d: counters %+v != scan %+v", maxSteps, p.Counts(), got)
+		if c := scanCounts(p); p.Leaders() != c.Candidates || p.Stable() != c.Stable() {
+			t.Fatalf("cap %d: Leaders %d Stable %v, scan %+v", maxSteps, p.Leaders(), p.Stable(), c)
 		}
 		if p.Leaders() != sim.CountLeaders(g, p) {
 			t.Fatalf("cap %d: Leaders() %d != scan %d", maxSteps, p.Leaders(), sim.CountLeaders(g, p))
@@ -154,7 +149,7 @@ func TestCandidatesNeverReappear(t *testing.T) {
 		u, v := g.SampleEdge(r)
 		p.Step(u, v)
 		for _, w := range []int{u, v} {
-			cand := p.State(w).Candidate()
+			cand := core.TokenState(p.TableStates()[w]).Candidate()
 			if wasFollower[w] && cand {
 				t.Fatalf("node %d became candidate again at step %d", w, step)
 			}
@@ -211,6 +206,3 @@ func TestTableIsProcessWide(t *testing.T) {
 		t.Fatalf("New().Table() allocates %v times, want 0", allocs)
 	}
 }
-
-// Counts exposes the token counters.
-func (p *Protocol) Counts() core.TokenCounts { return p.counts }

@@ -22,15 +22,15 @@
 // as the six-state leader election protocol. Ties (equal counts) never
 // stabilize and are rejected as input.
 //
-// The protocol implements sim.Protocol so it runs through the compiled
+// The protocol is a sim.Tabular, so it runs through the compiled
 // execution plans like every leader-election protocol: Output maps
 // opinion 1 to core.Leader and opinion 0 to core.Follower (so Leaders()
 // counts the nodes currently outputting 1 — a Result's Leader field is
-// usually −1, majority being a many-winners problem). Its four states
-// also make it sim.Tabular: the transition table, generated from Step
-// itself, depends on the input's majority sign (the stability functional
-// counts the losing side's nodes), so there are two tables, each built
-// once per process, and New picks one by the sign of the input margin.
+// usually −1, majority being a many-winners problem). Its table depends
+// on the input's majority sign (the stability functional counts the
+// losing side's nodes), so there are two tables, each compiled once per
+// process from transition, and New picks one by the sign of the input
+// margin.
 package majority
 
 import (
@@ -39,7 +39,6 @@ import (
 	"popgraph/internal/core"
 	"popgraph/internal/graph"
 	"popgraph/internal/sim"
-	"popgraph/internal/xrand"
 )
 
 // state is one of the four node states.
@@ -52,20 +51,12 @@ const (
 	strong1
 )
 
-// Protocol is the 4-state exact majority protocol.
-type Protocol struct {
-	inputs []bool // initial opinions, fixed at New
-	margin int    // #ones − #zeros of inputs
-	states []uint8
-
-	counts [4]int
-}
-
-var _ sim.Tabular = (*Protocol)(nil)
-
-// New returns the protocol with the given initial opinions (length must
-// equal the graph size at Reset; must not be a tie).
-func New(inputs []bool) *Protocol {
+// New returns the protocol with the given initial opinions, every node
+// starting as a strong copy of its own. Reset panics unless there is one
+// input per node, and on a tie (equal counts never stabilize), which
+// also has no table.
+func New(inputs []bool) *sim.Tabular {
+	inputs = append([]bool(nil), inputs...)
 	margin := 0
 	for _, b := range inputs {
 		if b {
@@ -74,50 +65,28 @@ func New(inputs []bool) *Protocol {
 			margin--
 		}
 	}
-	return &Protocol{inputs: append([]bool(nil), inputs...), margin: margin}
-}
-
-// Name identifies the protocol.
-func (p *Protocol) Name() string { return "four-state-majority" }
-
-// StateCount returns 4.
-func (p *Protocol) StateCount(int) float64 { return 4 }
-
-// Reset initializes every node to a strong copy of its input opinion.
-func (p *Protocol) Reset(g graph.Graph, _ *xrand.Rand) {
-	n := g.N()
-	if len(p.inputs) != n {
-		panic(fmt.Sprintf("majority: %d inputs for %d nodes", len(p.inputs), n))
+	var tab *core.TransitionTable
+	switch {
+	case margin > 0:
+		tab = onesWin
+	case margin < 0:
+		tab = zerosWin
 	}
-	if p.margin == 0 {
-		panic("majority: tie inputs never stabilize; supply a strict majority")
-	}
-	p.states = make([]uint8, n)
-	p.counts = [4]int{}
-	for v, b := range p.inputs {
-		if b {
-			p.states[v] = strong1
-		} else {
-			p.states[v] = strong0
+	return sim.NewTabular("four-state-majority", 4, tab, func(_ graph.Graph, states []uint8) {
+		if len(inputs) != len(states) {
+			panic(fmt.Sprintf("majority: %d inputs for %d nodes", len(inputs), len(states)))
 		}
-		p.counts[p.states[v]]++
-	}
-}
-
-// Step applies one interaction (u initiator, v responder).
-func (p *Protocol) Step(u, v int) {
-	a, b := p.states[u], p.states[v]
-	na, nb := transition(a, b)
-	if na != a {
-		p.counts[a]--
-		p.counts[na]++
-		p.states[u] = na
-	}
-	if nb != b {
-		p.counts[b]--
-		p.counts[nb]++
-		p.states[v] = nb
-	}
+		if margin == 0 {
+			panic("majority: tie inputs never stabilize; supply a strict majority")
+		}
+		for v, b := range inputs {
+			if b {
+				states[v] = strong1
+			} else {
+				states[v] = strong0
+			}
+		}
+	})
 }
 
 // transition implements the four-state rules.
@@ -144,36 +113,6 @@ func transition(a, b state) (state, state) {
 	}
 }
 
-// Opinion returns node v's current output opinion.
-func (p *Protocol) Opinion(v int) bool {
-	s := p.states[v]
-	return s == weak1 || s == strong1
-}
-
-// Output implements sim.Protocol: opinion 1 outputs Leader, opinion 0
-// Follower (the Role encoding of the binary opinion).
-func (p *Protocol) Output(v int) core.Role {
-	if p.Opinion(v) {
-		return core.Leader
-	}
-	return core.Follower
-}
-
-// Ones returns the number of nodes currently outputting opinion 1.
-func (p *Protocol) Ones() int { return p.counts[weak1] + p.counts[strong1] }
-
-// Leaders implements sim.Protocol: the number of nodes outputting
-// opinion 1 (see Output).
-func (p *Protocol) Leaders() int { return p.Ones() }
-
-// Stable reports whether the configuration is stable: only one sign
-// remains (weak and strong), so no rule can ever change an output.
-func (p *Protocol) Stable() bool {
-	zeros := p.counts[weak0] + p.counts[strong0]
-	ones := p.counts[weak1] + p.counts[strong1]
-	return (zeros == 0 && p.counts[strong1] > 0) || (ones == 0 && p.counts[strong0] > 0)
-}
-
 // onesWin and zerosWin are the compiled machines for a positive and a
 // negative input margin, each built once per process.
 var (
@@ -181,18 +120,14 @@ var (
 	zerosWin = buildTable(func(s uint8) bool { return s == weak1 || s == strong1 })
 )
 
-// buildTable compiles the four-state machine by probing Step over every
-// state pair. The stability functional counts the losing side's nodes
-// (weak and strong) with target 0: the conserved strong difference
-// keeps the winning side's strong count positive, so "no loser left"
-// is exactly Stable() on every reachable configuration.
+// buildTable compiles the four-state machine from transition. Opinion 1
+// outputs Leader. The stability functional counts the losing side's
+// nodes (weak and strong) with target 0: the conserved strong
+// difference keeps the winning side's strong count positive, so "no
+// loser left" holds exactly when only one sign remains, after which no
+// rule can change an output.
 func buildTable(losing func(s uint8) bool) *core.TransitionTable {
-	tab, err := core.NewTransitionTable(4,
-		func(a, b uint8) (uint8, uint8) {
-			probe := &Protocol{states: []uint8{a, b}}
-			probe.Step(0, 1)
-			return probe.states[0], probe.states[1]
-		},
+	tab, err := core.NewTransitionTable(4, transition,
 		func(s uint8) core.Role {
 			if s == weak1 || s == strong1 {
 				return core.Leader
@@ -210,34 +145,4 @@ func buildTable(losing func(s uint8) bool) *core.TransitionTable {
 		panic("majority: " + err.Error())
 	}
 	return tab
-}
-
-// Table implements sim.Tabular: the process-wide table for the input
-// margin's sign, fixed at New. Tie inputs return nil (Reset rejects
-// them anyway).
-func (p *Protocol) Table() *core.TransitionTable {
-	switch {
-	case p.margin > 0:
-		return onesWin
-	case p.margin < 0:
-		return zerosWin
-	}
-	return nil
-}
-
-// TableStates implements sim.Tabular: the live state bytes, aliased.
-func (p *Protocol) TableStates() []uint8 { return p.states }
-
-// ReloadCounters implements sim.Tabular: rebuild the four state counts
-// by full scan after a fused kernel mutated the state array directly;
-// the kernel's leader count cross-checks the counter maintenance.
-func (p *Protocol) ReloadCounters(leaders, _ int) {
-	var c [4]int
-	for _, s := range p.states {
-		c[s]++
-	}
-	if ones := c[weak1] + c[strong1]; ones != leaders {
-		panic(fmt.Sprintf("majority: table kernel ones count %d, state scan %d", leaders, ones))
-	}
-	p.counts = c
 }

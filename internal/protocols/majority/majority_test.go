@@ -3,6 +3,7 @@ package majority
 import (
 	"testing"
 
+	"popgraph/internal/core"
 	"popgraph/internal/graph"
 	"popgraph/internal/sim"
 	"popgraph/internal/xrand"
@@ -41,9 +42,9 @@ func TestComputesMajorityOnFamilies(t *testing.T) {
 				steps := res.Steps
 				want := 2*ones > n
 				for v := 0; v < n; v++ {
-					if p.Opinion(v) != want {
+					if got := p.Output(v) == core.Leader; got != want {
 						t.Fatalf("ones=%d: node %d opinion %v, majority %v (after %d steps)",
-							ones, v, p.Opinion(v), want, steps)
+							ones, v, got, want, steps)
 					}
 				}
 			}
@@ -58,15 +59,15 @@ func TestStrongDifferenceInvariant(t *testing.T) {
 	p := New(inputsWithOnes(16, 9))
 	r := xrand.New(7)
 	p.Reset(g, r)
-	want := p.StrongDifference()
+	want := strongDifference(p)
 	if want != 2 {
 		t.Fatalf("initial difference %d, want 2", want)
 	}
 	for i := 0; i < 100000 && !p.Stable(); i++ {
 		u, v := g.SampleEdge(r)
 		p.Step(u, v)
-		if p.StrongDifference() != want {
-			t.Fatalf("step %d: difference %d, want %d", i, p.StrongDifference(), want)
+		if d := strongDifference(p); d != want {
+			t.Fatalf("step %d: difference %d, want %d", i, d, want)
 		}
 	}
 	if !p.Stable() {
@@ -148,9 +149,9 @@ func TestStateCountAndName(t *testing.T) {
 }
 
 // TestCountersMatchScans cross-checks the O(1) counters — Leaders()
-// (= Ones), StrongDifference and the Stable predicate — against full
-// state scans after every interaction of a scripted run, the same
-// discipline beauquier's counters get.
+// (the number of ones) and the Stable predicate — against full state
+// scans after every interaction of a scripted run, the same discipline
+// beauquier's counters get.
 func TestCountersMatchScans(t *testing.T) {
 	g := graph.Torus2D(4, 4)
 	p := New(inputsWithOnes(16, 10))
@@ -160,17 +161,14 @@ func TestCountersMatchScans(t *testing.T) {
 		u, v := g.SampleEdge(r)
 		p.Step(u, v)
 		var scan [4]int
-		for w := 0; w < 16; w++ {
-			scan[p.states[w]]++
+		for _, s := range p.TableStates() {
+			scan[s]++
 		}
-		if ones := scan[weak1] + scan[strong1]; ones != p.Ones() || ones != p.Leaders() {
-			t.Fatalf("step %d: Ones()/Leaders() %d/%d != scan %d", i, p.Ones(), p.Leaders(), ones)
+		if ones := scan[weak1] + scan[strong1]; ones != p.Leaders() {
+			t.Fatalf("step %d: Leaders() %d != scan %d", i, p.Leaders(), ones)
 		}
 		if scanLeaders := sim.CountLeaders(g, p); scanLeaders != p.Leaders() {
 			t.Fatalf("step %d: Leaders() %d != output scan %d", i, p.Leaders(), scanLeaders)
-		}
-		if d := scan[strong1] - scan[strong0]; d != p.StrongDifference() {
-			t.Fatalf("step %d: StrongDifference %d != scan %d", i, p.StrongDifference(), d)
 		}
 		zeros := scan[weak0] + scan[strong0]
 		ones := scan[weak1] + scan[strong1]
@@ -185,10 +183,10 @@ func TestCountersMatchScans(t *testing.T) {
 	t.Fatal("run did not stabilize within 20000 steps")
 }
 
-// TestTableMatchesStep — the per-sign generated tables agree with the
-// hand-written transition on every state pair, and their stability
-// functional (no losing-side nodes left) matches Stable on reachable
-// configurations of either sign.
+// TestTableMatchesStep — the per-sign compiled tables agree with
+// transition on every state pair, opinion 1 outputs Leader, and their
+// stability functional (no losing-side nodes left) holds exactly on
+// one-sign configurations of either sign.
 func TestTableMatchesStep(t *testing.T) {
 	for _, ones := range []int{3, 1} { // majority-1 and majority-0 inputs
 		p := New(inputsWithOnes(4, ones))
@@ -197,6 +195,13 @@ func TestTableMatchesStep(t *testing.T) {
 			t.Fatalf("ones=%d: table %+v, want a 4-state machine", ones, tab)
 		}
 		for a := uint8(0); a < 4; a++ {
+			wantRole := core.Follower
+			if a == weak1 || a == strong1 {
+				wantRole = core.Leader
+			}
+			if tab.Role(a) != wantRole {
+				t.Fatalf("ones=%d: state %d role %v, want %v", ones, a, tab.Role(a), wantRole)
+			}
 			for b := uint8(0); b < 4; b++ {
 				wa, wb := transition(a, b)
 				na, nb := tab.Next(a, b)
@@ -249,6 +254,17 @@ func TestTableIsPerSign(t *testing.T) {
 	}
 }
 
-// StrongDifference returns #strong1 − #strong0, the conserved quantity
-// equal to the input difference.
-func (p *Protocol) StrongDifference() int { return p.counts[strong1] - p.counts[strong0] }
+// strongDifference returns #strong1 − #strong0 of p's configuration, the
+// conserved quantity equal to the input difference.
+func strongDifference(p *sim.Tabular) int {
+	d := 0
+	for _, s := range p.TableStates() {
+		switch s {
+		case strong1:
+			d++
+		case strong0:
+			d--
+		}
+	}
+	return d
+}

@@ -106,8 +106,9 @@ func TestCountersMatchScans(t *testing.T) {
 	}
 }
 
-// TestTableMatchesStep — the generated transition table agrees with the
-// hand-written Step on every state pair, roles and counters included.
+// TestTableMatchesStep — the compiled table agrees with rule on every
+// state pair, with only the leader state outputting Leader, and its
+// stability functional is leaders == 1.
 func TestTableMatchesStep(t *testing.T) {
 	p := New()
 	tab := p.Table()
@@ -123,15 +124,12 @@ func TestTableMatchesStep(t *testing.T) {
 			t.Fatalf("state %d role %v, want %v", a, tab.Role(a), wantRole)
 		}
 		for b := uint8(0); b < 3; b++ {
-			probe := &Protocol{states: []uint8{a, b}}
-			probe.Step(0, 1)
-			na, nb := tab.Next(a, b)
-			if na != probe.states[0] || nb != probe.states[1] {
-				t.Fatalf("(%d,%d): table (%d,%d), Step (%d,%d)", a, b, na, nb, probe.states[0], probe.states[1])
+			wa, wb := rule(a, b)
+			if na, nb := tab.Next(a, b); na != wa || nb != wb {
+				t.Fatalf("(%d,%d): table (%d,%d), rule (%d,%d)", a, b, na, nb, wa, wb)
 			}
 		}
 	}
-	// The stability functional is leaders == 1 exactly.
 	for _, c := range []struct {
 		states []uint8
 		stable bool

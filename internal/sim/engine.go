@@ -57,10 +57,10 @@ type kernel interface {
 	// finish rewinds any prefetched randomness so the generator is left
 	// exactly where drawing one value at a time would have left it.
 	finish(r *xrand.Rand)
-	// sync reconciles the protocol's internal counters with any state
-	// the kernel mutated behind Protocol.Step's back; the plan calls it
-	// before every observer callback and at the end of the run. A no-op
-	// under Step dispatch, where protocols maintain their own counters.
+	// sync stores a fused machine's table counters into the protocol;
+	// the plan calls it before every observer callback and at the end of
+	// the run. A no-op under Step dispatch, where protocols maintain
+	// their own counters.
 	sync()
 	// stats returns the run's telemetry tallies: RNG block refills and
 	// interactions suppressed by drop injection. The counters are plain
@@ -139,17 +139,16 @@ func (b *rngBlock) uintn(r *xrand.Rand, n uint64) uint64 {
 // machine is the protocol half every sampler loop embeds: the block
 // prefetch, the drop coin and its tally, and — when table is set — the
 // fused transition table. A fused run mutates the protocol's state
-// array in place (Tabular.TableStates aliases it), so per-node
-// accessors stay live mid-run; the protocol's own counters are
-// reconciled by sync, which the plan invokes before every observer
-// callback and at the end of the run.
+// bytes in place, so Output stays live mid-run, and keeps the two table
+// counters in locals; sync stores them back into the protocol before
+// every observer callback and at the end of the run.
 type machine struct {
 	blk   rngBlock
 	drop  float64
 	drops int64
 
 	table   bool // fixed per run: apply the table instead of Protocol.Step
-	tp      Tabular
+	tp      *Tabular
 	cells   []uint32
 	states  []uint8
 	k       uint32
@@ -159,16 +158,14 @@ type machine struct {
 
 // bind readies a zero machine, in place inside its freshly allocated
 // kernel, for one run. A non-nil tp (already Reset) is fused: its
-// compiled table and live state array are captured and the counters
-// computed by full scan.
-func (m *machine) bind(drop float64, tp Tabular) {
+// compiled table, live state bytes and counters are captured.
+func (m *machine) bind(drop float64, tp *Tabular) {
 	m.blk.k = rngBlockSize
 	m.drop = drop
 	if tp != nil {
-		tab := tp.Table()
 		m.table, m.tp = true, tp
-		m.cells, m.states, m.k = tab.Cells(), tp.TableStates(), uint32(tab.K())
-		m.leaders, m.gap = tab.Counters(m.states)
+		m.cells, m.states, m.k = tp.table.Cells(), tp.states, uint32(tp.table.K())
+		m.leaders, m.gap = tp.leaders, tp.gap
 	}
 }
 
@@ -189,11 +186,11 @@ func (m *machine) finish(r *xrand.Rand)  { m.blk.finish(r) }
 func (m *machine) stats() (int64, int64) { return m.blk.refills, m.drops }
 
 // sync hands the maintained counters back to a fused protocol so
-// Leaders/Stable/etc. are accurate at observer callbacks and after the
+// Leaders and Stable are accurate at observer callbacks and after the
 // run.
 func (m *machine) sync() {
 	if m.table {
-		m.tp.ReloadCounters(m.leaders, m.gap)
+		m.tp.leaders, m.tp.gap = m.leaders, m.gap
 	}
 }
 
@@ -233,7 +230,7 @@ type denseKernel struct {
 	thresh uint64
 }
 
-func newDenseKernel(g *graph.Dense, drop float64, tp Tabular) *denseKernel {
+func newDenseKernel(g *graph.Dense, drop float64, tp *Tabular) *denseKernel {
 	twoM := uint64(2 * g.M())
 	kn := &denseKernel{edges: g.PackedEdges(), twoM: twoM, thresh: -twoM % twoM}
 	kn.bind(drop, tp)
@@ -282,7 +279,7 @@ type cliqueKernel struct {
 	threshN1 uint64
 }
 
-func newCliqueKernel(g graph.Clique, drop float64, tp Tabular) *cliqueKernel {
+func newCliqueKernel(g graph.Clique, drop float64, tp *Tabular) *cliqueKernel {
 	n := uint64(g.N())
 	n1 := n - 1
 	kn := &cliqueKernel{n: n, n1: n1, threshN: -n % n, threshN1: -n1 % n1}
@@ -341,7 +338,7 @@ type weightedKernel struct {
 	thresh uint64
 }
 
-func newWeightedKernel(s *Weighted, drop float64, tp Tabular) *weightedKernel {
+func newWeightedKernel(s *Weighted, drop float64, tp *Tabular) *weightedKernel {
 	prob, alias := s.alias.Table()
 	cols := uint64(len(prob))
 	kn := &weightedKernel{pairs: s.pairs, prob: prob, alias: alias, m: cols, thresh: -cols % cols}
@@ -402,7 +399,7 @@ type nodeClockKernel struct {
 	tn    uint64
 }
 
-func newNodeClockKernel(s *NodeClock, drop float64, tp Tabular) *nodeClockKernel {
+func newNodeClockKernel(s *NodeClock, drop float64, tp *Tabular) *nodeClockKernel {
 	prob, alias := s.alias.Table()
 	n := uint64(len(prob))
 	dense, _ := s.g.(*graph.Dense)
@@ -468,7 +465,7 @@ type churnKernel struct {
 	base   float64 // per-step decay factor 1−a−b of the on/off chain
 }
 
-func newChurnKernel(s *Churn, drop float64, tp Tabular) *churnKernel {
+func newChurnKernel(s *Churn, drop float64, tp *Tabular) *churnKernel {
 	g := s.g.(*graph.Dense)
 	twoM := uint64(2 * g.M())
 	kn := &churnKernel{

@@ -3,6 +3,7 @@ package sim_test
 import (
 	"testing"
 
+	"popgraph/internal/core"
 	"popgraph/internal/graph"
 	"popgraph/internal/protocols/beauquier"
 	"popgraph/internal/protocols/majority"
@@ -26,11 +27,82 @@ func fuzzGraph(sel uint64) graph.Graph {
 	}
 }
 
-// fuzzProtocol derives a Tabular protocol (and a fresh-instance factory)
-// from sel for an n-node graph.
-func fuzzProtocol(sel uint64, n int) func() Tabular {
+// tableRef is a test-local reference machine for a Tabular protocol,
+// written without its transition table: the initial configuration, the
+// pairwise rule, and the leader count and stability verdict of a full
+// scan.
+type tableRef struct {
+	initial []uint8
+	step    func(a, b uint8) (uint8, uint8)
+	scan    func(states []uint8) (leaders int, stable bool)
+}
+
+// sixStateRef is the six-state machine: core.TokenTransition, with the
+// counts of a core.TokenCounts scan.
+func sixStateRef(n int) tableRef {
+	initial := make([]uint8, n)
+	for v := range initial {
+		initial[v] = uint8(core.CandidateBlack)
+	}
+	return tableRef{
+		initial: initial,
+		step: func(a, b uint8) (uint8, uint8) {
+			na, nb := core.TokenTransition(core.TokenState(a), core.TokenState(b))
+			return uint8(na), uint8(nb)
+		},
+		scan: func(states []uint8) (int, bool) {
+			var c core.TokenCounts
+			for _, s := range states {
+				c.Add(core.TokenState(s), 1)
+			}
+			return c.Candidates, c.Stable()
+		},
+	}
+}
+
+// majorityRef is the four-state majority machine (0 = weak0, 1 = weak1,
+// 2 = strong0, 3 = strong1), rewritten from its rules: opposite strong
+// opinions annihilate into weak ones, a strong opinion meeting a weak
+// one crosses the edge and converts it. Opinion 1 outputs Leader; the
+// configuration is stable once one sign is left.
+func majorityRef(inputs []bool) tableRef {
+	const w0, w1, s0, s1 = 0, 1, 2, 3
+	initial := make([]uint8, len(inputs))
+	for v, b := range inputs {
+		initial[v] = s0
+		if b {
+			initial[v] = s1
+		}
+	}
+	return tableRef{
+		initial: initial,
+		step: func(a, b uint8) (uint8, uint8) {
+			switch {
+			case a >= s0 && b >= s0 && a != b: // annihilate: weak copies
+				return a - 2, b - 2
+			case a >= s0 && b < s0: // a's strong opinion moves to b
+				return a - 2, a
+			case b >= s0 && a < s0:
+				return b, b - 2
+			}
+			return a, b
+		},
+		scan: func(states []uint8) (int, bool) {
+			var c [4]int
+			for _, s := range states {
+				c[s]++
+			}
+			ones, zeros := c[w1]+c[s1], c[w0]+c[s0]
+			return ones, (zeros == 0 && c[s1] > 0) || (ones == 0 && c[s0] > 0)
+		},
+	}
+}
+
+// fuzzProtocol derives a Tabular protocol factory from sel for an n-node
+// graph, with its reference machine.
+func fuzzProtocol(sel uint64, n int) (func() *Tabular, tableRef) {
 	if sel%2 == 0 {
-		return func() Tabular { return beauquier.New() }
+		return beauquier.New, sixStateRef(n)
 	}
 	ones := 1 + int(sel>>1)%(n-1)
 	if 2*ones == n {
@@ -40,7 +112,7 @@ func fuzzProtocol(sel uint64, n int) func() Tabular {
 	for i := 0; i < ones; i++ {
 		inputs[i] = true
 	}
-	return func() Tabular { return majority.New(inputs) }
+	return func() *Tabular { return majority.New(inputs) }, majorityRef(inputs)
 }
 
 // fuzzScheduler derives the run's scheduler from sel: the uniform
@@ -60,13 +132,16 @@ func fuzzScheduler(t *testing.T, sel uint8, g graph.Graph) Scheduler {
 
 // FuzzTableEquivalence fuzzes the protocol-compilation layer: a random
 // small graph, a random Tabular protocol and a random interaction
-// script must behave byte-identically whether transitions execute
-// through the hand-written Step or through the compiled transition
-// table — per-step states and counters under a scripted drive, and
-// Results, outputs, counters and post-run generator state under full
-// fused vs interface-dispatch vs reference-loop runs, under the uniform
-// scheduler or churn. On CSR graphs churn runs the churn-uniform loop,
-// checked here against the forced reference loop's map-based source.
+// script. Under a scripted drive, the protocol's Step must match an
+// independent reference machine written without tables, state for
+// state, and its O(1) counters must match both the reference's scan
+// and a full TransitionTable.Counters scan at every step. Full runs
+// must give byte-identical Results, outputs, counters and post-run
+// generator state whether the table is fused into the kernel, applied
+// through Step on the same kernel, or run by the reference loop, under
+// the uniform scheduler or churn. On CSR graphs churn runs the
+// churn-uniform loop, checked here against the forced reference loop's
+// map-based source.
 func FuzzTableEquivalence(f *testing.F) {
 	f.Add(uint64(0), uint64(1), uint16(700), uint8(0), uint8(0))
 	f.Add(uint64(1), uint64(2), uint16(513), uint8(1), uint8(0))
@@ -82,7 +157,7 @@ func FuzzTableEquivalence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, gsel, seed uint64, steps uint16, dropSel, schedSel uint8) {
 		g := fuzzGraph(gsel)
 		n := g.N()
-		factory := fuzzProtocol(gsel>>8, n)
+		factory, ref := fuzzProtocol(gsel>>8, n)
 		script := int64(steps)%2048 + 1
 		sched := fuzzScheduler(t, schedSel, g)
 		if _, dense := g.(*graph.Dense); dense && sched != nil {
@@ -95,42 +170,37 @@ func FuzzTableEquivalence(f *testing.F) {
 			}
 		}
 
-		// Part 1: scripted drive. One instance steps through the
-		// hand-written transition, the other through TransitionTable.Apply
-		// with incrementally maintained counters; every step must agree on
-		// states, the leader count and the stability verdict.
+		// Part 1: scripted drive. The protocol steps through its table,
+		// the reference through its own rule on a plain copy; every step
+		// must agree on states, the leader count and the stability
+		// verdict, and the counters must equal a full table scan.
 		r := xrand.New(seed)
-		pStep, pTab := factory(), factory()
-		pStep.Reset(g, xrand.New(seed))
-		pTab.Reset(g, xrand.New(seed))
-		tab := pTab.Table()
+		p := factory()
+		p.Reset(g, xrand.New(seed))
+		tab := p.Table()
 		if tab == nil {
 			t.Fatal("fuzzed protocol has no table")
 		}
-		states := pTab.TableStates()
-		leaders, gap := tab.Counters(states)
-		for i := int64(0); i < script; i++ {
-			u, v := g.SampleEdge(r)
-			pStep.Step(u, v)
-			dl, dg := tab.Apply(states, u, v)
-			leaders += dl
-			gap += dg
-			if leaders != pStep.Leaders() {
-				t.Fatalf("step %d (%d,%d): table leaders %d, Step leaders %d", i, u, v, leaders, pStep.Leaders())
-			}
-			if (gap == 0) != pStep.Stable() {
-				t.Fatalf("step %d (%d,%d): table gap %d (stable=%v), Step Stable %v",
-					i, u, v, gap, gap == 0, pStep.Stable())
+		states := append([]uint8(nil), ref.initial...)
+		for i := int64(0); i <= script; i++ {
+			if i > 0 {
+				u, v := g.SampleEdge(r)
+				p.Step(u, v)
+				states[u], states[v] = ref.step(states[u], states[v])
 			}
 			for w := 0; w < n; w++ {
-				if states[w] != pStep.TableStates()[w] {
-					t.Fatalf("step %d (%d,%d): node %d state %d (table) vs %d (Step)",
-						i, u, v, w, states[w], pStep.TableStates()[w])
+				if got := p.TableStates()[w]; got != states[w] {
+					t.Fatalf("step %d: node %d state %d, reference %d", i, w, got, states[w])
 				}
 			}
-		}
-		if sl, sg := tab.Counters(states); sl != leaders || sg != gap {
-			t.Fatalf("incremental counters (%d,%d) drifted from scan (%d,%d)", leaders, gap, sl, sg)
+			if leaders, stable := ref.scan(states); p.Leaders() != leaders || p.Stable() != stable {
+				t.Fatalf("step %d: Leaders %d Stable %v, reference scan %d %v",
+					i, p.Leaders(), p.Stable(), leaders, stable)
+			}
+			if leaders, gap := tab.Counters(p.TableStates()); p.Leaders() != leaders || p.Stable() != (gap == 0) {
+				t.Fatalf("step %d: Leaders %d Stable %v, table scan leaders %d gap %d",
+					i, p.Leaders(), p.Stable(), leaders, gap)
+			}
 		}
 
 		// Part 2: full runs through the execution plans. The fused table

@@ -82,7 +82,7 @@ type ExecPlan struct {
 func (pl *ExecPlan) Engine() string { return planModeNames[pl.mode] }
 
 // ProtocolEngine reports the protocol dispatch a run of p on this plan
-// selects: "table" when p is Tabular, provides a table, and the plan
+// selects: "table" when p is a *Tabular with a table and the plan
 // compiled to a specialized kernel (whose machine then applies the
 // table inline); "step" otherwise (Protocol.Step interface dispatch).
 // Benchmark reports record it per cell.
@@ -93,17 +93,16 @@ func (pl *ExecPlan) ProtocolEngine(p Protocol) string {
 	return "step"
 }
 
-// fusable returns the Tabular view of p when this plan would fuse its
-// table into the kernel's machine, nil otherwise. Fusion needs a
-// specialized scheduler kernel (the generic Source loop keeps interface
-// dispatch), no NoTable override, and a protocol that actually produces
-// a table for its current configuration.
-func (pl *ExecPlan) fusable(p Protocol) Tabular {
+// fusable returns p as a *Tabular when this plan would fuse its table
+// into the kernel's machine, nil otherwise. Fusion needs a specialized
+// scheduler kernel (the generic Source loop keeps interface dispatch),
+// no NoTable override, and a Tabular protocol with a table.
+func (pl *ExecPlan) fusable(p Protocol) *Tabular {
 	if pl.noTable || pl.mode == modeGeneric {
 		return nil
 	}
-	tp, ok := p.(Tabular)
-	if !ok || tp.Table() == nil {
+	tp, ok := p.(*Tabular)
+	if !ok || tp.table == nil {
 		return nil
 	}
 	return tp
@@ -206,16 +205,13 @@ func Compile(g graph.Graph, opts Options) (*ExecPlan, error) {
 // newKernel instantiates the per-run chunk runner; r is available for
 // scheduler Begin draws, mirroring the pre-plan Source construction
 // point (after Protocol.Reset). p has been Reset, so a Tabular
-// protocol's table and live state array are available; fusion is
-// decided here (per run, not per plan) because the protocol axis is a
-// Run argument, not a Compile one. The second return is the
-// dispatch label the flight recorder tallies runs under:
+// protocol's state bytes and counters are live; fusion is decided here
+// (per run, not per plan) because the protocol axis is a Run argument,
+// not a Compile one. The second return is the dispatch label the
+// flight recorder tallies runs under:
 // "<scheduler-engine>/<protocol-engine>", e.g. "dense-uniform/table".
 func (pl *ExecPlan) newKernel(p Protocol, r *xrand.Rand) (kernel, string) {
 	tp := pl.fusable(p)
-	if tp != nil && len(tp.TableStates()) != pl.g.N() {
-		tp = nil
-	}
 	label := planModeNames[pl.mode] + "/step"
 	if tp != nil {
 		label = planModeNames[pl.mode] + "/table"
@@ -271,8 +267,8 @@ func (pl *ExecPlan) Run(p Protocol, r *xrand.Rand) Result {
 		t += done
 		chunks++
 		if pl.observer != nil && t%pl.every == 0 {
-			// A fused machine mutates protocol state behind Step's back;
-			// reconcile counters so the observer sees live Leaders/Stable.
+			// A fused machine keeps the table counters in the kernel;
+			// store them so the observer sees live Leaders/Stable.
 			kern.sync()
 			pl.observer.Observe(t)
 			observes++
@@ -292,7 +288,7 @@ func (pl *ExecPlan) Run(p Protocol, r *xrand.Rand) Result {
 
 // flush hands a completed run's accounting to the meter and closes any
 // trajectory-style observer. Called after the kernel has rewound the
-// generator and reconciled protocol counters, so finishers read exact
+// generator and stored the protocol counters, so finishers read exact
 // terminal state; the Result the caller returns is already fixed, and
 // nothing here touches r.
 func (pl *ExecPlan) flush(kern kernel, label string, steps, chunks, observes int64) {

@@ -61,47 +61,79 @@ type Protocol interface {
 	Stable() bool
 }
 
-// Tabular is a Protocol whose whole transition function fits in a
-// compiled core.TransitionTable — the constant-state regime of the
-// space-efficiency line of work (the six-state baseline of Theorem 16,
-// the star protocol, four-state majority). Execution plans fuse Tabular
-// protocols into the protocol machine the specialized sampler loops
-// share: the interaction becomes two byte loads, one table lookup, two
-// byte stores and a counter-delta add, with no Protocol interface calls
-// (see engine.go). Protocols whose state space grows with n
-// (identifier, fast) simply don't implement it and keep Step dispatch.
+// Tabular is the one Protocol implementation for constant-state
+// protocols (the six-state baseline of Theorem 16, the star protocol,
+// four-state majority). A protocol package supplies only its pure rule,
+// compiled into a process-wide core.TransitionTable, and an init hook
+// that writes the initial configuration. Per-node state is one byte,
+// the table's state index, and the table's two counters (see
+// core.TransitionTable) are the only counters: Leaders is the leader
+// count, Stable is gap == 0.
 //
-// Implementations generate the table from their own hand-written Step
-// logic (typically by probing Step over all state pairs), so the
-// transition rules keep a single source of truth. A table belongs to
-// the protocol, not to an instance: the in-tree protocols build each
-// one once per process, so Table is an O(1) lookup.
-type Tabular interface {
-	Protocol
-	// Table returns the compiled machine for the protocol's current
-	// configuration, or nil when it cannot be table-compiled (the run
-	// then uses interface dispatch). It must be callable both before
-	// Reset (plans report the engine choice up front) and after, and
-	// cheap: plans call it on every run.
-	Table() *core.TransitionTable
-	// TableStates returns the live per-node state-index slice, aliasing
-	// the protocol's own storage; fused kernels mutate it in place, so
-	// Output and state accessors stay accurate mid-run. Valid after
-	// Reset; every entry is < Table().K().
-	TableStates() []uint8
-	// ReloadCounters restores the protocol's internal counters after a
-	// fused kernel mutated TableStates behind Step's back; the plan
-	// calls it before every observer callback and at the end of the
-	// run. leaders and gap are the kernel's incrementally maintained
-	// table counters (see core.TransitionTable); implementations
-	// reconcile any further counters from their state array, typically
-	// by an O(n) scan. That scan prices observation, not simulation: an
-	// attached observer with a fine-grained interval (ObserveEvery near
-	// 1) costs O(n) per callback on top of the observer's own work, so
-	// heavily instrumented large-n runs may prefer Options.NoTable,
-	// whose Step dispatch keeps counters in O(1) per step.
-	ReloadCounters(leaders, gap int)
+// Execution plans fuse a Tabular protocol into the machine the
+// specialized sampler loops share, with no Protocol interface calls
+// (see engine.go); under Step dispatch the same table update runs
+// through Step. Protocols whose state space grows with n (identifier,
+// fast) implement Protocol directly.
+type Tabular struct {
+	name  string
+	k     int
+	table *core.TransitionTable
+	init  func(g graph.Graph, states []uint8)
+
+	states       []uint8
+	leaders, gap int // table counters; gap is 0 exactly when stable
 }
+
+// NewTabular returns a k-state table protocol. table is the compiled
+// machine, shared by every instance (nil only for an input that has no
+// machine, such as a tied majority; Reset must then reject it, since
+// nothing can run). init writes the initial configuration of g into
+// states, which arrive zeroed with length g.N(), and panics to reject a
+// graph or an input it cannot run on.
+func NewTabular(name string, k int, table *core.TransitionTable, init func(g graph.Graph, states []uint8)) *Tabular {
+	return &Tabular{name: name, k: k, table: table, init: init}
+}
+
+// Name implements Protocol.
+func (p *Tabular) Name() string { return p.name }
+
+// StateCount implements Protocol: the machine's k states, whatever n.
+func (p *Tabular) StateCount(int) float64 { return float64(p.k) }
+
+// Reset implements Protocol: init writes the initial configuration,
+// then the counters are computed by full scan.
+func (p *Tabular) Reset(g graph.Graph, _ *xrand.Rand) {
+	p.states = make([]uint8, g.N())
+	p.init(g, p.states)
+	p.leaders, p.gap = p.table.Counters(p.states)
+}
+
+// Step implements Protocol: one table update and its counter deltas.
+func (p *Tabular) Step(u, v int) {
+	dl, dg := p.table.Apply(p.states, u, v)
+	p.leaders += dl
+	p.gap += dg
+}
+
+// Output implements Protocol: the role of v's state.
+func (p *Tabular) Output(v int) core.Role { return p.table.Role(p.states[v]) }
+
+// Leaders implements Protocol.
+func (p *Tabular) Leaders() int { return p.leaders }
+
+// Stable implements Protocol: the table's stability functional is zero.
+func (p *Tabular) Stable() bool { return p.gap == 0 }
+
+// Table returns the compiled machine, or nil when the input has none.
+// It is valid before Reset, so plans can report the engine choice up
+// front.
+func (p *Tabular) Table() *core.TransitionTable { return p.table }
+
+// TableStates returns the live per-node state bytes, valid after Reset.
+// A fused kernel mutates them in place, so Output stays accurate
+// mid-run; callers must not write them.
+func (p *Tabular) TableStates() []uint8 { return p.states }
 
 // ScriptedSampler is a Scheduler that replays a fixed sequence of
 // ordered pairs, then panics if exhausted. For deterministic unit tests
@@ -147,7 +179,7 @@ type ProtocolBinder interface {
 
 // RunFinisher is an optional Observer extension: implementations are
 // called once after the run ends — after the kernel has rewound the
-// generator and reconciled protocol counters — with the final step
+// generator and stored the protocol counters — with the final step
 // count, so curves can close with a terminal sample even when the run
 // ends off the observation grid.
 type RunFinisher interface {
@@ -160,9 +192,10 @@ type Options struct {
 	MaxSteps int64
 	// Scheduler selects the interaction policy (see scheduler.go); nil
 	// and Uniform{} both mean the paper's uniform pairwise scheduler.
-	// Uniform, Weighted and NodeClock compile to specialized fast
-	// kernels; others run on the generic Source loop. Schedulers must be
-	// built for the same graph passed to Run (Compile rejects obvious
+	// Uniform, Weighted, NodeClock and Churn on a CSR graph compile to
+	// specialized fast kernels; others (Churn on the implicit clique
+	// included) run on the generic Source loop. Schedulers must be built
+	// for the same graph passed to Run (Compile rejects obvious
 	// mismatches).
 	Scheduler Scheduler
 	// Observer, if non-nil, is called every ObserveEvery steps.

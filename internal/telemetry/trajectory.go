@@ -50,10 +50,10 @@ const DefaultTrajectorySamples = 512
 // Trajectory records one trial's convergence curve. It implements
 // sim.Observer; wire it as Options.Observer with ObserveEvery set to
 // the sampling interval (one graph size n per sample ≈ one unit of
-// parallel time is the natural choice). The runner binds it to the
-// trial's protocol before the run (see runner.Pool) and finalizes it
-// after, so each sample reads the leader counters the engine has
-// already reconciled for observer callbacks.
+// parallel time is the natural choice). sim.ExecPlan.Run binds it to the
+// trial's protocol after Reset (ProtocolBinder) and finalizes it once
+// the run ends (RunFinisher), so each sample reads the leader counters
+// the engine has already stored back for observer callbacks.
 //
 // The curve is capped at max samples by stride doubling: when the
 // buffer fills, every other sample is dropped and the sampling stride
@@ -112,9 +112,9 @@ func (tr *Trajectory) Observe(t int64) {
 }
 
 // Finish records the trial's terminal sample at the run's final step
-// count; the runner calls it once the run returns. If the last periodic
-// sample already landed on the terminal step it is promoted in place,
-// so the curve ends with exactly one Final point.
+// count; sim.ExecPlan.Run calls it once the run ends. If the last
+// periodic sample already landed on the terminal step it is promoted in
+// place, so the curve ends with exactly one Final point.
 func (tr *Trajectory) Finish(steps int64) {
 	if n := len(tr.samples); n > 0 && tr.samples[n-1].Step == steps {
 		tr.samples[n-1].Final = true

@@ -23,12 +23,12 @@
 //     pairwise model: weighted per-edge contact rates, asynchronous
 //     degree-proportional node clocks, and bursty link churn (see
 //     Scheduler and ParseScheduler); uniform, weighted and node-clock
-//     runs all compile to type-specialized block-sampling fast loops,
-//     with drop rates and observers riding along (see Compile), and
-//     constant-state (Tabular) protocols fuse their whole transition
-//     function into those loops as compiled transition tables — no
-//     interface calls on the interaction hot path, byte-identical
-//     results either way;
+//     runs, and churn on CSR graphs, all compile to type-specialized
+//     block-sampling fast loops, with drop rates and observers riding
+//     along (see Compile), and constant-state (Tabular) protocols fuse
+//     their whole transition function into those loops as compiled
+//     transition tables — no interface calls on the interaction hot
+//     path, byte-identical results either way;
 //   - the three protocols of the paper: the constant-state six-state
 //     token protocol (Theorem 16), the identifier protocol with O(n⁴)
 //     states and O(B(G)+n log n) time (Theorem 21), and the fast

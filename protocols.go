@@ -24,8 +24,9 @@ type Role = core.Role
 // See Tabular.
 type TransitionTable = core.TransitionTable
 
-// Tabular is a Protocol whose whole transition function fits in a
-// compiled TransitionTable. Compiled execution plans fuse Tabular
+// Tabular is the one Protocol implementation for constant-state
+// protocols: a compiled TransitionTable plus per-node state bytes and
+// the table's two counters. Compiled execution plans fuse Tabular
 // protocols into the type-specialized scheduler kernels, removing every
 // interface call from the interaction hot loop; results are
 // byte-identical to interface dispatch (the protocol axis consumes no
@@ -131,7 +132,7 @@ func RunMajority(g Graph, inputs []bool, r *Rand, maxSteps int64) MajorityResult
 	return MajorityResult{
 		Steps:      res.Steps,
 		Stabilized: res.Stabilized,
-		Winner:     res.Stabilized && p.Opinion(0),
+		Winner:     res.Stabilized && p.Output(0) == Leader,
 	}
 }
 
