@@ -258,6 +258,15 @@ func run(c cliConfig, args []string) error {
 			return err
 		}
 	}
+	var trajLog *telemetry.TrajectoryLog
+	if c.trajectory != "" {
+		var err error
+		trajLog, err = telemetry.OpenTrajectoryLog(c.trajectory)
+		if err != nil {
+			return err
+		}
+		defer trajLog.Close() // for error paths; the success path checks Close
+	}
 	if c.pprofAddr != "" {
 		addr, stop, err := telemetry.StartDebugServer(c.pprofAddr, meter)
 		if err != nil {
@@ -331,9 +340,9 @@ func run(c cliConfig, args []string) error {
 		}
 	}
 
-	var trajs []*telemetry.Trajectory
-	if c.trajectory != "" {
-		trajs = sweep.AttachTrajectories(tasks, telemetry.DefaultTrajectorySamples)
+	var trajs []*sweep.Trajectory
+	if trajLog != nil {
+		trajs = sweep.AttachTrajectories(tasks)
 	}
 	pool := runner.Pool{Workers: c.workers, Meter: meter, Journal: journal}
 	if !c.quiet {
@@ -361,6 +370,12 @@ func run(c cliConfig, args []string) error {
 		if sink != nil && sinkErr == nil {
 			sinkErr = sink.Append(cell.Global, rec)
 		}
+		if trajLog != nil {
+			// Trajectories are unsharded, so cells arrive in grid
+			// order and cell.Global is the trial's flat index.
+			trajLog.WriteTrial(trajs[cell.Global].Samples())
+			trajs[cell.Global] = nil
+		}
 	})
 	endWrite()
 	if sink != nil {
@@ -382,17 +397,8 @@ func run(c cliConfig, args []string) error {
 		fmt.Fprintf(os.Stderr, "sweep: wrote %d records to %s\n", len(cells), c.out)
 	}
 
-	if c.trajectory != "" {
-		tl, err := telemetry.OpenTrajectoryLog(c.trajectory)
-		if err != nil {
-			return err
-		}
-		for _, tr := range trajs {
-			if tr != nil {
-				tl.WriteTrial(tr.Samples())
-			}
-		}
-		if err := tl.Close(); err != nil {
+	if trajLog != nil {
+		if err := trajLog.Close(); err != nil {
 			return err
 		}
 		if !c.quiet {

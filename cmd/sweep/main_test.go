@@ -108,3 +108,21 @@ func TestRunRefusesOutOfRangeSpecs(t *testing.T) {
 		}
 	}
 }
+
+// TestUnwritableTrajectoryFailsFirst — a -trajectory path in a missing
+// directory is an error before any trial runs, so -out is never written.
+func TestUnwritableTrajectoryFailsFirst(t *testing.T) {
+	dir := t.TempDir()
+	out := filepath.Join(dir, "records.jsonl")
+	cfg, rest, err := parseArgs([]string{"-graphs", "clique:8", "-protocols", "six-state", "-trials", "2",
+		"-out", out, "-trajectory", filepath.Join(dir, "missing", "traj.jsonl"), "-q"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := run(cfg, rest); err == nil || !strings.Contains(err.Error(), "trajectory") {
+		t.Fatalf("got %v, want an error opening the trajectory log", err)
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Fatalf("-out was written before the trajectory error: %v", err)
+	}
+}

@@ -187,7 +187,7 @@ func init() {
 					return err
 				}
 				p := beauquier.New()
-				tracker := &influence.DensityTracker{P: p, N: n}
+				tracker := &influence.DensityTracker{}
 				sim.Run(g, p, r, sim.Options{
 					MaxSteps:     int64(40 * n),
 					Observer:     tracker,

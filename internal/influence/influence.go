@@ -103,23 +103,26 @@ func (d DensitySample) MinPresent(states []core.TokenState) float64 {
 }
 
 // DensityTracker observes a six-state run (beauquier.New) and records
-// state densities at a fixed cadence from its state bytes, which are
-// core.TokenState values; it implements sim.Observer.
+// state densities at each interval callback from its state bytes, which
+// are core.TokenState values; it implements sim.Observer.
 type DensityTracker struct {
-	P       *sim.Tabular
-	N       int
 	Samples []DensitySample
 }
 
-// Observe implements sim.Observer.
-func (d *DensityTracker) Observe(t int64) {
+// Observe implements sim.Observer; the t = 0 and final callbacks are
+// not samples.
+func (d *DensityTracker) Observe(t int64, p sim.Protocol, final bool) {
+	if t == 0 || final {
+		return
+	}
+	states := p.(*sim.Tabular).TableStates()
 	counts := make(map[core.TokenState]int, 6)
-	for _, s := range d.P.TableStates() {
+	for _, s := range states {
 		counts[core.TokenState(s)]++
 	}
 	dens := make(map[core.TokenState]float64, len(counts))
 	for s, c := range counts {
-		dens[s] = float64(c) / float64(d.N)
+		dens[s] = float64(c) / float64(len(states))
 	}
 	d.Samples = append(d.Samples, DensitySample{Step: t, Densities: dens})
 }

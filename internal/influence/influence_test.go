@@ -151,7 +151,7 @@ func TestLemma48FullyDense(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := beauquier.New()
-	tracker := &DensityTracker{P: p, N: n}
+	tracker := &DensityTracker{}
 	sim.Run(g, p, r, sim.Options{
 		MaxSteps:     int64(40 * n),
 		Observer:     tracker,

@@ -111,8 +111,9 @@ func TestEngineObserverAndDropOnFastPath(t *testing.T) {
 	g := graph.NewClique(12)
 	obs := &countingObserver{}
 	res := Run(g, beauquier.New(), xrand.New(5), Options{Observer: obs, ObserveEvery: 1})
-	if !res.Stabilized || int64(obs.calls) != res.Steps {
-		t.Fatalf("observer saw %d of %d steps", obs.calls, res.Steps)
+	if !res.Stabilized || int64(obs.calls) != res.Steps || obs.starts != 1 || len(obs.finals) != 1 {
+		t.Fatalf("observer saw %d of %d steps, %d t = 0 and %d final callbacks",
+			obs.calls, res.Steps, obs.starts, len(obs.finals))
 	}
 	res = Run(g, beauquier.New(), xrand.New(5), Options{DropRate: 0.5})
 	if !res.Stabilized {
@@ -120,19 +121,47 @@ func TestEngineObserverAndDropOnFastPath(t *testing.T) {
 	}
 }
 
-// recordingObserver captures the callback cadence and, through the
-// protocol's O(1) leader counter, the protocol state visible at each
-// callback — so equivalence checks catch a kernel that applies steps in
-// the right order but observes at the wrong moment.
+// recordingObserver captures the callback sequence — time, final flag,
+// the passed protocol's O(1) leader counter and, for a Tabular protocol,
+// its gap counter (-1 otherwise) — so equivalence checks catch a kernel
+// that applies steps in the right order but observes at the wrong
+// moment. At every callback it also checks both counters against full
+// scans: the oracle for the counters trajectories read.
 type recordingObserver struct {
-	p       Protocol
+	g       graph.Graph
 	ts      []int64
+	finals  []bool
 	leaders []int
+	gaps    []int
+	err     error // first counter/scan mismatch
 }
 
-func (o *recordingObserver) Observe(t int64) {
+func (o *recordingObserver) Observe(t int64, p Protocol, final bool) {
+	gap := -1
+	if tp, ok := p.(*Tabular); ok {
+		gap = tp.Gap()
+		if _, scan := tp.Table().Counters(tp.TableStates()); scan != gap && o.err == nil {
+			o.err = fmt.Errorf("step %d: Gap() = %d, full scan %d", t, gap, scan)
+		}
+	}
+	if scan := CountLeaders(o.g, p); scan != p.Leaders() && o.err == nil {
+		o.err = fmt.Errorf("step %d: Leaders() = %d, full scan %d", t, p.Leaders(), scan)
+	}
 	o.ts = append(o.ts, t)
-	o.leaders = append(o.leaders, o.p.Leaders())
+	o.finals = append(o.finals, final)
+	o.leaders = append(o.leaders, p.Leaders())
+	o.gaps = append(o.gaps, gap)
+}
+
+// intervals counts the interval callbacks, the ones a meter tallies.
+func (o *recordingObserver) intervals() int64 {
+	n := int64(0)
+	for i, t := range o.ts {
+		if t > 0 && !o.finals[i] {
+			n++
+		}
+	}
+	return n
 }
 
 func (o *recordingObserver) equal(other *recordingObserver) bool {
@@ -140,7 +169,8 @@ func (o *recordingObserver) equal(other *recordingObserver) bool {
 		return false
 	}
 	for i := range o.ts {
-		if o.ts[i] != other.ts[i] || o.leaders[i] != other.leaders[i] {
+		if o.ts[i] != other.ts[i] || o.finals[i] != other.finals[i] ||
+			o.leaders[i] != other.leaders[i] || o.gaps[i] != other.gaps[i] {
 			return false
 		}
 	}
@@ -149,12 +179,16 @@ func (o *recordingObserver) equal(other *recordingObserver) bool {
 
 // referenceRun is an independent step-at-a-time loop implementing the
 // run semantics from first principles — one Source.Next per step, a
-// live Float64 drop draw after each delivered contact, observer on
-// every multiple of the interval, stabilization checked after every
-// step. It deliberately shares no code with plan.go or engine.go: it is
-// the meaning the compiled kernels must reproduce byte for byte.
+// live Float64 drop draw after each delivered contact, observer at
+// t = 0, on every multiple of the interval and once more at the end,
+// stabilization checked after every step. It deliberately shares no
+// code with plan.go or engine.go: it is the meaning the compiled
+// kernels must reproduce byte for byte.
 func referenceRun(g graph.Graph, p Protocol, r *xrand.Rand, opts Options) Result {
 	p.Reset(g, r)
+	if opts.Observer != nil {
+		opts.Observer.Observe(0, p, false)
+	}
 	maxSteps := opts.MaxSteps
 	if maxSteps <= 0 {
 		maxSteps = DefaultMaxSteps(g.N())
@@ -175,11 +209,17 @@ func referenceRun(g graph.Graph, p Protocol, r *xrand.Rand, opts Options) Result
 			p.Step(u, v)
 		}
 		if opts.Observer != nil && t%every == 0 {
-			opts.Observer.Observe(t)
+			opts.Observer.Observe(t, p, false)
 		}
 		if p.Stable() {
+			if opts.Observer != nil {
+				opts.Observer.Observe(t, p, true)
+			}
 			return Result{Steps: t, Stabilized: true, Leader: FindLeader(g, p)}
 		}
+	}
+	if opts.Observer != nil {
+		opts.Observer.Observe(maxSteps, p, true)
 	}
 	return Result{Steps: maxSteps, Stabilized: false, Leader: -1}
 }
@@ -355,7 +395,7 @@ func TestPlanEquivalenceMatrix(t *testing.T) {
 									}
 									var obs *recordingObserver
 									if every > 0 {
-										obs = &recordingObserver{p: p}
+										obs = &recordingObserver{g: g}
 										opts.Observer = obs
 										opts.ObserveEvery = every
 									}
@@ -368,6 +408,9 @@ func TestPlanEquivalenceMatrix(t *testing.T) {
 									return variant{res: res, r: r, post: r.Save(), obs: obs, meter: meter, forced: forceGeneric}
 								}
 								want := runVariant(true, false, false, false)
+								if every > 0 && want.obs.err != nil {
+									t.Fatalf("%s: reference loop: %v", name, want.obs.err)
+								}
 								var wantDraws [16]uint64
 								for i := range wantDraws {
 									wantDraws[i] = want.r.Uint64()
@@ -387,9 +430,12 @@ func TestPlanEquivalenceMatrix(t *testing.T) {
 									if v.res != want.res {
 										t.Fatalf("%s: results diverged: plan %+v, reference %+v", name, v.res, want.res)
 									}
+									if every > 0 && v.obs.err != nil {
+										t.Fatalf("%s: %v", name, v.obs.err)
+									}
 									if every > 0 && !v.obs.equal(want.obs) {
-										t.Fatalf("%s: observer sequences diverged:\nplan %v %v\nref  %v %v",
-											name, v.obs.ts, v.obs.leaders, want.obs.ts, want.obs.leaders)
+										t.Fatalf("%s: observer sequences diverged:\nplan %v %v %v\nref  %v %v %v",
+											name, v.obs.ts, v.obs.leaders, v.obs.gaps, want.obs.ts, want.obs.leaders, want.obs.gaps)
 									}
 									for i, b := range wantDraws {
 										if a := v.r.Uint64(); a != b {
@@ -406,7 +452,7 @@ func TestPlanEquivalenceMatrix(t *testing.T) {
 										t.Fatalf("%s: meter counted %d steps, run took %d", name, s.StepsExecuted, v.res.Steps)
 									}
 									if wantObs := int64(0); every > 0 {
-										wantObs = int64(len(v.obs.ts))
+										wantObs = v.obs.intervals()
 										if s.ObserverCalls != wantObs {
 											t.Fatalf("%s: meter counted %d observer calls, want %d", name, s.ObserverCalls, wantObs)
 										}
@@ -463,7 +509,7 @@ func TestPlanEquivalenceMatrix(t *testing.T) {
 									}
 									var obs *recordingObserver
 									if every > 0 {
-										obs = &recordingObserver{p: p}
+										obs = &recordingObserver{g: snapG}
 										opts.Observer = obs
 										opts.ObserveEvery = every
 									}
@@ -471,7 +517,7 @@ func TestPlanEquivalenceMatrix(t *testing.T) {
 									if res != want.res {
 										t.Fatalf("%s: snapshot-loaded run diverged: %+v, reference %+v", name, res, want.res)
 									}
-									if every > 0 && !obs.equal(want.obs) {
+									if every > 0 && (obs.err != nil || !obs.equal(want.obs)) {
 										t.Fatalf("%s: snapshot-loaded observer sequence diverged", name)
 									}
 									for i, b := range wantDraws {

@@ -237,9 +237,10 @@ func (pl *ExecPlan) newKernel(p Protocol, r *xrand.Rand) (kernel, string) {
 
 // Run resets p on the plan's graph and executes the compiled kernel in
 // chunks until the protocol reports a stable configuration or the step
-// cap is hit. Observer callbacks fire after the step closing each
-// observer interval, including a stabilizing step that lands on a
-// boundary — exactly the cadence of the step-at-a-time reference loop.
+// cap is hit. Interval observer callbacks fire after the step closing
+// each observer interval, including a stabilizing step that lands on a
+// boundary — exactly the cadence of the step-at-a-time reference loop —
+// bracketed by the t = 0 callback after Reset and the final one.
 //
 // Metering (Options.Meter) is pure bookkeeping on the control path:
 // chunk and observer tallies live in locals, kernel counters in kernel
@@ -248,8 +249,8 @@ func (pl *ExecPlan) newKernel(p Protocol, r *xrand.Rand) (kernel, string) {
 // aggregated meter counts exactly the steps of the runs that completed.
 func (pl *ExecPlan) Run(p Protocol, r *xrand.Rand) Result {
 	p.Reset(pl.g, r)
-	if b, ok := pl.observer.(ProtocolBinder); ok {
-		b.Bind(p)
+	if pl.observer != nil {
+		pl.observer.Observe(0, p, false)
 	}
 	kern, label := pl.newKernel(p, r)
 	var t, chunks, observes int64
@@ -270,30 +271,31 @@ func (pl *ExecPlan) Run(p Protocol, r *xrand.Rand) Result {
 			// A fused machine keeps the table counters in the kernel;
 			// store them so the observer sees live Leaders/Stable.
 			kern.sync()
-			pl.observer.Observe(t)
+			pl.observer.Observe(t, p, false)
 			observes++
 		}
 		if stabilized {
 			kern.finish(r)
 			kern.sync()
-			pl.flush(kern, label, t, chunks, observes)
+			pl.flush(p, kern, label, t, chunks, observes)
 			return Result{Steps: t, Stabilized: true, Leader: FindLeader(pl.g, p)}
 		}
 	}
 	kern.finish(r)
 	kern.sync()
-	pl.flush(kern, label, t, chunks, observes)
+	pl.flush(p, kern, label, t, chunks, observes)
 	return Result{Steps: pl.maxSteps, Stabilized: false, Leader: -1}
 }
 
-// flush hands a completed run's accounting to the meter and closes any
-// trajectory-style observer. Called after the kernel has rewound the
-// generator and stored the protocol counters, so finishers read exact
+// flush makes the observer's final callback and hands a completed run's
+// accounting to the meter. Called after the kernel has rewound the
+// generator and stored the protocol counters, so the observer reads exact
 // terminal state; the Result the caller returns is already fixed, and
-// nothing here touches r.
-func (pl *ExecPlan) flush(kern kernel, label string, steps, chunks, observes int64) {
-	if f, ok := pl.observer.(RunFinisher); ok {
-		f.Finish(steps)
+// nothing here touches r. The meter's observer tally counts interval
+// callbacks only.
+func (pl *ExecPlan) flush(p Protocol, kern kernel, label string, steps, chunks, observes int64) {
+	if pl.observer != nil {
+		pl.observer.Observe(steps, p, true)
 	}
 	if pl.meter != nil {
 		refills, drops := kern.stats()

@@ -125,9 +125,13 @@ func (p *Tabular) Leaders() int { return p.leaders }
 // Stable implements Protocol: the table's stability functional is zero.
 func (p *Tabular) Stable() bool { return p.gap == 0 }
 
+// Gap returns the table's stability functional, 0 exactly when stable.
+func (p *Tabular) Gap() int { return p.gap }
+
 // Table returns the compiled machine, or nil when the input has none.
-// It is valid before Reset, so plans can report the engine choice up
-// front.
+// It is valid before Reset.
+//
+//popcheck:ignore deadexport oracle for full-scan counter checks in six test packages
 func (p *Tabular) Table() *core.TransitionTable { return p.table }
 
 // TableStates returns the live per-node state bytes, valid after Reset.
@@ -160,30 +164,16 @@ func (s *ScriptedSampler) Next(int64, *xrand.Rand) (int, int, bool) {
 	return p[0], p[1], true
 }
 
-// Observer receives periodic callbacks during a run, for instrumentation
-// such as state-density tracking (Lemma 48 experiments).
+// Observer receives callbacks during a run, for instrumentation such as
+// state-density tracking (Lemma 48 experiments) and convergence
+// trajectories. ExecPlan.Run calls Observe with t = 0 right after
+// p.Reset, after step t (1-based) whenever t is a multiple of the
+// interval passed in Options, and once with final = true after the run
+// ends, at its final step count (even when that step was just observed).
+// p is the run's protocol with its counters live. Callbacks run on the
+// run's control path: they must not step p or draw from the generator.
 type Observer interface {
-	// Observe is called after step t (1-based) whenever t is a multiple of
-	// the interval passed in Options.
-	Observe(t int64)
-}
-
-// ProtocolBinder is an optional Observer extension: observers that need
-// the run's protocol instance (telemetry.Trajectory samples its leader
-// count) implement it and are handed the freshly Reset protocol before
-// the first step. Binding happens on the run's control path only — it
-// cannot consume randomness or alter step ordering.
-type ProtocolBinder interface {
-	Bind(p any)
-}
-
-// RunFinisher is an optional Observer extension: implementations are
-// called once after the run ends — after the kernel has rewound the
-// generator and stored the protocol counters — with the final step
-// count, so curves can close with a terminal sample even when the run
-// ends off the observation grid.
-type RunFinisher interface {
-	Finish(steps int64)
+	Observe(t int64, p Protocol, final bool)
 }
 
 // Options configures a run.
@@ -198,7 +188,8 @@ type Options struct {
 	// for the same graph passed to Run (Compile rejects obvious
 	// mismatches).
 	Scheduler Scheduler
-	// Observer, if non-nil, is called every ObserveEvery steps.
+	// Observer, if non-nil, is called at step 0, every ObserveEvery
+	// steps and once at the end of the run (see Observer).
 	Observer     Observer
 	ObserveEvery int64
 	// DropRate injects communication failures: each sampled interaction

@@ -116,13 +116,26 @@ func TestRunPanicsOnTinyGraph(t *testing.T) {
 	Run(g, beauquier.New(), xrand.New(1), Options{})
 }
 
+// countingObserver tallies the three kinds of observer callback.
 type countingObserver struct {
-	calls int
-	last  int64
+	calls  int     // interval callbacks
+	starts int     // t = 0 callbacks
+	finals []int64 // steps of final callbacks
 }
 
-func (o *countingObserver) Observe(t int64) { o.calls++; o.last = t }
+func (o *countingObserver) Observe(t int64, _ Protocol, final bool) {
+	switch {
+	case final:
+		o.finals = append(o.finals, t)
+	case t == 0:
+		o.starts++
+	default:
+		o.calls++
+	}
+}
 
+// TestObserverCadence — one t = 0 callback, one per interval, and one
+// final callback at the run's last step.
 func TestObserverCadence(t *testing.T) {
 	g := graph.NewClique(8)
 	obs := &countingObserver{}
@@ -133,6 +146,9 @@ func TestObserverCadence(t *testing.T) {
 	want := int(res.Steps / 10)
 	if obs.calls != want {
 		t.Fatalf("observer called %d times, want %d (steps=%d)", obs.calls, want, res.Steps)
+	}
+	if obs.starts != 1 || len(obs.finals) != 1 || obs.finals[0] != res.Steps {
+		t.Fatalf("%d t = 0 callbacks and final callbacks at %v, want 1 and [%d]", obs.starts, obs.finals, res.Steps)
 	}
 }
 

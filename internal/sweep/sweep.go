@@ -315,35 +315,90 @@ func (s Spec) Build() ([]Task, error) {
 	return tasks, nil
 }
 
-// AttachTrajectories wires a telemetry.Trajectory observer into every
-// trial job that does not already carry an observer, and returns the
-// trajectories in grid order — trajectory i belongs to record i of a
-// subsequent Execute, with Trial set to that flat index. Jobs with their
-// own observer keep it and get a nil slot. Sampling rides the engine's
-// Observe cadence: jobs without an explicit ObserveEvery sample every
-// n steps (n = graph nodes), keeping observation cost O(steps/n) scans.
-// Observer boundaries never perturb the random stream, so attaching
-// trajectories leaves every record byte-identical.
-func AttachTrajectories(tasks []Task, maxSamples int) []*telemetry.Trajectory {
-	var out []*telemetry.Trajectory
+// AttachTrajectories wires a Trajectory observer into every trial job,
+// sampling every n steps (n = graph nodes, about one unit of parallel
+// time), and returns the trajectories in grid order — trajectory i
+// belongs to record i of a subsequent Execute, with Trial set to that
+// flat index. Observer boundaries never perturb the random stream, so
+// attaching trajectories leaves every record byte-identical.
+func AttachTrajectories(tasks []Task) []*Trajectory {
+	var out []*Trajectory
 	for ti := range tasks {
 		t := &tasks[ti]
 		for ji := range t.Jobs {
-			j := &t.Jobs[ji]
-			if j.Opts.Observer != nil {
-				out = append(out, nil)
-				continue
-			}
-			tr := telemetry.NewTrajectory(len(out), maxSamples)
-			j.Opts.Observer = tr
-			if j.Opts.ObserveEvery <= 0 {
-				j.Opts.ObserveEvery = int64(t.Graph.N())
-			}
+			tr := &Trajectory{trial: len(out), stride: 1}
+			t.Jobs[ji].Opts.Observer = tr
+			t.Jobs[ji].Opts.ObserveEvery = int64(t.Graph.N())
 			out = append(out, tr)
 		}
 	}
 	return out
 }
+
+// trajectorySamples caps a trial's curve length.
+const trajectorySamples = 512
+
+// Trajectory records one trial's convergence curve — (step, leaders,
+// gap) samples showing how a protocol approaches stability against the
+// paper's bound — as a sim.Observer. Each sample reads the counters the
+// engine has stored back for the callback: Leaders, and for a
+// sim.Tabular protocol its gap; other protocols carry no gap.
+//
+// The curve is capped at trajectorySamples by stride doubling: when the
+// buffer fills, every other sample is dropped and the sampling stride
+// doubles, so long runs keep an evenly thinned curve instead of only
+// its first points. Deterministic: the kept set depends only on the
+// observation count, never on time or randomness. The step-0 sample is
+// always kept, and the final callback closes the curve with exactly one
+// Final sample, promoting the last one when it landed on the final step.
+type Trajectory struct {
+	trial   int
+	stride  int64
+	seen    int64
+	samples []telemetry.TrajectorySample
+}
+
+// Observe implements sim.Observer.
+func (tr *Trajectory) Observe(t int64, p sim.Protocol, final bool) {
+	if final {
+		if n := len(tr.samples); n > 0 && tr.samples[n-1].Step == t {
+			tr.samples[n-1].Final = true
+			return
+		}
+	} else if t > 0 {
+		idx := tr.seen
+		tr.seen++
+		if idx%tr.stride != 0 {
+			return
+		}
+	}
+	s := telemetry.TrajectorySample{Trial: tr.trial, Step: t, Leaders: p.Leaders(), Final: final}
+	if tp, ok := p.(*sim.Tabular); ok {
+		gap := tp.Gap()
+		s.Gap = &gap
+	}
+	tr.samples = append(tr.samples, s)
+	// The final sample may fill the buffer; it closes the curve as is.
+	if !final && len(tr.samples) >= trajectorySamples {
+		tr.decimate()
+	}
+}
+
+// decimate halves the curve, keeping step 0 and every other periodic
+// sample, and doubles the stride so future observations thin to match.
+func (tr *Trajectory) decimate() {
+	kept := tr.samples[:1] // always keep the step-0 sample
+	// Periodic samples sit at observation indices 0, stride, 2·stride, …;
+	// keeping alternate ones leaves exactly the multiples of 2·stride.
+	for i := 1; i < len(tr.samples); i += 2 {
+		kept = append(kept, tr.samples[i])
+	}
+	tr.samples = kept
+	tr.stride *= 2
+}
+
+// Samples returns the recorded curve; call after the run completes.
+func (tr *Trajectory) Samples() []telemetry.TrajectorySample { return tr.samples }
 
 // Trials returns the total number of trials across all tasks.
 func Trials(tasks []Task) int {

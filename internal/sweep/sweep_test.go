@@ -9,9 +9,13 @@ import (
 	"strings"
 	"testing"
 
+	"popgraph"
+	"popgraph/internal/graph"
 	"popgraph/internal/results"
 	"popgraph/internal/runner"
+	"popgraph/internal/sim"
 	"popgraph/internal/telemetry"
+	"popgraph/internal/xrand"
 )
 
 func smokeSpec() Spec {
@@ -458,16 +462,148 @@ func TestExecuteMeterMatchesRecords(t *testing.T) {
 	}
 }
 
-// TestAttachTrajectories — one trajectory per trial in grid order, each
-// closing with a terminal sample that agrees with the trial's record
-// (step count, and a single leader for stabilized trials) — and the
-// records themselves stay byte-identical to an unobserved run.
+// scanningObserver forwards every callback to next and records, per
+// step, the leader count and (for a Tabular protocol) the gap by full
+// scans: the oracle for the counters a Trajectory reads.
+type scanningObserver struct {
+	next    sim.Observer
+	g       graph.Graph
+	tabular bool
+	leaders map[int64]int
+	gaps    map[int64]int
+}
+
+func newScanningObserver(next sim.Observer, g graph.Graph) *scanningObserver {
+	return &scanningObserver{next: next, g: g, leaders: map[int64]int{}, gaps: map[int64]int{}}
+}
+
+func (o *scanningObserver) Observe(t int64, p sim.Protocol, final bool) {
+	o.leaders[t] = sim.CountLeaders(o.g, p)
+	if tp, ok := p.(*sim.Tabular); ok {
+		o.tabular = true
+		_, o.gaps[t] = tp.Table().Counters(tp.TableStates())
+	}
+	o.next.Observe(t, p, final)
+}
+
+// check asserts that every sample's leader count equals the scan at its
+// step, and that it carries a gap exactly when the protocol is tabular,
+// equal to the scan.
+func (o *scanningObserver) check(t *testing.T, samples []telemetry.TrajectorySample) {
+	t.Helper()
+	for _, s := range samples {
+		if s.Leaders != o.leaders[s.Step] {
+			t.Fatalf("sample %+v, full scan leaders %d", s, o.leaders[s.Step])
+		}
+		if (s.Gap != nil) != o.tabular {
+			t.Fatalf("sample %+v has gap %v for a tabular=%v protocol", s, s.Gap != nil, o.tabular)
+		}
+		if s.Gap != nil && *s.Gap != o.gaps[s.Step] {
+			t.Fatalf("sample %+v gap %d, full scan %d", s, *s.Gap, o.gaps[s.Step])
+		}
+	}
+}
+
+// trajectoryProtocols are the protocols the trajectory tests run:
+// six-state and majority carry a gap, identifier has none.
+var trajectoryProtocols = []string{"six-state", "identifier", "majority:0.75"}
+
+// runTrajectory runs one trial of proto on g with a Trajectory attached
+// through a scanningObserver.
+func runTrajectory(t *testing.T, g graph.Graph, proto string, opts sim.Options) (*Trajectory, *scanningObserver, sim.Result) {
+	t.Helper()
+	factory, err := popgraph.ProtocolFactory(proto, g, xrand.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &Trajectory{trial: 3, stride: 1}
+	obs := newScanningObserver(tr, g)
+	opts.Observer = obs
+	return tr, obs, sim.Run(g, factory(), xrand.New(2), opts)
+}
+
+// TestTrajectorySamplingAndFinish — a curve is the step-0 sample, one
+// sample per interval, and one Final sample at the run's last step,
+// promoted in place when that step was just sampled; every sample reads
+// the counters a full scan gives.
+func TestTrajectorySamplingAndFinish(t *testing.T) {
+	g := graph.NewClique(16)
+	for _, proto := range trajectoryProtocols {
+		for _, c := range []struct{ every, cap int64 }{{16, 4000}, {7, 4000}, {10, 100}} {
+			tr, obs, res := runTrajectory(t, g, proto, sim.Options{ObserveEvery: c.every, MaxSteps: c.cap})
+			s := tr.Samples()
+			want := res.Steps/c.every + 1
+			if res.Steps%c.every != 0 {
+				want++
+			}
+			if int64(len(s)) != want {
+				t.Fatalf("%s every %d: %d samples over %d steps, want %d", proto, c.every, len(s), res.Steps, want)
+			}
+			for i, smp := range s[:len(s)-1] {
+				if smp.Step != int64(i)*c.every || smp.Final || smp.Trial != 3 {
+					t.Fatalf("%s every %d: sample %d is %+v", proto, c.every, i, smp)
+				}
+			}
+			last := s[len(s)-1]
+			if !last.Final || last.Step != res.Steps || last.Trial != 3 || (res.Leader >= 0 && last.Leaders != 1) {
+				t.Fatalf("%s every %d: final sample %+v, result %+v", proto, c.every, last, res)
+			}
+			obs.check(t, s)
+		}
+	}
+}
+
+// TestTrajectoryDecimation observes far past the sample cap and checks
+// the curve stays bounded, keeps step 0, keeps only the observations on
+// the doubled stride, and still ends at the terminal step; a final
+// sample never triggers decimation.
+func TestTrajectoryDecimation(t *testing.T) {
+	g := graph.Cycle(64)
+	for _, proto := range trajectoryProtocols {
+		tr, obs, res := runTrajectory(t, g, proto, sim.Options{ObserveEvery: 1, MaxSteps: 4 * trajectorySamples})
+		if res.Steps <= 2*trajectorySamples {
+			t.Fatalf("%s: run ended after %d steps, too few to decimate", proto, res.Steps)
+		}
+		s := tr.Samples()
+		if len(s) > trajectorySamples+1 { // the cap plus the final sample
+			t.Fatalf("%s: curve not bounded: %d samples", proto, len(s))
+		}
+		if s[0].Step != 0 || tr.stride < 2 {
+			t.Fatalf("%s: first sample %+v, stride %d", proto, s[0], tr.stride)
+		}
+		for i := 1; i < len(s)-1; i++ {
+			// With every = 1, step t is observation t−1.
+			if s[i].Step <= s[i-1].Step || (s[i].Step-1)%tr.stride != 0 {
+				t.Fatalf("%s: sample %d at step %d off stride %d", proto, i, s[i].Step, tr.stride)
+			}
+		}
+		if last := s[len(s)-1]; !last.Final || last.Step != res.Steps {
+			t.Fatalf("%s: final sample %+v, result %+v", proto, last, res)
+		}
+		obs.check(t, s)
+
+		// A final sample that fills the buffer does not decimate it:
+		// 510 periodic samples plus step 0 leave one slot, and the run
+		// ends off the grid.
+		const maxSteps = 2*(trajectorySamples-2) + 1
+		tr, _, res = runTrajectory(t, g, proto, sim.Options{ObserveEvery: 2, MaxSteps: maxSteps})
+		if s := tr.Samples(); res.Steps != maxSteps || len(s) != trajectorySamples || !s[len(s)-1].Final {
+			t.Fatalf("%s: %d samples over %d steps, want %d ending in the final one", proto, len(s), res.Steps, trajectorySamples)
+		}
+	}
+}
+
+// TestAttachTrajectories — one trajectory per trial in grid order,
+// sampling every n steps, each closing with a terminal sample that
+// agrees with the trial's record (step count, and a single leader when
+// the record names one) and reading the counters a full scan gives — and
+// the records themselves stay byte-identical to an unobserved run.
 func TestAttachTrajectories(t *testing.T) {
 	s := Spec{
 		Seed:      17,
 		Trials:    2,
 		Graphs:    []string{"clique:8", "cycle:12"},
-		Protocols: []string{"six-state"},
+		Protocols: trajectoryProtocols,
 	}
 	build := func() []Task {
 		tasks, err := s.Build()
@@ -478,21 +614,30 @@ func TestAttachTrajectories(t *testing.T) {
 	}
 	bare := Execute(build(), runner.Pool{Workers: 2})
 	tasks := build()
-	trajs := AttachTrajectories(tasks, 64)
+	trajs := AttachTrajectories(tasks)
 	if want := Trials(tasks); len(trajs) != want {
 		t.Fatalf("%d trajectories, want %d", len(trajs), want)
 	}
+	var scans []*scanningObserver
+	for ti := range tasks {
+		for ji := range tasks[ti].Jobs {
+			j := &tasks[ti].Jobs[ji]
+			if j.Opts.ObserveEvery != int64(tasks[ti].Graph.N()) {
+				t.Fatalf("task %d job %d samples every %d steps, want n = %d", ti, ji, j.Opts.ObserveEvery, tasks[ti].Graph.N())
+			}
+			obs := newScanningObserver(j.Opts.Observer, tasks[ti].Graph)
+			j.Opts.Observer = obs
+			scans = append(scans, obs)
+		}
+	}
 	recs := Execute(tasks, runner.Pool{Workers: 2})
 	for i, r := range recs {
-		if r.Steps != bare[i].Steps || r.Leader != bare[i].Leader {
+		r.ElapsedNs, r.QueueWaitNs = bare[i].ElapsedNs, bare[i].QueueWaitNs
+		if !reflect.DeepEqual(r, bare[i]) {
 			t.Fatalf("record %d diverged with trajectories attached: %+v vs %+v",
 				i, r, bare[i])
 		}
-		tr := trajs[i]
-		if tr == nil {
-			t.Fatalf("trajectory %d missing", i)
-		}
-		samples := tr.Samples()
+		samples := trajs[i].Samples()
 		if len(samples) == 0 {
 			t.Fatalf("trajectory %d empty", i)
 		}
@@ -501,29 +646,10 @@ func TestAttachTrajectories(t *testing.T) {
 			t.Fatalf("trajectory %d terminal sample %+v, record steps %d",
 				i, last, r.Steps)
 		}
-		if r.Stabilized && last.Leaders != 1 {
-			t.Fatalf("trajectory %d terminal leaders %d for stabilized trial",
+		if r.Leader >= 0 && last.Leaders != 1 {
+			t.Fatalf("trajectory %d terminal leaders %d for trial with a leader",
 				i, last.Leaders)
 		}
-	}
-	// A job with its own observer is left alone: nil slot, observer kept.
-	tasks = build()
-	obs := &countingObserver{}
-	tasks[0].Jobs[0].Opts.Observer = obs
-	trajs = AttachTrajectories(tasks, 64)
-	if trajs[0] != nil {
-		t.Fatal("pre-observed job was reassigned a trajectory")
-	}
-	if tasks[0].Jobs[0].Opts.Observer != obs {
-		t.Fatal("pre-existing observer clobbered")
-	}
-	for i := 1; i < len(trajs); i++ {
-		if trajs[i] == nil {
-			t.Fatalf("trajectory %d missing", i)
-		}
+		scans[i].check(t, samples)
 	}
 }
-
-type countingObserver struct{ n int }
-
-func (c *countingObserver) Observe(int64) { c.n++ }

@@ -1,8 +1,8 @@
 // Package telemetry is the simulator's flight recorder: mergeable
 // counters fed by the execution engine and the batch runner, log-bucketed
-// latency histograms, a JSONL span journal for phase timing, per-trial
-// convergence trajectories, and the -pprof/-metrics debug endpoints the
-// CLIs expose.
+// latency histograms, a JSONL span journal for phase timing, the file
+// format of per-trial convergence trajectories (sweep.Trajectory records
+// them), and the -pprof/-metrics debug endpoints the CLIs expose.
 //
 // The design constraint that shapes everything here is that telemetry
 // must be provably free of determinism impact: nothing in this package

@@ -274,78 +274,6 @@ func TestJournalSpansAndNilSafety(t *testing.T) {
 	}
 }
 
-// fakeProto exposes only Leaders, like a non-tabular protocol.
-type fakeProto struct{ leaders int }
-
-func (f *fakeProto) Leaders() int { return f.leaders }
-
-func TestTrajectorySamplingAndFinish(t *testing.T) {
-	p := &fakeProto{leaders: 10}
-	tr := NewTrajectory(3, 0)
-	tr.Bind(p)
-	for step := int64(1); step <= 5; step++ {
-		p.leaders--
-		tr.Observe(step * 100)
-	}
-	tr.Finish(777)
-	s := tr.Samples()
-	if len(s) != 7 {
-		t.Fatalf("got %d samples, want 7 (initial + 5 + final)", len(s))
-	}
-	if s[0].Step != 0 || s[0].Leaders != 10 || s[0].Final {
-		t.Fatalf("initial sample: %+v", s[0])
-	}
-	last := s[len(s)-1]
-	if !last.Final || last.Step != 777 || last.Leaders != 5 {
-		t.Fatalf("final sample: %+v", last)
-	}
-	for _, smp := range s {
-		if smp.Trial != 3 {
-			t.Fatalf("trial index: %+v", smp)
-		}
-		if smp.Gap != nil {
-			t.Fatalf("gap set for non-tabular protocol: %+v", smp)
-		}
-	}
-
-	// Finish landing exactly on the last periodic sample promotes it.
-	tr2 := NewTrajectory(0, 0)
-	tr2.Bind(p)
-	tr2.Observe(50)
-	tr2.Finish(50)
-	if s2 := tr2.Samples(); len(s2) != 2 || !s2[1].Final || s2[1].Step != 50 {
-		t.Fatalf("promotion: %+v", s2)
-	}
-}
-
-// TestTrajectoryDecimation fills past the cap and checks the curve
-// stays bounded, keeps step 0, stays strictly increasing, and still
-// ends at the terminal step.
-func TestTrajectoryDecimation(t *testing.T) {
-	p := &fakeProto{leaders: 1}
-	tr := NewTrajectory(0, 16)
-	tr.Bind(p)
-	for step := int64(1); step <= 1000; step++ {
-		tr.Observe(step)
-	}
-	tr.Finish(1001)
-	s := tr.Samples()
-	if len(s) > 17 { // max plus the final sample
-		t.Fatalf("curve not bounded: %d samples", len(s))
-	}
-	if s[0].Step != 0 {
-		t.Fatalf("lost step-0 sample: %+v", s[0])
-	}
-	for i := 1; i < len(s); i++ {
-		if s[i].Step <= s[i-1].Step {
-			t.Fatalf("steps not increasing at %d: %+v", i, s)
-		}
-	}
-	if last := s[len(s)-1]; !last.Final || last.Step != 1001 {
-		t.Fatalf("final sample: %+v", last)
-	}
-}
-
 func TestTrajectoryLogRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	l := NewTrajectoryLog(&buf)
