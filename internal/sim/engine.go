@@ -71,15 +71,28 @@ type kernel interface {
 	stats() (refills, drops int64)
 }
 
+// sampler is one of the five specialized kernels. The plan pools them
+// per mode (plan.go), so one value serves run after run: attach binds it
+// to a plan's graph or scheduler tables and a run's protocol (tp as for
+// machine.bind), and release drops every one of those references before
+// the kernel goes back to its pool, so an idle kernel pins no graph.
+type sampler interface {
+	kernel
+	attach(pl *ExecPlan, tp *Tabular)
+	release()
+}
+
 // rngBlock is the shared block-prefetch state: a buffer of raw Uint64
 // outputs, a cursor, and the generator snapshot needed to rewind unused
-// prefetch on finish. Kernels keep one alive across chunk calls.
+// prefetch on finish. Kernels keep one alive across chunk calls and, as
+// pooled kernels, across runs: machine.bind resets the cursor and the
+// refill tally, and the run's first refill overwrites buf and saved
+// before either is read.
 type rngBlock struct {
 	buf     [rngBlockSize]uint64
 	k       int
 	saved   xrand.State
-	filled  bool
-	refills int64
+	refills int64 // blocks drawn this run; finish rewinds only after one
 }
 
 // next returns the next stream value, refilling the block when
@@ -106,18 +119,16 @@ func (b *rngBlock) refill(r *xrand.Rand) {
 	b.saved = r.Save()
 	r.Fill(b.buf[:])
 	b.k = 0
-	b.filled = true
 	b.refills++
 }
 
 // finish repositions r as if the consumed values had been drawn one at
-// a time: restore the pre-block state, skip the consumed prefix.
+// a time: restore the pre-block state, skip the consumed prefix. It is
+// called once, at the end of the run.
 func (b *rngBlock) finish(r *xrand.Rand) {
-	if b.filled {
+	if b.refills > 0 {
 		r.Restore(b.saved)
 		r.Skip(b.k)
-		b.filled = false
-		b.k = rngBlockSize
 	}
 }
 
@@ -156,18 +167,25 @@ type machine struct {
 	gap     int // Σ gapWeight(state) − target; stable iff 0
 }
 
-// bind readies a zero machine, in place inside its freshly allocated
-// kernel, for one run. A non-nil tp (already Reset) is fused: its
-// compiled table, live state bytes and counters are captured.
+// bind readies the machine for one run. It is the only place per-run
+// state is reset, because a pooled kernel arrives carrying its previous
+// run's block cursor, refill and drop tallies, table binding and
+// counters. A non-nil tp (already Reset) is fused: its compiled
+// table, live state bytes and counters are captured.
 func (m *machine) bind(drop float64, tp *Tabular) {
-	m.blk.k = rngBlockSize
-	m.drop = drop
+	m.blk.k, m.blk.refills = rngBlockSize, 0
+	m.drop, m.drops = drop, 0
+	m.table, m.tp, m.cells, m.states, m.k, m.leaders, m.gap = false, nil, nil, nil, 0, 0, 0
 	if tp != nil {
 		m.table, m.tp = true, tp
 		m.cells, m.states, m.k = tp.table.Cells(), tp.states, uint32(tp.table.K())
 		m.leaders, m.gap = tp.leaders, tp.gap
 	}
 }
+
+// unbind drops the machine's references to the run's protocol and
+// table, so an idle kernel keeps neither alive.
+func (m *machine) unbind() { m.tp, m.cells, m.states = nil, nil, nil }
 
 // apply is the fused interaction of initiator u and responder v,
 // mirroring core.TransitionTable.Apply byte for byte: two state loads,
@@ -230,12 +248,14 @@ type denseKernel struct {
 	thresh uint64
 }
 
-func newDenseKernel(g *graph.Dense, drop float64, tp *Tabular) *denseKernel {
+func (kn *denseKernel) attach(pl *ExecPlan, tp *Tabular) {
+	g := pl.g.(*graph.Dense)
 	twoM := uint64(2 * g.M())
-	kn := &denseKernel{edges: g.PackedEdges(), twoM: twoM, thresh: -twoM % twoM}
-	kn.bind(drop, tp)
-	return kn
+	kn.edges, kn.twoM, kn.thresh = g.PackedEdges(), twoM, -twoM%twoM
+	kn.bind(pl.drop, tp)
 }
+
+func (kn *denseKernel) release() { kn.edges = nil; kn.unbind() }
 
 //popcheck:kernel
 func (kn *denseKernel) run(p Protocol, r *xrand.Rand, _, k int64) (int64, bool) {
@@ -279,13 +299,14 @@ type cliqueKernel struct {
 	threshN1 uint64
 }
 
-func newCliqueKernel(g graph.Clique, drop float64, tp *Tabular) *cliqueKernel {
-	n := uint64(g.N())
+func (kn *cliqueKernel) attach(pl *ExecPlan, tp *Tabular) {
+	n := uint64(pl.g.N())
 	n1 := n - 1
-	kn := &cliqueKernel{n: n, n1: n1, threshN: -n % n, threshN1: -n1 % n1}
-	kn.bind(drop, tp)
-	return kn
+	kn.n, kn.n1, kn.threshN, kn.threshN1 = n, n1, -n%n, -n1%n1
+	kn.bind(pl.drop, tp)
 }
+
+func (kn *cliqueKernel) release() { kn.unbind() }
 
 //popcheck:kernel
 func (kn *cliqueKernel) run(p Protocol, r *xrand.Rand, _, k int64) (int64, bool) {
@@ -338,13 +359,14 @@ type weightedKernel struct {
 	thresh uint64
 }
 
-func newWeightedKernel(s *Weighted, drop float64, tp *Tabular) *weightedKernel {
-	prob, alias := s.alias.Table()
+func (kn *weightedKernel) attach(pl *ExecPlan, tp *Tabular) {
+	prob, alias := pl.weighted.alias.Table()
 	cols := uint64(len(prob))
-	kn := &weightedKernel{pairs: s.pairs, prob: prob, alias: alias, m: cols, thresh: -cols % cols}
-	kn.bind(drop, tp)
-	return kn
+	kn.pairs, kn.prob, kn.alias, kn.m, kn.thresh = pl.weighted.pairs, prob, alias, cols, -cols%cols
+	kn.bind(pl.drop, tp)
 }
+
+func (kn *weightedKernel) release() { kn.pairs, kn.prob, kn.alias = nil, nil, nil; kn.unbind() }
 
 //popcheck:kernel
 func (kn *weightedKernel) run(p Protocol, r *xrand.Rand, _, k int64) (int64, bool) {
@@ -399,13 +421,18 @@ type nodeClockKernel struct {
 	tn    uint64
 }
 
-func newNodeClockKernel(s *NodeClock, drop float64, tp *Tabular) *nodeClockKernel {
+func (kn *nodeClockKernel) attach(pl *ExecPlan, tp *Tabular) {
+	s := pl.nodeClock
 	prob, alias := s.alias.Table()
 	n := uint64(len(prob))
 	dense, _ := s.g.(*graph.Dense)
-	kn := &nodeClockKernel{g: s.g, dense: dense, prob: prob, alias: alias, n: n, tn: -n % n}
-	kn.bind(drop, tp)
-	return kn
+	kn.g, kn.dense, kn.prob, kn.alias, kn.n, kn.tn = s.g, dense, prob, alias, n, -n%n
+	kn.bind(pl.drop, tp)
+}
+
+func (kn *nodeClockKernel) release() {
+	kn.g, kn.dense, kn.prob, kn.alias = nil, nil, nil, nil
+	kn.unbind()
 }
 
 //popcheck:kernel
@@ -452,9 +479,12 @@ func (kn *nodeClockKernel) run(p Protocol, r *xrand.Rand, _, k int64) (int64, bo
 // coin only for a delivered pair, as in the reference loop. Edge state
 // is flat, one slot per undirected edge id hi>>1 holding t<<1 | up for
 // the step t of the edge's last contact; 0 means never contacted, since
-// steps start at 1. The slots are uint64 so t<<1 stays exact for every
-// int64 step. churnSource keeps the same state in a map; runs forced by
-// Options.Reference use it as the independent implementation.
+// steps start at 1, so attach zeroes every slot. The slots are uint64 so
+// t<<1 stays exact for every int64 step. The slice is the kernel's own
+// scratch and survives release: a pooled kernel reuses it for any later
+// run on a graph with no more edges. churnSource keeps the same state in
+// a map; runs forced by Options.Reference use it as the independent
+// implementation.
 type churnKernel struct {
 	machine
 	edges  []int64
@@ -465,17 +495,22 @@ type churnKernel struct {
 	base   float64 // per-step decay factor 1−a−b of the on/off chain
 }
 
-func newChurnKernel(s *Churn, drop float64, tp *Tabular) *churnKernel {
+func (kn *churnKernel) attach(pl *ExecPlan, tp *Tabular) {
+	s := pl.churn
 	g := s.g.(*graph.Dense)
 	twoM := uint64(2 * g.M())
-	kn := &churnKernel{
-		edges: g.PackedEdges(), state: make([]uint64, g.M()),
-		twoM: twoM, thresh: -twoM % twoM,
-		pi: s.b / (s.a + s.b), base: 1 - s.a - s.b,
+	kn.edges, kn.twoM, kn.thresh = g.PackedEdges(), twoM, -twoM%twoM
+	kn.pi, kn.base = s.b/(s.a+s.b), 1-s.a-s.b
+	if cap(kn.state) < g.M() {
+		kn.state = make([]uint64, g.M())
+	} else {
+		kn.state = kn.state[:g.M()]
+		clear(kn.state)
 	}
-	kn.bind(drop, tp)
-	return kn
+	kn.bind(pl.drop, tp)
 }
+
+func (kn *churnKernel) release() { kn.edges = nil; kn.unbind() }
 
 //popcheck:kernel
 func (kn *churnKernel) run(p Protocol, r *xrand.Rand, t0, k int64) (int64, bool) {

@@ -2,7 +2,9 @@ package sim_test
 
 import (
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"popgraph/internal/graph"
@@ -101,6 +103,213 @@ func TestEngineSequentialRuns(t *testing.T) {
 			t.Fatalf("round %d: %+v != %+v", round, fast, gen)
 		}
 	}
+}
+
+// panicAt wraps a protocol whose Step panics on its at-th call, so the
+// run dies mid-chunk with its kernel's cursor, tallies and binding
+// wherever the panic found them. Being no *Tabular, it runs under Step
+// dispatch.
+type panicAt struct {
+	Protocol
+	at, calls int
+}
+
+func (p *panicAt) Step(u, v int) {
+	if p.calls++; p.calls == p.at {
+		panic("panicAt: injected failure")
+	}
+	p.Protocol.Step(u, v)
+}
+
+// reuseOutcome is everything a run shows outside: its Result (or panic),
+// observer sequence, post-run generator state and meter tallies.
+type reuseOutcome struct {
+	res      Result
+	panicked any
+	post     xrand.State
+	obs      *recordingObserver
+	steps    int64
+	refills  int64
+	drops    int64
+	dispatch string
+}
+
+func (o reuseOutcome) equal(other reuseOutcome) bool {
+	if o.res != other.res || (o.panicked == nil) != (other.panicked == nil) || o.post != other.post ||
+		o.steps != other.steps || o.refills != other.refills || o.drops != other.drops || o.dispatch != other.dispatch {
+		return false
+	}
+	return (o.obs == nil) == (other.obs == nil) && (o.obs == nil || o.obs.equal(other.obs))
+}
+
+// TestKernelReuse is the reuse axis of the determinism contract. Plans
+// take their sampler kernels from per-mode pools, so one kernel serves
+// run after run on a goroutine. A mixed sequence of cases — all five
+// sampler kernels on two graph sizes each, six-state and majority with
+// table and Step dispatch, drop rates 0 and 0.1, observer on and off, a
+// capped run and a run whose protocol panics in Step — runs forward and
+// then reversed, so every case runs on kernels left behind by different
+// predecessors. Every run must equal the reference loop (Result,
+// observer sequence, post-run generator state, drops, and refills
+// matching the draws it consumed), and the reversed pass, then four
+// concurrent passes, must repeat the forward pass exactly, meter tallies
+// included.
+func TestKernelReuse(t *testing.T) {
+	type kernelCase struct {
+		engine string
+		graphs []graph.Graph
+		sched  func(g graph.Graph) Scheduler
+	}
+	must := func(s Scheduler, err error) Scheduler {
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	csr := []graph.Graph{graph.Torus2D(4, 5), graph.Lollipop(6, 5)}
+	kernels := []kernelCase{
+		{"dense-uniform", csr, func(graph.Graph) Scheduler { return nil }},
+		{"clique-uniform", []graph.Graph{graph.NewClique(23), graph.NewClique(8)}, func(graph.Graph) Scheduler { return nil }},
+		{"weighted", csr, func(g graph.Graph) Scheduler {
+			rates := make([]float64, g.M())
+			for i := range rates {
+				rates[i] = float64(1 + i%5)
+			}
+			return must(NewWeighted(g, "weighted:ramp", rates))
+		}},
+		{"node-clock", csr, func(g graph.Graph) Scheduler { return must(NewNodeClock(g)) }},
+		{"churn-uniform", csr, func(g graph.Graph) Scheduler { return must(NewChurn(g, 16, 4)) }},
+	}
+	sixState := func(graph.Graph) func() Protocol { return func() Protocol { return beauquier.New() } }
+	majorityOf := func(g graph.Graph) func() Protocol {
+		inputs := make([]bool, g.N())
+		for i := 0; i <= g.N()/2; i++ {
+			inputs[i] = true
+		}
+		return func() Protocol { return majority.New(inputs) }
+	}
+	type reuseCase struct {
+		name    string
+		g       graph.Graph
+		proto   func() Protocol
+		opts    Options // Scheduler, DropRate, NoTable, MaxSteps, ObserveEvery
+		seed    uint64
+		label   string
+		panicky bool
+	}
+	var cases []reuseCase
+	for _, kc := range kernels {
+		i := 0
+		for _, pc := range []struct {
+			tag     string
+			make    func(graph.Graph) func() Protocol
+			noTable bool
+		}{{"six-state", sixState, false}, {"six-state-step", sixState, true}, {"majority", majorityOf, false}} {
+			for _, drop := range []float64{0, 0.1} {
+				for _, every := range []int64{0, 7} {
+					g := kc.graphs[i%2]
+					i++
+					dispatch := "/table"
+					if pc.noTable {
+						dispatch = "/step"
+					}
+					cases = append(cases, reuseCase{
+						name:  fmt.Sprintf("%s/%s/%s/drop%v/every%d", kc.engine, g.Name(), pc.tag, drop, every),
+						g:     g,
+						proto: pc.make(g),
+						opts:  Options{Scheduler: kc.sched(g), DropRate: drop, NoTable: pc.noTable, ObserveEvery: every},
+						seed:  uint64(len(cases) + 1),
+						label: kc.engine + dispatch,
+					})
+				}
+			}
+		}
+	}
+	// A run cut off by its cap mid-block, and one killed by a panic
+	// after a few refills; both land between runs of other kernels.
+	capped := cases[12] // clique-uniform on clique-23
+	capped.name, capped.opts.MaxSteps, capped.seed = capped.name+"/cap400", 400, 1000
+	panicky := cases[len(cases)/2]
+	panicky.name, panicky.seed, panicky.panicky = panicky.name+"/panics", 1001, true
+	inner := panicky.proto
+	panicky.proto = func() Protocol { return &panicAt{Protocol: inner(), at: 200} }
+	cases = slices.Insert(cases, 3, capped)
+	cases = slices.Insert(cases, len(cases)/3, panicky)
+
+	run := func(c reuseCase, reference bool) (o reuseOutcome) {
+		r := xrand.New(c.seed)
+		meter := new(telemetry.Counters)
+		opts := c.opts
+		opts.Meter, opts.Reference = meter, reference
+		if opts.ObserveEvery > 0 {
+			o.obs = &recordingObserver{g: c.g}
+			opts.Observer = o.obs
+		}
+		func() {
+			defer func() { o.panicked = recover() }()
+			o.res = Run(c.g, c.proto(), r, opts)
+		}()
+		o.post = r.Save()
+		s := meter.Snapshot()
+		o.steps, o.refills, o.drops = s.StepsExecuted, s.RNGRefills, s.DropsApplied
+		for label := range s.KernelDispatch {
+			o.dispatch = label
+		}
+		return o
+	}
+	first := make([]reuseOutcome, len(cases))
+	for i, c := range cases {
+		got := run(c, false)
+		first[i] = got
+		if c.panicky {
+			if got.panicked == nil || got.steps != 0 || got.dispatch != "" {
+				t.Fatalf("%s: want a panic and an empty meter, got %+v", c.name, got)
+			}
+			continue
+		}
+		want := run(c, true)
+		if got.panicked != nil || want.panicked != nil {
+			t.Fatalf("%s: unexpected panic: %v / %v", c.name, got.panicked, want.panicked)
+		}
+		if got.res != want.res || got.post != want.post || got.drops != want.drops {
+			t.Fatalf("%s: pooled kernel diverged from the reference loop: %+v, want %+v", c.name, got, want)
+		}
+		if got.obs != nil && (got.obs.err != nil || !got.obs.equal(want.obs)) {
+			t.Fatalf("%s: observer sequence diverged from the reference loop (%v)", c.name, got.obs.err)
+		}
+		if blocks := (drawsConsumed(t, c.seed, got.post) + prefetchBlock - 1) / prefetchBlock; got.refills != blocks {
+			t.Fatalf("%s: meter counted %d refills, the run's draws span %d blocks", c.name, got.refills, blocks)
+		}
+		if got.dispatch != c.label || got.steps != got.res.Steps {
+			t.Fatalf("%s: meter saw %q over %d steps, want %q over %d", c.name, got.dispatch, got.steps, c.label, got.res.Steps)
+		}
+		if c.opts.MaxSteps > 0 && (got.res.Stabilized || got.res.Steps != c.opts.MaxSteps) {
+			t.Fatalf("%s: want a run cut off by its cap, got %+v", c.name, got.res)
+		}
+	}
+	for i := len(cases) - 1; i >= 0; i-- {
+		if got := run(cases[i], false); !got.equal(first[i]) {
+			t.Fatalf("%s: rerun on reused kernels diverged from its first run:\n%+v\n%+v", cases[i].name, got, first[i])
+		}
+	}
+	// The pools are shared by every goroutine: concurrent runs, each
+	// goroutine starting at a different case, must replay too (run this
+	// under -race).
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := range cases {
+				i := (j + w*len(cases)/4) % len(cases)
+				if got := run(cases[i], false); !got.equal(first[i]) {
+					t.Errorf("%s: concurrent rerun diverged from its first run", cases[i].name)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestEngineObserverAndDropOnFastPath — instrumented runs now stay on

@@ -21,6 +21,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"popgraph/internal/graph"
 	"popgraph/internal/telemetry"
@@ -51,10 +52,33 @@ var planModeNames = [...]string{
 	modeChurnUniform:  "churn-uniform",
 }
 
+// dispatchLabels are the keys the flight recorder tallies runs under,
+// "<scheduler-engine>/<protocol-engine>" (e.g. "dense-uniform/table"),
+// indexed by mode and by whether the run fused its table. They are built
+// once so that a run allocates no label.
+var dispatchLabels = func() (l [len(planModeNames)][2]string) {
+	for m, name := range planModeNames {
+		l[m] = [2]string{name + "/step", name + "/table"}
+	}
+	return l
+}()
+
+// samplerPools keeps idle sampler kernels, one pool per specialized
+// mode, so a run reuses a kernel (and its 4 KB prefetch block) instead
+// of allocating and zeroing one.
+var samplerPools = [len(planModeNames)]sync.Pool{
+	modeDenseUniform:  {New: func() any { return new(denseKernel) }},
+	modeCliqueUniform: {New: func() any { return new(cliqueKernel) }},
+	modeWeighted:      {New: func() any { return new(weightedKernel) }},
+	modeNodeClock:     {New: func() any { return new(nodeClockKernel) }},
+	modeChurnUniform:  {New: func() any { return new(churnKernel) }},
+}
+
 // ExecPlan is a compiled run configuration: the validated (graph,
 // scheduler, drop, observer, cap) tuple bound to the specialized kernel
 // that will execute it. A plan is immutable and holds no per-run state —
-// kernels are instantiated inside Run — so one plan may drive any number
+// each Run takes a kernel from a package-level pool, binds it for that
+// run alone and returns it unbound — so one plan may drive any number
 // of runs, including concurrently, provided each run has its own
 // Protocol and generator (as always) and the plan's Observer, which is
 // shared across its runs, is nil or itself safe for concurrent use.
@@ -202,31 +226,25 @@ func Compile(g graph.Graph, opts Options) (*ExecPlan, error) {
 	return pl, nil
 }
 
-// newKernel instantiates the per-run chunk runner; r is available for
-// scheduler Begin draws, mirroring the pre-plan Source construction
-// point (after Protocol.Reset). p has been Reset, so a Tabular
-// protocol's state bytes and counters are live; fusion is decided here
-// (per run, not per plan) because the protocol axis is a Run argument,
-// not a Compile one. The second return is the dispatch label the
-// flight recorder tallies runs under:
-// "<scheduler-engine>/<protocol-engine>", e.g. "dense-uniform/table".
+// newKernel readies the chunk runner for one run: a pooled sampler
+// kernel bound to this plan and p, or a fresh generic loop. r is
+// available for scheduler Begin draws, mirroring the pre-plan Source
+// construction point (after Protocol.Reset). p has been Reset, so a
+// Tabular protocol's state bytes and counters are live; fusion is
+// decided here (per run, not per plan) because the protocol axis is a
+// Run argument, not a Compile one. The second return is the dispatch
+// label the flight recorder tallies the run under.
 func (pl *ExecPlan) newKernel(p Protocol, r *xrand.Rand) (kernel, string) {
 	tp := pl.fusable(p)
-	label := planModeNames[pl.mode] + "/step"
+	fused := 0
 	if tp != nil {
-		label = planModeNames[pl.mode] + "/table"
+		fused = 1
 	}
-	switch pl.mode {
-	case modeDenseUniform:
-		return newDenseKernel(pl.g.(*graph.Dense), pl.drop, tp), label
-	case modeCliqueUniform:
-		return newCliqueKernel(pl.g.(graph.Clique), pl.drop, tp), label
-	case modeWeighted:
-		return newWeightedKernel(pl.weighted, pl.drop, tp), label
-	case modeNodeClock:
-		return newNodeClockKernel(pl.nodeClock, pl.drop, tp), label
-	case modeChurnUniform:
-		return newChurnKernel(pl.churn, pl.drop, tp), label
+	label := dispatchLabels[pl.mode][fused]
+	if pl.mode != modeGeneric {
+		kn := samplerPools[pl.mode].Get().(sampler)
+		kn.attach(pl, tp)
+		return kn, label
 	}
 	var src Source = samplerSource{pl.g}
 	if pl.sched != nil {
@@ -247,6 +265,10 @@ func (pl *ExecPlan) newKernel(p Protocol, r *xrand.Rand) (kernel, string) {
 // fields, and everything is flushed to the meter in one batch per run,
 // after the result is decided. A run that panics flushes nothing, so an
 // aggregated meter counts exactly the steps of the runs that completed.
+//
+// A completed run releases its sampler kernel back to the pool after the
+// flush; a panicking run never reaches that point, so a kernel left
+// mid-run is never reused.
 func (pl *ExecPlan) Run(p Protocol, r *xrand.Rand) Result {
 	p.Reset(pl.g, r)
 	if pl.observer != nil {
@@ -254,7 +276,8 @@ func (pl *ExecPlan) Run(p Protocol, r *xrand.Rand) Result {
 	}
 	kern, label := pl.newKernel(p, r)
 	var t, chunks, observes int64
-	for t < pl.maxSteps {
+	stabilized := false
+	for t < pl.maxSteps && !stabilized {
 		k := pl.maxSteps - t
 		if k > rngBlockSize {
 			k = rngBlockSize
@@ -264,7 +287,8 @@ func (pl *ExecPlan) Run(p Protocol, r *xrand.Rand) Result {
 				k = toBoundary
 			}
 		}
-		done, stabilized := kern.run(p, r, t, k)
+		var done int64
+		done, stabilized = kern.run(p, r, t, k)
 		t += done
 		chunks++
 		if pl.observer != nil && t%pl.every == 0 {
@@ -274,17 +298,18 @@ func (pl *ExecPlan) Run(p Protocol, r *xrand.Rand) Result {
 			pl.observer.Observe(t, p, false)
 			observes++
 		}
-		if stabilized {
-			kern.finish(r)
-			kern.sync()
-			pl.flush(p, kern, label, t, chunks, observes)
-			return Result{Steps: t, Stabilized: true, Leader: FindLeader(pl.g, p)}
-		}
 	}
 	kern.finish(r)
 	kern.sync()
 	pl.flush(p, kern, label, t, chunks, observes)
-	return Result{Steps: pl.maxSteps, Stabilized: false, Leader: -1}
+	if kn, ok := kern.(sampler); ok {
+		kn.release()
+		samplerPools[pl.mode].Put(kn)
+	}
+	if !stabilized {
+		return Result{Steps: t, Leader: -1}
+	}
+	return Result{Steps: t, Stabilized: true, Leader: FindLeader(pl.g, p)}
 }
 
 // flush makes the observer's final callback and hands a completed run's

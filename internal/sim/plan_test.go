@@ -10,8 +10,12 @@ import (
 	"popgraph/internal/protocols/idelect"
 	"popgraph/internal/protocols/majority"
 	. "popgraph/internal/sim"
+	"popgraph/internal/telemetry"
 	"popgraph/internal/xrand"
 )
+
+// raceEnabled reports a -race build (set by race_test.go).
+var raceEnabled bool
 
 // TestCompileValidation — every input the old Run panicked on — and the
 // scheduler/graph mismatches it silently accepted — must come back as a
@@ -269,6 +273,27 @@ func TestPlanIsReusable(t *testing.T) {
 			if pr != rr {
 				t.Fatalf("engine %s round %d: %+v != %+v", pl.Engine(), round, pr, rr)
 			}
+		}
+	}
+}
+
+// TestWarmRunAllocations pins the per-run allocation count of a warmed
+// plan: the sampler kernel, its prefetch block and the dispatch label
+// are reused, so the only allocation left is Tabular.Reset's fresh
+// state slice. The race detector makes sync.Pool drop items at random,
+// so the count is meaningless under -race.
+func TestWarmRunAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	for _, g := range []graph.Graph{graph.Torus2D(4, 4), graph.NewClique(16)} {
+		pl, err := Compile(g, Options{Meter: new(telemetry.Counters)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, r := beauquier.New(), xrand.New(3)
+		if got := testing.AllocsPerRun(200, func() { pl.Run(p, r) }); got > 1 {
+			t.Errorf("%s: a warmed run allocates %v times, want at most 1 (the state slice)", g.Name(), got)
 		}
 	}
 }

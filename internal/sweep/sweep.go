@@ -227,8 +227,11 @@ func (s Spec) schedulers() []string {
 // Task is one grid cell: a fixed graph, scheduler, protocol and drop
 // rate with its per-trial jobs (seeds already derived).
 type Task struct {
-	// GraphSpec is the expanded ParseGraph spec the graph was built from.
+	// GraphSpec is the expanded ParseGraph spec the graph was built from;
+	// GraphName is the instance's display name, taken once here because
+	// every record carries it and some graphs format it on each call.
 	GraphSpec string
+	GraphName string
 	Graph     graph.Graph
 	// SchedSpec is the ParseScheduler spec; Scheduler is the instance's
 	// display name (they differ for shorthands like "weighted").
@@ -265,12 +268,13 @@ func (s Spec) Build() ([]Task, error) {
 	}
 	specs := s.GraphSpecs()
 	graphs := make([]graph.Graph, len(specs))
+	graphNames := make([]string, len(specs))
 	for gi, spec := range specs {
 		g, err := popgraph.ParseGraph(spec, xrand.New(mix(s.Seed, gi)))
 		if err != nil {
 			return nil, err
 		}
-		graphs[gi] = g
+		graphs[gi], graphNames[gi] = g, g.Name()
 	}
 	scheds := s.schedulers()
 	factories := make([]func() popgraph.Protocol, len(s.Protocols))
@@ -299,6 +303,7 @@ func (s Spec) Build() ([]Task, error) {
 					opts := sim.Options{MaxSteps: s.MaxSteps, DropRate: q, Scheduler: sched}
 					tasks = append(tasks, Task{
 						GraphSpec: specs[gi],
+						GraphName: graphNames[gi],
 						Graph:     g,
 						SchedSpec: schedSpec,
 						Scheduler: sched.Name(),
@@ -425,7 +430,7 @@ func (s Spec) CellCount() int {
 // remote shard.
 func TrialRecord(t Task, trial int, o runner.Outcome) results.Record {
 	return results.Record{
-		Graph:       t.Graph.Name(),
+		Graph:       t.GraphName,
 		N:           t.Graph.N(),
 		M:           t.Graph.M(),
 		Scheduler:   t.Scheduler,
