@@ -4,8 +4,9 @@
 // constant-state protocols (the six-state Beauquier et al. baseline of
 // Theorem 16, the star protocol, four-state majority) the whole machine
 // fits in a few dozen bytes. TransitionTable is that machine compiled
-// into one flat k×k array of packed cells, sized so the entire table
-// stays L1-resident: the simulator's fused kernels (internal/sim)
+// into one flat k×k array of packed cells, small enough to stay
+// cache-resident (a six-state table is 144 bytes, the fast protocol's
+// two clocked tables ~50 KB each): the simulator's fused kernels (internal/sim)
 // execute an interaction as two byte loads, one table lookup, two byte
 // stores and two counter adds, with no interface dispatch.
 //
@@ -26,11 +27,13 @@ package core
 
 import "fmt"
 
-// MaxTableStates bounds the state count of a TransitionTable. Constant-
-// state protocols use a handful of states; the bound keeps k² cells
-// (4·k² bytes) comfortably cache-resident and the packed cell encoding
-// valid (state indices must fit a byte).
-const MaxTableStates = 64
+// MaxTableStates bounds the state count of a TransitionTable: the
+// packed cell encoding stores state indices in bytes, so 256 is the
+// most it can hold. Constant-state protocols use a handful of states;
+// the fast protocol's clocked tables use 2αL+6 (78–114 at the sizes
+// Table 1 runs, 24–51 KB of cells), and its level cap is limited so
+// that they fit.
+const MaxTableStates = 256
 
 // TableDeltaBias is the bias added to the per-cell counter deltas when
 // they are packed into a cell's upper bytes: a delta d is stored as the

@@ -22,6 +22,8 @@ import (
 
 	"popgraph/internal/core"
 	"popgraph/internal/graph"
+	"popgraph/internal/protocols/fastelect"
+	"popgraph/internal/sim"
 )
 
 const (
@@ -195,15 +197,13 @@ func TestFastMachineExhaustive(t *testing.T) {
 	}
 }
 
-// TestFastMachineMatchesRealProtocol cross-validates the pure re-
-// implementation against the real fastelect.Protocol on random runs.
-// (The real protocol lives in its own package; we compare outputs after
-// identical scripted schedules.)
+// TestFastMachineMatchesRealProtocol checks that felStep is
+// deterministic and total on all state pairs. The link to the real
+// protocol is a chain: TestFastTableMatchesFelStep compares felStep
+// with the compiled tables cell by cell, and fastelect's
+// TestTablesMatchProtocol compares the tables with the hand-written
+// fastelect.Protocol step by step.
 func TestFastMachineMatchesRealProtocol(t *testing.T) {
-	// Implemented as output-trace comparison in the fastelect package's
-	// own tests would create an import cycle with this package's helper;
-	// instead we verify here that felStep is deterministic and total on
-	// all state pairs.
 	for a := byte(0); a < 10; a++ {
 		for b := byte(0); b < 10; b++ {
 			if felDecode(a).tok == core.CandidateWhite || felDecode(b).tok == core.CandidateWhite {
@@ -217,6 +217,63 @@ func TestFastMachineMatchesRealProtocol(t *testing.T) {
 			if na != na2 || nb != nb2 {
 				t.Fatalf("felStep(%d,%d) nondeterministic", a, b)
 			}
+		}
+	}
+}
+
+// felParams is the parameterization felStep re-implements.
+var felParams = fastelect.Params{H: 1, L: felL, AlphaL: felAlphaL}
+
+// newFelTabular returns the compiled fast protocol at felParams, the
+// clocked Tabular fastelect.New builds.
+func newFelTabular() *sim.Tabular { return fastelect.New(felParams).(*sim.Tabular) }
+
+// fastTickTable is the compiled tick table at felParams. With H = 1
+// every interaction completes the initiator's streak, so it is the
+// only table such a run applies.
+func fastTickTable() *core.TransitionTable {
+	_, tick := fastelect.Tables(felParams.L, felParams.AlphaL)
+	return tick
+}
+
+// felOf maps a compiled table state to felStep's encoding: below the
+// backup states the table packs (level, leader) as level<<1 | leader,
+// felStep as leader<<1 | level; the six backup states coincide.
+func felOf(s uint8) byte {
+	if s >= 2*felAlphaL {
+		return s
+	}
+	return (s&1)<<1 | s>>1
+}
+
+// TestFastTableMatchesFelStep compares the compiled tick table at
+// H = 1, L = 1, αL = 2 with the hand-written felStep cell by cell,
+// through the state map felOf, together with every state's output, so
+// TestCompiledTablesExhaustive's check of the table is a check of the
+// machine TestFastMachineExhaustive verifies.
+func TestFastTableMatchesFelStep(t *testing.T) {
+	tab := fastTickTable()
+	if tab.K() != 10 {
+		t.Fatalf("compiled table has %d states, felStep 10", tab.K())
+	}
+	for a := uint8(0); a < 10; a++ {
+		if want := felOutput(felOf(a)) == 1; (tab.Role(a) == core.Leader) != want {
+			t.Errorf("state %d: role %v, felOutput says leader=%v", a, tab.Role(a), want)
+		}
+		for b := uint8(0); b < 10; b++ {
+			na, nb := tab.Next(a, b)
+			wa, wb := felStep(felOf(a), felOf(b))
+			if felOf(na) != wa || felOf(nb) != wb {
+				t.Errorf("cell (%d,%d): table -> (%d,%d), felStep -> (%d,%d) in its encoding",
+					a, b, felOf(na), felOf(nb), wa, wb)
+			}
+		}
+	}
+	p := newFelTabular()
+	p.Reset(graph.Path(3), nil)
+	for v, s := range p.TableStates() {
+		if felOf(s) != felEncode(felState{leader: true}) {
+			t.Fatalf("node %d starts in state %d, felStep's machine in %d", v, felOf(s), felEncode(felState{leader: true}))
 		}
 	}
 }

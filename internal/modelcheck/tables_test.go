@@ -56,22 +56,37 @@ type tableCase struct {
 	g    graph.Graph
 	p    *sim.Tabular
 	want []byte // the correct stable outputs; nil means one leader
+	// tab is the table to check when it is not p.Table(): fast's tick
+	// table, the only one an H = 1 run uses.
+	tab *core.TransitionTable
+}
+
+// table is the compiled machine the case checks.
+func (c tableCase) table() *core.TransitionTable {
+	if c.tab != nil {
+		return c.tab
+	}
+	return c.p.Table()
 }
 
 // tableCases pairs each in-tree table with the graphs the independent
 // machines above are checked on: six-state on TestTokenMachineExhaustive's
-// graphs, star on the star graphs among both lists, and majority of
-// both signs on TestMajorityMachineExhaustive's graphs.
+// graphs, star on the star graphs among both lists, majority of both
+// signs on TestMajorityMachineExhaustive's graphs, and fast at H = 1,
+// L = 1, αL = 2 on TestFastMachineExhaustive's.
 func tableCases() []tableCase {
 	var cases []tableCase
+	for _, g := range []graph.Graph{graph.Path(2), graph.Path(3), graph.Cycle(3), graph.Star(4), graph.Cycle(4)} {
+		cases = append(cases, tableCase{"fast/" + g.Name(), g, newFelTabular(), nil, fastTickTable()})
+	}
 	for _, g := range []graph.Graph{
 		graph.Path(2), graph.Path(3), graph.Cycle(3), graph.Star(4),
 		graph.Path(4), graph.Cycle(4), graph.NewClique(4),
 	} {
-		cases = append(cases, tableCase{"six-state/" + g.Name(), g, beauquier.New(), nil})
+		cases = append(cases, tableCase{"six-state/" + g.Name(), g, beauquier.New(), nil, nil})
 	}
 	for _, g := range []graph.Graph{graph.Path(2), graph.Path(3), graph.Star(4), graph.Star(5)} {
-		cases = append(cases, tableCase{"star/" + g.Name(), g, star.New(), nil})
+		cases = append(cases, tableCase{"star/" + g.Name(), g, star.New(), nil, nil})
 	}
 	for _, g := range []graph.Graph{graph.Path(3), graph.Cycle(5), graph.Star(5), graph.Path(5)} {
 		n := g.N()
@@ -90,7 +105,7 @@ func tableCases() []tableCase {
 			if 2*ones > n {
 				name = "majority-1/" + g.Name()
 			}
-			cases = append(cases, tableCase{name, g, majority.New(inputs), want})
+			cases = append(cases, tableCase{name, g, majority.New(inputs), want, nil})
 		}
 	}
 	return cases
@@ -109,7 +124,7 @@ func initialStates(p *sim.Tabular, g graph.Graph) []byte {
 func TestCompiledTablesExhaustive(t *testing.T) {
 	for _, c := range tableCases() {
 		t.Run(c.name, func(t *testing.T) {
-			m := tableMachine(c.name, c.p.Table(), c.want)
+			m := tableMachine(c.name, c.table(), c.want)
 			res, err := Check(c.g, m, initialStates(c.p, c.g), nil)
 			if err != nil {
 				t.Fatal(err)
@@ -154,15 +169,18 @@ func TestCompiledTablesBrokenGapFails(t *testing.T) {
 	}{
 		// White tokens no longer count: one black token plus whites
 		// reads as stable.
-		{tableCase{"six-state", graph.Path(3), beauquier.New(), nil}, uint8(core.FollowerWhite), 0},
+		{tableCase{"six-state", graph.Path(3), beauquier.New(), nil, nil}, uint8(core.FollowerWhite), 0},
 		// Undecided leaves count: the decided star reads as unstable.
-		{tableCase{"star", graph.Star(4), star.New(), nil}, 0, 1},
+		{tableCase{"star", graph.Star(4), star.New(), nil, nil}, 0, 1},
 		// A weak loser no longer counts: one left behind reads as stable.
-		{tableCase{"majority-1", graph.Path(3), majority.New([]bool{true, true, false}), []byte{1, 1, 1}}, weak0, 0},
-		{tableCase{"majority-0", graph.Path(3), majority.New([]bool{true, false, false}), []byte{0, 0, 0}}, weak1, 0},
+		{tableCase{"majority-1", graph.Path(3), majority.New([]bool{true, true, false}), []byte{1, 1, 1}, nil}, weak0, 0},
+		{tableCase{"majority-0", graph.Path(3), majority.New([]bool{true, false, false}), []byte{0, 0, 0}, nil}, weak1, 0},
+		// A follower at level 1 (state 2) counts: the elected
+		// configuration reads as unstable.
+		{tableCase{"fast", graph.Path(3), newFelTabular(), nil, fastTickTable()}, 2, 1},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			tab := withGapWeight(t, c.p.Table(), c.state, c.w)
+			tab := withGapWeight(t, c.table(), c.state, c.w)
 			_, err := Check(c.g, tableMachine(c.name, tab, c.want), initialStates(c.p, c.g), nil)
 			if err == nil || !strings.Contains(err.Error(), "stability predicate") {
 				t.Fatalf("broken gap weight not detected: %v", err)

@@ -23,11 +23,22 @@
 //
 // A configuration is stable exactly when one node outputs leader (see
 // Stable for the invariant argument).
+//
+// New compiles the protocol as the paper factors it: the streak clock
+// is a per-node counter whose only output is "the initiator completed
+// a streak", and everything else is one byte state, so the protocol is
+// a clocked sim.Tabular that the execution plans fuse into their
+// kernels. Two tables over the 2αL+6 byte states, the tick table for an
+// interaction whose initiator completed its streak and the plain table
+// otherwise, replay Protocol.Step exactly. The hand-written Protocol
+// (NewStep) stays as the path for level caps the byte states cannot
+// hold and as the oracle the tables are tested against.
 package fastelect
 
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"popgraph/internal/core"
 	"popgraph/internal/graph"
@@ -97,7 +108,162 @@ func TunedParams(g graph.Graph, broadcastTime float64) Params {
 	return Params{H: h, L: l, AlphaL: 6 * l}
 }
 
-// Protocol is the fast space-efficient protocol. Use New.
+// MaxFusedAlphaL is the largest level cap New compiles into tables:
+// the 2αL+6 byte states must fit core.MaxTableStates. It covers
+// TunedParams up to n = 2¹⁸, PaperParams (α = 8, τ = 1) up to n ≈ 180.
+const MaxFusedAlphaL = (core.MaxTableStates - 6) / 2
+
+// name is the protocol's Name, whichever implementation runs it.
+const name = "fast-space-efficient"
+
+// New returns the protocol with the given parameters: a clocked
+// sim.Tabular when αL ≤ MaxFusedAlphaL, so execution plans fuse it into
+// their table kernels, and the hand-written Protocol otherwise. Both
+// report the same Name, StateCount and InBackup and run byte-identical
+// trajectories. It panics on invalid parameters.
+func New(params Params) sim.Protocol {
+	if err := params.Validate(); err != nil {
+		panic(err)
+	}
+	if params.AlphaL > MaxFusedAlphaL || params.H > streak.MaxH {
+		return NewStep(params)
+	}
+	l, alphaL := params.L, params.AlphaL
+	return sim.NewClockedTabular(name, stateCount(params), params.H, 2*alphaL,
+		func() (table, tick *core.TransitionTable) { return Tables(l, alphaL) },
+		allLeaders)
+}
+
+// allLeaders is the initial configuration: every node a fast-phase
+// leader at level 0, state 1.
+func allLeaders(_ graph.Graph, states []uint8) {
+	for v := range states {
+		states[v] = 1
+	}
+}
+
+// tablePair is one (L, αL) entry of the table cache.
+type tablePair struct{ table, tick *core.TransitionTable }
+
+// tableCache holds the compiled tables process-wide, one entry per
+// (L, αL): they do not depend on H. Each entry compiles once, on the
+// first Reset that needs it.
+var tableCache sync.Map // [2]int{L, αL} → func() tablePair
+
+// Tables returns the compiled plain and tick tables for elimination
+// threshold l and level cap alphaL ≤ MaxFusedAlphaL, building them on
+// first use and sharing them afterwards.
+func Tables(l, alphaL int) (table, tick *core.TransitionTable) {
+	key := [2]int{l, alphaL}
+	f, ok := tableCache.Load(key)
+	if !ok {
+		f, _ = tableCache.LoadOrStore(key, sync.OnceValue(func() tablePair {
+			return tablePair{compile(l, alphaL, false), compile(l, alphaL, true)}
+		}))
+	}
+	tp := f.(func() tablePair)()
+	return tp.table, tp.tick
+}
+
+// node is a decoded byte state, in Protocol's terms.
+type node struct {
+	level  int
+	leader bool
+	backup bool
+	tok    core.TokenState
+}
+
+// compile builds the table for one value of the clock's output:
+// completed says whether the initiator completed its streak. The rule
+// is Protocol.Step on decoded states, line for line. The byte states,
+// for level cap αL:
+//
+//   - s < 2αL: a fast-phase node at level s>>1 with leader bit s&1 (a
+//     node reaching the cap enters the backup in the same interaction);
+//   - s ≥ 2αL: a backup node, at the cap, in token state s − 2αL.
+//
+// The leaders counter is the number of nodes outputting leader, and
+// the gap weight of a state is [outputs leader] + [holds a white
+// token], with target 1: the gap is 0 exactly when Stable holds,
+// because some node always outputs leader (see Stable).
+func compile(l, alphaL int, completed bool) *core.TransitionTable {
+	backupFrom := 2 * alphaL
+	decode := func(s uint8) node {
+		if int(s) >= backupFrom {
+			return node{level: alphaL, backup: true, tok: core.TokenState(int(s) - backupFrom)}
+		}
+		return node{level: int(s >> 1), leader: s&1 == 1}
+	}
+	encode := func(x node) uint8 {
+		if x.backup {
+			return uint8(backupFrom + int(x.tok))
+		}
+		s := uint8(x.level << 1)
+		if x.leader {
+			s |= 1
+		}
+		return s
+	}
+	enterBackup := func(x *node) {
+		if x.level == alphaL && !x.backup {
+			x.backup = true
+			if x.leader {
+				x.tok = core.CandidateBlack
+			}
+		}
+	}
+	step := func(a, b uint8) (uint8, uint8) {
+		u, v := decode(a), decode(b)
+		// Rule 1.
+		if completed && !u.backup && u.leader && u.level < alphaL {
+			u.level++
+		}
+		// Rules 2 and 3.
+		if u.level != v.level {
+			maxLvl, lo := u.level, &v
+			if v.level > u.level {
+				maxLvl, lo = v.level, &u
+			}
+			if maxLvl >= l {
+				if !lo.backup {
+					lo.leader = false
+				}
+				u.level, v.level = maxLvl, maxLvl
+			}
+		}
+		enterBackup(&u)
+		enterBackup(&v)
+		if u.backup && v.backup {
+			u.tok, v.tok = core.TokenTransition(u.tok, v.tok)
+		}
+		return encode(u), encode(v)
+	}
+	role := func(s uint8) core.Role {
+		if x := decode(s); (x.backup && x.tok.Candidate()) || (!x.backup && x.leader) {
+			return core.Leader
+		}
+		return core.Follower
+	}
+	gapWeight := func(s uint8) int {
+		w := 0
+		if role(s) == core.Leader {
+			w++
+		}
+		if x := decode(s); x.backup && x.tok.Token() == core.TokenWhite {
+			w++
+		}
+		return w
+	}
+	tab, err := core.NewTransitionTable(backupFrom+6, step, role, gapWeight, 1)
+	if err != nil {
+		panic(fmt.Sprintf("fastelect: L=%d αL=%d: %v", l, alphaL, err))
+	}
+	return tab
+}
+
+// Protocol is the hand-written fast space-efficient protocol, run
+// through Step dispatch. Use NewStep; New picks it only for level caps
+// above MaxFusedAlphaL.
 type Protocol struct {
 	params Params
 
@@ -114,8 +280,8 @@ type Protocol struct {
 
 var _ sim.Protocol = (*Protocol)(nil)
 
-// New returns the protocol with the given parameters.
-func New(params Params) *Protocol {
+// NewStep returns the hand-written protocol with the given parameters.
+func NewStep(params Params) *Protocol {
 	if err := params.Validate(); err != nil {
 		panic(err)
 	}
@@ -126,15 +292,15 @@ func New(params Params) *Protocol {
 }
 
 // Name implements sim.Protocol.
-func (p *Protocol) Name() string { return "fast-space-efficient" }
+func (p *Protocol) Name() string { return name }
 
 // StateCount returns the number of distinct states: fast-phase nodes use
 // (h+1)·2·(αL) combinations (streak × status × level below the cap) and
 // backup nodes use (h+1)·6 (streak × token machine), matching the paper's
 // O(h·L) = O(log n · h(G)) bound.
-func (p *Protocol) StateCount(int) float64 {
-	return float64((p.params.H + 1) * (2*p.params.AlphaL + 6))
-}
+func (p *Protocol) StateCount(int) float64 { return float64(stateCount(p.params)) }
+
+func stateCount(params Params) int { return (params.H + 1) * (2*params.AlphaL + 6) }
 
 // Reset implements sim.Protocol.
 func (p *Protocol) Reset(g graph.Graph, _ *xrand.Rand) {

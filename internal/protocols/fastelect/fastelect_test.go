@@ -94,32 +94,42 @@ func TestAlwaysAtLeastOneLeader(t *testing.T) {
 }
 
 // TestBackupPathStabilizes forces the level cap low so several nodes enter
-// the backup, and checks the run still elects exactly one leader.
+// the backup, and checks the run still elects exactly one leader, on
+// the compiled tables and on the hand-written protocol.
 func TestBackupPathStabilizes(t *testing.T) {
 	g := graph.NewClique(12)
-	p := New(Params{H: 1, L: 2, AlphaL: 3})
-	res := sim.Run(g, p, xrand.New(43), sim.Options{})
-	if !res.Stabilized {
-		t.Fatal("did not stabilize")
+	params := Params{H: 1, L: 2, AlphaL: 3}
+	for _, p := range []backupProtocol{New(params).(backupProtocol), NewStep(params)} {
+		res := sim.Run(g, p, xrand.New(43), sim.Options{})
+		if !res.Stabilized {
+			t.Fatal("did not stabilize")
+		}
+		if p.InBackup() == 0 {
+			t.Fatal("expected backup entry with a tiny level cap")
+		}
+		if sim.CountLeaders(g, p) != 1 {
+			t.Fatalf("%d leaders", sim.CountLeaders(g, p))
+		}
+		// Once any node is in backup and the run stabilized, all nodes must
+		// have been recruited (the cap level broadcasts).
+		if p.InBackup() != g.N() {
+			t.Fatalf("only %d of %d nodes entered backup at stabilization", p.InBackup(), g.N())
+		}
 	}
-	if p.InBackup() == 0 {
-		t.Fatal("expected backup entry with a tiny level cap")
-	}
-	if sim.CountLeaders(g, p) != 1 {
-		t.Fatalf("%d leaders", sim.CountLeaders(g, p))
-	}
-	// Once any node is in backup and the run stabilized, all nodes must
-	// have been recruited (the cap level broadcasts).
-	if p.InBackup() != g.N() {
-		t.Fatalf("only %d of %d nodes entered backup at stabilization", p.InBackup(), g.N())
-	}
+}
+
+// backupProtocol is a protocol that reports its backup population, as
+// both implementations New picks between do.
+type backupProtocol interface {
+	sim.Protocol
+	InBackup() int
 }
 
 // TestBackupInvariant — within the backup, candidates = black + white and
 // black >= 1 once any candidate entered.
 func TestBackupInvariant(t *testing.T) {
 	g := graph.NewClique(10)
-	p := New(Params{H: 1, L: 2, AlphaL: 3})
+	p := NewStep(Params{H: 1, L: 2, AlphaL: 3})
 	r := xrand.New(47)
 	p.Reset(g, r)
 	for step := 0; step < 300000 && !p.Stable(); step++ {
@@ -162,7 +172,7 @@ func TestStabilityIsPermanent(t *testing.T) {
 // TestLevelsMonotoneAndCapped — levels never decrease and never exceed the cap.
 func TestLevelsMonotoneAndCapped(t *testing.T) {
 	g := graph.NewClique(8)
-	p := New(Params{H: 2, L: 3, AlphaL: 6})
+	p := NewStep(Params{H: 2, L: 3, AlphaL: 6})
 	r := xrand.New(59)
 	p.Reset(g, r)
 	prev := make([]int, g.N())
@@ -210,10 +220,12 @@ func TestFollowersNeverPromoted(t *testing.T) {
 }
 
 func TestStateCount(t *testing.T) {
-	p := New(Params{H: 3, L: 5, AlphaL: 20})
-	// (h+1)·(2·αL + 6) = 4·46 = 184.
-	if got := p.StateCount(100); got != 184 {
-		t.Fatalf("StateCount = %v, want 184", got)
+	params := Params{H: 3, L: 5, AlphaL: 20}
+	// (h+1)·(2·αL + 6) = 4·46 = 184, whichever implementation New picks.
+	for _, p := range []sim.Protocol{New(params), NewStep(params)} {
+		if got := p.StateCount(100); got != 184 || p.Name() != "fast-space-efficient" {
+			t.Fatalf("%T: StateCount = %v, Name %q; want 184, fast-space-efficient", p, got, p.Name())
+		}
 	}
 }
 

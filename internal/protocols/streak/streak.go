@@ -20,6 +20,9 @@ import (
 	"popgraph/internal/xrand"
 )
 
+// MaxH is the largest streak length NewClock accepts.
+const MaxH = 60
+
 // Clock is a per-population array of streak counters. The zero value is
 // unusable; create with NewClock.
 type Clock struct {
@@ -33,7 +36,7 @@ func NewClock(h, n int) *Clock {
 	if h < 1 {
 		panic(fmt.Sprintf("streak: h must be >= 1, got %d", h))
 	}
-	if h > 60 {
+	if h > MaxH {
 		panic(fmt.Sprintf("streak: h = %d unreasonably large", h))
 	}
 	return &Clock{h: h, streak: make([]uint16, n)}

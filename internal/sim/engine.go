@@ -5,11 +5,13 @@
 // monomorphized — no interface dispatch on the sampling path — and all
 // five share one protocol machine. The machine owns the block-prefetched
 // randomness, the drop coin and, when the plan fused a Tabular protocol,
-// the transition table with its live state bytes and counters. Per step
-// a loop samples its pair (churn-uniform then flips the edge's up coin
-// and skips a contact over a down edge), flips the drop coin, and either
-// applies the table update (an inlined lookup and two byte stores) or
-// calls Protocol.Step; the choice is fixed for the run, so the branch
+// the transition table with its live state bytes and counters (and a
+// clocked Tabular's streak bytes and tick table). Per step a loop
+// samples its pair (churn-uniform then flips the edge's up coin and
+// skips a contact over a down edge), flips the drop coin, and either
+// applies the table update (an inlined lookup and two byte stores,
+// after the inlined streak clock for a clocked table) or calls
+// Protocol.Step; the choice is fixed for the run, so the branch
 // predicts perfectly. Randomness comes in fixed-size blocks through
 // xrand.Fill, and the sampling state (block buffer, cursor, hoisted
 // Lemire rejection thresholds) stays alive across chunk calls, so
@@ -147,9 +149,23 @@ func (b *rngBlock) uintn(r *xrand.Rand, n uint64) uint64 {
 	return hi
 }
 
+// protoMode is a run's protocol dispatch, fixed when the machine is
+// bound: Protocol.Step, the fused table, or the fused table gated by a
+// streak clock. One byte serves both tests a sampler loop makes per
+// step, so a constant-state protocol pays exactly the one compare it
+// paid for a bool.
+type protoMode uint8
+
+const (
+	protoStep    protoMode = iota // interface dispatch: Protocol.Step and Stable
+	protoTable                    // a Tabular's table, applied inline
+	protoClocked                  // a clocked Tabular: streak clock, then plain or tick table
+)
+
 // machine is the protocol half every sampler loop embeds: the block
-// prefetch, the drop coin and its tally, and — when table is set — the
-// fused transition table. A fused run mutates the protocol's state
+// prefetch, the drop coin and its tally, and — unless mode is protoStep
+// — the fused transition table, plus the tick table and streak bytes of
+// a clocked one. A fused run mutates the protocol's state (and streak)
 // bytes in place, so Output stays live mid-run, and keeps the two table
 // counters in locals; sync stores them back into the protocol before
 // every observer callback and at the end of the run.
@@ -158,46 +174,89 @@ type machine struct {
 	drop  float64
 	drops int64
 
-	table   bool // fixed per run: apply the table instead of Protocol.Step
-	tp      *Tabular
-	cells   []uint32
-	states  []uint8
-	k       uint32
-	leaders int
-	gap     int // Σ gapWeight(state) − target; stable iff 0
+	mode      protoMode // fixed per run
+	tp        *Tabular
+	cells     []uint32
+	tickCells []uint32 // protoClocked: the table a completed streak selects
+	streak    []uint8  // protoClocked: per-node streak counters
+	h         uint8    // protoClocked: streak length
+	states    []uint8
+	k         uint32
+	leaders   int
+	gap       int // Σ gapWeight(state) − target; stable iff 0
 }
 
 // bind readies the machine for one run. It is the only place per-run
 // state is reset, because a pooled kernel arrives carrying its previous
 // run's block cursor, refill and drop tallies, table binding and
 // counters. A non-nil tp (already Reset) is fused: its compiled
-// table, live state bytes and counters are captured.
+// tables, live state and streak bytes and counters are captured.
 func (m *machine) bind(drop float64, tp *Tabular) {
 	m.blk.k, m.blk.refills = rngBlockSize, 0
 	m.drop, m.drops = drop, 0
-	m.table, m.tp, m.cells, m.states, m.k, m.leaders, m.gap = false, nil, nil, nil, 0, 0, 0
+	m.mode, m.tp, m.cells, m.tickCells, m.streak, m.h = protoStep, nil, nil, nil, nil, 0
+	m.states, m.k, m.leaders, m.gap = nil, 0, 0, 0
 	if tp != nil {
-		m.table, m.tp = true, tp
+		m.mode, m.tp = protoTable, tp
 		m.cells, m.states, m.k = tp.table.Cells(), tp.states, uint32(tp.table.K())
 		m.leaders, m.gap = tp.leaders, tp.gap
+		if tp.tick != nil {
+			m.mode = protoClocked
+			m.tickCells, m.streak, m.h = tp.tick.Cells(), tp.streak, tp.h
+		}
 	}
 }
 
 // unbind drops the machine's references to the run's protocol and
-// table, so an idle kernel keeps neither alive.
-func (m *machine) unbind() { m.tp, m.cells, m.states = nil, nil, nil }
+// tables, so an idle kernel keeps neither alive.
+func (m *machine) unbind() {
+	m.tp, m.cells, m.tickCells, m.streak, m.states = nil, nil, nil, nil, nil
+}
 
-// apply is the fused interaction of initiator u and responder v,
-// mirroring core.TransitionTable.Apply byte for byte: two state loads,
-// one cell lookup, two state stores and the two counter deltas.
+// apply is the fused interaction of initiator u and responder v on
+// cells (the machine's table, or the one tick picked), mirroring
+// core.TransitionTable.Apply byte for byte: two state loads, one cell
+// lookup, two state stores and the two counter deltas. It holds no
+// clock test: one pushed it over the inlining budget, and an out-of-line
+// apply cost six-state and majority ~20% CPU.
 //
 //popcheck:kernel
-func (m *machine) apply(u, v int) {
+func (m *machine) apply(cells []uint32, u, v int) {
 	s := m.states
-	c := m.cells[uint32(s[u])*m.k+uint32(s[v])]
+	c := cells[uint32(s[u])*m.k+uint32(s[v])]
 	s[u], s[v] = uint8(c>>8), uint8(c)
 	m.leaders += int(c>>16&0xff) - core.TableDeltaBias
 	m.gap += int(c>>24) - core.TableDeltaBias
+}
+
+// tick runs a clocked machine's streak clock for the interaction of u
+// and v and returns the cells it selects: the tick table when u
+// completed its streak, the plain table otherwise.
+//
+//popcheck:kernel
+func (m *machine) tick(u, v int) []uint32 {
+	if streakTick(m.streak, m.h, u, v) {
+		return m.tickCells
+	}
+	return m.cells
+}
+
+// streakTick advances a streak clock by one interaction with initiator
+// u and responder v, exactly as streak.Clock.Tick: the responder's
+// streak resets, the initiator's grows, and reaching h completes it —
+// the clock ticks at u and its streak restarts from 0. Tabular.Step
+// runs the same function, so Step dispatch replays the fused clock.
+//
+//popcheck:kernel
+func streakTick(streak []uint8, h uint8, u, v int) bool {
+	streak[v] = 0
+	s := streak[u] + 1
+	if s == h {
+		streak[u] = 0
+		return true
+	}
+	streak[u] = s
+	return false
 }
 
 func (m *machine) finish(r *xrand.Rand)  { m.blk.finish(r) }
@@ -207,7 +266,7 @@ func (m *machine) stats() (int64, int64) { return m.blk.refills, m.drops }
 // Leaders and Stable are accurate at observer callbacks and after the
 // run.
 func (m *machine) sync() {
-	if m.table {
+	if m.mode != protoStep {
 		m.tp.leaders, m.tp.gap = m.leaders, m.gap
 	}
 }
@@ -273,12 +332,14 @@ func (kn *denseKernel) run(p Protocol, r *xrand.Rand, _, k int64) (int64, bool) 
 		u, v := int(eu^swap), int(ew^swap)
 		if m.drop != 0 && xrand.Float64From(m.blk.next(r)) < m.drop {
 			m.drops++
-		} else if m.table {
-			m.apply(u, v)
+		} else if m.mode == protoTable {
+			m.apply(m.cells, u, v)
+		} else if m.mode == protoClocked {
+			m.apply(m.tick(u, v), u, v)
 		} else {
 			p.Step(u, v)
 		}
-		if m.table {
+		if m.mode != protoStep {
 			if m.gap == 0 {
 				return i, true
 			}
@@ -327,12 +388,14 @@ func (kn *cliqueKernel) run(p Protocol, r *xrand.Rand, _, k int64) (int64, bool)
 		v += int(uint64(u-v-1) >> 63)
 		if m.drop != 0 && xrand.Float64From(m.blk.next(r)) < m.drop {
 			m.drops++
-		} else if m.table {
-			m.apply(u, v)
+		} else if m.mode == protoTable {
+			m.apply(m.cells, u, v)
+		} else if m.mode == protoClocked {
+			m.apply(m.tick(u, v), u, v)
 		} else {
 			p.Step(u, v)
 		}
-		if m.table {
+		if m.mode != protoStep {
 			if m.gap == 0 {
 				return i, true
 			}
@@ -389,12 +452,14 @@ func (kn *weightedKernel) run(p Protocol, r *xrand.Rand, _, k int64) (int64, boo
 		u, v := int(eu^swap), int(ew^swap)
 		if m.drop != 0 && xrand.Float64From(m.blk.next(r)) < m.drop {
 			m.drops++
-		} else if m.table {
-			m.apply(u, v)
+		} else if m.mode == protoTable {
+			m.apply(m.cells, u, v)
+		} else if m.mode == protoClocked {
+			m.apply(m.tick(u, v), u, v)
 		} else {
 			p.Step(u, v)
 		}
-		if m.table {
+		if m.mode != protoStep {
 			if m.gap == 0 {
 				return i, true
 			}
@@ -456,12 +521,14 @@ func (kn *nodeClockKernel) run(p Protocol, r *xrand.Rand, _, k int64) (int64, bo
 		}
 		if m.drop != 0 && xrand.Float64From(m.blk.next(r)) < m.drop {
 			m.drops++
-		} else if m.table {
-			m.apply(u, v)
+		} else if m.mode == protoTable {
+			m.apply(m.cells, u, v)
+		} else if m.mode == protoClocked {
+			m.apply(m.tick(u, v), u, v)
 		} else {
 			p.Step(u, v)
 		}
-		if m.table {
+		if m.mode != protoStep {
 			if m.gap == 0 {
 				return i, true
 			}
@@ -543,14 +610,16 @@ func (kn *churnKernel) run(p Protocol, r *xrand.Rand, t0, k int64) (int64, bool)
 			slot |= 1
 			if m.drop != 0 && xrand.Float64From(m.blk.next(r)) < m.drop {
 				m.drops++
-			} else if m.table {
-				m.apply(u, v)
+			} else if m.mode == protoTable {
+				m.apply(m.cells, u, v)
+			} else if m.mode == protoClocked {
+				m.apply(m.tick(u, v), u, v)
 			} else {
 				p.Step(u, v)
 			}
 		}
 		kn.state[hi>>1] = slot
-		if m.table {
+		if m.mode != protoStep {
 			if m.gap == 0 {
 				return i, true
 			}

@@ -46,8 +46,8 @@ func equivalenceCases() []equivalenceCase {
 			equivalenceCase{g, id, g.Name() + "/identifier"},
 		)
 	}
-	// Fast protocol on one Dense graph and the clique: its Reset draws
-	// randomness, checking the Reset-then-block-sampling boundary.
+	// Fast protocol, a clocked Tabular, on one Dense graph and the
+	// clique: the fused streak clock against the reference loop's Step.
 	fastFor := func(g graph.Graph) func() Protocol {
 		params := fastelect.TunedParams(g, 8*float64(g.N()))
 		return func() Protocol { return fastelect.New(params) }
@@ -145,11 +145,12 @@ func (o reuseOutcome) equal(other reuseOutcome) bool {
 // TestKernelReuse is the reuse axis of the determinism contract. Plans
 // take their sampler kernels from per-mode pools, so one kernel serves
 // run after run on a goroutine. A mixed sequence of cases — all five
-// sampler kernels on two graph sizes each, six-state and majority with
-// table and Step dispatch, drop rates 0 and 0.1, observer on and off, a
-// capped run and a run whose protocol panics in Step — runs forward and
-// then reversed, so every case runs on kernels left behind by different
-// predecessors. Every run must equal the reference loop (Result,
+// sampler kernels on two graph sizes each, six-state and the clocked
+// fast protocol with table and Step dispatch, majority, drop rates 0
+// and 0.1, observer on and off, a capped run and a run whose protocol
+// panics in Step — runs forward and then reversed, so every case runs
+// on kernels left behind by different predecessors (fast after
+// six-state and six-state after fast among them). Every run must equal the reference loop (Result,
 // observer sequence, post-run generator state, drops, and refills
 // matching the draws it consumed), and the reversed pass, then four
 // concurrent passes, must repeat the forward pass exactly, meter tallies
@@ -197,14 +198,21 @@ func TestKernelReuse(t *testing.T) {
 		label   string
 		panicky bool
 	}
+	fast := func(graph.Graph) func() Protocol {
+		return func() Protocol { return fastelect.New(fastelect.Params{H: 2, L: 3, AlphaL: 5}) }
+	}
+	protos := []struct {
+		tag     string
+		make    func(graph.Graph) func() Protocol
+		noTable bool
+	}{
+		{"six-state", sixState, false}, {"fast", fast, false}, {"six-state-step", sixState, true},
+		{"majority", majorityOf, false}, {"fast-step", fast, true},
+	}
 	var cases []reuseCase
 	for _, kc := range kernels {
 		i := 0
-		for _, pc := range []struct {
-			tag     string
-			make    func(graph.Graph) func() Protocol
-			noTable bool
-		}{{"six-state", sixState, false}, {"six-state-step", sixState, true}, {"majority", majorityOf, false}} {
+		for _, pc := range protos {
 			for _, drop := range []float64{0, 0.1} {
 				for _, every := range []int64{0, 7} {
 					g := kc.graphs[i%2]
@@ -227,7 +235,7 @@ func TestKernelReuse(t *testing.T) {
 	}
 	// A run cut off by its cap mid-block, and one killed by a panic
 	// after a few refills; both land between runs of other kernels.
-	capped := cases[12] // clique-uniform on clique-23
+	capped := cases[4*len(protos)] // clique-uniform on clique-23
 	capped.name, capped.opts.MaxSteps, capped.seed = capped.name+"/cap400", 400, 1000
 	panicky := cases[len(cases)/2]
 	panicky.name, panicky.seed, panicky.panicky = panicky.name+"/panics", 1001, true
@@ -477,11 +485,12 @@ func TestPlanEquivalenceMatrix(t *testing.T) {
 	}
 	// The protocol axis. six-state is the primary (Tabular) protocol and
 	// sweeps the full cap × observer × seed grid; majority (Tabular, a
-	// different table and counter functional per input sign) and the
-	// star protocol (Tabular, star graphs only) ride a trimmed grid —
-	// full scheduler × drop coverage, fewer caps/observer cadences — to
-	// keep the matrix fast. Options.NoTable doubles as the interface-
-	// dispatch control for every Tabular protocol.
+	// different table and counter functional per input sign), the star
+	// protocol (Tabular, star graphs only) and fast (a clocked Tabular:
+	// streak bytes and two tables) ride a trimmed grid — full scheduler
+	// × drop coverage, fewer caps/observer cadences — to keep the matrix
+	// fast. Options.NoTable doubles as the interface-dispatch control for
+	// every Tabular protocol. drops overrides the matrix's drop rates.
 	protoCases := []struct {
 		tag     string
 		make    func(g graph.Graph) func() Protocol
@@ -489,6 +498,7 @@ func TestPlanEquivalenceMatrix(t *testing.T) {
 		caps    []int64
 		everies []int64
 		seeds   uint64
+		drops   []float64
 	}{
 		{
 			tag:  "six-state",
@@ -524,6 +534,19 @@ func TestPlanEquivalenceMatrix(t *testing.T) {
 			caps:    []int64{511, 0},
 			everies: []int64{-1, 7},
 			seeds:   1,
+		},
+		{
+			// A level cap of 5 sends most runs through the backup, so both
+			// tables, the streak bytes and the token states all move.
+			tag: "fast",
+			make: func(graph.Graph) func() Protocol {
+				return func() Protocol { return fastelect.New(fastelect.Params{H: 2, L: 3, AlphaL: 5}) }
+			},
+			on:      func(graph.Graph) bool { return true },
+			caps:    []int64{511, 0},
+			everies: []int64{-1, 7},
+			seeds:   2,
+			drops:   []float64{0, 0.1},
 		},
 	}
 	graphs := []graph.Graph{
@@ -573,7 +596,11 @@ func TestPlanEquivalenceMatrix(t *testing.T) {
 				if snapG != nil {
 					snapSched = sc.build(snapG)
 				}
-				for _, drop := range drops {
+				pcDrops := drops
+				if pc.drops != nil {
+					pcDrops = pc.drops
+				}
+				for _, drop := range pcDrops {
 					for _, maxSteps := range pc.caps {
 						for _, every := range pc.everies {
 							for seed := uint64(1); seed <= pc.seeds; seed++ {

@@ -6,6 +6,7 @@ import (
 	"popgraph/internal/core"
 	"popgraph/internal/graph"
 	"popgraph/internal/protocols/beauquier"
+	"popgraph/internal/protocols/fastelect"
 	"popgraph/internal/protocols/majority"
 	. "popgraph/internal/sim"
 	"popgraph/internal/xrand"
@@ -30,11 +31,14 @@ func fuzzGraph(sel uint64) graph.Graph {
 // tableRef is a test-local reference machine for a Tabular protocol,
 // written without its transition table: the initial configuration, the
 // pairwise rule, and the leader count and stability verdict of a full
-// scan.
+// scan. For the fast protocol, whose state includes the streak clock,
+// the reference is instead oracle, the hand-written protocol, compared
+// on outputs, Leaders and Stable.
 type tableRef struct {
 	initial []uint8
 	step    func(a, b uint8) (uint8, uint8)
 	scan    func(states []uint8) (leaders int, stable bool)
+	oracle  Protocol
 }
 
 // sixStateRef is the six-state machine: core.TokenTransition, with the
@@ -98,21 +102,28 @@ func majorityRef(inputs []bool) tableRef {
 	}
 }
 
-// fuzzProtocol derives a Tabular protocol factory from sel for an n-node
-// graph, with its reference machine.
-func fuzzProtocol(sel uint64, n int) (func() *Tabular, tableRef) {
-	if sel%2 == 0 {
+// fuzzProtocol derives a Tabular protocol factory for an n-node graph,
+// with its reference machine: six-state, majority or fast by protoSel,
+// majority's input and fast's parameters from sel. Fast gets level caps
+// of 2–8, low enough that runs reach the backup.
+func fuzzProtocol(sel uint64, protoSel uint8, n int) (func() *Tabular, tableRef) {
+	switch protoSel % 3 {
+	case 0:
 		return beauquier.New, sixStateRef(n)
+	case 1:
+		ones := 1 + int(sel>>1)%(n-1)
+		if 2*ones == n {
+			ones++ // never a tie; ones < n still holds since n >= 3 here
+		}
+		inputs := make([]bool, n)
+		for i := 0; i < ones; i++ {
+			inputs[i] = true
+		}
+		return func() *Tabular { return majority.New(inputs) }, majorityRef(inputs)
 	}
-	ones := 1 + int(sel>>1)%(n-1)
-	if 2*ones == n {
-		ones++ // never a tie; ones < n still holds since n >= 3 here
-	}
-	inputs := make([]bool, n)
-	for i := 0; i < ones; i++ {
-		inputs[i] = true
-	}
-	return func() *Tabular { return majority.New(inputs) }, majorityRef(inputs)
+	l := 1 + int(sel>>2%3)
+	params := fastelect.Params{H: 1 + int(sel%3), L: l, AlphaL: l + 1 + int(sel>>4%5)}
+	return func() *Tabular { return fastelect.New(params).(*Tabular) }, tableRef{oracle: fastelect.NewStep(params)}
 }
 
 // fuzzScheduler derives the run's scheduler from sel: the uniform
@@ -131,11 +142,13 @@ func fuzzScheduler(t *testing.T, sel uint8, g graph.Graph) Scheduler {
 }
 
 // FuzzTableEquivalence fuzzes the protocol-compilation layer: a random
-// small graph, a random Tabular protocol and a random interaction
-// script. Under a scripted drive, the protocol's Step must match an
-// independent reference machine written without tables, state for
-// state, and its O(1) counters must match both the reference's scan
-// and a full TransitionTable.Counters scan at every step. Full runs
+// small graph, a random Tabular protocol (six-state, majority or the
+// clocked fast protocol) and a random interaction script. Under a
+// scripted drive, the protocol's Step must match an independent
+// reference machine written without tables, state for state (for fast,
+// the hand-written protocol, output for output), and its O(1) counters
+// must match both the reference's scan and a full
+// TransitionTable.Counters scan at every step. Full runs
 // must give byte-identical Results, outputs, counters and post-run
 // generator state whether the table is fused into the kernel, applied
 // through Step on the same kernel, or run by the reference loop, under
@@ -143,21 +156,27 @@ func fuzzScheduler(t *testing.T, sel uint8, g graph.Graph) Scheduler {
 // churn-uniform loop, checked here against the forced reference loop's
 // map-based source.
 func FuzzTableEquivalence(f *testing.F) {
-	f.Add(uint64(0), uint64(1), uint16(700), uint8(0), uint8(0))
-	f.Add(uint64(1), uint64(2), uint16(513), uint8(1), uint8(0))
-	f.Add(uint64(38), uint64(3), uint16(64), uint8(2), uint8(0))
-	f.Add(uint64(103), uint64(4), uint16(2000), uint8(3), uint8(0))
+	f.Add(uint64(0), uint64(1), uint16(700), uint8(0), uint8(0), uint8(0))
+	f.Add(uint64(1), uint64(2), uint16(513), uint8(1), uint8(0), uint8(0))
+	f.Add(uint64(38), uint64(3), uint16(64), uint8(2), uint8(0), uint8(0))
+	f.Add(uint64(103), uint64(4), uint16(2000), uint8(3), uint8(0), uint8(0))
 	// Churn on cycle, torus and lollipop graphs, six-state and majority,
 	// at drop rate 0.2; each run lasts 1000–1700 steps, which at two to
 	// three draws per step spans 5–9 blocks of 512 draws.
-	f.Add(uint64(29), uint64(9), uint16(2047), uint8(1), uint8(0x21))
-	f.Add(uint64(10), uint64(9), uint16(2047), uint8(1), uint8(0x01))
-	f.Add(uint64(75), uint64(9), uint16(2047), uint8(1), uint8(0x01))
-	f.Add(uint64(1809), uint64(9), uint16(2047), uint8(1), uint8(0x21))
-	f.Fuzz(func(t *testing.T, gsel, seed uint64, steps uint16, dropSel, schedSel uint8) {
+	f.Add(uint64(29), uint64(9), uint16(2047), uint8(1), uint8(0x21), uint8(0))
+	f.Add(uint64(10), uint64(9), uint16(2047), uint8(1), uint8(0x01), uint8(0))
+	f.Add(uint64(75), uint64(9), uint16(2047), uint8(1), uint8(0x01), uint8(0))
+	f.Add(uint64(1809), uint64(9), uint16(2047), uint8(1), uint8(0x21), uint8(1))
+	// Fast on a clique, a torus and a lollipop, uniform and churn, with
+	// and without drops, at level caps from 2 to 8.
+	f.Add(uint64(0), uint64(5), uint16(2047), uint8(0), uint8(0), uint8(2))
+	f.Add(uint64(0x1302), uint64(6), uint16(2047), uint8(1), uint8(0x21), uint8(2))
+	f.Add(uint64(0x4703), uint64(7), uint16(1500), uint8(0), uint8(0x01), uint8(2))
+	f.Add(uint64(0x2c01), uint64(8), uint16(900), uint8(1), uint8(0), uint8(2))
+	f.Fuzz(func(t *testing.T, gsel, seed uint64, steps uint16, dropSel, schedSel, protoSel uint8) {
 		g := fuzzGraph(gsel)
 		n := g.N()
-		factory, ref := fuzzProtocol(gsel>>8, n)
+		factory, ref := fuzzProtocol(gsel>>8, protoSel, n)
 		script := int64(steps)%2048 + 1
 		sched := fuzzScheduler(t, schedSel, g)
 		if _, dense := g.(*graph.Dense); dense && sched != nil {
@@ -182,20 +201,39 @@ func FuzzTableEquivalence(f *testing.F) {
 			t.Fatal("fuzzed protocol has no table")
 		}
 		states := append([]uint8(nil), ref.initial...)
+		if ref.oracle != nil {
+			ref.oracle.Reset(g, nil)
+		}
 		for i := int64(0); i <= script; i++ {
 			if i > 0 {
 				u, v := g.SampleEdge(r)
 				p.Step(u, v)
-				states[u], states[v] = ref.step(states[u], states[v])
-			}
-			for w := 0; w < n; w++ {
-				if got := p.TableStates()[w]; got != states[w] {
-					t.Fatalf("step %d: node %d state %d, reference %d", i, w, got, states[w])
+				if ref.oracle != nil {
+					ref.oracle.Step(u, v)
+				} else {
+					states[u], states[v] = ref.step(states[u], states[v])
 				}
 			}
-			if leaders, stable := ref.scan(states); p.Leaders() != leaders || p.Stable() != stable {
-				t.Fatalf("step %d: Leaders %d Stable %v, reference scan %d %v",
-					i, p.Leaders(), p.Stable(), leaders, stable)
+			if o := ref.oracle; o != nil {
+				for w := 0; w < n; w++ {
+					if got, want := p.Output(w), o.Output(w); got != want {
+						t.Fatalf("step %d: node %d outputs %v, hand-written %v", i, w, got, want)
+					}
+				}
+				if p.Leaders() != o.Leaders() || p.Stable() != o.Stable() {
+					t.Fatalf("step %d: Leaders %d Stable %v, hand-written %d %v",
+						i, p.Leaders(), p.Stable(), o.Leaders(), o.Stable())
+				}
+			} else {
+				for w := 0; w < n; w++ {
+					if got := p.TableStates()[w]; got != states[w] {
+						t.Fatalf("step %d: node %d state %d, reference %d", i, w, got, states[w])
+					}
+				}
+				if leaders, stable := ref.scan(states); p.Leaders() != leaders || p.Stable() != stable {
+					t.Fatalf("step %d: Leaders %d Stable %v, reference scan %d %v",
+						i, p.Leaders(), p.Stable(), leaders, stable)
+				}
 			}
 			if leaders, gap := tab.Counters(p.TableStates()); p.Leaders() != leaders || p.Stable() != (gap == 0) {
 				t.Fatalf("step %d: Leaders %d Stable %v, table scan leaders %d gap %d",

@@ -120,13 +120,14 @@ func (pl *ExecPlan) ProtocolEngine(p Protocol) string {
 // fusable returns p as a *Tabular when this plan would fuse its table
 // into the kernel's machine, nil otherwise. Fusion needs a specialized
 // scheduler kernel (the generic Source loop keeps interface dispatch),
-// no NoTable override, and a Tabular protocol with a table.
+// no NoTable override, and a Tabular protocol with a table (a clocked
+// one fetches its tables on Reset, so it qualifies before it).
 func (pl *ExecPlan) fusable(p Protocol) *Tabular {
 	if pl.noTable || pl.mode == modeGeneric {
 		return nil
 	}
 	tp, ok := p.(*Tabular)
-	if !ok || tp.table == nil {
+	if !ok || (tp.table == nil && tp.tables == nil) {
 		return nil
 	}
 	return tp

@@ -7,6 +7,7 @@ import (
 
 	"popgraph/internal/graph"
 	"popgraph/internal/protocols/beauquier"
+	"popgraph/internal/protocols/fastelect"
 	"popgraph/internal/protocols/idelect"
 	"popgraph/internal/protocols/majority"
 	. "popgraph/internal/sim"
@@ -280,8 +281,10 @@ func TestPlanIsReusable(t *testing.T) {
 // TestWarmRunAllocations pins the per-run allocation count of a warmed
 // plan: the sampler kernel, its prefetch block and the dispatch label
 // are reused, so the only allocation left is Tabular.Reset's fresh
-// state slice. The race detector makes sync.Pool drop items at random,
-// so the count is meaningless under -race.
+// per-node array — the state bytes, and for the clocked fast protocol
+// the state and streak bytes in one block; its tables were fetched on
+// the first Reset. The race detector makes sync.Pool drop items at
+// random, so the count is meaningless under -race.
 func TestWarmRunAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -291,9 +294,14 @@ func TestWarmRunAllocations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, r := beauquier.New(), xrand.New(3)
-		if got := testing.AllocsPerRun(200, func() { pl.Run(p, r) }); got > 1 {
-			t.Errorf("%s: a warmed run allocates %v times, want at most 1 (the state slice)", g.Name(), got)
+		for _, p := range []Protocol{beauquier.New(), fastelect.New(fastelect.Params{H: 2, L: 3, AlphaL: 5})} {
+			if pl.ProtocolEngine(p) != "table" {
+				t.Fatalf("%s: %s is not fused", g.Name(), p.Name())
+			}
+			r := xrand.New(3)
+			if got := testing.AllocsPerRun(200, func() { pl.Run(p, r) }); got > 1 {
+				t.Errorf("%s: a warmed %s run allocates %v times, want at most 1 (the per-node bytes)", g.Name(), p.Name(), got)
+			}
 		}
 	}
 }

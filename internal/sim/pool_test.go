@@ -34,13 +34,18 @@ func TestReleasedKernelsHoldNoReferences(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A one-state machine is stable from the start, so every run is one
-	// fused step: enough to bind each field the walk inspects.
+	// fused step. Clocked, with the same table as its tick table, it
+	// binds every field the walk inspects, the tick cells and streak
+	// bytes included.
 	table, err := core.NewTransitionTable(1, func(a, b uint8) (uint8, uint8) { return a, b },
 		func(uint8) core.Role { return core.Follower }, func(uint8) int { return 0 }, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	newProto := func() *Tabular { return NewTabular("still", 1, table, func(graph.Graph, []uint8) {}) }
+	newProto := func() *Tabular {
+		return NewClockedTabular("still", 1, 1, 0, func() (*core.TransitionTable, *core.TransitionTable) { return table, table },
+			func(graph.Graph, []uint8) {})
+	}
 	for _, c := range []struct {
 		g     graph.Graph
 		sched Scheduler
@@ -72,6 +77,9 @@ func TestReleasedKernelsHoldNoReferences(t *testing.T) {
 		}
 		if kn == nil {
 			t.Fatalf("%s: the pool never returned a used kernel", planModeNames[c.mode])
+		}
+		if m := reflect.ValueOf(kn).Elem().FieldByName("machine"); protoMode(m.FieldByName("mode").Uint()) != protoClocked {
+			t.Fatalf("%s: the run did not bind a clocked machine", planModeNames[c.mode])
 		}
 		var held []string
 		heldReferences(reflect.ValueOf(kn).Elem(), "", &held)

@@ -24,6 +24,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 
 	"popgraph/internal/core"
@@ -61,25 +62,41 @@ type Protocol interface {
 	Stable() bool
 }
 
-// Tabular is the one Protocol implementation for constant-state
-// protocols (the six-state baseline of Theorem 16, the star protocol,
-// four-state majority). A protocol package supplies only its pure rule,
-// compiled into a process-wide core.TransitionTable, and an init hook
-// that writes the initial configuration. Per-node state is one byte,
-// the table's state index, and the table's two counters (see
-// core.TransitionTable) are the only counters: Leaders is the leader
-// count, Stable is gap == 0.
+// Tabular is the one Protocol implementation for protocols whose node
+// state fits a byte: the constant-state protocols (the six-state
+// baseline of Theorem 16, the star protocol, four-state majority) and,
+// with a streak clock, the fast protocol of Theorem 24. A protocol
+// package supplies only its pure rule, compiled into a process-wide
+// core.TransitionTable, and an init hook that writes the initial
+// configuration. Per-node state is one byte, the table's state index,
+// and the table's two counters (see core.TransitionTable) are the only
+// counters: Leaders is the leader count, Stable is gap == 0.
+//
+// A clocked Tabular (NewClockedTabular) adds the streak clock of
+// Section 5.1 in a second per-node byte array: every interaction resets
+// the responder's streak and extends the initiator's, and an initiator
+// completing a streak of h interactions takes a second table, the tick
+// table, for that interaction. Both tables share their states, roles
+// and counter weights.
 //
 // Execution plans fuse a Tabular protocol into the machine the
 // specialized sampler loops share, with no Protocol interface calls
-// (see engine.go); under Step dispatch the same table update runs
-// through Step. Protocols whose state space grows with n (identifier,
-// fast) implement Protocol directly.
+// (see engine.go); under Step dispatch the same clock and table update
+// run through Step. Protocols whose state space grows with n
+// (identifier) implement Protocol directly.
 type Tabular struct {
 	name  string
 	k     int
 	table *core.TransitionTable
 	init  func(g graph.Graph, states []uint8)
+
+	// The streak clock, set by NewClockedTabular: tables compiles the
+	// plain and tick tables on first Reset; tick is nil without a clock.
+	tables     func() (table, tick *core.TransitionTable)
+	tick       *core.TransitionTable
+	h          uint8
+	backupFrom int // InBackup counts states >= backupFrom; 0 means none
+	streak     []uint8
 
 	states       []uint8
 	leaders, gap int // table counters; gap is 0 exactly when stable
@@ -95,23 +112,55 @@ func NewTabular(name string, k int, table *core.TransitionTable, init func(g gra
 	return &Tabular{name: name, k: k, table: table, init: init}
 }
 
+// NewClockedTabular returns a table protocol with a streak clock of
+// length h in [1, 255], reporting k states. tables returns the plain
+// and the tick table, both non-nil and over the same states; it is
+// called on the first Reset, so constructing an instance (as a sweep
+// does once per cell to read its name) compiles nothing. States at or
+// above backupFrom count as backup states for InBackup; 0 means the
+// protocol has none. init is as for NewTabular.
+func NewClockedTabular(name string, k, h, backupFrom int, tables func() (table, tick *core.TransitionTable),
+	init func(g graph.Graph, states []uint8)) *Tabular {
+	if h < 1 || h > math.MaxUint8 {
+		panic(fmt.Sprintf("sim: streak length %d outside [1, %d]", h, math.MaxUint8))
+	}
+	return &Tabular{name: name, k: k, init: init, tables: tables, h: uint8(h), backupFrom: backupFrom}
+}
+
 // Name implements Protocol.
 func (p *Tabular) Name() string { return p.name }
 
-// StateCount implements Protocol: the machine's k states, whatever n.
+// StateCount implements Protocol: the k states given at construction,
+// whatever n.
 func (p *Tabular) StateCount(int) float64 { return float64(p.k) }
 
-// Reset implements Protocol: init writes the initial configuration,
-// then the counters are computed by full scan.
+// Reset implements Protocol: the first Reset of a clocked Tabular
+// fetches its tables; init writes the initial configuration with every
+// streak at 0, then the counters are computed by full scan.
 func (p *Tabular) Reset(g graph.Graph, _ *xrand.Rand) {
-	p.states = make([]uint8, g.N())
+	if p.tables != nil && p.table == nil {
+		p.table, p.tick = p.tables()
+	}
+	n := g.N()
+	if p.tick == nil {
+		p.states = make([]uint8, n)
+	} else {
+		// One allocation holds both per-node arrays.
+		buf := make([]uint8, 2*n)
+		p.states, p.streak = buf[:n:n], buf[n:]
+	}
 	p.init(g, p.states)
 	p.leaders, p.gap = p.table.Counters(p.states)
 }
 
-// Step implements Protocol: one table update and its counter deltas.
+// Step implements Protocol: the streak clock, when there is one, then
+// one table update and its counter deltas.
 func (p *Tabular) Step(u, v int) {
-	dl, dg := p.table.Apply(p.states, u, v)
+	tab := p.table
+	if p.tick != nil && streakTick(p.streak, p.h, u, v) {
+		tab = p.tick
+	}
+	dl, dg := tab.Apply(p.states, u, v)
 	p.leaders += dl
 	p.gap += dg
 }
@@ -128,8 +177,25 @@ func (p *Tabular) Stable() bool { return p.gap == 0 }
 // Gap returns the table's stability functional, 0 exactly when stable.
 func (p *Tabular) Gap() int { return p.gap }
 
-// Table returns the compiled machine, or nil when the input has none.
-// It is valid before Reset.
+// InBackup returns how many nodes hold a backup state (at or above the
+// index given to NewClockedTabular), 0 for a protocol without one. It
+// scans the states: results read it once, after the run.
+func (p *Tabular) InBackup() int {
+	if p.backupFrom == 0 {
+		return 0
+	}
+	count := 0
+	for _, s := range p.states {
+		if int(s) >= p.backupFrom {
+			count++
+		}
+	}
+	return count
+}
+
+// Table returns the compiled machine (the plain table of a clocked
+// Tabular), or nil when the input has none. It is valid before Reset,
+// except for a clocked Tabular, whose tables arrive on its first Reset.
 //
 //popcheck:ignore deadexport oracle for full-scan counter checks in six test packages
 func (p *Tabular) Table() *core.TransitionTable { return p.table }

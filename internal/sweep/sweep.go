@@ -468,9 +468,10 @@ func Execute(tasks []Task, pool runner.Pool) []results.Record {
 // checkpoints) see the exact record sequence Execute would return
 // without anyone holding the whole batch in memory.
 func ExecuteStream(tasks []Task, pool runner.Pool, emit func(results.Record)) {
-	var jobs []runner.Job
+	total := Trials(tasks)
+	jobs := make([]runner.Job, 0, total)
 	// taskOf/trialOf map the flat job index back to its grid cell.
-	var taskOf, trialOf []int
+	taskOf, trialOf := make([]int, 0, total), make([]int, 0, total)
 	for ti := range tasks {
 		for trial := range tasks[ti].Jobs {
 			jobs = append(jobs, tasks[ti].Jobs[trial])

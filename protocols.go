@@ -31,9 +31,11 @@ type TransitionTable = core.TransitionTable
 // interface call from the interaction hot loop; results are
 // byte-identical to interface dispatch (the protocol axis consumes no
 // randomness). The constant-state protocols — six-state, star, majority
-// — are Tabular; identifier and fast, whose state spaces grow with n,
-// are not. ExecPlan.ProtocolEngine reports which dispatch a run would
-// use; Options.NoTable forces interface dispatch.
+// — are Tabular, and so is fast, as a clocked Tabular whose streak
+// clock picks one of two tables, for level caps αL ≤ 125; identifier,
+// whose state space grows as n⁴, is not. ExecPlan.ProtocolEngine
+// reports which dispatch a run would use; Options.NoTable forces
+// interface dispatch.
 type Tabular = sim.Tabular
 
 // Output roles.
@@ -86,7 +88,9 @@ func FastTunedParams(g Graph, broadcastTime float64) FastParams {
 // NewFast returns the paper's main contribution (Section 5, Theorem 24):
 // streak-clock-driven level tournament among high-degree nodes with a
 // constant-state backup. O(log n · h(G)) ⊆ O(log² n) states and
-// O(B(G)·log n) stabilization time in expectation and w.h.p.
+// O(B(G)·log n) stabilization time in expectation and w.h.p. The
+// protocol is a clocked Tabular when params.AlphaL ≤ 125, which
+// TunedParams keeps up to n = 2¹⁸.
 func NewFast(params FastParams) Protocol { return fastelect.New(params) }
 
 // NewFastFor builds the fast protocol for g end to end: it estimates
