@@ -13,10 +13,13 @@
 package popgraph_test
 
 import (
+	"math"
 	"testing"
 
 	"popgraph"
 	"popgraph/internal/exp"
+	"popgraph/internal/graph"
+	"popgraph/internal/xrand"
 )
 
 func BenchmarkExperiment(b *testing.B) {
@@ -131,6 +134,55 @@ func BenchmarkEngine(b *testing.B) {
 					done += popgraph.Run(c.g, popgraph.NewSixState(), r, opts).Steps
 				}
 			})
+		}
+	}
+}
+
+// BenchmarkWattsStrogatz measures set-up on a sparse graph: sampling
+// and rewiring ws:100000:10:0.1, the O(n + m) CSR build and the BFS
+// connectivity check. One op is one graph.
+func BenchmarkWattsStrogatz(b *testing.B) {
+	r := xrand.New(1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := graph.WattsStrogatz(100000, 10, 0.1, r); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkNewAlias measures the alias-table build the weighted and
+// node-clock schedulers run, over 10⁶ exponential weights (the
+// weighted:exp rates). One op is one table.
+func BenchmarkNewAlias(b *testing.B) {
+	r := xrand.New(1)
+	weights := make([]float64, 1000000)
+	for i := range weights {
+		weights[i] = -math.Log(1 - r.Float64())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := xrand.NewAlias(weights); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkNewDenseFromPacked measures a snapshot load's graph step:
+// the strict-ascent check and the CSR fill over ws:100000:10:0.1's
+// 500,000 packed edges. One op is one graph.
+func BenchmarkNewDenseFromPacked(b *testing.B) {
+	g, err := graph.WattsStrogatz(100000, 10, 0.1, xrand.New(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	packed := g.PackedEdges()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := graph.NewDenseFromPacked(g.N(), packed, g.Name(), -1); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -44,7 +44,7 @@ func Cycle(n int) *Dense {
 		packed = append(packed, pack(v, v+1))
 	}
 	packed = append(packed, pack(0, n-1))
-	return newDenseUnchecked(n, sortPacked(packed), fmt.Sprintf("cycle-%d", n)).setDiam(n / 2)
+	return newDense(n, packed, fmt.Sprintf("cycle-%d", n)).setDiam(n / 2)
 }
 
 // Path returns the path P_n on n >= 2 nodes.
@@ -57,7 +57,7 @@ func Path(n int) *Dense {
 	for v := 0; v < n-1; v++ {
 		packed = append(packed, pack(v, v+1))
 	}
-	return newDenseUnchecked(n, packed, fmt.Sprintf("path-%d", n)).setDiam(n - 1)
+	return fromSorted(n, packed, fmt.Sprintf("path-%d", n)).setDiam(n - 1)
 }
 
 // Star returns the star K_{1,n-1} with node 0 as the center (n >= 2).
@@ -70,7 +70,7 @@ func Star(n int) *Dense {
 	for v := 1; v < n; v++ {
 		packed = append(packed, pack(0, v))
 	}
-	return newDenseUnchecked(n, packed, fmt.Sprintf("star-%d", n)).setDiam(min(2, n-1))
+	return fromSorted(n, packed, fmt.Sprintf("star-%d", n)).setDiam(min(2, n-1))
 }
 
 // Torus2D returns the rows×cols 2-dimensional torus (wraparound grid).
@@ -89,7 +89,7 @@ func Torus2D(rows, cols int) *Dense {
 			packed = append(packed, pack(id(r, c), id((r+1)%rows, c)))
 		}
 	}
-	return newDenseUnchecked(n, sortPacked(packed),
+	return newDense(n, packed,
 		fmt.Sprintf("torus-%dx%d", rows, cols)).setDiam(rows/2 + cols/2)
 }
 
@@ -142,7 +142,7 @@ func TorusK(dims ...int) *Dense {
 	for _, d := range dims {
 		name += fmt.Sprintf("-%d", d)
 	}
-	return newDenseUnchecked(n, sortPacked(packed), name).setDiam(diam)
+	return newDense(n, packed, name).setDiam(diam)
 }
 
 // Grid2D returns the rows×cols grid without wraparound (dims >= 2).
@@ -165,7 +165,7 @@ func Grid2D(rows, cols int) *Dense {
 			}
 		}
 	}
-	return newDenseUnchecked(n, sortPacked(packed),
+	return newDense(n, packed,
 		fmt.Sprintf("grid-%dx%d", rows, cols)).setDiam(rows + cols - 2)
 }
 
@@ -184,7 +184,7 @@ func Hypercube(dim int) *Dense {
 			}
 		}
 	}
-	return newDenseUnchecked(n, sortPacked(packed), fmt.Sprintf("hypercube-%d", dim)).setDiam(dim)
+	return newDense(n, packed, fmt.Sprintf("hypercube-%d", dim)).setDiam(dim)
 }
 
 // Lollipop returns a clique on k nodes with a path of pathLen extra nodes
@@ -206,7 +206,7 @@ func Lollipop(k, pathLen int) *Dense {
 	for v := k; v < n-1; v++ {
 		packed = append(packed, pack(v, v+1))
 	}
-	return newDenseUnchecked(n, sortPacked(packed),
+	return newDense(n, packed,
 		fmt.Sprintf("lollipop-%d-%d", k, pathLen)).setDiam(pathLen + 1)
 }
 
@@ -233,7 +233,7 @@ func Barbell(k, pathLen int) *Dense {
 		prev = 2*k + i
 	}
 	packed = append(packed, pack(prev, k))
-	return newDenseUnchecked(n, sortPacked(packed),
+	return newDense(n, packed,
 		fmt.Sprintf("barbell-%d-%d", k, pathLen)).setDiam(pathLen + 3)
 }
 
@@ -253,7 +253,7 @@ func Gnp(n int, p float64, r *xrand.Rand) (*Dense, error) {
 		if err != nil {
 			return nil, err
 		}
-		g := newDenseUnchecked(n, packed, fmt.Sprintf("gnp-%d-p%.2f", n, p))
+		g := fromSorted(n, packed, fmt.Sprintf("gnp-%d-p%.2f", n, p))
 		if Connected(g) {
 			return g, nil
 		}
@@ -325,7 +325,7 @@ func WattsStrogatz(n, k int, beta float64, r *xrand.Rand) (*Dense, error) {
 	}
 	name := fmt.Sprintf("ws-%d-k%d-b%g", n, k, beta)
 	for try := 0; try < 1000; try++ {
-		g := newDenseUnchecked(n, sortPacked(wsEdges(n, k, beta, r)), name)
+		g := newDense(n, wsEdges(n, k, beta, r), name)
 		if Connected(g) {
 			return g, nil
 		}
@@ -482,7 +482,7 @@ func BarabasiAlbert(n, m int, r *xrand.Rand) (*Dense, error) {
 			targets = append(targets, int32(v), w)
 		}
 	}
-	return newDenseUnchecked(n, sortPacked(packed), fmt.Sprintf("ba-%d-m%d", n, m)), nil
+	return newDense(n, packed, fmt.Sprintf("ba-%d-m%d", n, m)), nil
 }
 
 // RandomRegular samples a uniform-ish random d-regular graph on n nodes via
@@ -501,7 +501,7 @@ func RandomRegular(n, d int, r *xrand.Rand) (*Dense, error) {
 		if !ok {
 			continue
 		}
-		g := newDenseUnchecked(n, sortPacked(packed), fmt.Sprintf("regular-%d-d%d", n, d))
+		g := newDense(n, packed, fmt.Sprintf("regular-%d-d%d", n, d))
 		if Connected(g) {
 			return g, nil
 		}
@@ -566,11 +566,4 @@ func pack(u, w int) int64 {
 		u, w = w, u
 	}
 	return int64(u)<<32 | int64(w)
-}
-
-// sortPacked sorts a generator's edge list into the ascending order
-// newDenseUnchecked and the edge sampler expect.
-func sortPacked(packed []int64) []int64 {
-	slices.Sort(packed)
-	return packed
 }

@@ -96,16 +96,16 @@ func NewDense(n int, edges []Edge, name string) (*Dense, error) {
 		}
 		norm = append(norm, int64(u)<<32|int64(w))
 	}
-	slices.Sort(norm)
-	for i := 1; i < len(norm); i++ {
-		if norm[i] == norm[i-1] {
+	sorted, deg := sortEdges(n, norm)
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i] == sorted[i-1] {
 			return nil, fmt.Errorf("graph %q: duplicate edge (%d,%d): %w",
-				name, norm[i]>>32, norm[i]&0xffffffff, ErrInvalidEdge)
+				name, sorted[i]>>32, sorted[i]&0xffffffff, ErrInvalidEdge)
 		}
 	}
-	g := newDenseUnchecked(n, norm, name)
+	g := fill(n, sorted, deg, name)
 	if !Connected(g) {
-		return nil, fmt.Errorf("graph %q (n=%d, m=%d): %w", name, n, len(norm), ErrDisconnected)
+		return nil, fmt.Errorf("graph %q (n=%d, m=%d): %w", name, n, len(sorted), ErrDisconnected)
 	}
 	return g, nil
 }
@@ -113,7 +113,7 @@ func NewDense(n int, edges []Edge, name string) (*Dense, error) {
 // NewDenseFromPacked rebuilds a Dense graph from its packed edge list,
 // the slice PackedEdges returns, so a decoded snapshot is the
 // generator's graph by construction: offsets and adjacency come from
-// newDenseUnchecked, the same fill every generator runs. The slice is
+// fill, the same CSR fill every generator runs. The slice is
 // adopted, not copied; callers must not mutate it afterwards.
 //
 // It checks everything that fill relies on, in one O(m) pass: n and 2m
@@ -140,7 +140,7 @@ func NewDenseFromPacked(n int, packed []int64, name string, diam int) (*Dense, e
 	if diam < -1 || diam >= n {
 		return nil, fmt.Errorf("graph %q: known diameter %d out of range [-1, %d): %w", name, diam, n, ErrInvalidEdge)
 	}
-	return newDenseUnchecked(n, packed, name).setDiam(diam), nil
+	return fromSorted(n, packed, name).setDiam(diam), nil
 }
 
 // firstBadEdge returns the index of the first packed edge that is not
@@ -161,9 +161,112 @@ func firstBadEdge(packed []int64, n int) int {
 	return -1
 }
 
-// newDenseUnchecked builds the CSR structures from a deduplicated,
-// normalized (u < w) packed edge list. Callers guarantee validity.
-func newDenseUnchecked(n int, packed []int64, name string) *Dense {
+// insertionMax is the longest bucket sortEdges sorts by insertion;
+// longer ones (star and preferential-attachment hubs) go to slices.Sort.
+const insertionMax = 16
+
+// newDense builds the CSR structures from a normalized (u < w),
+// duplicate-free packed edge list in any order, in O(n + m) plus the
+// sorts of the few buckets longer than insertionMax. The slice is
+// consumed: the graph keeps a sorted copy. Callers guarantee validity.
+func newDense(n int, packed []int64, name string) *Dense {
+	sorted, deg := sortEdges(n, packed)
+	return fill(n, sorted, deg, name)
+}
+
+// fromSorted builds the CSR structures from a strictly ascending,
+// normalized packed edge list, which the graph adopts. Callers
+// guarantee validity.
+func fromSorted(n int, packed []int64, name string) *Dense {
+	deg := make([]int32, n)
+	countDegrees(packed, deg)
+	return fill(n, packed, deg, name)
+}
+
+// sortEdges returns packed in ascending order, in a new slice, and the
+// degree of every node. One count pass gives the degrees and the size
+// of each node's bucket of forward edges (those where it is the smaller
+// endpoint); a scatter puts each edge in its bucket; sorting the
+// buckets by the larger endpoint then sorts the whole list, since the
+// packed encoding orders edges by smaller endpoint first. The result
+// is exactly the list a comparison sort gives.
+func sortEdges(n int, packed []int64) (sorted []int64, deg []int32) {
+	deg = make([]int32, n)
+	next := make([]int32, n+1)
+	countForward(packed, deg, next)
+	for u := 0; u < n; u++ {
+		next[u+1] += next[u]
+	}
+	sorted = make([]int64, len(packed))
+	scatterForward(packed, sorted, next)
+	sortBuckets(sorted, next[:n])
+	return sorted, deg
+}
+
+// countForward adds every node's degree to deg and its number of
+// forward edges to fwd[u+1].
+//
+//popcheck:kernel
+func countForward(packed []int64, deg, fwd []int32) {
+	for _, e := range packed {
+		u := e >> 32
+		fwd[u+1]++
+		deg[u]++
+		deg[e&0xffffffff]++
+	}
+}
+
+// scatterForward copies each edge to the next free slot of its smaller
+// endpoint's bucket. next[u] starts at the bucket's first slot and ends
+// one past its last.
+//
+//popcheck:kernel
+func scatterForward(packed, sorted []int64, next []int32) {
+	for _, e := range packed {
+		u := e >> 32
+		sorted[next[u]] = e
+		next[u]++
+	}
+}
+
+// sortBuckets sorts each bucket of sorted in place; bucket u ends at
+// end[u] and starts where bucket u-1 ends.
+//
+//popcheck:kernel
+func sortBuckets(sorted []int64, end []int32) {
+	lo := int32(0)
+	for _, hi := range end {
+		b := sorted[lo:hi]
+		lo = hi
+		if len(b) > insertionMax {
+			slices.Sort(b)
+			continue
+		}
+		for i := 1; i < len(b); i++ {
+			e := b[i]
+			j := i
+			for ; j > 0 && b[j-1] > e; j-- {
+				b[j] = b[j-1]
+			}
+			b[j] = e
+		}
+	}
+}
+
+// countDegrees adds every node's degree to deg.
+//
+//popcheck:kernel
+func countDegrees(packed []int64, deg []int32) {
+	for _, e := range packed {
+		deg[e>>32]++
+		deg[e&0xffffffff]++
+	}
+}
+
+// fill builds a Dense around a sorted, normalized, duplicate-free
+// packed edge list and the degrees of its nodes; deg is reused as the
+// fill cursor.
+func fill(n int, packed []int64, deg []int32, name string) *Dense {
 	g := &Dense{
 		n:       n,
 		offsets: make([]int32, n+1),
@@ -172,24 +275,27 @@ func newDenseUnchecked(n int, packed []int64, name string) *Dense {
 		name:    name,
 		diam:    -1,
 	}
-	deg := make([]int32, n)
-	for _, e := range packed {
-		deg[e>>32]++
-		deg[e&0xffffffff]++
+	fillCSR(packed, deg, g.offsets, g.adj)
+	return g
+}
+
+// fillCSR turns degrees into offsets, then lists every edge in both
+// endpoints' adjacency, in edge order.
+//
+//popcheck:kernel
+func fillCSR(packed []int64, deg, offsets, adj []int32) {
+	for v, d := range deg {
+		offsets[v+1] = offsets[v] + d
 	}
-	for v := 0; v < n; v++ {
-		g.offsets[v+1] = g.offsets[v] + deg[v]
-	}
-	cursor := make([]int32, n)
-	copy(cursor, g.offsets[:n])
+	cursor := deg
+	copy(cursor, offsets)
 	for _, e := range packed {
 		u, w := int32(e>>32), int32(e&0xffffffff)
-		g.adj[cursor[u]] = w
+		adj[cursor[u]] = w
 		cursor[u]++
-		g.adj[cursor[w]] = u
+		adj[cursor[w]] = u
 		cursor[w]++
 	}
-	return g
 }
 
 // N returns the number of nodes.

@@ -93,8 +93,11 @@ func (u Uniform) Begin(*xrand.Rand) Source {
 // fair coin — modeling heterogeneous contact frequencies. Stateless per
 // run; construction is O(m).
 type Weighted struct {
-	name  string
-	pairs []int64 // packed u<<32|w, u < w, in ForEachEdge order
+	name string
+	// pairs holds the packed edges u<<32|w, u < w, in ForEachEdge
+	// order. On a *graph.Dense it is the graph's own PackedEdges,
+	// shared and read-only; other graphs get a copy.
+	pairs []int64
 	alias *xrand.Alias
 }
 
@@ -110,10 +113,15 @@ func NewWeighted(g graph.Graph, name string, rates []float64) (*Weighted, error)
 	if err != nil {
 		return nil, fmt.Errorf("sim: weighted scheduler for %q: %w", g.Name(), err)
 	}
-	pairs := make([]int64, 0, g.M())
-	g.ForEachEdge(func(u, w int) {
-		pairs = append(pairs, int64(u)<<32|int64(w))
-	})
+	var pairs []int64
+	if d, ok := g.(*graph.Dense); ok {
+		pairs = d.PackedEdges() // the same order as ForEachEdge, so no copy
+	} else {
+		pairs = make([]int64, 0, g.M())
+		g.ForEachEdge(func(u, w int) {
+			pairs = append(pairs, int64(u)<<32|int64(w))
+		})
+	}
 	return &Weighted{name: name, pairs: pairs, alias: alias}, nil
 }
 

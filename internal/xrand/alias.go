@@ -38,46 +38,48 @@ func NewAlias(weights []float64) (*Alias, error) {
 	if sum <= 0 || math.IsInf(sum, 0) {
 		return nil, fmt.Errorf("xrand: alias weights sum to %v", sum)
 	}
-	a := &Alias{prob: make([]float64, n), alias: make([]int32, n)}
 	// Vose's stack method: scale weights to mean 1, pair each deficit
-	// column with a surplus donor.
-	scaled := make([]float64, n)
-	small := make([]int32, 0, n)
-	large := make([]int32, 0, n)
+	// column with a surplus donor. prob holds the scaled weights until a
+	// column is final, and one worklist holds both stacks: small grows
+	// up from work[0], large grows down from work[n-1]. Together they
+	// hold each column at most once, so they never overlap.
+	prob, alias := make([]float64, n), make([]int32, n)
+	work := make([]int32, n)
+	ns, nl := 0, 0
 	for i, w := range weights {
 		// (w/sum)*n, not w*n/sum: w/sum <= 1, so the intermediate cannot
 		// overflow even for weights near MaxFloat64.
-		scaled[i] = w / sum * float64(n)
-		if scaled[i] < 1 {
-			small = append(small, int32(i))
+		prob[i] = w / sum * float64(n)
+		if prob[i] < 1 {
+			work[ns] = int32(i)
+			ns++
 		} else {
-			large = append(large, int32(i))
+			nl++
+			work[n-nl] = int32(i)
 		}
 	}
-	for len(small) > 0 && len(large) > 0 {
-		s := small[len(small)-1]
-		small = small[:len(small)-1]
-		l := large[len(large)-1]
-		large = large[:len(large)-1]
-		a.prob[s] = scaled[s]
-		a.alias[s] = l
-		scaled[l] -= 1 - scaled[s]
-		if scaled[l] < 1 {
-			small = append(small, l)
-		} else {
-			large = append(large, l)
+	for ns > 0 && nl > 0 {
+		ns--
+		s, l := work[ns], work[n-nl]
+		alias[s] = l
+		prob[l] -= 1 - prob[s]
+		if prob[l] < 1 {
+			// The donor fell into deficit: move it to the small stack.
+			nl--
+			work[ns] = l
+			ns++
 		}
 	}
 	// Leftovers are full columns up to rounding error.
-	for _, i := range large {
-		a.prob[i] = 1
-		a.alias[i] = i
+	for _, i := range work[:ns] {
+		prob[i] = 1
+		alias[i] = i
 	}
-	for _, i := range small {
-		a.prob[i] = 1
-		a.alias[i] = i
+	for _, i := range work[n-nl:] {
+		prob[i] = 1
+		alias[i] = i
 	}
-	return a, nil
+	return &Alias{prob: prob, alias: alias}, nil
 }
 
 // N returns the number of columns (the support size).

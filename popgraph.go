@@ -171,10 +171,10 @@ func MinDegree(g Graph) int { return graph.MinDegree(g) }
 // checked in full and filled into the same CSR arrays the generator
 // built, so runs on the loaded graph are byte-identical to runs on the
 // original. A malformed file is an error, never a panic. Generating
-// ws:1000000:10:0.1 takes 0.6–0.7 s on a 2-core Xeon VM: rewiring
-// 0.12–0.14 s, sorting 0.28–0.36 s, the CSR fill 0.08–0.13 s and the
-// BFS connectivity check 0.10–0.13 s. Loading its snapshot skips all
-// but the CSR fill.
+// ws:1000000:10:0.1 takes 0.42–0.59 s on a 2-core Xeon VM: rewiring
+// 0.12–0.18 s, the bucket sort by smaller endpoint 0.09–0.15 s, the
+// CSR fill 0.06–0.10 s and the BFS connectivity check 0.12–0.17 s.
+// Loading its snapshot skips all but the CSR fill.
 //
 // Specs whose parameters are out of range for the family (e.g.
 // "cycle:2", "hypercube:0", "torus:2x5", negative sizes) return an
