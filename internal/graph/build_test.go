@@ -109,9 +109,13 @@ func checkNewDense(t *testing.T, n int, edges []Edge) {
 	}
 }
 
+// hubEdges is the length of the hub bucket in the test inputs, long
+// enough that slices.Sort goes past its short-slice insertion sort.
+const hubEdges = 48
+
 // randomEdgeList returns a shuffled connected edge list on n nodes — a
 // random spanning tree, extra random pairs, and a hub at node 0 whose
-// bucket is longer than insertionMax when n allows — with defects
+// bucket is hubEdges long when n allows — with defects
 // mixed in at the given rates per mille.
 func randomEdgeList(r *xrand.Rand, n int, dupRate, loopRate, rangeRate int) []Edge {
 	var edges []Edge
@@ -126,7 +130,7 @@ func randomEdgeList(r *xrand.Rand, n int, dupRate, loopRate, rangeRate int) []Ed
 	for v := 1; v < n; v++ {
 		add(int32(r.Intn(v)), int32(v))
 	}
-	for v := 1; v < min(n, 3*insertionMax); v++ {
+	for v := 1; v <= min(n-1, hubEdges); v++ {
 		add(0, int32(v))
 	}
 	for i := r.Intn(2*n + 1); i > 0; i-- {
@@ -219,10 +223,10 @@ func FuzzNewDense(f *testing.F) {
 	f.Add(uint8(3), enc(0, 3, 1, 2))       // out of range
 	f.Add(uint8(4), enc(0, 1, 2, 3))       // disconnected
 	var hub []int
-	for v := 3 * insertionMax; v > 0; v-- {
+	for v := hubEdges; v > 0; v-- {
 		hub = append(hub, v, 0)
 	}
-	f.Add(uint8(3*insertionMax+1), enc(hub...)) // a bucket past insertionMax
+	f.Add(uint8(hubEdges+1), enc(hub...)) // one long bucket
 	f.Fuzz(func(t *testing.T, nb uint8, data []byte) {
 		n := int(nb % 80)
 		edges := make([]Edge, len(data)/2)

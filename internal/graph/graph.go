@@ -161,13 +161,10 @@ func firstBadEdge(packed []int64, n int) int {
 	return -1
 }
 
-// insertionMax is the longest bucket sortEdges sorts by insertion;
-// longer ones (star and preferential-attachment hubs) go to slices.Sort.
-const insertionMax = 16
-
 // newDense builds the CSR structures from a normalized (u < w),
 // duplicate-free packed edge list in any order, in O(n + m) plus the
-// sorts of the few buckets longer than insertionMax. The slice is
+// sorts of its few long buckets (star and preferential-attachment
+// hubs). The slice is
 // consumed: the graph keeps a sorted copy. Callers guarantee validity.
 func newDense(n int, packed []int64, name string) *Dense {
 	sorted, deg := sortEdges(n, packed)
@@ -230,26 +227,15 @@ func scatterForward(packed, sorted []int64, next []int32) {
 }
 
 // sortBuckets sorts each bucket of sorted in place; bucket u ends at
-// end[u] and starts where bucket u-1 ends.
+// end[u] and starts where bucket u-1 ends. slices.Sort insertion-sorts
+// the short buckets of sparse graphs itself.
 //
 //popcheck:kernel
 func sortBuckets(sorted []int64, end []int32) {
 	lo := int32(0)
 	for _, hi := range end {
-		b := sorted[lo:hi]
+		slices.Sort(sorted[lo:hi])
 		lo = hi
-		if len(b) > insertionMax {
-			slices.Sort(b)
-			continue
-		}
-		for i := 1; i < len(b); i++ {
-			e := b[i]
-			j := i
-			for ; j > 0 && b[j-1] > e; j-- {
-				b[j] = b[j-1]
-			}
-			b[j] = e
-		}
 	}
 }
 
