@@ -14,6 +14,7 @@ package popgraph_test
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"popgraph"
@@ -163,7 +164,8 @@ func BenchmarkNewAlias(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := xrand.NewAlias(weights); err != nil {
+		// NewAlias scales its slice in place: give each table a copy.
+		if _, err := xrand.NewAlias(slices.Clone(weights)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -296,9 +296,6 @@ func (g *Dense) Degree(v int) int { return int(g.offsets[v+1] - g.offsets[v]) }
 // NeighborAt returns the i-th neighbour of v.
 func (g *Dense) NeighborAt(v, i int) int { return int(g.adj[int(g.offsets[v])+i]) }
 
-// Neighbors returns a read-only view of v's neighbours.
-func (g *Dense) Neighbors(v int) []int32 { return g.adj[g.offsets[v]:g.offsets[v+1]] }
-
 // ForEachEdge calls fn once per undirected edge with u < w.
 func (g *Dense) ForEachEdge(fn func(u, w int)) {
 	for _, e := range g.edges {
@@ -323,6 +320,13 @@ func (g *Dense) OrderedPair(t uint64) (int, int) {
 	}
 	return u, w
 }
+
+// CSR returns the graph's adjacency arrays: v's neighbours are
+// adj[offsets[v]:offsets[v+1]], so len(offsets) is N()+1 and len(adj)
+// is 2·M(). Callers must treat both as read-only; the simulator's
+// node-clock loop reads them directly so that it can also prefetch
+// from them.
+func (g *Dense) CSR() (offsets, adj []int32) { return g.offsets, g.adj }
 
 // PackedEdges returns the graph's edge list as packed uint64 values
 // u<<32|w with u < w, sorted ascending — the raw array OrderedPair

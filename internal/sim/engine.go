@@ -30,12 +30,31 @@
 // fused, for every protocol × scheduler × drop × observer combination;
 // engine_test.go asserts all three against an independent
 // step-at-a-time reference loop.
+//
+// Lookahead. The block holds each run's draws before the loop uses
+// them, so at step i a sampler can already compute where step i + D
+// will read and prefetch that memory. On a graph that overflows the
+// cache each step otherwise waits on one to three dependent random
+// loads; staged prefetches (the first array at D steps ahead, the
+// array indexed by what that one holds at D/2, and so on) turn the
+// chain into independent misses in flight. Every stage reads only
+// m.blk.buf[m.blk.k + d·drawsPerStep] for an offset that stays inside
+// the block: it never calls next, never moves the cursor and never
+// refills. The guess assumes no Lemire rejection and the usual number
+// of draws per step, so a rejection, a churn contact whose up coin
+// falls otherwise than guessed or a block boundary makes it wrong, and
+// a wrong guess costs a wasted cache line, never a record. Compile
+// decides per plan whether the lookahead runs (ExecPlan.Prefetch); off,
+// it is folded into the offset (rngBlockSize), so the one compare each
+// step makes against the block's end always fails and the prefetch
+// call is never reached.
 
 package sim
 
 import (
 	"math"
 	"math/bits"
+	"unsafe"
 
 	"popgraph/internal/core"
 	"popgraph/internal/graph"
@@ -48,6 +67,12 @@ import (
 // small enough that the end-of-run rewind (at most one block re-skipped)
 // stays negligible.
 const rngBlockSize = 512
+
+// lookaheadSteps is D, the distance in steps of a sampler's first
+// prefetch stage; later stages run at D/2 and D/4. 16 steps is a few
+// hundred nanoseconds of loop, enough for a miss to DRAM to land, and
+// at 4 draws per step still well inside one block.
+const lookaheadSteps = 16
 
 // kernel is a chunk runner: the compiled hot loop for one scheduler ×
 // graph shape, owning all mutable sampling state of one run.
@@ -173,6 +198,7 @@ type machine struct {
 	blk   rngBlock
 	drop  float64
 	drops int64
+	ahead int // draw offset of the lookahead's D stage; rngBlockSize when off
 
 	mode      protoMode // fixed per run
 	tp        *Tabular
@@ -186,14 +212,24 @@ type machine struct {
 	gap       int // Σ gapWeight(state) − target; stable iff 0
 }
 
-// bind readies the machine for one run. It is the only place per-run
-// state is reset, because a pooled kernel arrives carrying its previous
-// run's block cursor, refill and drop tallies, table binding and
-// counters. A non-nil tp (already Reset) is fused: its compiled
-// tables, live state and streak bytes and counters are captured.
-func (m *machine) bind(drop float64, tp *Tabular) {
+// bind readies the machine for one run of pl. It is the only place
+// per-run state is reset, because a pooled kernel arrives carrying its
+// previous run's block cursor, refill and drop tallies, lookahead
+// offset, table binding and counters. perStep is the sampler's usual
+// number of draws per step without the drop coin, which bind adds when
+// drops are on; it only sets the lookahead offset. A non-nil tp
+// (already Reset) is fused: its compiled tables, live state and streak
+// bytes and counters are captured.
+func (m *machine) bind(pl *ExecPlan, perStep int, tp *Tabular) {
 	m.blk.k, m.blk.refills = rngBlockSize, 0
-	m.drop, m.drops = drop, 0
+	m.drop, m.drops = pl.drop, 0
+	m.ahead = rngBlockSize
+	if pl.prefetch {
+		if pl.drop != 0 {
+			perStep++
+		}
+		m.ahead = lookaheadSteps * perStep
+	}
 	m.mode, m.tp, m.cells, m.tickCells, m.streak, m.h = protoStep, nil, nil, nil, nil, 0
 	m.states, m.k, m.leaders, m.gap = nil, 0, 0, 0
 	if tp != nil {
@@ -259,6 +295,21 @@ func streakTick(streak []uint8, h uint8, u, v int) bool {
 	return false
 }
 
+// aliasGuess resolves an alias-table column from the two draws x and y
+// that the weighted and node-clock loops would turn into one: the
+// column is x reduced to [0, cols) without Lemire's rejection, then its
+// alias unless y's float lands below the column's probability. Always
+// in range, and right unless x is rejected.
+//
+//popcheck:kernel
+func aliasGuess(prob []float64, alias []int32, cols, x, y uint64) uint64 {
+	col, _ := bits.Mul64(x, cols)
+	if xrand.Float64From(y) >= prob[col] {
+		col = uint64(alias[col])
+	}
+	return col
+}
+
 func (m *machine) finish(r *xrand.Rand)  { m.blk.finish(r) }
 func (m *machine) stats() (int64, int64) { return m.blk.refills, m.drops }
 
@@ -299,7 +350,9 @@ func (m *machine) sync() {
 // block-buffered Lemire reduction over the 2m ordered pairs per step,
 // pair unpacking straight from the raw packed edge array, and the
 // direction swap branch-free (a taken/not-taken branch on the draw's
-// parity would mispredict half the time).
+// parity would mispredict half the time). Its lookahead prefetches the
+// edge D steps ahead and, for a fused table, both state bytes of the
+// edge D/2 steps ahead, whose line the first stage has fetched.
 type denseKernel struct {
 	machine
 	edges  []int64
@@ -311,7 +364,7 @@ func (kn *denseKernel) attach(pl *ExecPlan, tp *Tabular) {
 	g := pl.g.(*graph.Dense)
 	twoM := uint64(2 * g.M())
 	kn.edges, kn.twoM, kn.thresh = g.PackedEdges(), twoM, -twoM%twoM
-	kn.bind(pl.drop, tp)
+	kn.bind(pl, 1, tp)
 }
 
 func (kn *denseKernel) release() { kn.edges = nil; kn.unbind() }
@@ -320,6 +373,16 @@ func (kn *denseKernel) release() { kn.edges = nil; kn.unbind() }
 func (kn *denseKernel) run(p Protocol, r *xrand.Rand, _, k int64) (int64, bool) {
 	m := &kn.machine
 	for i := int64(1); i <= k; i++ {
+		if j := m.blk.k + m.ahead; j < rngBlockSize {
+			hi, _ := bits.Mul64(m.blk.buf[j], kn.twoM)
+			prefetch(unsafe.Pointer(&kn.edges[hi>>1]))
+			if s := m.states; s != nil {
+				hi, _ = bits.Mul64(m.blk.buf[j-m.ahead>>1], kn.twoM)
+				e := uint64(kn.edges[hi>>1])
+				prefetch(unsafe.Pointer(&s[e>>32]))
+				prefetch(unsafe.Pointer(&s[e&0xffffffff]))
+			}
+		}
 		hi, lo := bits.Mul64(m.blk.next(r), kn.twoM)
 		for lo < kn.thresh {
 			hi, lo = bits.Mul64(m.blk.next(r), kn.twoM)
@@ -364,7 +427,7 @@ func (kn *cliqueKernel) attach(pl *ExecPlan, tp *Tabular) {
 	n := uint64(pl.g.N())
 	n1 := n - 1
 	kn.n, kn.n1, kn.threshN, kn.threshN1 = n, n1, -n%n, -n1%n1
-	kn.bind(pl.drop, tp)
+	kn.bind(pl, 2, tp)
 }
 
 func (kn *cliqueKernel) release() { kn.unbind() }
@@ -412,7 +475,9 @@ func (kn *cliqueKernel) run(p Protocol, r *xrand.Rand, _, k int64) (int64, bool)
 // acceptance probability, one prefetched parity bit for the
 // orientation coin (applied as a branch-free XOR swap) — the exact draw sequence of xrand.Alias.Sample
 // followed by Rand.Bool, replayed from the block buffer with no method
-// calls on the sampling path.
+// calls on the sampling path. Its lookahead prefetches the prob and
+// alias slots of the column drawn D steps ahead and the pairs slot of
+// the column resolved D/2 steps ahead.
 type weightedKernel struct {
 	machine
 	pairs  []int64
@@ -426,7 +491,7 @@ func (kn *weightedKernel) attach(pl *ExecPlan, tp *Tabular) {
 	prob, alias := pl.weighted.alias.Table()
 	cols := uint64(len(prob))
 	kn.pairs, kn.prob, kn.alias, kn.m, kn.thresh = pl.weighted.pairs, prob, alias, cols, -cols%cols
-	kn.bind(pl.drop, tp)
+	kn.bind(pl, 3, tp)
 }
 
 func (kn *weightedKernel) release() { kn.pairs, kn.prob, kn.alias = nil, nil, nil; kn.unbind() }
@@ -435,6 +500,14 @@ func (kn *weightedKernel) release() { kn.pairs, kn.prob, kn.alias = nil, nil, ni
 func (kn *weightedKernel) run(p Protocol, r *xrand.Rand, _, k int64) (int64, bool) {
 	m := &kn.machine
 	for i := int64(1); i <= k; i++ {
+		if j := m.blk.k + m.ahead; j < rngBlockSize {
+			col, _ := bits.Mul64(m.blk.buf[j], kn.m)
+			prefetch(unsafe.Pointer(&kn.prob[col]))
+			prefetch(unsafe.Pointer(&kn.alias[col]))
+			j -= m.ahead >> 1
+			col = aliasGuess(kn.prob, kn.alias, kn.m, m.blk.buf[j], m.blk.buf[j+1])
+			prefetch(unsafe.Pointer(&kn.pairs[col]))
+		}
 		hi, lo := bits.Mul64(m.blk.next(r), kn.m)
 		for lo < kn.thresh {
 			hi, lo = bits.Mul64(m.blk.next(r), kn.m)
@@ -475,28 +548,36 @@ func (kn *weightedKernel) run(p Protocol, r *xrand.Rand, _, k int64) (int64, boo
 // as in weightedKernel, then the responder is a uniform neighbor. The
 // neighbor draw's bound varies per step (the initiator's degree), so it
 // keeps Uintn's guarded rejection form; on CSR graphs the adjacency
-// slice is read directly instead of through two interface calls.
+// arrays are read directly instead of through two interface calls. Its
+// lookahead (CSR graphs only) prefetches the prob and alias slots of
+// the node drawn D steps ahead, the CSR offset of the initiator
+// resolved D/2 steps ahead, and the adjacency slot of the neighbor
+// guessed D/4 steps ahead.
 type nodeClockKernel struct {
 	machine
-	g     graph.Graph
-	dense *graph.Dense // non-nil when g is CSR: neighbor reads skip the interface
-	prob  []float64
-	alias []int32
-	n     uint64
-	tn    uint64
+	g       graph.Graph
+	offsets []int32 // CSR arrays when g is a *graph.Dense, else nil
+	adj     []int32
+	prob    []float64
+	alias   []int32
+	n       uint64
+	tn      uint64
 }
 
 func (kn *nodeClockKernel) attach(pl *ExecPlan, tp *Tabular) {
 	s := pl.nodeClock
 	prob, alias := s.alias.Table()
 	n := uint64(len(prob))
-	dense, _ := s.g.(*graph.Dense)
-	kn.g, kn.dense, kn.prob, kn.alias, kn.n, kn.tn = s.g, dense, prob, alias, n, -n%n
-	kn.bind(pl.drop, tp)
+	kn.g, kn.offsets, kn.adj = s.g, nil, nil
+	if d, ok := s.g.(*graph.Dense); ok {
+		kn.offsets, kn.adj = d.CSR()
+	}
+	kn.prob, kn.alias, kn.n, kn.tn = prob, alias, n, -n%n
+	kn.bind(pl, 3, tp)
 }
 
 func (kn *nodeClockKernel) release() {
-	kn.g, kn.dense, kn.prob, kn.alias = nil, nil, nil, nil
+	kn.g, kn.offsets, kn.adj, kn.prob, kn.alias = nil, nil, nil, nil, nil
 	kn.unbind()
 }
 
@@ -504,6 +585,22 @@ func (kn *nodeClockKernel) release() {
 func (kn *nodeClockKernel) run(p Protocol, r *xrand.Rand, _, k int64) (int64, bool) {
 	m := &kn.machine
 	for i := int64(1); i <= k; i++ {
+		if j := m.blk.k + m.ahead; j < rngBlockSize {
+			u, _ := bits.Mul64(m.blk.buf[j], kn.n)
+			prefetch(unsafe.Pointer(&kn.prob[u]))
+			prefetch(unsafe.Pointer(&kn.alias[u]))
+			j -= m.ahead >> 1
+			u = aliasGuess(kn.prob, kn.alias, kn.n, m.blk.buf[j], m.blk.buf[j+1])
+			prefetch(unsafe.Pointer(&kn.offsets[u]))
+			j -= m.ahead >> 2
+			u = aliasGuess(kn.prob, kn.alias, kn.n, m.blk.buf[j], m.blk.buf[j+1])
+			o := kn.offsets[u]
+			// A zero-degree guess gives o itself, which may be len(adj).
+			hi, _ := bits.Mul64(m.blk.buf[j+2], uint64(kn.offsets[u+1]-o))
+			if a := uint64(o) + hi; a < uint64(len(kn.adj)) {
+				prefetch(unsafe.Pointer(&kn.adj[a]))
+			}
+		}
 		hi, lo := bits.Mul64(m.blk.next(r), kn.n)
 		for lo < kn.tn {
 			hi, lo = bits.Mul64(m.blk.next(r), kn.n)
@@ -513,9 +610,9 @@ func (kn *nodeClockKernel) run(p Protocol, r *xrand.Rand, _, k int64) (int64, bo
 			u = int(kn.alias[u])
 		}
 		var v int
-		if kn.dense != nil {
-			nb := kn.dense.Neighbors(u)
-			v = int(nb[m.blk.uintn(r, uint64(len(nb)))])
+		if kn.adj != nil {
+			o := kn.offsets[u]
+			v = int(kn.adj[uint64(o)+m.blk.uintn(r, uint64(kn.offsets[u+1]-o))])
 		} else {
 			v = kn.g.NeighborAt(u, int(m.blk.uintn(r, uint64(kn.g.Degree(u))))) //popcheck:ignore hotpath non-CSR fallback; dense path above covers built-in graphs
 		}
@@ -551,13 +648,19 @@ func (kn *nodeClockKernel) run(p Protocol, r *xrand.Rand, _, k int64) (int64, bo
 // scratch and survives release: a pooled kernel reuses it for any later
 // run on a graph with no more edges. churnSource keeps the same state in
 // a map; runs forced by Options.Reference use it as the independent
-// implementation.
+// implementation. Its lookahead prefetches the edge drawn D steps ahead
+// and that edge's state slot. A step draws its drop coin only when the
+// edge is up, so its draw count varies and a fixed offset would land
+// on a coin two times in three under drops; a walker (la) follows the
+// block instead, guessing each edge up with the stationary probability,
+// which is exact on first contacts and after long gaps.
 type churnKernel struct {
 	machine
 	edges  []int64
 	state  []uint64
 	twoM   uint64
 	thresh uint64
+	la     int     // the lookahead walker's block index (run)
 	pi     float64 // stationary up probability b/(a+b)
 	base   float64 // per-step decay factor 1−a−b of the on/off chain
 }
@@ -574,15 +677,50 @@ func (kn *churnKernel) attach(pl *ExecPlan, tp *Tabular) {
 		kn.state = kn.state[:g.M()]
 		clear(kn.state)
 	}
-	kn.bind(pl.drop, tp)
+	// The walker sets its own pace; bind's offset only switches it.
+	kn.la = rngBlockSize
+	kn.bind(pl, 2, tp)
 }
 
 func (kn *churnKernel) release() { kn.edges = nil; kn.unbind() }
+
+// stride moves the lookahead walker from the pair draw at block index
+// j to the next step's: past the churn coin, and past the drop coin
+// when drops are on and the coin at j+1 finds the edge up at the
+// stationary probability. j+1 must be inside the block.
+//
+//popcheck:kernel
+func (kn *churnKernel) stride(j int) int {
+	j += 2
+	if kn.drop != 0 && xrand.Float64From(kn.blk.buf[j-1]) < kn.pi {
+		j++
+	}
+	return j
+}
 
 //popcheck:kernel
 func (kn *churnKernel) run(p Protocol, r *xrand.Rand, t0, k int64) (int64, bool) {
 	m := &kn.machine
 	for i := int64(1); i <= k; i++ {
+		if m.ahead < rngBlockSize {
+			// la walks the block one guessed step per step, D steps
+			// ahead of the cursor; once it has fallen out of that range
+			// (a new block or a new run) it restarts from the cursor.
+			j := kn.la
+			if uint(j-m.blk.k) > 4*lookaheadSteps {
+				j = m.blk.k
+				for s := 0; s < lookaheadSteps && j < rngBlockSize-1; s++ {
+					j = kn.stride(j)
+				}
+			}
+			if j < rngBlockSize-1 {
+				hi, _ := bits.Mul64(m.blk.buf[j], kn.twoM)
+				prefetch(unsafe.Pointer(&kn.edges[hi>>1]))
+				prefetch(unsafe.Pointer(&kn.state[hi>>1]))
+				j = kn.stride(j)
+			}
+			kn.la = j
+		}
 		hi, lo := bits.Mul64(m.blk.next(r), kn.twoM)
 		for lo < kn.thresh {
 			hi, lo = bits.Mul64(m.blk.next(r), kn.twoM)

@@ -141,6 +141,36 @@ func fuzzScheduler(t *testing.T, sel uint8, g graph.Graph) Scheduler {
 	return s
 }
 
+// tableEquivalenceSeed is one FuzzTableEquivalence input.
+type tableEquivalenceSeed struct {
+	gsel, seed                  uint64
+	steps                       uint16
+	dropSel, schedSel, protoSel uint8
+}
+
+// tableEquivalenceSeeds is FuzzTableEquivalence's seed corpus;
+// TestTableEquivalenceSeedsPrefetched replays it with the samplers'
+// lookahead forced on.
+var tableEquivalenceSeeds = []tableEquivalenceSeed{
+	{0, 1, 700, 0, 0, 0},
+	{1, 2, 513, 1, 0, 0},
+	{38, 3, 64, 2, 0, 0},
+	{103, 4, 2000, 3, 0, 0},
+	// Churn on cycle, torus and lollipop graphs, six-state and majority,
+	// at drop rate 0.2; each run lasts 1000–1700 steps, which at two to
+	// three draws per step spans 5–9 blocks of 512 draws.
+	{29, 9, 2047, 1, 0x21, 0},
+	{10, 9, 2047, 1, 0x01, 0},
+	{75, 9, 2047, 1, 0x01, 0},
+	{1809, 9, 2047, 1, 0x21, 1},
+	// Fast on a clique, a torus and a lollipop, uniform and churn, with
+	// and without drops, at level caps from 2 to 8.
+	{0, 5, 2047, 0, 0, 2},
+	{0x1302, 6, 2047, 1, 0x21, 2},
+	{0x4703, 7, 1500, 0, 0x01, 2},
+	{0x2c01, 8, 900, 1, 0, 2},
+}
+
 // FuzzTableEquivalence fuzzes the protocol-compilation layer: a random
 // small graph, a random Tabular protocol (six-state, majority or the
 // clocked fast protocol) and a random interaction script. Under a
@@ -156,136 +186,125 @@ func fuzzScheduler(t *testing.T, sel uint8, g graph.Graph) Scheduler {
 // churn-uniform loop, checked here against the forced reference loop's
 // map-based source.
 func FuzzTableEquivalence(f *testing.F) {
-	f.Add(uint64(0), uint64(1), uint16(700), uint8(0), uint8(0), uint8(0))
-	f.Add(uint64(1), uint64(2), uint16(513), uint8(1), uint8(0), uint8(0))
-	f.Add(uint64(38), uint64(3), uint16(64), uint8(2), uint8(0), uint8(0))
-	f.Add(uint64(103), uint64(4), uint16(2000), uint8(3), uint8(0), uint8(0))
-	// Churn on cycle, torus and lollipop graphs, six-state and majority,
-	// at drop rate 0.2; each run lasts 1000–1700 steps, which at two to
-	// three draws per step spans 5–9 blocks of 512 draws.
-	f.Add(uint64(29), uint64(9), uint16(2047), uint8(1), uint8(0x21), uint8(0))
-	f.Add(uint64(10), uint64(9), uint16(2047), uint8(1), uint8(0x01), uint8(0))
-	f.Add(uint64(75), uint64(9), uint16(2047), uint8(1), uint8(0x01), uint8(0))
-	f.Add(uint64(1809), uint64(9), uint16(2047), uint8(1), uint8(0x21), uint8(1))
-	// Fast on a clique, a torus and a lollipop, uniform and churn, with
-	// and without drops, at level caps from 2 to 8.
-	f.Add(uint64(0), uint64(5), uint16(2047), uint8(0), uint8(0), uint8(2))
-	f.Add(uint64(0x1302), uint64(6), uint16(2047), uint8(1), uint8(0x21), uint8(2))
-	f.Add(uint64(0x4703), uint64(7), uint16(1500), uint8(0), uint8(0x01), uint8(2))
-	f.Add(uint64(0x2c01), uint64(8), uint16(900), uint8(1), uint8(0), uint8(2))
-	f.Fuzz(func(t *testing.T, gsel, seed uint64, steps uint16, dropSel, schedSel, protoSel uint8) {
-		g := fuzzGraph(gsel)
-		n := g.N()
-		factory, ref := fuzzProtocol(gsel>>8, protoSel, n)
-		script := int64(steps)%2048 + 1
-		sched := fuzzScheduler(t, schedSel, g)
-		if _, dense := g.(*graph.Dense); dense && sched != nil {
-			pl, err := Compile(g, Options{Scheduler: sched})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if engine, proto := pl.Engine(), pl.ProtocolEngine(factory()); engine != "churn-uniform" || proto != "table" {
-				t.Fatalf("churn on %s compiled to %s/%s", g.Name(), engine, proto)
-			}
-		}
+	for _, c := range tableEquivalenceSeeds {
+		f.Add(c.gsel, c.seed, c.steps, c.dropSel, c.schedSel, c.protoSel)
+	}
+	f.Fuzz(tableEquivalence)
+}
 
-		// Part 1: scripted drive. The protocol steps through its table,
-		// the reference through its own rule on a plain copy; every step
-		// must agree on states, the leader count and the stability
-		// verdict, and the counters must equal a full table scan.
-		r := xrand.New(seed)
-		p := factory()
-		p.Reset(g, xrand.New(seed))
-		tab := p.Table()
-		if tab == nil {
-			t.Fatal("fuzzed protocol has no table")
+// tableEquivalence is FuzzTableEquivalence's body for one input.
+func tableEquivalence(t *testing.T, gsel, seed uint64, steps uint16, dropSel, schedSel, protoSel uint8) {
+	g := fuzzGraph(gsel)
+	n := g.N()
+	factory, ref := fuzzProtocol(gsel>>8, protoSel, n)
+	script := int64(steps)%2048 + 1
+	sched := fuzzScheduler(t, schedSel, g)
+	if _, dense := g.(*graph.Dense); dense && sched != nil {
+		pl, err := Compile(g, Options{Scheduler: sched})
+		if err != nil {
+			t.Fatal(err)
 		}
-		states := append([]uint8(nil), ref.initial...)
-		if ref.oracle != nil {
-			ref.oracle.Reset(g, nil)
+		if engine, proto := pl.Engine(), pl.ProtocolEngine(factory()); engine != "churn-uniform" || proto != "table" {
+			t.Fatalf("churn on %s compiled to %s/%s", g.Name(), engine, proto)
 		}
-		for i := int64(0); i <= script; i++ {
-			if i > 0 {
-				u, v := g.SampleEdge(r)
-				p.Step(u, v)
-				if ref.oracle != nil {
-					ref.oracle.Step(u, v)
-				} else {
-					states[u], states[v] = ref.step(states[u], states[v])
-				}
-			}
-			if o := ref.oracle; o != nil {
-				for w := 0; w < n; w++ {
-					if got, want := p.Output(w), o.Output(w); got != want {
-						t.Fatalf("step %d: node %d outputs %v, hand-written %v", i, w, got, want)
-					}
-				}
-				if p.Leaders() != o.Leaders() || p.Stable() != o.Stable() {
-					t.Fatalf("step %d: Leaders %d Stable %v, hand-written %d %v",
-						i, p.Leaders(), p.Stable(), o.Leaders(), o.Stable())
-				}
+	}
+
+	// Part 1: scripted drive. The protocol steps through its table,
+	// the reference through its own rule on a plain copy; every step
+	// must agree on states, the leader count and the stability
+	// verdict, and the counters must equal a full table scan.
+	r := xrand.New(seed)
+	p := factory()
+	p.Reset(g, xrand.New(seed))
+	tab := p.Table()
+	if tab == nil {
+		t.Fatal("fuzzed protocol has no table")
+	}
+	states := append([]uint8(nil), ref.initial...)
+	if ref.oracle != nil {
+		ref.oracle.Reset(g, nil)
+	}
+	for i := int64(0); i <= script; i++ {
+		if i > 0 {
+			u, v := g.SampleEdge(r)
+			p.Step(u, v)
+			if ref.oracle != nil {
+				ref.oracle.Step(u, v)
 			} else {
-				for w := 0; w < n; w++ {
-					if got := p.TableStates()[w]; got != states[w] {
-						t.Fatalf("step %d: node %d state %d, reference %d", i, w, got, states[w])
-					}
-				}
-				if leaders, stable := ref.scan(states); p.Leaders() != leaders || p.Stable() != stable {
-					t.Fatalf("step %d: Leaders %d Stable %v, reference scan %d %v",
-						i, p.Leaders(), p.Stable(), leaders, stable)
-				}
-			}
-			if leaders, gap := tab.Counters(p.TableStates()); p.Leaders() != leaders || p.Stable() != (gap == 0) {
-				t.Fatalf("step %d: Leaders %d Stable %v, table scan leaders %d gap %d",
-					i, p.Leaders(), p.Stable(), leaders, gap)
+				states[u], states[v] = ref.step(states[u], states[v])
 			}
 		}
+		if o := ref.oracle; o != nil {
+			for w := 0; w < n; w++ {
+				if got, want := p.Output(w), o.Output(w); got != want {
+					t.Fatalf("step %d: node %d outputs %v, hand-written %v", i, w, got, want)
+				}
+			}
+			if p.Leaders() != o.Leaders() || p.Stable() != o.Stable() {
+				t.Fatalf("step %d: Leaders %d Stable %v, hand-written %d %v",
+					i, p.Leaders(), p.Stable(), o.Leaders(), o.Stable())
+			}
+		} else {
+			for w := 0; w < n; w++ {
+				if got := p.TableStates()[w]; got != states[w] {
+					t.Fatalf("step %d: node %d state %d, reference %d", i, w, got, states[w])
+				}
+			}
+			if leaders, stable := ref.scan(states); p.Leaders() != leaders || p.Stable() != stable {
+				t.Fatalf("step %d: Leaders %d Stable %v, reference scan %d %v",
+					i, p.Leaders(), p.Stable(), leaders, stable)
+			}
+		}
+		if leaders, gap := tab.Counters(p.TableStates()); p.Leaders() != leaders || p.Stable() != (gap == 0) {
+			t.Fatalf("step %d: Leaders %d Stable %v, table scan leaders %d gap %d",
+				i, p.Leaders(), p.Stable(), leaders, gap)
+		}
+	}
 
-		// Part 2: full runs through the execution plans. The fused table
-		// kernel, the interface-dispatch kernel on the same scheduler loop
-		// (NoTable) and the generic reference loop must agree on the
-		// Result, every output, the O(1) counters (cross-checked against a
-		// scan) and the generator's post-run position.
-		drop := float64(dropSel%4) * 0.2
-		type outcome struct {
-			res     Result
-			outputs []int
-			leaders int
-			stable  bool
-			draws   [8]uint64
+	// Part 2: full runs through the execution plans. The fused table
+	// kernel, the interface-dispatch kernel on the same scheduler loop
+	// (NoTable) and the generic reference loop must agree on the
+	// Result, every output, the O(1) counters (cross-checked against a
+	// scan) and the generator's post-run position.
+	drop := float64(dropSel%4) * 0.2
+	type outcome struct {
+		res     Result
+		outputs []int
+		leaders int
+		stable  bool
+		draws   [8]uint64
+	}
+	runVariant := func(noTable, reference bool) outcome {
+		p := factory()
+		rr := xrand.New(seed)
+		res := Run(g, p, rr, Options{
+			MaxSteps:  script,
+			Scheduler: sched,
+			DropRate:  drop,
+			NoTable:   noTable,
+			Reference: reference,
+		})
+		o := outcome{res: res, leaders: p.Leaders(), stable: p.Stable()}
+		for v := 0; v < n; v++ {
+			o.outputs = append(o.outputs, int(p.Output(v)))
 		}
-		runVariant := func(noTable, reference bool) outcome {
-			p := factory()
-			rr := xrand.New(seed)
-			res := Run(g, p, rr, Options{
-				MaxSteps:  script,
-				Scheduler: sched,
-				DropRate:  drop,
-				NoTable:   noTable,
-				Reference: reference,
-			})
-			o := outcome{res: res, leaders: p.Leaders(), stable: p.Stable()}
-			for v := 0; v < n; v++ {
-				o.outputs = append(o.outputs, int(p.Output(v)))
-			}
-			if scan := CountLeaders(g, p); scan != o.leaders {
-				t.Fatalf("noTable=%v reference=%v: Leaders() %d != scan %d", noTable, reference, o.leaders, scan)
-			}
-			for i := range o.draws {
-				o.draws[i] = rr.Uint64()
-			}
-			return o
+		if scan := CountLeaders(g, p); scan != o.leaders {
+			t.Fatalf("noTable=%v reference=%v: Leaders() %d != scan %d", noTable, reference, o.leaders, scan)
 		}
-		fused := runVariant(false, false)
-		for _, v := range []outcome{runVariant(true, false), runVariant(false, true)} {
-			if v.res != fused.res || v.leaders != fused.leaders || v.stable != fused.stable || v.draws != fused.draws {
-				t.Fatalf("variants diverged: fused %+v vs %+v", fused, v)
-			}
-			for w := range v.outputs {
-				if v.outputs[w] != fused.outputs[w] {
-					t.Fatalf("node %d output diverged: fused %d vs %d", w, fused.outputs[w], v.outputs[w])
-				}
+		for i := range o.draws {
+			o.draws[i] = rr.Uint64()
+		}
+		return o
+	}
+	fused := runVariant(false, false)
+	for _, v := range []outcome{runVariant(true, false), runVariant(false, true)} {
+		if v.res != fused.res || v.leaders != fused.leaders || v.stable != fused.stable || v.draws != fused.draws {
+			t.Fatalf("variants diverged: fused %+v vs %+v", fused, v)
+		}
+		for w := range v.outputs {
+			if v.outputs[w] != fused.outputs[w] {
+				t.Fatalf("node %d output diverged: fused %d vs %d", w, fused.outputs[w], v.outputs[w])
 			}
 		}
-	})
+	}
 }

@@ -94,8 +94,51 @@ type ExecPlan struct {
 	weighted  *Weighted
 	nodeClock *NodeClock
 	churn     *Churn
+	prefetch  bool                // the sampler's lookahead runs (engine.go)
 	meter     *telemetry.Counters // Options.Meter: nil disables run accounting
 }
+
+// prefetchGateBytes is the lookahead gate: a sampler prefetches only
+// when the arrays it reads at random each step (footprint) exceed it.
+// In BenchmarkLargeGraphSamplers the lookahead loses on a torus whose
+// arrays fit the per-core L2 cache, ties on ws:50000:10:0.1 (2–5 MB of
+// arrays) and wins on ws:200000:10:0.1 (8–20 MB); see DESIGN.md
+// "Execution plans".
+const prefetchGateBytes = 4 << 20
+
+// prefetchMinBytes is the gate Compile applies: prefetchDefaultMin,
+// which is prefetchGateBytes on amd64 and off elsewhere. Only this
+// package's tests write it, to force the lookahead on small graphs.
+var prefetchMinBytes = prefetchDefaultMin
+
+// footprint returns the bytes a compiled sampler reads at random each
+// step: the drawn edge, column or node arrays, the per-edge churn state
+// and a fused table's state byte per node. It is 0 for the kernels with
+// no lookahead: clique-uniform (no arrays), node-clock off a CSR graph
+// and the generic loop.
+func (pl *ExecPlan) footprint() int {
+	n, m := pl.g.N(), pl.g.M()
+	switch pl.mode {
+	case modeDenseUniform:
+		return 8*m + n // packed edges
+	case modeWeighted:
+		return 8*m + 4*m + 8*m + n // prob, alias, pairs
+	case modeNodeClock:
+		if _, ok := pl.nodeClock.g.(*graph.Dense); ok {
+			return 8*n + 4*n + 4*(n+1) + 4*2*m + n // prob, alias, offsets, adj
+		}
+	case modeChurnUniform:
+		return 8*m + 8*m + n // packed edges, edge state
+	}
+	return 0
+}
+
+// Prefetch reports whether the plan's sampler loop runs its lookahead,
+// prefetching the memory of steps it has drawn but not yet taken. It
+// is decided once, in Compile: on amd64 only, and only when the
+// sampler's random-access arrays overflow the cache. It never changes
+// a result; the flight recorder counts these runs as prefetch_runs.
+func (pl *ExecPlan) Prefetch() bool { return pl.prefetch }
 
 // Engine names the scheduler kernel the plan compiled to —
 // "dense-uniform", "clique-uniform", "weighted", "node-clock",
@@ -224,6 +267,7 @@ func Compile(g graph.Graph, opts Options) (*ExecPlan, error) {
 			pl.mode = modeCliqueUniform
 		}
 	}
+	pl.prefetch = pl.footprint() > prefetchMinBytes
 	return pl, nil
 }
 
@@ -325,6 +369,6 @@ func (pl *ExecPlan) flush(p Protocol, kern kernel, label string, steps, chunks, 
 	}
 	if pl.meter != nil {
 		refills, drops := kern.stats()
-		pl.meter.AddRun(steps, chunks, refills, drops, observes, label)
+		pl.meter.AddRun(steps, chunks, refills, drops, observes, label, pl.Prefetch())
 	}
 }

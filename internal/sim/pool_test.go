@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"popgraph/internal/core"
@@ -14,8 +15,12 @@ import (
 // scheduler table, protocol or transition table, so an idle kernel pins
 // none of them (the edge array of a ws:10⁶ graph alone is 40 MB). Every
 // pointer, slice, map, interface and func field must be nil, except
-// churn's edge-state slice, which is the kernel's own scratch.
+// churn's edge-state slice, which is the kernel's own scratch. The
+// lookahead is forced on, and a freshly attached kernel must hold every
+// reference field the walk will later find nil (node-clock's CSR
+// arrays among them), so a field the walk cannot see fails the test.
 func TestReleasedKernelsHoldNoReferences(t *testing.T) {
+	ForcePrefetch(t, true)
 	g := graph.Torus2D(4, 5)
 	rates := make([]float64, g.M())
 	for i := range rates {
@@ -46,16 +51,18 @@ func TestReleasedKernelsHoldNoReferences(t *testing.T) {
 		return NewClockedTabular("still", 1, 1, 0, func() (*core.TransitionTable, *core.TransitionTable) { return table, table },
 			func(graph.Graph, []uint8) {})
 	}
+	machine := []string{".machine.tp", ".machine.cells", ".machine.tickCells", ".machine.streak", ".machine.states"}
 	for _, c := range []struct {
 		g     graph.Graph
 		sched Scheduler
 		mode  planMode
+		binds []string // the sampler's own reference fields
 	}{
-		{g, nil, modeDenseUniform},
-		{graph.NewClique(10), nil, modeCliqueUniform},
-		{g, weighted, modeWeighted},
-		{g, nodeClock, modeNodeClock},
-		{g, churn, modeChurnUniform},
+		{g, nil, modeDenseUniform, []string{".edges"}},
+		{graph.NewClique(10), nil, modeCliqueUniform, nil},
+		{g, weighted, modeWeighted, []string{".pairs", ".prob", ".alias"}},
+		{g, nodeClock, modeNodeClock, []string{".g", ".offsets", ".adj", ".prob", ".alias"}},
+		{g, churn, modeChurnUniform, []string{".edges"}},
 	} {
 		pl, err := Compile(c.g, Options{Scheduler: c.sched})
 		if err != nil {
@@ -64,6 +71,17 @@ func TestReleasedKernelsHoldNoReferences(t *testing.T) {
 		if pl.mode != c.mode {
 			t.Fatalf("%s: compiled to %s", planModeNames[c.mode], pl.Engine())
 		}
+		tp := newProto()
+		tp.Reset(c.g, xrand.New(1))
+		bound := samplerPools[c.mode].Get().(sampler)
+		bound.attach(pl, tp)
+		var held []string
+		heldReferences(reflect.ValueOf(bound).Elem(), "", &held)
+		if want := append(slices.Clone(machine), c.binds...); !slices.Equal(held, want) {
+			t.Fatalf("%s: an attached kernel holds %v, want %v", planModeNames[c.mode], held, want)
+		}
+		bound.release()
+		samplerPools[c.mode].Put(bound)
 		// Get usually hands back the kernel the run just put, but a GC
 		// or the race detector may empty the pool; a fresh kernel (no
 		// refills yet) proves nothing, so run again.
@@ -81,7 +99,7 @@ func TestReleasedKernelsHoldNoReferences(t *testing.T) {
 		if m := reflect.ValueOf(kn).Elem().FieldByName("machine"); protoMode(m.FieldByName("mode").Uint()) != protoClocked {
 			t.Fatalf("%s: the run did not bind a clocked machine", planModeNames[c.mode])
 		}
-		var held []string
+		held = held[:0]
 		heldReferences(reflect.ValueOf(kn).Elem(), "", &held)
 		if len(held) > 0 {
 			t.Errorf("%s: released kernel still references %v", planModeNames[c.mode], held)

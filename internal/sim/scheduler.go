@@ -104,6 +104,9 @@ type Weighted struct {
 // NewWeighted builds a weighted scheduler for g. rates holds one
 // nonnegative finite rate per undirected edge, indexed in ForEachEdge
 // order, with a positive sum; name labels the policy in logs.
+// NewWeighted takes ownership of rates: a valid slice becomes the alias
+// table's prob column (xrand.NewAlias), so the caller must not use it
+// afterwards.
 func NewWeighted(g graph.Graph, name string, rates []float64) (*Weighted, error) {
 	if len(rates) != g.M() {
 		return nil, fmt.Errorf("sim: weighted scheduler for %q wants %d edge rates, got %d",
@@ -161,7 +164,7 @@ func NewNodeClock(g graph.Graph) (*NodeClock, error) {
 	for v := 0; v < n; v++ {
 		deg[v] = float64(g.Degree(v))
 	}
-	alias, err := xrand.NewAlias(deg)
+	alias, err := xrand.NewAlias(deg) // deg becomes the prob column
 	if err != nil {
 		return nil, fmt.Errorf("sim: node-clock scheduler for %q: %w", g.Name(), err)
 	}

@@ -83,10 +83,10 @@ func assertSameGraph(t *testing.T, want, got *graph.Dense) {
 		t.Fatalf("got n=%d m=%d name=%q, want n=%d m=%d name=%q",
 			got.N(), got.M(), got.Name(), want.N(), want.M(), want.Name())
 	}
-	for v := 0; v < want.N(); v++ {
-		if !slices.Equal(got.Neighbors(v), want.Neighbors(v)) {
-			t.Fatalf("neighbours of %d = %v, want %v", v, got.Neighbors(v), want.Neighbors(v))
-		}
+	gotOff, gotAdj := got.CSR()
+	wantOff, wantAdj := want.CSR()
+	if !slices.Equal(gotOff, wantOff) || !slices.Equal(gotAdj, wantAdj) {
+		t.Fatalf("CSR arrays differ")
 	}
 	if !slices.Equal(got.PackedEdges(), want.PackedEdges()) {
 		t.Fatalf("packed edges differ")

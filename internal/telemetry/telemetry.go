@@ -50,13 +50,16 @@ type Counters struct {
 
 // AddRun records one completed simulation run's engine accounting:
 // steps executed, chunks driven, RNG block refills, dropped
-// interactions, observer callbacks, and the kernel dispatch label the
-// run executed on. The engine calls it once per run, from locals it
-// accumulated for free, so metering costs one lock per run — nothing
-// per step.
-func (c *Counters) AddRun(steps, chunks, refills, drops, observes int64, kernel string) {
+// interactions, observer callbacks, the kernel dispatch label the run
+// executed on, and whether its sampler ran the prefetch lookahead. The
+// engine calls it once per run, from locals it accumulated for free, so
+// metering costs one lock per run — nothing per step.
+func (c *Counters) AddRun(steps, chunks, refills, drops, observes int64, kernel string, prefetch bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if prefetch {
+		c.s.PrefetchRuns++
+	}
 	c.s.StepsExecuted += steps
 	c.s.ChunksRun += chunks
 	c.s.RNGRefills += refills
@@ -132,6 +135,9 @@ type Snapshot struct {
 	// (e.g. "clique-uniform/table") to the number of runs each compiled
 	// kernel executed.
 	KernelDispatch map[string]int64 `json:"kernel_dispatch,omitempty"`
+	// PrefetchRuns counts the runs whose sampler prefetched ahead of its
+	// draws (sim.ExecPlan.Prefetch): graphs that overflow the cache.
+	PrefetchRuns int64 `json:"prefetch_runs"`
 	// TrialNs and QueueWaitNs are per-trial wall-time and queue-wait
 	// distributions (nanoseconds, log-bucketed). Host-dependent.
 	TrialNs     HistSnapshot `json:"trial_ns"`
@@ -153,6 +159,7 @@ func (s Snapshot) Merge(o Snapshot) Snapshot {
 	out.TrialsRun += o.TrialsRun
 	out.TrialsStabilized += o.TrialsStabilized
 	out.TrialsFailed += o.TrialsFailed
+	out.PrefetchRuns += o.PrefetchRuns
 	out.TrialNs = s.TrialNs.Merge(o.TrialNs)
 	out.QueueWaitNs = s.QueueWaitNs.Merge(o.QueueWaitNs)
 	if len(o.KernelDispatch) > 0 {

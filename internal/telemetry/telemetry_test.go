@@ -100,7 +100,7 @@ func TestHistogramStats(t *testing.T) {
 func TestSnapshotMergeProperties(t *testing.T) {
 	feed := func(c *Counters, start, runs int, kernel string) {
 		for i := start; i < start+runs; i++ {
-			c.AddRun(1000+int64(i), 10, 3, 1, 2, kernel)
+			c.AddRun(1000+int64(i), 10, 3, 1, 2, kernel, false)
 			c.AddTrial(int64(500+i), int64(i%7), i%2 == 0, false)
 		}
 	}
@@ -146,7 +146,7 @@ func TestCountersConcurrent(t *testing.T) {
 			defer wg.Done()
 			kernel := fmt.Sprintf("kernel-%d", w%3)
 			for i := 0; i < perWorker; i++ {
-				c.AddRun(10, 2, 1, 1, 1, kernel)
+				c.AddRun(10, 2, 1, 1, 1, kernel, false)
 				c.AddTrial(int64(i+1), int64(i), i%2 == 0, i%97 == 0)
 			}
 		}(w)
@@ -181,7 +181,7 @@ func TestLiveSnapshotConsistent(t *testing.T) {
 			for i := 0; i < shards; i++ {
 				var shard Counters
 				for k := 0; k < perShard; k++ {
-					shard.AddRun(100, 2, 1, 0, 0, "dense-uniform/table")
+					shard.AddRun(100, 2, 1, 0, 0, "dense-uniform/table", false)
 					shard.AddTrial(int64(1+k), int64(k), true, false)
 				}
 				c.Merge(shard.Snapshot())
@@ -231,7 +231,7 @@ func TestLiveSnapshotConsistent(t *testing.T) {
 
 func TestSnapshotJSONRoundTrip(t *testing.T) {
 	var c Counters
-	c.AddRun(123, 4, 5, 6, 7, "weighted/step")
+	c.AddRun(123, 4, 5, 6, 7, "weighted/step", true)
 	c.AddTrial(999, 11, true, false)
 	want := c.Snapshot()
 	var buf bytes.Buffer
@@ -307,7 +307,7 @@ func TestTrajectoryLogRoundTrip(t *testing.T) {
 
 func TestDebugServerServesMetrics(t *testing.T) {
 	var c Counters
-	c.AddRun(42, 1, 1, 0, 0, "dense-uniform/table")
+	c.AddRun(42, 1, 1, 0, 0, "dense-uniform/table", false)
 	addr, stop, err := StartDebugServer("127.0.0.1:0", &c)
 	if err != nil {
 		t.Fatal(err)

@@ -18,6 +18,12 @@ type Alias struct {
 // NewAlias builds an alias table over weights. Weights must be finite
 // and nonnegative with a positive sum; zero-weight entries are valid and
 // are never sampled.
+//
+// NewAlias takes ownership of weights: the table scales the slice in
+// place into its prob column, so the caller must neither read nor
+// write it afterwards. A copy would cost an 8-byte float per column
+// (40 MB for a weighted scheduler on a ws:10⁶ graph). Weights that
+// fail validation are refused before any is written.
 func NewAlias(weights []float64) (*Alias, error) {
 	n := len(weights)
 	if n == 0 {
@@ -39,14 +45,15 @@ func NewAlias(weights []float64) (*Alias, error) {
 		return nil, fmt.Errorf("xrand: alias weights sum to %v", sum)
 	}
 	// Vose's stack method: scale weights to mean 1, pair each deficit
-	// column with a surplus donor. prob holds the scaled weights until a
-	// column is final, and one worklist holds both stacks: small grows
-	// up from work[0], large grows down from work[n-1]. Together they
-	// hold each column at most once, so they never overlap.
-	prob, alias := make([]float64, n), make([]int32, n)
+	// column with a surplus donor. prob is weights itself, holding the
+	// scaled weights until a column is final, and one worklist holds
+	// both stacks: small grows up from work[0], large grows down from
+	// work[n-1]. Together they hold each column at most once, so they
+	// never overlap.
+	prob, alias := weights, make([]int32, n)
 	work := make([]int32, n)
 	ns, nl := 0, 0
-	for i, w := range weights {
+	for i, w := range prob {
 		// (w/sum)*n, not w*n/sum: w/sum <= 1, so the intermediate cannot
 		// overflow even for weights near MaxFloat64.
 		prob[i] = w / sum * float64(n)

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"popgraph/internal/graph"
@@ -189,7 +190,8 @@ func TestAliasMatchesStacks(t *testing.T) {
 		vecs = append(vecs, vec{fmt.Sprintf("random-%d", trial), w})
 	}
 	for _, v := range vecs {
-		a, err := xrand.NewAlias(v.weights)
+		// NewAlias scales its slice in place, so hand it a copy.
+		a, err := xrand.NewAlias(slices.Clone(v.weights))
 		if err != nil {
 			t.Fatalf("%s: %v", v.name, err)
 		}

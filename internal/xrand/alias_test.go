@@ -2,6 +2,7 @@ package xrand
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -31,7 +32,7 @@ func TestNewAliasRejectsBadWeights(t *testing.T) {
 // never be drawn.
 func TestAliasFrequencies(t *testing.T) {
 	weights := []float64{1, 3, 0, 6, 2}
-	a, err := NewAlias(weights)
+	a, err := NewAlias(slices.Clone(weights)) // NewAlias scales its slice in place
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,6 +119,36 @@ func TestAliasTableReplaysSample(t *testing.T) {
 		}
 		if got != want {
 			t.Fatalf("draw %d: table replay %d, Sample %d", i, got, want)
+		}
+	}
+}
+
+// TestNewAliasAdoptsWeights — a valid slice becomes the table's prob
+// column, scaled in place with no copy; a refused one is left exactly
+// as the caller passed it.
+func TestNewAliasAdoptsWeights(t *testing.T) {
+	weights := []float64{3, 0, 1, 5, 2}
+	a, err := NewAlias(weights)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prob, _ := a.Table(); &prob[0] != &weights[0] || len(prob) != len(weights) {
+		t.Fatal("NewAlias copied its weights instead of adopting them")
+	}
+	for _, bad := range [][]float64{
+		{1, 2, math.NaN()},
+		{4, -1, 2},
+		{0, 0, 0},
+		{math.MaxFloat64, math.MaxFloat64},
+	} {
+		keep := slices.Clone(bad)
+		if _, err := NewAlias(bad); err == nil {
+			t.Fatalf("weights %v accepted", keep)
+		}
+		for i := range bad {
+			if math.Float64bits(bad[i]) != math.Float64bits(keep[i]) {
+				t.Fatalf("refused weights %v were written: %v", keep, bad)
+			}
 		}
 	}
 }

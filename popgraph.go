@@ -66,6 +66,7 @@ package popgraph
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -332,9 +333,10 @@ func NewUniformScheduler(g Graph) Scheduler { return sim.Uniform{G: g} }
 // NewWeightedScheduler returns a scheduler sampling undirected edges
 // proportionally to rates (one nonnegative rate per edge in ForEachEdge
 // order, positive sum) via an alias table, orienting each pair with a
-// fair coin. name labels the policy in result logs.
+// fair coin. name labels the policy in result logs. rates is copied;
+// the caller keeps it.
 func NewWeightedScheduler(g Graph, name string, rates []float64) (Scheduler, error) {
-	return sim.NewWeighted(g, name, rates)
+	return sim.NewWeighted(g, name, slices.Clone(rates))
 }
 
 // NewNodeClockScheduler returns the asynchronous-clock scheduler: an
@@ -412,7 +414,7 @@ func ParseScheduler(spec string, g Graph, r *Rand) (Scheduler, error) {
 		default:
 			return nil, argErr(fmt.Sprintf("unknown weight model %q (want exp | degprod)", model))
 		}
-		s, err := sim.NewWeighted(g, "weighted:"+model, rates)
+		s, err := sim.NewWeighted(g, "weighted:"+model, rates) // hands rates over
 		if err != nil {
 			return nil, fmt.Errorf("popgraph: bad scheduler spec %q: %w", spec, err)
 		}

@@ -261,6 +261,22 @@ func TestParseSchedulerRefusesHugeWeighted(t *testing.T) {
 	}
 }
 
+// TestNewWeightedSchedulerKeepsRates — the public constructor copies its
+// rates, so the caller's slice is unchanged and free to reuse, although
+// the alias table underneath scales the slice it is given in place.
+func TestNewWeightedSchedulerKeepsRates(t *testing.T) {
+	g := popgraph.Cycle(6)
+	rates := []float64{1, 2, 3, 4, 5, 6}
+	if _, err := popgraph.NewWeightedScheduler(g, "w", rates); err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range rates {
+		if r != float64(i+1) {
+			t.Fatalf("rates = %v after NewWeightedScheduler, want 1..6", rates)
+		}
+	}
+}
+
 // TestParsedSchedulersRun — every parsed scheduler drives a full run to
 // stabilization through the public facade.
 func TestParsedSchedulersRun(t *testing.T) {
