@@ -78,10 +78,11 @@ func BenchmarkElection(b *testing.B) {
 			g := c.graph(setup)
 			var totalSteps float64
 			for i := 0; i < b.N; i++ {
-				p, err := popgraph.ParseProtocol(c.proto, g, setup)
+				factory, err := popgraph.ProtocolFactory(c.proto, g, setup)
 				if err != nil {
 					b.Fatal(err)
 				}
+				p := factory()
 				r := popgraph.NewRand(uint64(1000 + i))
 				res := popgraph.Run(g, p, r, popgraph.Options{})
 				if !res.Stabilized {

@@ -76,17 +76,19 @@ func ExampleCompile() {
 	// stabilized: true leaders: 1
 }
 
-// ExampleRunMajority runs exact majority, the extension module the
+// ExampleNewMajority runs exact majority, the extension module the
 // paper's conclusions suggest: same token random-walk techniques,
-// different problem.
-func ExampleRunMajority() {
+// different problem. Once stable, every node outputs the majority
+// opinion, true as Leader.
+func ExampleNewMajority() {
 	r := popgraph.NewRand(5)
 	inputs := make([]bool, 21)
 	for i := 0; i < 13; i++ {
 		inputs[i] = true // 13 of 21 vote "true"
 	}
-	res := popgraph.RunMajority(popgraph.Cycle(21), inputs, r, 0)
-	fmt.Println("winner:", res.Winner)
+	p := popgraph.NewMajority(inputs)
+	res := popgraph.Run(popgraph.Cycle(21), p, r, popgraph.Options{})
+	fmt.Println("stabilized:", res.Stabilized, "winner:", p.Output(0) == popgraph.Leader)
 	// Output:
-	// winner: true
+	// stabilized: true winner: true
 }

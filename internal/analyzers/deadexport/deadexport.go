@@ -1,10 +1,12 @@
-// Package deadexport flags exported functions and methods under
-// internal/ that no non-test file in the module refers to. Such code is
-// kept alive only by its own tests: it costs reading and upkeep, and
+// Package deadexport flags exported functions and methods in the
+// module-root package and under internal/ that no non-test file in the
+// module refers to. Such code is kept alive only by its own tests (and,
+// at the root, Example functions): it costs reading and upkeep, and
 // nothing a user runs depends on it. Delete it, move it into the
 // _test.go file of the package whose tests need it, or keep it with
 // "//popcheck:ignore deadexport <reason>" when another package's tests
-// call it.
+// call it or, at the root, when it is a documented library entry point
+// (the reason says which). Programs under examples/ count as callers.
 //
 // References come from types.Info.Uses over every package the checker
 // loads (cmd/popcheck always loads the whole module for this), with a
@@ -26,12 +28,14 @@ import (
 // Analyzer is the deadexport pass.
 var Analyzer = &analyzers.Analyzer{
 	Name: "deadexport",
-	Doc:  "flag exported functions and methods under internal/ that no non-test file in the module references",
+	Doc:  "flag exported functions and methods in the root package and under internal/ that no non-test file in the module references",
 	Run:  run,
 }
 
 func run(pass *analyzers.Pass) error {
-	if pass.RelPath != "internal" && !strings.HasPrefix(pass.RelPath, "internal/") {
+	// The root package is the public facade; cmd/ and examples/ are
+	// main packages, which export nothing another package can call.
+	if pass.RelPath != "" && pass.RelPath != "internal" && !strings.HasPrefix(pass.RelPath, "internal/") {
 		return nil
 	}
 	for _, file := range pass.Files {

@@ -21,8 +21,6 @@
 package beauquier
 
 import (
-	"fmt"
-
 	"popgraph/internal/core"
 	"popgraph/internal/graph"
 	"popgraph/internal/sim"
@@ -31,27 +29,6 @@ import (
 // New returns the protocol with every node starting as a leader candidate,
 // the standard leader-election input.
 func New() *sim.Tabular { return sim.NewTabular("six-state", 6, table, allCandidates) }
-
-// NewWithCandidates returns the protocol with the given nonempty candidate
-// set as input, the variant used as a backup protocol (Theorem 16 input).
-// Reset panics on a candidate outside the graph or listed twice.
-func NewWithCandidates(candidates []int) *sim.Tabular {
-	if len(candidates) == 0 {
-		panic("beauquier: candidate set must be nonempty")
-	}
-	candidates = append([]int(nil), candidates...)
-	return sim.NewTabular("six-state", 6, table, func(g graph.Graph, states []uint8) {
-		for _, v := range candidates {
-			if v < 0 || v >= len(states) {
-				panic(fmt.Sprintf("beauquier: candidate %d out of range [0,%d)", v, len(states)))
-			}
-			if states[v] == uint8(core.CandidateBlack) {
-				panic(fmt.Sprintf("beauquier: duplicate candidate %d", v))
-			}
-			states[v] = uint8(core.CandidateBlack)
-		}
-	})
-}
 
 // allCandidates is New's initial configuration: every node a candidate
 // holding a black token.

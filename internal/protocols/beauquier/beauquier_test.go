@@ -1,6 +1,7 @@
 package beauquier
 
 import (
+	"fmt"
 	"testing"
 
 	"popgraph/internal/core"
@@ -16,6 +17,27 @@ func scanCounts(p *sim.Tabular) core.TokenCounts {
 		c.Add(core.TokenState(s), 1)
 	}
 	return c
+}
+
+// NewWithCandidates returns the protocol with the given nonempty candidate
+// set as input, the variant used as a backup protocol (Theorem 16 input).
+// Reset panics on a candidate outside the graph or listed twice.
+func NewWithCandidates(candidates []int) *sim.Tabular {
+	if len(candidates) == 0 {
+		panic("beauquier: candidate set must be nonempty")
+	}
+	candidates = append([]int(nil), candidates...)
+	return sim.NewTabular("six-state", 6, table, func(g graph.Graph, states []uint8) {
+		for _, v := range candidates {
+			if v < 0 || v >= len(states) {
+				panic(fmt.Sprintf("beauquier: candidate %d out of range [0,%d)", v, len(states)))
+			}
+			if states[v] == uint8(core.CandidateBlack) {
+				panic(fmt.Sprintf("beauquier: duplicate candidate %d", v))
+			}
+			states[v] = uint8(core.CandidateBlack)
+		}
+	})
 }
 
 // TestInvariantsDuringRun steps the protocol manually and verifies after

@@ -15,6 +15,8 @@ func EstimateBroadcastTime(g Graph, r *Rand) float64 {
 
 // BroadcastFrom runs one epidemic from src and returns its completion
 // step T(src).
+//
+//popcheck:ignore deadexport a documented library entry point: one sample of T(v), the Section 3 quantity that B(G) maximizes
 func BroadcastFrom(g Graph, src int, r *Rand) int64 {
 	return epidemic.BroadcastFrom(g, src, r)
 }

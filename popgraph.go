@@ -55,12 +55,15 @@
 //	res := popgraph.Run(g, popgraph.NewSixState(), r, popgraph.Options{})
 //	fmt.Printf("leader %d elected after %d interactions\n", res.Leader, res.Steps)
 //
-// Batches of independent trials should go through the trial runner
-// rather than a hand-rolled loop: build per-trial seeds with
-// runner.TrialJobs (or derive them via runner.SeedFor) and execute with
-// a runner.Pool, which parallelizes across cores without changing any
-// result. See README.md for cmd/sweep usage and the result schema, and
-// examples/ for complete programs.
+// Repeated-trial estimates (the expected stabilization time of one
+// graph, scheduler and protocol) are what cmd/sweep computes, over a
+// whole grid, and cmd/popsim, over one cell of it: both run the same
+// deterministic, parallel trial plan, so popsim's trials equal sweep's
+// for the same flags. A program of its own that runs many trials of
+// one configuration compiles it once with Compile and calls
+// ExecPlan.Run per trial, with a fresh protocol and generator each. See
+// README.md for cmd/sweep usage and the result schema, and examples/
+// for complete programs.
 package popgraph
 
 import (
@@ -93,6 +96,8 @@ type Edge = graph.Edge
 
 // NewGraph builds a graph from an explicit edge list. It rejects
 // self-loops, duplicates and disconnected graphs.
+//
+//popcheck:ignore deadexport a documented library entry point: the only way to build a custom topology from an edge list
 func NewGraph(n int, edges []Edge, name string) (Graph, error) {
 	return graph.NewDense(n, edges, name)
 }
@@ -322,36 +327,18 @@ func buildGraph(spec string, build func() Graph) (g Graph, err error) {
 // nil and the uniform scheduler mean the paper's model — ordered pairs
 // uniform among all 2m — and keep the type-specialized fast loops
 // engaged. Schedulers must be built for the same graph passed to Run;
-// build them with the constructors below or ParseScheduler.
+// build them with ParseScheduler or NewWeightedScheduler.
 type Scheduler = sim.Scheduler
-
-// NewUniformScheduler returns the paper's uniform pairwise scheduler
-// for g, equivalent to leaving Options.Scheduler nil (byte-identical
-// results and random stream).
-func NewUniformScheduler(g Graph) Scheduler { return sim.Uniform{G: g} }
 
 // NewWeightedScheduler returns a scheduler sampling undirected edges
 // proportionally to rates (one nonnegative rate per edge in ForEachEdge
 // order, positive sum) via an alias table, orienting each pair with a
 // fair coin. name labels the policy in result logs. rates is copied;
 // the caller keeps it.
+//
+//popcheck:ignore deadexport a documented library entry point: the only way to run caller-chosen contact rates
 func NewWeightedScheduler(g Graph, name string, rates []float64) (Scheduler, error) {
 	return sim.NewWeighted(g, name, slices.Clone(rates))
-}
-
-// NewNodeClockScheduler returns the asynchronous-clock scheduler: an
-// initiator is drawn proportionally to degree, then a uniform neighbor
-// responds. The induced pair distribution equals the uniform
-// scheduler's, realized through a node-centric draw sequence.
-func NewNodeClockScheduler(g Graph) (Scheduler, error) { return sim.NewNodeClock(g) }
-
-// NewChurnScheduler returns a link-churn scheduler: pairs are sampled
-// uniformly, but every edge independently alternates between up and
-// down states with geometric bursts of mean upLen and downLen steps
-// (both >= 1); contacts over down edges are suppressed but still count
-// as steps.
-func NewChurnScheduler(g Graph, upLen, downLen float64) (Scheduler, error) {
-	return sim.NewChurn(g, upLen, downLen)
 }
 
 // ParseScheduler builds a scheduler for g from a compact spec string,
@@ -470,7 +457,10 @@ type ExecPlan = sim.ExecPlan
 // Compile validates opts against g and returns the execution plan a run
 // would use, or an error describing the invalid configuration. Use it to
 // validate untrusted configurations up front or to inspect the selected
-// kernel (ExecPlan.Engine).
+// kernel (ExecPlan.Engine), and to run many trials of one configuration
+// through ExecPlan.Run without re-validating it each time.
+//
+//popcheck:ignore deadexport a documented library entry point: compile once, run repeated trials through ExecPlan.Run
 func Compile(g Graph, opts Options) (*ExecPlan, error) {
 	return sim.Compile(g, opts)
 }
@@ -478,6 +468,8 @@ func Compile(g Graph, opts Options) (*ExecPlan, error) {
 // RunE executes the stochastic scheduler on g until the protocol reaches
 // a stable configuration (or the step cap from opts is hit), returning
 // an error instead of panicking on invalid configurations.
+//
+//popcheck:ignore deadexport a documented library entry point: Run's error-returning form for untrusted configurations
 func RunE(g Graph, p Protocol, r *Rand, opts Options) (Result, error) {
 	return sim.RunE(g, p, r, opts)
 }

@@ -28,7 +28,6 @@ func TestAllProtocolsViaFacade(t *testing.T) {
 	g := popgraph.Clique(16)
 	protos := []popgraph.Protocol{
 		popgraph.NewSixState(),
-		popgraph.NewSixStateWithCandidates([]int{1, 5, 9}),
 		popgraph.NewIdentifier(),
 		popgraph.NewIdentifierRegular(),
 		popgraph.NewFastFor(g, r),
@@ -338,22 +337,25 @@ func TestFileSpecMatchesGenerator(t *testing.T) {
 	}
 }
 
-func TestParseProtocol(t *testing.T) {
+func TestProtocolFactory(t *testing.T) {
 	r := popgraph.NewRand(15)
 	g := popgraph.Clique(8)
 	for _, spec := range []string{"six-state", "identifier", "identifier-regular", "fast", "star", "majority:0.75"} {
-		if _, err := popgraph.ParseProtocol(spec, g, r); err != nil {
+		factory, err := popgraph.ProtocolFactory(spec, g, r)
+		if err != nil {
 			t.Errorf("%s: %v", spec, err)
+		} else if factory() == nil {
+			t.Errorf("%s: factory returned a nil protocol", spec)
 		}
 	}
-	if _, err := popgraph.ParseProtocol("bogus", g, r); err == nil ||
+	if _, err := popgraph.ProtocolFactory("bogus", g, r); err == nil ||
 		!strings.Contains(err.Error(), "bogus") {
 		t.Errorf("bad protocol error: %v", err)
 	}
 }
 
 // TestProtocolSpecErrors — every malformed protocol spec comes back from
-// ParseProtocol/ProtocolFactory as an error naming the problem — never
+// ProtocolFactory as an error naming the problem — never
 // a panic, and never a nil factory alongside a nil error.
 func TestProtocolSpecErrors(t *testing.T) {
 	r := popgraph.NewRand(16)
@@ -385,9 +387,6 @@ func TestProtocolSpecErrors(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("error %q does not mention %q", err, c.want)
-			}
-			if _, err := popgraph.ParseProtocol(c.spec, g, r); err == nil {
-				t.Fatal("ParseProtocol accepted what ProtocolFactory rejected")
 			}
 		})
 	}
@@ -454,62 +453,26 @@ func TestMeasurementFacade(t *testing.T) {
 	}
 }
 
-func TestRunMajorityFacade(t *testing.T) {
+// TestMajorityViaFacade — the majority protocol runs through Run like
+// the leader-election protocols, and node 0's output is the stabilized
+// opinion.
+func TestMajorityViaFacade(t *testing.T) {
 	r := popgraph.NewRand(19)
 	g := popgraph.Cycle(15)
 	inputs := make([]bool, 15)
 	for i := 0; i < 9; i++ {
 		inputs[i] = true
 	}
-	res := popgraph.RunMajority(g, inputs, r, 0)
-	if !res.Stabilized || !res.Winner {
-		t.Fatalf("majority result %+v, want stabilized winner=true", res)
-	}
-	// Flip the majority.
-	for i := range inputs {
-		inputs[i] = !inputs[i]
-	}
-	res = popgraph.RunMajority(g, inputs, r, 0)
-	if !res.Stabilized || res.Winner {
-		t.Fatalf("flipped majority result %+v, want winner=false", res)
-	}
-}
-
-// TestRunMajorityDefaultCap — RunMajority routes through the standard
-// execution plan, so maxSteps <= 0 means the same DefaultMaxSteps
-// default as every other entry point (regression: it used an ad-hoc
-// 1<<42 cap), an explicit cap is honored exactly, and the defaulted run
-// is byte-identical to running the majority Protocol through RunE with
-// a zero cap.
-func TestRunMajorityDefaultCap(t *testing.T) {
-	g := popgraph.Cycle(13)
-	inputs := make([]bool, 13)
-	for i := 0; i < 8; i++ {
-		inputs[i] = true
-	}
-	// An explicit tiny cap is respected: the run stops at exactly that
-	// many interactions, unstabilized.
-	res := popgraph.RunMajority(g, inputs, popgraph.NewRand(5), 3)
-	if res.Stabilized || res.Steps != 3 {
-		t.Fatalf("capped run %+v, want 3 unstabilized steps", res)
-	}
-	// maxSteps 0 is the library default, i.e. what RunE resolves for a
-	// zero MaxSteps — not some private constant.
-	def := popgraph.RunMajority(g, inputs, popgraph.NewRand(5), 0)
-	p := popgraph.NewMajority(inputs)
-	ref, err := popgraph.RunE(g, p, popgraph.NewRand(5), popgraph.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !def.Stabilized || def.Steps != ref.Steps {
-		t.Fatalf("defaulted RunMajority %+v disagrees with RunE %+v", def, ref)
-	}
-	pl, err := popgraph.Compile(g, popgraph.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if def.Steps > pl.MaxSteps() {
-		t.Fatalf("defaulted run took %d steps, beyond the library default cap %d", def.Steps, pl.MaxSteps())
+	for _, want := range []popgraph.Role{popgraph.Leader, popgraph.Follower} {
+		p := popgraph.NewMajority(inputs)
+		res := popgraph.Run(g, p, r, popgraph.Options{})
+		if !res.Stabilized || p.Output(0) != want {
+			t.Fatalf("majority result %+v, node 0 outputs %v, want %v", res, p.Output(0), want)
+		}
+		// Flip the majority.
+		for i := range inputs {
+			inputs[i] = !inputs[i]
+		}
 	}
 }
 

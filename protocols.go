@@ -51,13 +51,6 @@ const (
 // random-walk hitting time (Theorem 16).
 func NewSixState() Protocol { return beauquier.New() }
 
-// NewSixStateWithCandidates returns the six-state protocol started from a
-// restricted nonempty candidate set (the Theorem 16 input variant used as
-// a backup protocol).
-func NewSixStateWithCandidates(candidates []int) Protocol {
-	return beauquier.NewWithCandidates(candidates)
-}
-
 // NewIdentifier returns the time-efficient identifier protocol of
 // Theorem 21: nodes draw ⌈4·log₂ n⌉-bit identifiers from the scheduler's
 // randomness and elect the maximum, with the six-state protocol as an
@@ -71,13 +64,6 @@ func NewIdentifierRegular() Protocol { return idelect.NewRegular() }
 // FastParams are the non-uniform parameters of the fast space-efficient
 // protocol (streak length H, elimination threshold L, level cap AlphaL).
 type FastParams = fastelect.Params
-
-// FastPaperParams returns Theorem 24's parameters exactly as in the
-// paper, given an estimate of the worst-case expected broadcast time
-// B(G) (see EstimateBroadcastTime) and the failure exponent τ.
-func FastPaperParams(g Graph, broadcastTime float64, tau int) FastParams {
-	return fastelect.PaperParams(g, broadcastTime, tau)
-}
 
 // FastTunedParams returns parameters with the paper's functional form but
 // laptop-scale constants; the O(B(G)·log n) scaling is unchanged.
@@ -104,16 +90,6 @@ func NewFastFor(g Graph, r *Rand) Protocol {
 // "Stars"). It rejects non-star graphs at Reset.
 func NewStarProtocol() Protocol { return star.New() }
 
-// MajorityResult reports the outcome of a majority computation.
-type MajorityResult struct {
-	// Steps is the stabilization time in interactions.
-	Steps int64
-	// Stabilized reports whether a stable configuration was reached.
-	Stabilized bool
-	// Winner is the stabilized opinion (meaningful when Stabilized).
-	Winner bool
-}
-
 // NewMajority returns the exact four-state majority protocol over the
 // boolean inputs (one per node at Reset; not a tie) as a Protocol, so
 // it runs through the same compiled execution plans as the
@@ -123,24 +99,9 @@ type MajorityResult struct {
 // −1, majority being a many-winners problem. The protocol is Tabular.
 func NewMajority(inputs []bool) Protocol { return majority.New(inputs) }
 
-// RunMajority runs the extension module: exact four-state majority over
-// the boolean inputs (one per node, not a tie) on g, using the same
-// token random-walk techniques as the six-state leader election protocol.
-// Stabilization takes O(H(G)·n·log n) expected steps. The run goes
-// through the standard compiled execution plan, so maxSteps <= 0 means
-// the same default cap as every other entry point
-// (sim.DefaultMaxSteps of the graph size).
-func RunMajority(g Graph, inputs []bool, r *Rand, maxSteps int64) MajorityResult {
-	p := majority.New(inputs)
-	res := Run(g, p, r, Options{MaxSteps: maxSteps})
-	return MajorityResult{
-		Steps:      res.Steps,
-		Stabilized: res.Stabilized,
-		Winner:     res.Stabilized && p.Output(0) == Leader,
-	}
-}
-
-// ParseProtocol builds a protocol from a CLI spec:
+// ProtocolFactory resolves a CLI protocol spec to a factory producing
+// fresh instances, as required by the parallel trial runner:
+// concurrently running trials must not share protocol state.
 //
 //	six-state | identifier | identifier-regular | fast | star | majority:FRAC
 //
@@ -149,17 +110,7 @@ func RunMajority(g Graph, inputs []bool, r *Rand, maxSteps int64) MajorityResult
 // the first round(FRAC·n) nodes; fractions whose rounded count is a tie
 // or unanimous (no minority left to out-vote — a degenerate cell that
 // stabilizes immediately) are rejected.
-func ParseProtocol(spec string, g Graph, r *Rand) (Protocol, error) {
-	factory, err := ProtocolFactory(spec, g, r)
-	if err != nil {
-		return nil, err
-	}
-	return factory(), nil
-}
-
-// ProtocolFactory resolves a CLI protocol spec (see ParseProtocol) to a
-// factory producing fresh instances, as required by the parallel trial
-// runner: concurrently running trials must not share protocol state.
+//
 // Graph-dependent tuning ("fast" estimates B(G) using r) happens once,
 // here, not per instance; a tuning failure (degenerate graph, invalid
 // derived parameters) comes back as an error, never a panic, so CLI
