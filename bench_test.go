@@ -113,10 +113,12 @@ func BenchmarkEngineThroughput(b *testing.B) {
 
 // BenchmarkEngine compares the full engine per interaction — scheduler
 // sampling + protocol step + stability check — between the
-// type-specialized block-sampling loops and the generic reference loop
-// (forced via Options.Reference) on each concrete graph representation.
-// ns/op is ns per interaction. Runs that stabilize before b.N steps are
-// restarted, so every op is a real interaction.
+// type-specialized block-sampling loops with the protocol's table fused
+// in, the same loops on interface dispatch (forced via Options.NoTable)
+// and the generic reference loop (forced via Options.Reference) on each
+// concrete graph representation. ns/op is ns per interaction. Runs that
+// stabilize before b.N steps are restarted, so every op is a real
+// interaction.
 func BenchmarkEngine(b *testing.B) {
 	cases := []struct {
 		name string
@@ -127,9 +129,9 @@ func BenchmarkEngine(b *testing.B) {
 		{"lollipop-64-64", popgraph.Lollipop(64, 64)},
 	}
 	for _, c := range cases {
-		for _, engine := range []string{"specialized", "generic"} {
+		for _, engine := range []string{"specialized", "interface", "generic"} {
 			b.Run(c.name+"/"+engine, func(b *testing.B) {
-				opts := popgraph.Options{Reference: engine == "generic"}
+				opts := popgraph.Options{NoTable: engine == "interface", Reference: engine == "generic"}
 				r := popgraph.NewRand(1)
 				for done := int64(0); done < int64(b.N); {
 					opts.MaxSteps = int64(b.N) - done

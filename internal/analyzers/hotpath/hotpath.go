@@ -5,10 +5,10 @@
 // table update). Those are allocation- and dispatch-free by design. The
 // per-step cost budget there is a couple of loads, a multiply and
 // predictable branches; anything that allocates, defers, schedules or
-// dynamically dispatches silently destroys the measured speedups the
-// committed BENCH_sim.json baselines gate on. Whether the helpers
-// actually inline is the compiler's call, which this analyzer cannot
-// see; CI checks it from go build -gcflags=-m.
+// dynamically dispatches silently destroys the measured speedups that
+// BenchmarkEngine and cmd/e2ebench's msteps_per_s record. Whether the
+// helpers actually inline is the compiler's call, which this analyzer
+// cannot see; CI checks it from go build -gcflags=-m.
 //
 // Inside a marked function the analyzer flags:
 //   - defer and go statements;

@@ -6,10 +6,9 @@
 // runtime.NumCPU() workers. Trials are crash-isolated: a panicking trial
 // is recorded as a failed Outcome instead of taking down the process.
 //
-// The experiment harness (internal/exp) and the engine benchmark
-// (internal/bench) build their jobs here with TrialJobs; cmd/sweep and
-// cmd/popsim, a one-cell sweep, get theirs from internal/sweep and run
-// them on a Pool of their own.
+// internal/sweep and the experiment harness (internal/exp) build their
+// jobs here with TrialJobs; cmd/sweep and cmd/popsim, a one-cell sweep,
+// run internal/sweep's jobs on a Pool of their own.
 package runner
 
 import (

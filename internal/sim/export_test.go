@@ -17,3 +17,7 @@ func ForcePrefetch(tb testing.TB, on bool) {
 	}
 	tb.Cleanup(func() { prefetchMinBytes = old })
 }
+
+// MaxSteps returns the resolved step cap (Options.MaxSteps, or
+// DefaultMaxSteps of the graph when that was zero).
+func (pl *ExecPlan) MaxSteps() int64 { return pl.maxSteps }

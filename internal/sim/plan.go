@@ -142,17 +142,20 @@ func (pl *ExecPlan) Prefetch() bool { return pl.prefetch }
 
 // Engine names the scheduler kernel the plan compiled to —
 // "dense-uniform", "clique-uniform", "weighted", "node-clock",
-// "churn-uniform" or "generic" — for benchmark reports and logs. The
-// protocol axis is orthogonal: ProtocolEngine reports whether a given
-// protocol's transition table is fused into the kernel's protocol
-// machine.
+// "churn-uniform" or "generic" — for logs and for callers checking
+// which kernel a configuration runs. The protocol axis is orthogonal:
+// ProtocolEngine reports whether a given protocol's transition table is
+// fused into the kernel's protocol machine.
+//
+//popcheck:ignore deadexport a documented library entry point: ExampleCompile and README's engine section show it as the way to see which kernel ran
 func (pl *ExecPlan) Engine() string { return planModeNames[pl.mode] }
 
 // ProtocolEngine reports the protocol dispatch a run of p on this plan
 // selects: "table" when p is a *Tabular with a table and the plan
 // compiled to a specialized kernel (whose machine then applies the
 // table inline); "step" otherwise (Protocol.Step interface dispatch).
-// Benchmark reports record it per cell.
+//
+//popcheck:ignore deadexport a documented library entry point: ExampleCompile and README's engine section show it as the way to see which dispatch ran
 func (pl *ExecPlan) ProtocolEngine(p Protocol) string {
 	if pl.fusable(p) != nil {
 		return "table"
@@ -175,12 +178,6 @@ func (pl *ExecPlan) fusable(p Protocol) *Tabular {
 	}
 	return tp
 }
-
-// MaxSteps returns the resolved step cap (Options.MaxSteps, or
-// DefaultMaxSteps of the graph when that was zero).
-//
-//popcheck:ignore deadexport popgraph_test.go checks the resolved step cap through it
-func (pl *ExecPlan) MaxSteps() int64 { return pl.maxSteps }
 
 // Compile validates opts against g and selects the execution kernel.
 // All input checking lives here: Run-time panics on bad configurations

@@ -269,15 +269,15 @@ type Options struct {
 	// when a specialized kernel exists for the configuration. The Result,
 	// observer callbacks and post-run generator state are byte-identical
 	// either way — that is the determinism contract — so the only effect
-	// is speed; equivalence tests and cmd/bench use it to time the
-	// reference loop.
+	// is speed; equivalence tests check against it and BenchmarkEngine
+	// times it.
 	Reference bool
 	// NoTable forces interface dispatch (Protocol.Step / Protocol.Stable)
 	// even for Tabular protocols, keeping the scheduler-specialized
 	// kernel engaged. The protocol axis consumes no randomness, so
 	// results are byte-identical with or without fusion; equivalence
-	// tests and cmd/bench use it to isolate the table-vs-interface
-	// speedup.
+	// tests check against it and BenchmarkEngine's "interface" cases
+	// time the table-vs-interface split with it.
 	NoTable bool
 	// Meter, if non-nil, receives flight-recorder accounting — steps,
 	// chunks, RNG refills, drops, observer calls, kernel dispatch — once

@@ -379,3 +379,39 @@ func TestBuildRejects(t *testing.T) {
 		t.Fatalf("WriteFile accepted a %d-byte source spec", len(s.Source))
 	}
 }
+
+// BenchmarkLoad measures the validated load of a snapshot: read,
+// checksums, edge-list checks and the CSR fill. The graph is
+// ws:100000:10:0.1, the one BenchmarkWattsStrogatz generates, written
+// once before the timer starts, so the two benchmarks compare building
+// a graph with loading it. One op is one Load.
+func BenchmarkLoad(b *testing.B) {
+	g, err := graph.WattsStrogatz(100000, 10, 0.1, xrand.New(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := Build(g, "ws:100000:10:0.1")
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "ws.popg")
+	if err := WriteFile(path, s); err != nil {
+		b.Fatal(err)
+	}
+	st, err := os.Stat(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(st.Size())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		loaded, err := Load(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if loaded.Graph.M() != g.M() {
+			b.Fatalf("loaded %d edges, want %d", loaded.Graph.M(), g.M())
+		}
+	}
+}

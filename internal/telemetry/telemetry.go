@@ -185,15 +185,6 @@ func (s Snapshot) StepsPerSec() float64 {
 	return float64(s.StepsExecuted) / (float64(s.TrialNs.Sum) / 1e9)
 }
 
-// RefillsPerMStep returns RNG block refills per million steps, the
-// "is the engine RNG-bound" headline.
-func (s Snapshot) RefillsPerMStep() float64 {
-	if s.StepsExecuted == 0 {
-		return 0
-	}
-	return float64(s.RNGRefills) * 1e6 / float64(s.StepsExecuted)
-}
-
 // KernelMix renders the dispatch counts as "label:count" pairs in
 // deterministic (sorted) order.
 func (s Snapshot) KernelMix() []string {

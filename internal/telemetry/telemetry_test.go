@@ -342,15 +342,12 @@ func TestDebugServerServesMetrics(t *testing.T) {
 }
 
 func TestSnapshotDerivedStats(t *testing.T) {
-	s := Snapshot{StepsExecuted: 2_000_000, RNGRefills: 4000,
+	s := Snapshot{StepsExecuted: 2_000_000,
 		TrialNs: HistSnapshot{Count: 2, Sum: 2e9}}
 	if got := s.StepsPerSec(); got != 1e6 {
 		t.Errorf("StepsPerSec = %v, want 1e6", got)
 	}
-	if got := s.RefillsPerMStep(); got != 2000 {
-		t.Errorf("RefillsPerMStep = %v, want 2000", got)
-	}
-	if (Snapshot{}).StepsPerSec() != 0 || (Snapshot{}).RefillsPerMStep() != 0 {
+	if (Snapshot{}).StepsPerSec() != 0 {
 		t.Error("empty snapshot derived stats should be 0")
 	}
 	s.KernelDispatch = map[string]int64{"b/x": 2, "a/y": 1}
