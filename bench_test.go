@@ -143,8 +143,8 @@ func BenchmarkEngine(b *testing.B) {
 }
 
 // BenchmarkWattsStrogatz measures set-up on a sparse graph: sampling
-// and rewiring ws:100000:10:0.1, the O(n + m) CSR build and the BFS
-// connectivity check. One op is one graph.
+// and rewiring ws:100000:10:0.1, the O(n + m) CSR build and the
+// union-find connectivity check. One op is one graph.
 func BenchmarkWattsStrogatz(b *testing.B) {
 	r := xrand.New(1)
 	b.ReportAllocs()
@@ -169,6 +169,24 @@ func BenchmarkNewAlias(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		// NewAlias scales its slice in place: give each table a copy.
 		if _, err := xrand.NewAlias(slices.Clone(weights)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWeightedScheduler measures the scheduler layer's set-up on
+// ws:100000:10:0.1: ParseScheduler("weighted:exp") draws 500,000 Exp(1)
+// rates and builds their alias table. One op is one scheduler.
+func BenchmarkWeightedScheduler(b *testing.B) {
+	g, err := popgraph.ParseGraph("ws:100000:10:0.1", popgraph.NewRand(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := popgraph.NewRand(2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := popgraph.ParseScheduler("weighted:exp", g, r); err != nil {
 			b.Fatal(err)
 		}
 	}

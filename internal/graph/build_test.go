@@ -12,8 +12,8 @@ import (
 // refNewDense is NewDense as a comparison sort plus the fill generators
 // ran before the bucket builder: normalize, slices.Sort, scan for
 // duplicates, fill the CSR arrays from scratch counts, check
-// connectivity. The builder must return the same arrays or an error of
-// the same class.
+// connectivity by BFS, not through Connected's union-find. The builder
+// must return the same arrays or an error of the same class.
 func refNewDense(n int, edges []Edge) (*Dense, error) {
 	if n <= 0 {
 		return nil, ErrInvalidEdge
@@ -36,7 +36,7 @@ func refNewDense(n int, edges []Edge) (*Dense, error) {
 		}
 	}
 	g := refFill(n, norm)
-	if !Connected(g) {
+	if slices.Contains(BFSDistances(g, 0), -1) {
 		return nil, ErrDisconnected
 	}
 	return g, nil
@@ -235,4 +235,77 @@ func FuzzNewDense(f *testing.F) {
 		}
 		checkNewDense(t, n, edges)
 	})
+}
+
+// unlinked is a Graph that is not a *Dense, so Connected takes its BFS
+// path on it.
+type unlinked struct{ *Dense }
+
+// TestConnectedMatchesBFS checks Connected's union-find against a BFS
+// from node 0, and its merge count against n minus the number of
+// components: on the random generators' edge samplers without their
+// connectivity retry (so some samples are disconnected), the generators
+// themselves, hand-built disconnected and tiny graphs, a Clique and a
+// graph that is not a *Dense.
+func TestConnectedMatchesBFS(t *testing.T) {
+	var graphs []Graph
+	r := xrand.New(11)
+	for trial := 0; trial < 60; trial++ {
+		n := 3 + r.Intn(60)
+		graphs = append(graphs, fromSorted(n, must(gnpEdges(n, 0.01+0.3*r.Float64(), r)), "gnp"))
+		graphs = append(graphs, newDense(n, wsEdges(n, 2, r.Float64(), r), "ws"))
+		if d := 3 + r.Intn(3); d < n && n*d%2 == 0 {
+			if packed, ok := pairingAttempt(n, d, r); ok {
+				graphs = append(graphs, newDense(n, packed, "regular"))
+			}
+		}
+	}
+	graphs = append(graphs,
+		must(Gnp(40, 0.1, r)),
+		must(WattsStrogatz(50, 4, 0.3, r)),
+		must(BarabasiAlbert(50, 2, r)),
+		must(RandomRegular(50, 3, r)),
+		fromSorted(6, []int64{pack(0, 1), pack(0, 2), pack(3, 4), pack(4, 5)}, "two components"),
+		fromSorted(4, []int64{pack(0, 1), pack(1, 2)}, "isolated node"),
+		fromSorted(1, nil, "n=1"),
+		fromSorted(2, nil, "n=2, no edges"),
+		NewClique(5),
+		unlinked{Cycle(7)},
+		unlinked{fromSorted(4, []int64{pack(0, 1), pack(2, 3)}, "unlinked pairs")},
+	)
+	connected := 0
+	for i, g := range graphs {
+		seen := make([]bool, g.N())
+		comps := 0
+		for v := range seen {
+			if !seen[v] {
+				comps++
+				for w, d := range BFSDistances(g, v) {
+					seen[w] = seen[w] || d >= 0
+				}
+			}
+		}
+		if got := Connected(g); got != (comps == 1) {
+			t.Fatalf("graph %d (%s, n=%d, m=%d): Connected %v, BFS finds %d components", i, g.Name(), g.N(), g.M(), got, comps)
+		}
+		if comps == 1 {
+			connected++
+		}
+		if d, ok := g.(*Dense); ok {
+			if got := unionEdges(d.edges, make([]int32, d.n)); got != d.n-comps {
+				t.Fatalf("graph %d (%s): %d merges, want n − components = %d", i, g.Name(), got, d.n-comps)
+			}
+		}
+	}
+	if connected == 0 || connected == len(graphs) {
+		t.Fatalf("%d of %d graphs connected: the inputs must cover both answers", connected, len(graphs))
+	}
+}
+
+// must returns v, panicking on a non-nil err.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

@@ -17,7 +17,9 @@ const maxIDs = math.MaxInt32
 // adjacency entries fit within maxIDs. Generators call it before they
 // allocate. Callers compute n and twoM in float64 from validated,
 // nonnegative parameters: that cannot overflow, and float64 rounding is
-// monotone and exact below 2^53, so the comparison is exact.
+// monotone and exact below 2^53, so the comparison is exact. Callers
+// wrap a product that a sum follows in float64(...), so arm64 rounds
+// it as amd64 does instead of fusing the two into an FMA.
 func checkSize(family string, n, twoM float64) error {
 	if n > maxIDs || twoM > maxIDs {
 		return fmt.Errorf("graph: %s needs n = %.0f and 2m = %.0f: %w", family, n, twoM, ErrTooLarge)
@@ -151,7 +153,7 @@ func Grid2D(rows, cols int) *Dense {
 		panic(fmt.Sprintf("graph: grid %dx%d invalid", rows, cols))
 	}
 	r, c := float64(rows), float64(cols)
-	mustFit("grid", r*c, 2*(r*(c-1)+c*(r-1)))
+	mustFit("grid", r*c, 2*(float64(r*(c-1))+float64(c*(r-1))))
 	n := rows * cols
 	packed := make([]int64, 0, 2*n)
 	id := func(r, c int) int { return r*cols + c }
@@ -194,7 +196,7 @@ func Lollipop(k, pathLen int) *Dense {
 	if k < 2 || pathLen < 1 {
 		panic(fmt.Sprintf("graph: lollipop(%d,%d) invalid", k, pathLen))
 	}
-	mustFit("lollipop", float64(k)+float64(pathLen), float64(k)*float64(k-1)+2*float64(pathLen))
+	mustFit("lollipop", float64(k)+float64(pathLen), float64(float64(k)*float64(k-1))+2*float64(pathLen))
 	n := k + pathLen
 	packed := make([]int64, 0, k*(k-1)/2+pathLen)
 	for u := 0; u < k; u++ {
@@ -217,7 +219,7 @@ func Barbell(k, pathLen int) *Dense {
 	if k < 2 || pathLen < 0 {
 		panic(fmt.Sprintf("graph: barbell(%d,%d) invalid", k, pathLen))
 	}
-	mustFit("barbell", 2*float64(k)+float64(pathLen), 2*float64(k)*float64(k-1)+2*(float64(pathLen)+1))
+	mustFit("barbell", 2*float64(k)+float64(pathLen), float64(2*float64(k)*float64(k-1))+2*(float64(pathLen)+1))
 	n := 2*k + pathLen
 	packed := make([]int64, 0, k*(k-1)+pathLen+1)
 	for u := 0; u < k; u++ {
@@ -348,7 +350,11 @@ func wsEdges(n, k int, beta float64, r *xrand.Rand) []int64 {
 	packed := make([]int64, 0, n*half)
 	for u := 0; u < n; u++ {
 		for j := 1; j <= half; j++ {
-			packed = append(packed, pack(u, (u+j)%n))
+			w := u + j // (u+j) mod n, without a division per edge
+			if w >= n {
+				w -= n
+			}
+			packed = append(packed, pack(u, w))
 		}
 	}
 	if beta == 0 {

@@ -121,7 +121,8 @@ func NewDense(n int, edges []Edge, name string) (*Dense, error) {
 // them, which also bounds the allocation by the input), packed edges
 // strictly ascending with 0 <= u < w < n, and diam in [-1, n).
 // Connectivity itself is not re-verified: callers vouch for it (a
-// snapshot records the encoder's BFS result under its checksum).
+// snapshot records, under its checksum, that the graph it was encoded
+// from passed Connected).
 func NewDenseFromPacked(n int, packed []int64, name string, diam int) (*Dense, error) {
 	m := len(packed)
 	if n <= 0 {

@@ -73,9 +73,46 @@ func bfsCSR(offsets, adj, dist, queue []int32, tail int, radius int32) {
 	}
 }
 
-// Connected reports whether g is connected.
+// Connected reports whether g is connected. A *Dense runs union-find
+// over its packed edge list, which reads the edges in order and touches
+// one parent array; other graphs run a BFS.
 func Connected(g Graph) bool {
+	if d, ok := g.(*Dense); ok {
+		return d.n > 0 && unionEdges(d.edges, make([]int32, d.n)) == d.n-1
+	}
 	return g.N() > 0 && !slices.Contains(BFSDistances(g, 0), -1)
+}
+
+// unionEdges runs union-find with path halving over the packed edges
+// on len(parent) nodes and returns the number of merges, which is n−1
+// exactly when the edges connect all n nodes. It stops at n−1 merges.
+// parent is overwritten.
+//
+//popcheck:kernel
+func unionEdges(packed []int64, parent []int32) int {
+	for v := range parent {
+		parent[v] = int32(v)
+	}
+	merges := 0
+	for _, e := range packed {
+		if merges == len(parent)-1 {
+			break
+		}
+		u, w := int32(e>>32), int32(e&0xffffffff)
+		for parent[u] != u {
+			parent[u] = parent[parent[u]]
+			u = parent[u]
+		}
+		for parent[w] != w {
+			parent[w] = parent[parent[w]]
+			w = parent[w]
+		}
+		if u != w {
+			parent[max(u, w)] = min(u, w)
+			merges++
+		}
+	}
+	return merges
 }
 
 // Eccentricity returns max_v dist(src, v).

@@ -732,13 +732,14 @@ func (kn *churnKernel) run(p Protocol, r *xrand.Rand, t0, k int64) (int64, bool)
 		// The edge's up probability at step t: stationary on first
 		// contact, else the closed-form transition of its two-state chain
 		// over the steps since its last contact. The expressions are
-		// churnSource.Next's, so every float rounds the same way.
+		// churnSource.Next's, so every float rounds the same way; the
+		// float64 conversion keeps arm64 from fusing them into an FMA.
 		t := t0 + i
 		pUp := kn.pi
 		if st := kn.state[hi>>1]; st != 0 {
 			decay := math.Pow(kn.base, float64(t-int64(st>>1)))
 			if st&1 != 0 {
-				pUp = kn.pi + decay*(1-kn.pi)
+				pUp = kn.pi + float64(decay*(1-kn.pi))
 			} else {
 				pUp = kn.pi * (1 - decay)
 			}

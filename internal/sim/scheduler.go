@@ -256,13 +256,15 @@ func (c *churnSource) Next(t int64, r *xrand.Rand) (int, int, bool) {
 	key := int64(lo)<<32 | int64(hi)
 	// Probability the edge is up at step t. Stationary on first contact;
 	// otherwise the k-step transition of the two-state chain:
-	// P(up) = π + (1−a−b)^k · (±deviation), π = b/(a+b).
+	// P(up) = π + (1−a−b)^k · (±deviation), π = b/(a+b). The float64
+	// conversion rounds the product, as amd64 does, where arm64 would
+	// fuse it into an FMA.
 	pi := s.b / (s.a + s.b)
 	pUp := pi
 	if e, seen := c.state[key]; seen {
 		decay := math.Pow(1-s.a-s.b, float64(t-e.t))
 		if e.up {
-			pUp = pi + decay*(1-pi)
+			pUp = pi + float64(decay*(1-pi))
 		} else {
 			pUp = pi * (1 - decay)
 		}

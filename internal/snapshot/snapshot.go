@@ -38,7 +38,7 @@
 // TestPlanEquivalenceMatrix source axis in internal/sim holds the
 // contract). Connectivity is verified once at encode time and recorded
 // in the header flag under the checksum; the decoder trusts the flag
-// instead of re-running BFS.
+// instead of re-running the connectivity check.
 package snapshot
 
 import (

@@ -49,7 +49,14 @@ func NewAlias(weights []float64) (*Alias, error) {
 	// scaled weights until a column is final, and one worklist holds
 	// both stacks: small grows up from work[0], large grows down from
 	// work[n-1]. Together they hold each column at most once, so they
-	// never overlap.
+	// never overlap, and the slots between them are free.
+	//
+	// Both loops are branch-free: whether a column is small is a coin
+	// flip on exponential weights, so a branch on it mispredicts half
+	// the time. A column is written to the free slot of each stack it
+	// may join, and a 0/1 advances one count; the stray copy sits in a
+	// free slot that a later push overwrites. The pushes and pops are
+	// those of the branching method, in the same order.
 	prob, alias := weights, make([]int32, n)
 	work := make([]int32, n)
 	ns, nl := 0, 0
@@ -57,25 +64,23 @@ func NewAlias(weights []float64) (*Alias, error) {
 		// (w/sum)*n, not w*n/sum: w/sum <= 1, so the intermediate cannot
 		// overflow even for weights near MaxFloat64.
 		prob[i] = w / sum * float64(n)
-		if prob[i] < 1 {
-			work[ns] = int32(i)
-			ns++
-		} else {
-			nl++
-			work[n-nl] = int32(i)
-		}
+		work[ns] = int32(i)
+		work[n-1-nl] = int32(i)
+		small := b2i(prob[i] < 1)
+		ns += small
+		nl += 1 - small
 	}
 	for ns > 0 && nl > 0 {
 		ns--
 		s, l := work[ns], work[n-nl]
 		alias[s] = l
 		prob[l] -= 1 - prob[s]
-		if prob[l] < 1 {
-			// The donor fell into deficit: move it to the small stack.
-			nl--
-			work[ns] = l
-			ns++
-		}
+		// A donor that fell into deficit moves to the small stack, into
+		// the slot s just freed.
+		work[ns] = l
+		moved := b2i(prob[l] < 1)
+		ns += moved
+		nl -= moved
 	}
 	// Leftovers are full columns up to rounding error.
 	for _, i := range work[:ns] {
@@ -87,6 +92,15 @@ func NewAlias(weights []float64) (*Alias, error) {
 		alias[i] = i
 	}
 	return &Alias{prob: prob, alias: alias}, nil
+}
+
+// b2i is 1 for true and 0 for false; the compiler turns it into a
+// flag-setting instruction, not a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // N returns the number of columns (the support size).

@@ -205,3 +205,43 @@ func TestAliasMatchesStacks(t *testing.T) {
 		}
 	}
 }
+
+// FuzzNewAlias decodes a weight vector from byte pairs (kind, value):
+// a zero, a one, a small integer (exact ties at 1 once scaled), or
+// 10^(300·value/255), so weight ratios reach 1e300. NewAlias must build
+// the table voseStacks builds, bit for bit, and refuse only an all-zero
+// vector.
+func FuzzNewAlias(f *testing.F) {
+	f.Add([]byte{1, 0, 1, 0, 1, 0})           // all equal: every column ties at 1
+	f.Add([]byte{0, 0, 2, 2, 2, 1, 1, 0})     // zeros and integers
+	f.Add([]byte{3, 255, 3, 0, 0, 0, 3, 128}) // ratio 1e300
+	f.Add([]byte{0, 0, 0, 0})                 // no positive weight
+	f.Fuzz(func(t *testing.T, data []byte) {
+		w := make([]float64, len(data)/2)
+		for i := range w {
+			switch v := data[2*i+1]; data[2*i] % 4 {
+			case 1:
+				w[i] = 1
+			case 2:
+				w[i] = float64(v % 5)
+			case 3:
+				w[i] = math.Pow(10, 300*float64(v)/255)
+			}
+		}
+		a, err := xrand.NewAlias(slices.Clone(w))
+		if err != nil {
+			if slices.ContainsFunc(w, func(x float64) bool { return x > 0 }) {
+				t.Fatalf("weights %v: %v", w, err)
+			}
+			return
+		}
+		prob, alias := a.Table()
+		wantProb, wantAlias := voseStacks(w)
+		for i := range wantProb {
+			if math.Float64bits(prob[i]) != math.Float64bits(wantProb[i]) || alias[i] != wantAlias[i] {
+				t.Fatalf("weights %v: column %d is (%v, %d), stack method gives (%v, %d)",
+					w, i, prob[i], alias[i], wantProb[i], wantAlias[i])
+			}
+		}
+	})
+}

@@ -141,9 +141,11 @@ func (r *Rand) Float64() float64 {
 // block-sampling kernels prefetch raw uint64 blocks through Fill and
 // convert in place, so a prefetched float consumes exactly one stream
 // position — the same as a live Float64 call — keeping block execution
-// byte-identical to draw-at-a-time execution.
+// byte-identical to draw-at-a-time execution. The outer conversion
+// rounds the result, so a caller's 1−U cannot fuse with it into one
+// FMA on arm64.
 func Float64From(x uint64) float64 {
-	return float64(x>>11) / (1 << 53)
+	return float64(float64(x>>11) / (1 << 53))
 }
 
 // Bool returns a fair coin flip.

@@ -177,10 +177,11 @@ func MinDegree(g Graph) int { return graph.MinDegree(g) }
 // checked in full and filled into the same CSR arrays the generator
 // built, so runs on the loaded graph are byte-identical to runs on the
 // original. A malformed file is an error, never a panic. Generating
-// ws:1000000:10:0.1 takes 0.42–0.59 s on a 2-core Xeon VM: rewiring
-// 0.12–0.18 s, the bucket sort by smaller endpoint 0.09–0.15 s, the
-// CSR fill 0.06–0.10 s and the BFS connectivity check 0.12–0.17 s.
-// Loading its snapshot skips all but the CSR fill.
+// ws:1000000:10:0.1 takes 0.34–0.35 s on a 2-core Xeon VM (medians of
+// 9 seeds, two rounds): rewiring 0.11 s, the bucket sort by smaller
+// endpoint 0.10–0.11 s, the CSR fill 0.07–0.08 s and the union-find
+// connectivity check 0.04–0.05 s. Loading its snapshot skips all but the
+// CSR fill.
 //
 // Specs whose parameters are out of range for the family (e.g.
 // "cycle:2", "hypercube:0", "torus:2x5", negative sizes) return an
@@ -390,9 +391,17 @@ func ParseScheduler(spec string, g Graph, r *Rand) (Scheduler, error) {
 			// memoryless, the standard heterogeneous-rates model. Drawn
 			// from r at construction, so a sweep cell's instance is fixed
 			// across trials.
-			for i := 0; i < g.M(); i++ {
-				// Inversion: −ln(1−U) with U in [0, 1) is Exp(1).
-				rates = append(rates, -math.Log(1-r.Float64()))
+			// The draws come in blocks through Fill, the same m stream
+			// positions m Float64 calls would take.
+			rates = rates[:g.M()]
+			var block [512]uint64
+			for i := 0; i < len(rates); i += len(block) {
+				draws := block[:min(len(block), len(rates)-i)]
+				r.Fill(draws)
+				for j, x := range draws {
+					// Inversion: −ln(1−U) with U in [0, 1) is Exp(1).
+					rates[i+j] = -math.Log(1 - xrand.Float64From(x))
+				}
 			}
 		case "degprod":
 			g.ForEachEdge(func(u, w int) {

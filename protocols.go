@@ -153,7 +153,7 @@ func majorityFactory(spec, frac string, n int) (func() Protocol, error) {
 	if err != nil || math.IsNaN(f) || f <= 0 || f >= 1 {
 		return nil, fmt.Errorf("popgraph: bad protocol spec %q: fraction must be strictly between 0 and 1", spec)
 	}
-	ones := int(f*float64(n) + 0.5)
+	ones := int(float64(f*float64(n)) + 0.5) // no FMA on arm64
 	if 2*ones == n {
 		return nil, fmt.Errorf("popgraph: bad protocol spec %q: rounds to a tie (%d of %d opinions) which never stabilizes",
 			spec, ones, n)
