@@ -193,8 +193,9 @@ func BenchmarkWeightedScheduler(b *testing.B) {
 }
 
 // BenchmarkNewDenseFromPacked measures a snapshot load's graph step:
-// the strict-ascent check and the CSR fill over ws:100000:10:0.1's
-// 500,000 packed edges. One op is one graph.
+// the strict-ascent check, the CSR fill and the union-find connectivity
+// check over ws:100000:10:0.1's 500,000 packed edges. One op is one
+// graph.
 func BenchmarkNewDenseFromPacked(b *testing.B) {
 	g, err := graph.WattsStrogatz(100000, 10, 0.1, xrand.New(1))
 	if err != nil {

@@ -4,11 +4,12 @@
 // classic-walk hitting time H(G), next to the Theorem 6 / Lemma 12
 // broadcast bounds.
 //
-// For a snapshot-loaded graph (-graph file:PATH.popg, written by
-// cmd/preprocess) it first prints the container itself — header and
-// section table with checksums — before the usual graph statistics.
-// Loading the graph checks its edge list in full, so a clean run is
-// also a complete integrity check of the file.
+// For a snapshot (-graph file:PATH.popg, written by cmd/preprocess) it
+// loads the file once and first prints what the file stores — format,
+// source spec, n, m and known diameter — before the usual graph
+// statistics. Every load checks the checksum, the edge list and
+// connectivity, so a clean run is also a complete integrity check of
+// the file.
 //
 // Usage:
 //
@@ -20,6 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 
 	"popgraph"
@@ -42,13 +44,8 @@ func main() {
 }
 
 func run(spec string, seed uint64, skipSlow bool) error {
-	if path, isSnap := strings.CutPrefix(spec, "file:"); isSnap {
-		if err := printSnapshot(path); err != nil {
-			return err
-		}
-	}
 	r := popgraph.NewRand(seed)
-	g, err := popgraph.ParseGraph(spec, r)
+	g, err := loadGraph(spec, r)
 	if err != nil {
 		return err
 	}
@@ -91,28 +88,24 @@ func run(spec string, seed uint64, skipSlow bool) error {
 	return nil
 }
 
-// printSnapshot prints the container-level view of a .popg file:
-// header fields and the section table with offsets/lengths/checksums.
-// Inspect verifies every checksum, so a clean listing doubles as an
-// integrity check.
-func printSnapshot(path string) error {
-	info, err := snapshot.Inspect(path)
+// loadGraph builds the graph of spec. A file: spec is loaded once
+// through snapshot.Load, and what the file stores is printed first.
+func loadGraph(spec string, r *popgraph.Rand) (popgraph.Graph, error) {
+	path, isSnap := strings.CutPrefix(spec, "file:")
+	if !isSnap {
+		return popgraph.ParseGraph(spec, r)
+	}
+	s, err := snapshot.Load(path)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	fmt.Printf("snapshot   %s (%s, %d bytes)\n", path, info.Magic, info.FileSize)
-	fmt.Printf("source     %s\n", info.Source)
-	fmt.Printf("stored     %s: n=%d, m=%d, diameter=%d, connected=%v\n",
-		info.GraphName, info.N, info.M, info.Diameter, info.Connected)
-	fmt.Printf("sections   %d (all checksums verified)\n", len(info.Sections))
-	for _, s := range info.Sections {
-		name := s.Kind
-		if s.Name != "" {
-			name += ":" + s.Name
-		}
-		fmt.Printf("  %-28s offset %8d  length %10d  crc32c %08x\n",
-			name, s.Offset, s.Length, s.Checksum)
+	g := s.Graph
+	fmt.Printf("snapshot   %s (%s; checksum, edge list and connectivity verified)\n", path, snapshot.Magic)
+	fmt.Printf("source     %s\n", s.Source)
+	diam := "unknown"
+	if d := g.KnownDiameter(); d >= 0 {
+		diam = strconv.Itoa(d)
 	}
-	fmt.Println()
-	return nil
+	fmt.Printf("stored     n=%d, m=%d, diameter %s\n\n", g.N(), g.M(), diam)
+	return g, nil
 }

@@ -1,18 +1,22 @@
 // Command preprocess builds a graph once and writes it as a binary
-// popgraph-snap/v2 snapshot (see internal/snapshot), so later runs load
-// it with file:PATH.popg in a fraction of the generation time instead
-// of regenerating it — the point at 10⁶–10⁷ nodes, where generation
-// plus connectivity conditioning dominates startup. A file written in
-// an older format is refused on load; rerun preprocess to rebuild it.
+// popgraph-snap/v3 snapshot (see internal/snapshot), so later runs load
+// it with file:PATH.popg instead of regenerating it — the point at
+// 10⁶–10⁷ nodes, where generation plus connectivity conditioning
+// dominates startup. Every load checks the checksum, the edge list and
+// connectivity. A file written in an older format is refused on load;
+// rerun preprocess to rebuild it.
 //
 // Usage:
 //
 //	preprocess -graph ws:1000000:10:0.1 -seed 1 -out ws1m.popg
 //	preprocess -graph ws:4096:8:0.2 -sweep-seed 42 -sweep-index 0 -out cell0.popg
 //
-// The snapshot holds the graph only. Schedulers (weighted rates
-// included) are built from their specs on the loaded graph, and each
-// constant-state protocol builds its transition table once per process.
+// The snapshot holds the graph's edge list only. Schedulers (weighted
+// rates included) are built from their specs on the loaded graph, and
+// each constant-state protocol builds its transition table once per
+// process. A clique: spec builds an implicit graph with no edge list,
+// so preprocess refuses it (and file: specs) with an error and writes
+// nothing.
 //
 // -sweep-seed/-sweep-index derive the graph construction seed exactly
 // as cmd/sweep does for the i-th expanded graph spec of a grid seeded
@@ -29,6 +33,7 @@ import (
 	"time"
 
 	"popgraph"
+	"popgraph/internal/graph"
 	"popgraph/internal/snapshot"
 	"popgraph/internal/sweep"
 )
@@ -86,14 +91,13 @@ func run(graphSpec string, seed uint64, out string,
 		return err
 	}
 	buildNs := time.Since(buildStart)
-
-	snap, err := snapshot.Build(g, graphSpec)
-	if err != nil {
-		return err
+	d, ok := g.(*graph.Dense)
+	if !ok {
+		return fmt.Errorf("-graph %q builds an implicit graph (%s) with no edge list to snapshot", graphSpec, g.Name())
 	}
 
 	encodeStart := time.Now()
-	if err := snapshot.WriteFile(out, snap); err != nil {
+	if err := snapshot.WriteFile(out, &snapshot.Snapshot{Graph: d, Source: graphSpec}); err != nil {
 		return err
 	}
 	encodeNs := time.Since(encodeStart)

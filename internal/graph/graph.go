@@ -119,10 +119,10 @@ func NewDense(n int, edges []Edge, name string) (*Dense, error) {
 // It checks everything that fill relies on, in one O(m) pass: n and 2m
 // within 2³¹−1, no more than m+1 nodes (fewer edges cannot connect
 // them, which also bounds the allocation by the input), packed edges
-// strictly ascending with 0 <= u < w < n, and diam in [-1, n).
-// Connectivity itself is not re-verified: callers vouch for it (a
-// snapshot records, under its checksum, that the graph it was encoded
-// from passed Connected).
+// strictly ascending with 0 <= u < w < n, and diam in [-1, n). After
+// the fill it runs Connected and returns ErrDisconnected if the edges
+// leave a node unreached, so like every Dense constructor it returns
+// only connected graphs.
 func NewDenseFromPacked(n int, packed []int64, name string, diam int) (*Dense, error) {
 	m := len(packed)
 	if n <= 0 {
@@ -141,7 +141,11 @@ func NewDenseFromPacked(n int, packed []int64, name string, diam int) (*Dense, e
 	if diam < -1 || diam >= n {
 		return nil, fmt.Errorf("graph %q: known diameter %d out of range [-1, %d): %w", name, diam, n, ErrInvalidEdge)
 	}
-	return fromSorted(n, packed, name).setDiam(diam), nil
+	g := fromSorted(n, packed, name)
+	if !Connected(g) {
+		return nil, fmt.Errorf("graph %q (n=%d, m=%d): %w", name, n, m, ErrDisconnected)
+	}
+	return g.setDiam(diam), nil
 }
 
 // firstBadEdge returns the index of the first packed edge that is not

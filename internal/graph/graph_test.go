@@ -511,7 +511,8 @@ func BenchmarkBFS(b *testing.B) {
 
 // TestNewDenseFromPacked checks the snapshot revival path: a generator's
 // packed edge list rebuilds the generator's exact CSR arrays, and every
-// class of malformed edge list is an error, never a panic.
+// class of malformed or disconnected edge list is an error, never a
+// panic.
 func TestNewDenseFromPacked(t *testing.T) {
 	orig := Torus2D(3, 4)
 	n := orig.N()
@@ -536,6 +537,11 @@ func TestNewDenseFromPacked(t *testing.T) {
 		{"zero nodes", 0, func(p []int64) []int64 { return nil }, -1, ErrInvalidEdge},
 		{"too many nodes", 1 << 31, func(p []int64) []int64 { return p }, -1, ErrTooLarge},
 		{"too few edges to connect", n, func(p []int64) []int64 { return p[:n-2] }, -1, ErrDisconnected},
+		// Two triangles: strictly ascending and n <= m+1, so only the
+		// connectivity check after the fill can refuse it.
+		{"two components", 6, func([]int64) []int64 {
+			return []int64{edge(0, 1), edge(0, 2), edge(1, 2), edge(3, 4), edge(3, 5), edge(4, 5)}
+		}, -1, ErrDisconnected},
 		{"swapped edges", n, func(p []int64) []int64 { p[0], p[1] = p[1], p[0]; return p }, -1, ErrInvalidEdge},
 		{"duplicate edge", n, func(p []int64) []int64 { p[1] = p[0]; return p }, -1, ErrInvalidEdge},
 		{"endpoint out of range", n, func(p []int64) []int64 { p[len(p)-1] = edge(n-1, n); return p }, -1, ErrInvalidEdge},

@@ -562,16 +562,11 @@ func TestPlanEquivalenceMatrix(t *testing.T) {
 		// byte-identical to the original in every run below — same
 		// Result, observer sequence and post-run RNG position — which is
 		// the determinism contract ParseGraph's file: specs rely on. The
-		// implicit clique has no CSR to serialize and is excluded
-		// (materializing it changes the kernel, documented in
-		// snapshot.Build).
+		// implicit clique has no edge list to serialize and is excluded
+		// (cmd/preprocess refuses it).
 		var snapG graph.Graph
-		if _, ok := g.(*graph.Dense); ok {
-			snap, err := snapshot.Build(g, "test:"+g.Name())
-			if err != nil {
-				t.Fatal(err)
-			}
-			data, err := snap.Encode()
+		if d, ok := g.(*graph.Dense); ok {
+			data, err := (&snapshot.Snapshot{Graph: d, Source: "test:" + g.Name()}).Encode()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -18,12 +18,13 @@ const decodeAllocSlack = 1 << 20
 // FuzzDecode feeds arbitrary bytes to Decode. Every input must come
 // back as a snapshot or an error wrapping one of the decode sentinels:
 // never a panic, and never an allocation sized by a claimed length.
-// A graph that decodes must be usable: its degrees sum to 2m, and a
-// BFS over it returns. The seed corpus in testdata/fuzz/FuzzDecode
-// holds a valid cycle:8 file and five damaged copies of it: truncated,
-// a huge section count, a bad checksum, an unknown section kind, and
-// two edges swapped with the checksum recomputed. The v1 seed is the
-// same graph in the older popgraph-snap/v1 format.
+// A graph that decodes must be usable and connected: its degrees sum
+// to 2m, and a BFS from node 0 reaches every node. The seed corpus in
+// testdata/fuzz/FuzzDecode holds a valid cycle:8 file and four damaged
+// copies of it: truncated, a bad checksum, two edges swapped with the
+// checksum recomputed, and its edges replaced by two 4-cycles with the
+// checksum recomputed. The v1 and v2 seeds are the same graph in the
+// older popgraph-snap/v1 and popgraph-snap/v2 formats.
 func FuzzDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
@@ -50,6 +51,10 @@ func FuzzDecode(f *testing.F) {
 		if degrees != 2*g.M() {
 			t.Fatalf("degrees sum to %d, want 2m = %d", degrees, 2*g.M())
 		}
-		graph.BFSDistances(g, 0)
+		for v, d := range graph.BFSDistances(g, 0) {
+			if d < 0 {
+				t.Fatalf("node %d of an accepted %d-node graph is unreachable from node 0", v, g.N())
+			}
+		}
 	})
 }

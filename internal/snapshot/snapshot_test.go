@@ -3,7 +3,6 @@ package snapshot
 import (
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"slices"
@@ -15,8 +14,10 @@ import (
 )
 
 // familyGraphs builds one representative of every graph family the
-// spec grammar can produce, deterministic generators seeded fixed.
-func familyGraphs(t *testing.T) map[string]graph.Graph {
+// spec grammar can produce, deterministic generators seeded fixed. The
+// clique: spec builds an implicit graph with no edge list to store, so
+// the clique here is the complete graph as CSR.
+func familyGraphs(t *testing.T) map[string]*graph.Dense {
 	t.Helper()
 	r := xrand.New(99)
 	gnp, err := graph.Gnp(64, 0.12, r)
@@ -41,8 +42,18 @@ func familyGraphs(t *testing.T) map[string]graph.Graph {
 	if err != nil {
 		t.Fatalf("dense: %v", err)
 	}
-	return map[string]graph.Graph{
-		"clique":    graph.NewClique(23), // implicit; materialized by Build
+	var cliqueEdges []graph.Edge
+	for u := int32(0); u < 23; u++ {
+		for w := u + 1; w < 23; w++ {
+			cliqueEdges = append(cliqueEdges, graph.Edge{U: u, W: w})
+		}
+	}
+	clique, err := graph.NewDense(23, cliqueEdges, "clique-23")
+	if err != nil {
+		t.Fatalf("clique: %v", err)
+	}
+	return map[string]*graph.Dense{
+		"clique":    clique,
 		"dense":     dense,
 		"cycle":     graph.Cycle(17),
 		"path":      graph.Path(9),
@@ -99,12 +110,9 @@ func assertSameGraph(t *testing.T, want, got *graph.Dense) {
 func TestRoundTripFamilies(t *testing.T) {
 	for name, g := range familyGraphs(t) {
 		t.Run(name, func(t *testing.T) {
-			s, err := Build(g, "spec:"+name)
-			if err != nil {
-				t.Fatalf("Build: %v", err)
-			}
+			s := &Snapshot{Graph: g, Source: "spec:" + name}
 			got := mustRoundTrip(t, s)
-			assertSameGraph(t, s.Graph, got.Graph)
+			assertSameGraph(t, g, got.Graph)
 			if got.Source != "spec:"+name {
 				t.Fatalf("source %q, want %q", got.Source, "spec:"+name)
 			}
@@ -116,55 +124,63 @@ func TestRoundTripFamilies(t *testing.T) {
 // tests.
 func encodeFixture(t *testing.T) []byte {
 	t.Helper()
-	r := xrand.New(3)
-	g, err := graph.WattsStrogatz(64, 4, 0.2, r)
+	g, err := graph.WattsStrogatz(64, 4, 0.2, xrand.New(3))
 	if err != nil {
 		t.Fatalf("ws: %v", err)
 	}
-	s, err := Build(g, "ws:64:4:0.2")
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	data, err := s.Encode()
+	data, err := (&Snapshot{Graph: g, Source: "ws:64:4:0.2"}).Encode()
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
 	return data
 }
 
-// findSection locates the first section of the given kind and returns
-// its index, offset and length.
-func findSection(t *testing.T, data []byte, kind uint32) (idx int, offset, length int) {
-	t.Helper()
-	count := int(binary.LittleEndian.Uint32(data[20:]))
-	for i := 0; i < count; i++ {
-		e := data[headerSize+sectionEntrySize*i:]
-		if binary.LittleEndian.Uint32(e[0:]) == kind {
-			return i, int(binary.LittleEndian.Uint64(e[8:])), int(binary.LittleEndian.Uint64(e[16:]))
-		}
-	}
-	t.Fatalf("no section of kind %d", kind)
-	return 0, 0, 0
+// edgeSlab returns the packed-edge bytes of an encoded snapshot.
+func edgeSlab(data []byte) []byte {
+	nameLen := int(binary.LittleEndian.Uint16(data[40:]))
+	sourceLen := int(binary.LittleEndian.Uint16(data[42:]))
+	return data[align8(headerSize+nameLen+sourceLen):]
 }
 
-// fixCRC recomputes section idx's checksum after a payload patch, so a
-// test reaches the validation layer it targets instead of tripping the
-// checksum first.
-func fixCRC(data []byte, idx int) {
-	e := data[headerSize+sectionEntrySize*idx:]
-	off := binary.LittleEndian.Uint64(e[8:])
-	length := binary.LittleEndian.Uint64(e[16:])
-	crc := crc32.Checksum(data[off:off+length], castagnoli)
-	binary.LittleEndian.PutUint32(e[4:], crc)
+// fixCRC recomputes the checksum after a patch, so a test reaches the
+// validation layer it targets instead of tripping the checksum first.
+func fixCRC(data []byte) []byte {
+	binary.LittleEndian.PutUint32(data[crcOffset:], checksum(data))
+	return data
 }
 
 // patchEdges returns a TestDecodeRejects mutation that edits the
-// fixture's packed-edge payload and recomputes its checksum.
+// fixture's packed-edge slab and recomputes the checksum.
 func patchEdges(edit func(edges []byte)) func(t *testing.T, data []byte) []byte {
 	return func(t *testing.T, data []byte) []byte {
-		idx, off, length := findSection(t, data, kindEdges)
-		edit(data[off : off+length])
-		fixCRC(data, idx)
+		edit(edgeSlab(data))
+		return fixCRC(data)
+	}
+}
+
+// twoComponents returns a well-formed snapshot of two disjoint 4-cycles
+// with a valid checksum: cycle:8's file with its edge slab replaced,
+// since no graph constructor builds a disconnected graph to encode.
+func twoComponents(t *testing.T) []byte {
+	t.Helper()
+	data, err := (&Snapshot{Graph: graph.Cycle(8), Source: "cycle:8"}).Encode()
+	if err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	slab := edgeSlab(data)
+	for i, e := range [][2]uint64{{0, 1}, {0, 3}, {1, 2}, {2, 3}, {4, 5}, {4, 7}, {5, 6}, {6, 7}} {
+		binary.LittleEndian.PutUint64(slab[8*i:], e[0]<<32|e[1])
+	}
+	return fixCRC(data)
+}
+
+// readFixture returns a committed file from testdata.
+func readFixture(name string) func(t *testing.T, data []byte) []byte {
+	return func(t *testing.T, _ []byte) []byte {
+		data, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
 		return data
 	}
 }
@@ -174,97 +190,85 @@ func TestDecodeRejects(t *testing.T) {
 		name    string
 		mutate  func(t *testing.T, data []byte) []byte
 		wantErr error
+		// wantCause, when set, must also be wrapped: the graph error
+		// under ErrCorrupt that names which edge-list check failed.
+		wantCause error
 		// wantMsg, when set, must appear in the error: it pins which
 		// check refused the data where several could.
 		wantMsg string
 	}{
 		{"empty", func(t *testing.T, data []byte) []byte {
 			return nil
-		}, ErrNotSnapshot, ""},
+		}, ErrNotSnapshot, nil, ""},
 		{"foreign-data", func(t *testing.T, data []byte) []byte {
 			copy(data, "GIF89a-definitely-not-a-snapshot")
 			return data
-		}, ErrNotSnapshot, ""},
+		}, ErrNotSnapshot, nil, ""},
 		{"older-version", func(t *testing.T, data []byte) []byte {
 			copy(data[:16], "popgraph-snap/v0")
 			return data
-		}, ErrVersion, ""},
+		}, ErrVersion, nil, ""},
 		{"future-version", func(t *testing.T, data []byte) []byte {
-			copy(data[:16], "popgraph-snap/v3")
+			copy(data[:16], "popgraph-snap/v4")
 			return data
-		}, ErrVersion, ""},
+		}, ErrVersion, nil, ""},
 		{"truncated-header", func(t *testing.T, data []byte) []byte {
 			return data[:20]
-		}, ErrCorrupt, ""},
+		}, ErrCorrupt, nil, ""},
 		{"truncated-payload", func(t *testing.T, data []byte) []byte {
 			return data[:len(data)-8]
-		}, ErrCorrupt, ""},
+		}, ErrCorrupt, nil, ""},
 		{"trailing-garbage", func(t *testing.T, data []byte) []byte {
 			return append(data, 0, 0, 0, 0, 0, 0, 0, 0)
-		}, ErrCorrupt, ""},
+		}, ErrCorrupt, nil, ""},
 		{"flipped-payload-bit", func(t *testing.T, data []byte) []byte {
-			_, off, _ := findSection(t, data, kindEdges)
-			data[off] ^= 0x01
+			edgeSlab(data)[0] ^= 0x01
 			return data
-		}, ErrCorrupt, ""},
+		}, ErrCorrupt, nil, "checksum"},
+		{"flipped-name-bit", func(t *testing.T, data []byte) []byte {
+			data[headerSize] ^= 0x01 // the graph name's first byte
+			return data
+		}, ErrCorrupt, nil, "checksum"},
+		// The edge slab the header implies runs past the end of the file.
 		{"section-out-of-bounds", func(t *testing.T, data []byte) []byte {
-			idx, _, _ := findSection(t, data, kindEdges)
-			e := data[headerSize+sectionEntrySize*idx:]
-			binary.LittleEndian.PutUint64(e[16:], uint64(len(data)))
-			return data
-		}, ErrCorrupt, ""},
-		{"misaligned-section", func(t *testing.T, data []byte) []byte {
-			idx, off, _ := findSection(t, data, kindEdges)
-			e := data[headerSize+sectionEntrySize*idx:]
-			binary.LittleEndian.PutUint64(e[8:], uint64(off)+4)
-			return data
-		}, ErrCorrupt, ""},
-		{"connectivity-flag-cleared", func(t *testing.T, data []byte) []byte {
-			binary.LittleEndian.PutUint32(data[16:], 0)
-			return data
-		}, ErrCorrupt, ""},
+			binary.LittleEndian.PutUint64(data[24:], uint64(len(data)))
+			return fixCRC(data)
+		}, ErrCorrupt, nil, "header implies"},
 		{"meta-2m-over-limit", func(t *testing.T, data []byte) []byte {
 			// m = 2³⁰ passes the m ≤ 2³¹−1 check, but 2m does not fit
 			// int32 CSR offsets.
-			idx, off, _ := findSection(t, data, kindMeta)
-			binary.LittleEndian.PutUint64(data[off+8:], 1<<30)
-			fixCRC(data, idx)
-			return data
-		}, ErrCorrupt, "2³¹−1"},
-		{"unknown-section-kind", func(t *testing.T, data []byte) []byte {
-			idx, _, _ := findSection(t, data, kindEdges)
-			e := data[headerSize+sectionEntrySize*idx:]
-			binary.LittleEndian.PutUint32(e[0:], 99)
-			return data
-		}, ErrCorrupt, ""},
+			binary.LittleEndian.PutUint64(data[24:], 1<<30)
+			return fixCRC(data)
+		}, ErrCorrupt, nil, "2³¹−1"},
 		// A popgraph-snap/v1 file also stored the CSR offsets and
-		// adjacency; testdata/cycle8-v1.popg is cycle:8 as
-		// cmd/preprocess wrote it before the format moved to v2.
-		{"v1-file", func(t *testing.T, data []byte) []byte {
-			v1, err := os.ReadFile(filepath.Join("testdata", "cycle8-v1.popg"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return v1
-		}, ErrVersion, "rebuild the file with cmd/preprocess"},
+		// adjacency, and a v2 file put the same edges behind a section
+		// table; testdata holds cycle:8 as cmd/preprocess wrote it in
+		// each format.
+		{"v1-file", readFixture("cycle8-v1.popg"), ErrVersion, nil, "rebuild the file with cmd/preprocess"},
+		{"v2-file", readFixture("cycle8-v2.popg"), ErrVersion, nil, "rebuild the file with cmd/preprocess"},
 		// Edge-list corruptions with the checksum recomputed pass the
-		// container checks, so the edge-list checks every load runs
-		// must refuse them before any CSR array is built from them.
+		// header checks, so the edge-list checks every load runs must
+		// refuse them before any CSR array is built from them.
 		{"edges-unsorted", patchEdges(func(edges []byte) {
 			a := binary.LittleEndian.Uint64(edges[0:])
 			b := binary.LittleEndian.Uint64(edges[8:])
 			binary.LittleEndian.PutUint64(edges[0:], b)
 			binary.LittleEndian.PutUint64(edges[8:], a)
-		}), ErrCorrupt, ""},
+		}), ErrCorrupt, graph.ErrInvalidEdge, ""},
 		{"duplicate-edge", patchEdges(func(edges []byte) {
 			copy(edges[8:16], edges[0:8])
-		}), ErrCorrupt, ""},
+		}), ErrCorrupt, graph.ErrInvalidEdge, ""},
 		{"endpoint-out-of-range", patchEdges(func(edges []byte) {
 			binary.LittleEndian.PutUint64(edges[len(edges)-8:], 63<<32|1000) // (63, 1000), n = 64
-		}), ErrCorrupt, ""},
+		}), ErrCorrupt, graph.ErrInvalidEdge, ""},
 		{"reversed-edge", patchEdges(func(edges []byte) {
 			binary.LittleEndian.PutUint64(edges[0:], 1<<32) // (1, 0)
-		}), ErrCorrupt, ""},
+		}), ErrCorrupt, graph.ErrInvalidEdge, ""},
+		// A valid edge list of a disconnected graph: each component
+		// would elect its own leader, so no run on it could stabilize.
+		{"two-components", func(t *testing.T, _ []byte) []byte {
+			return twoComponents(t)
+		}, ErrCorrupt, graph.ErrDisconnected, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -275,6 +279,9 @@ func TestDecodeRejects(t *testing.T) {
 			}
 			if !errors.Is(err, tc.wantErr) {
 				t.Fatalf("Decode error %v, want %v", err, tc.wantErr)
+			}
+			if tc.wantCause != nil && !errors.Is(err, tc.wantCause) {
+				t.Fatalf("Decode error %v does not wrap %v", err, tc.wantCause)
 			}
 			if !strings.Contains(err.Error(), tc.wantMsg) {
 				t.Fatalf("Decode error %q does not mention %q", err, tc.wantMsg)
@@ -307,11 +314,7 @@ func TestWriteFileLoad(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ba: %v", err)
 	}
-	s, err := Build(g, "ba:200:3")
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	if err := WriteFile(path, s); err != nil {
+	if err := WriteFile(path, &Snapshot{Graph: g, Source: "ba:200:3"}); err != nil {
 		t.Fatalf("WriteFile: %v", err)
 	}
 	loaded, err := Load(path)
@@ -330,48 +333,14 @@ func TestWriteFileLoad(t *testing.T) {
 	}
 }
 
-func TestInspect(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "g.popg")
-	data := encodeFixture(t)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatalf("WriteFile: %v", err)
-	}
-	info, err := Inspect(path)
-	if err != nil {
-		t.Fatalf("Inspect: %v", err)
-	}
-	if info.N != 64 || info.M != 128 || !info.Connected {
-		t.Fatalf("Inspect n=%d m=%d connected=%v, want 64/128/true", info.N, info.M, info.Connected)
-	}
-	if info.Source != "ws:64:4:0.2" {
-		t.Fatalf("Inspect source %q", info.Source)
-	}
-	if len(info.Sections) != 2 {
-		t.Fatalf("Inspect found %d sections, want 2", len(info.Sections))
-	}
-	wantKinds := []string{"meta", "packed-edges"}
-	for i, k := range wantKinds {
-		if info.Sections[i].Kind != k {
-			t.Fatalf("section %d kind %q, want %q", i, info.Sections[i].Kind, k)
-		}
-	}
-	if info.Sections[0].Name != info.GraphName {
-		t.Fatalf("meta section name %q, want the graph name %q", info.Sections[0].Name, info.GraphName)
-	}
-}
-
-// TestBuildRejects covers the encoder's input validation: a snapshot
-// with no graph, and strings too long for the meta section's 16-bit
+// TestBuildRejects covers what no snapshot file can be built from: a
+// snapshot with no graph, and strings too long for the header's 16-bit
 // length fields.
 func TestBuildRejects(t *testing.T) {
 	if _, err := (&Snapshot{}).Encode(); err == nil {
 		t.Fatalf("Encode accepted a snapshot without a graph")
 	}
-	s, err := Build(graph.Cycle(6), strings.Repeat("x", 1<<16))
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
+	s := &Snapshot{Graph: graph.Cycle(6), Source: strings.Repeat("x", 1<<16)}
 	if _, err := s.Encode(); err == nil {
 		t.Fatalf("Encode accepted a %d-byte source spec", len(s.Source))
 	}
@@ -381,7 +350,8 @@ func TestBuildRejects(t *testing.T) {
 }
 
 // BenchmarkLoad measures the validated load of a snapshot: read,
-// checksums, edge-list checks and the CSR fill. The graph is
+// checksum, edge-list checks, the CSR fill and the union-find
+// connectivity check. The graph is
 // ws:100000:10:0.1, the one BenchmarkWattsStrogatz generates, written
 // once before the timer starts, so the two benchmarks compare building
 // a graph with loading it. One op is one Load.
@@ -390,12 +360,8 @@ func BenchmarkLoad(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := Build(g, "ws:100000:10:0.1")
-	if err != nil {
-		b.Fatal(err)
-	}
 	path := filepath.Join(b.TempDir(), "ws.popg")
-	if err := WriteFile(path, s); err != nil {
+	if err := WriteFile(path, &Snapshot{Graph: g, Source: "ws:100000:10:0.1"}); err != nil {
 		b.Fatal(err)
 	}
 	st, err := os.Stat(path)

@@ -171,17 +171,18 @@ func MinDegree(g Graph) int { return graph.MinDegree(g) }
 //
 // Random families (gnp, regular, ws, ba) consume randomness from r.
 //
-// file:PATH loads a preprocessed binary snapshot (popgraph-snap/v2,
+// file:PATH loads a preprocessed binary snapshot (popgraph-snap/v3,
 // written by cmd/preprocess) instead of generating a graph: one read,
 // checksummed, yields the generator's sorted edge list, which is
-// checked in full and filled into the same CSR arrays the generator
-// built, so runs on the loaded graph are byte-identical to runs on the
-// original. A malformed file is an error, never a panic. Generating
-// ws:1000000:10:0.1 takes 0.34–0.35 s on a 2-core Xeon VM (medians of
-// 9 seeds, two rounds): rewiring 0.11 s, the bucket sort by smaller
-// endpoint 0.10–0.11 s, the CSR fill 0.07–0.08 s and the union-find
-// connectivity check 0.04–0.05 s. Loading its snapshot skips all but the
-// CSR fill.
+// checked in full, filled into the same CSR arrays the generator built
+// and checked for connectivity, so runs on the loaded graph are
+// byte-identical to runs on the original. A malformed or disconnected
+// file is an error, never a panic or a run that cannot stabilize.
+// Generating ws:1000000:10:0.1 takes 0.34–0.35 s on a 2-core Xeon VM
+// (medians of 9 seeds, two rounds): rewiring 0.11 s, the bucket sort by
+// smaller endpoint 0.10–0.11 s, the CSR fill 0.07–0.08 s and the
+// union-find connectivity check 0.04–0.05 s. Loading its snapshot skips
+// the rewiring and the sort.
 //
 // Specs whose parameters are out of range for the family (e.g.
 // "cycle:2", "hypercube:0", "torus:2x5", negative sizes) return an

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"popgraph"
+	"popgraph/internal/graph"
 	"popgraph/internal/snapshot"
 )
 
@@ -303,12 +304,8 @@ func TestFileSpecMatchesGenerator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := snapshot.Build(g, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
 	path := filepath.Join(t.TempDir(), "ws.popg")
-	if err := snapshot.WriteFile(path, snap); err != nil {
+	if err := snapshot.WriteFile(path, &snapshot.Snapshot{Graph: g.(*graph.Dense), Source: spec}); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := popgraph.ParseGraph("file:"+path, popgraph.NewRand(3))
